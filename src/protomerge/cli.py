@@ -4,11 +4,12 @@ Subcommands:
   infer     extract per-rank local types from process source and merge them
   extract   show one rank's local type
   merge     merge two protocol files under an explicit rank set
-  simulate  exhaustively interleave per-rank protocol files
+  simulate  run per-rank protocol files together under rendezvous semantics
 
 Exit codes: 0 success; 1 protocol rejected (deadlock, mismatch, unsolvable
 datatypes, rank-dependent control flow); 2 parse error; 3 undecidable
-(entailment, datatype equivalence, or state budget); 4 bad invocation.
+(entailment, datatype equivalence, or loop unfolding budget); 4 bad
+invocation.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .merge import (
     merge_types,
 )
 from .oracle import (
-    DEFAULT_STATE_CAP,
     CollectiveEvent,
     Completed,
     Deadlocked,
@@ -46,7 +46,7 @@ from .oracle import (
     Mismatch,
     OpenIndexTerm,
     SimResult,
-    StateSpaceExceeded,
+    UnfoldBudgetExceeded,
     cap_loops,
     linearize,
     simulate,
@@ -114,11 +114,10 @@ def _build_parser() -> argparse.ArgumentParser:
     merge.add_argument("--json", action="store_true")
     merge.set_defaults(run=_cmd_merge)
 
-    sim = sub.add_parser("simulate", help="interleave per-rank protocols")
+    sim = sub.add_parser("simulate", help="run per-rank protocols to a verdict")
     sim.add_argument("files", nargs="+", help="one protocol file per rank")
     sim.add_argument("--size", type=int, required=True)
     sim.add_argument("--unroll", type=int, default=DEFAULT_UNROLL, help="cap loop iterations")
-    sim.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP)
     sim.add_argument("--json", action="store_true")
     sim.set_defaults(run=_cmd_simulate)
 
@@ -253,7 +252,7 @@ def _cmd_simulate(args) -> int:
         local = parse_protocol(_read(path), path)
         capped = cap_loops(ctx, local, args.unroll)
         actions.append(linearize(ctx, capped, rank))
-    result = simulate(actions, args.size, state_cap=args.state_cap, ctx=ctx)
+    result = simulate(actions, args.size, ctx=ctx)
     return _report_simulation(args, result)
 
 
@@ -328,7 +327,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if exc.diagnostic.kind is DiagnosticKind.ENTAILMENT_UNDECIDABLE:
             return EXIT_UNDECIDABLE
         return EXIT_REJECTED
-    except (UndecidableEquivalence, StateSpaceExceeded) as exc:
+    except (UndecidableEquivalence, UnfoldBudgetExceeded) as exc:
         _print_error(wants_json, type(exc).__name__, str(exc))
         return EXIT_UNDECIDABLE
     except (

@@ -1,6 +1,7 @@
 """Command line interface: subcommands, exit codes, output shapes."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -244,13 +245,39 @@ class TestSimulate:
         assert code == 0
         assert out.count("message 0 -> 1") == 2
 
-    def test_state_cap_exits_3(self, capsys, write):
-        text = ";\n".join(["message 0 1 float"] * 6)
-        a = write("a.ptype", text)
-        b = write("b.ptype", text)
-        code, _, err = run(capsys, "simulate", a, b, "--size", "2", "--state-cap", "5")
+    def test_long_loop_unrolls_without_recursion_error(self, capsys, write):
+        a = write("a.ptype", "foreach i: 1..5000 { message 0 1 float }")
+        b = write("b.ptype", "foreach i: 1..5000 { message 0 1 float }")
+        code, out, _ = run(capsys, "simulate", a, b, "--size", "2", "--unroll", "5000")
+        assert code == 0
+        assert out.count("message 0 -> 1") == 5000
+
+    def test_unfold_budget_exits_3(self, capsys, write):
+        a = write("a.ptype", "foreach i: 1..5000000 { message 0 1 float }")
+        b = write("b.ptype", "foreach i: 1..5000000 { message 0 1 float }")
+        started = time.perf_counter()
+        code, _, err = run(capsys, "simulate", a, b, "--size", "2", "--unroll", "5000000")
+        assert time.perf_counter() - started < 1.0
         assert code == 3
-        assert err.startswith("error: StateSpaceExceeded:")
+        assert err.startswith("error: UnfoldBudgetExceeded:")
+
+    def test_many_independent_pairs_deadlock(self, capsys, write):
+        # Seven pairs: six exchange, one sends both ways. An exhaustive
+        # interleaving search would visit millions of states here.
+        files = []
+        for p in range(7):
+            lo, hi = 2 * p, 2 * p + 1
+            if p == 3:
+                text = f"message {lo} {hi} float;\nmessage {hi} {lo} float"
+                files += [write(f"r{lo}.ptype", text), write(f"r{hi}.ptype", f"message {hi} {lo} float")]
+            else:
+                text = ";\n".join([f"message {lo} {hi} float", f"message {hi} {lo} float"] * 3)
+                files += [write(f"r{lo}.ptype", text), write(f"r{hi}.ptype", text)]
+        code, out, err = run(capsys, "simulate", *files, "--size", "14")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("Deadlocked: ")
+        assert "rank 6: send float to 7; rank 7: send float to 6" in err
 
     def test_file_count_must_match_size(self, capsys, write):
         a = write("a.ptype", "skip")
