@@ -263,6 +263,10 @@ class TypingContext:
     """
 
     entries: tuple[tuple[str, Datatype], ...] = ()
+    # The entries' domains, hulls and dependencies, resolved once by
+    # protomerge.logic on its first query. A context never changes, so the
+    # resolution never goes stale; it takes no part in ==, hash or repr.
+    _resolution: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         names = [n for n, _ in self.entries]

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from functools import reduce
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .ast import (
     And,
@@ -162,7 +163,10 @@ def recognize_eq(pred: Proposition, binder: str) -> _EqShape | None:
     return _EqShape(tuple(terms))
 
 
-def recognize_bounds(pred: Proposition, binder: str) -> _BoundShape | None:
+_MIRRORED = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+def recognize_bounds(pred: Proposition, binder: str) -> _BoundShape:
     los: list[IndexTerm] = []
     his: list[IndexTerm] = []
     residual: list[Proposition] = []
@@ -171,36 +175,39 @@ def recognize_bounds(pred: Proposition, binder: str) -> _BoundShape | None:
             case TrueProp():
                 continue
             case Cmp(op, Var(name), t) if name == binder and binder not in index_vars(t):
-                if op == "<=":
-                    his.append(t)
-                elif op == "<":
-                    his.append(_minus_one(t))
-                elif op == ">=":
-                    los.append(t)
-                elif op == ">":
-                    los.append(_plus_one(t))
-                elif op == "=":
-                    los.append(t)
-                    his.append(t)
-                else:
-                    residual.append(c)
+                pass
             case Cmp(op, t, Var(name)) if name == binder and binder not in index_vars(t):
-                if op == "<=":
-                    los.append(t)
-                elif op == "<":
-                    los.append(_plus_one(t))
-                elif op == ">=":
-                    his.append(t)
-                elif op == ">":
-                    his.append(_minus_one(t))
-                elif op == "=":
-                    los.append(t)
-                    his.append(t)
-                else:
-                    residual.append(c)
+                op = _MIRRORED[op]
             case _:
                 residual.append(c)
+                continue
+        # c now reads `binder op t`.
+        if op in ("<=", "="):
+            his.append(t)
+        if op in (">=", "="):
+            los.append(t)
+        if op == "<":
+            his.append(_minus_one(t))
+        if op == ">":
+            los.append(_plus_one(t))
+        if op == "!=":
+            residual.append(c)
     return _BoundShape(tuple(los), tuple(his), tuple(residual))
+
+
+def _recognize(pred: Proposition, binder: str) -> _EqShape | _BoundShape:
+    return recognize_eq(pred, binder) or recognize_bounds(pred, binder)
+
+
+def _evaluate(shape: _EqShape | _BoundShape, env: Mapping[str, int]) -> tuple:
+    """The distinct values of an equality shape, sorted, or the (lo, hi) of a
+    bound shape with None for a side without bounds. Raises UnboundVariable
+    or DivisionByZero."""
+    if isinstance(shape, _EqShape):
+        return tuple(sorted({eval_index(env, t) for t in shape.terms}))
+    lo = max(eval_index(env, t) for t in shape.los) if shape.los else None
+    hi = min(eval_index(env, t) for t in shape.his) if shape.his else None
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +238,8 @@ def _hull_mul(a: Hull, b: Hull) -> Hull:
 
 
 def _hull_div(a: Hull, b: Hull) -> Hull:
-    if None in a or None in b or (b[0] <= 0 <= b[1]):
+    # An unsatisfiable divisor has an inverted hull, which may end at 0.
+    if None in a or None in b or b[0] <= 0 <= b[1] or 0 in b:
         return _TOP
     quots = [trunc_div(a[0], b[0]), trunc_div(a[0], b[1]), trunc_div(a[1], b[0]), trunc_div(a[1], b[1])]
     return (min(quots), max(quots))
@@ -355,36 +363,82 @@ def _abs_prop(p: Proposition, hulls: Mapping[str, Hull]) -> bool | None:
     raise TypeError(f"not a proposition: {p!r}")
 
 
-def _context_hulls(ctx: TypingContext) -> dict[str, Hull]:
+def _shape_hull(shape: _EqShape | _BoundShape, hulls: Mapping[str, Hull]) -> Hull:
+    if isinstance(shape, _EqShape):
+        return reduce(_hull_union, (_hull_index(t, hulls) for t in shape.terms))
+    los = [lo for t in shape.los if (lo := _hull_index(t, hulls)[0]) is not None]
+    his = [hi for t in shape.his if (hi := _hull_index(t, hulls)[1]) is not None]
+    return (max(los) if los else None, min(his) if his else None)
+
+
+# ---------------------------------------------------------------------------
+# Context resolution: one pass over a context's entries, in order, on its
+# first query. Entailment, domains and datatype equivalence all read it.
+
+
+# NamedTuples, not dataclasses: they cost far less to define at import.
+class _Entry(NamedTuple):
+    """A context entry, resolved against the entries before it."""
+
+    binder: str | None
+    shape: _EqShape | _BoundShape | None  # None: not an integer refinement
+    # The shape evaluated under the earlier entries' single values (see
+    # _evaluate); None when that needs a name without a single value.
+    points: tuple | None
+    domain: Domain | None  # None: not an integer entry
+    # Names the refinement mentions, with what the earlier of those mention.
+    deps: frozenset[str]
+
+
+class _Resolution(NamedTuple):
+    entries: dict[str, _Entry]  # in context order
+    hulls: dict[str, Hull]
+    env: dict[str, int]  # single-valued entries, in context order
+
+
+def _domain(shape: _EqShape | _BoundShape, points: tuple | None) -> Domain:
+    if points is None:
+        return Unbounded()
+    if isinstance(shape, _EqShape):
+        return FiniteSet(points)
+    lo, hi = points
+    if shape.residual or lo is None or hi is None or lo > hi:
+        return Unbounded()
+    return Interval(lo, hi)
+
+
+def _resolve(ctx: TypingContext) -> _Resolution:
+    if ctx._resolution is not None:
+        return ctx._resolution
+    resolved: dict[str, _Entry] = {}
     hulls: dict[str, Hull] = {}
+    env: dict[str, int] = {}
     for name, d in ctx.entries:
+        binder = shape = points = domain = None
+        deps: frozenset[str] = frozenset()
+        if isinstance(d, Refined):
+            binder = d.binder
+            direct = prop_vars(d.pred) - {binder}
+            deps = direct.union(*(resolved[v].deps for v in direct if v in resolved))
         if isinstance(d, Integer):
-            hulls[name] = _TOP
+            domain = Unbounded()
         elif isinstance(d, Refined) and isinstance(d.base, Integer):
-            eq = recognize_eq(d.pred, d.binder)
-            if eq is not None:
-                h: Hull = (None, None)
-                acc = None
-                for t in eq.terms:
-                    th = _hull_index(t, hulls)
-                    acc = th if acc is None else _hull_union(acc, th)
-                hulls[name] = acc if acc is not None else _TOP
-                continue
-            bounds = recognize_bounds(d.pred, d.binder)
-            lo: int | None = None
-            hi: int | None = None
-            if bounds is not None:
-                for t in bounds.los:
-                    tlo = _hull_index(t, hulls)[0]
-                    if tlo is not None:
-                        lo = tlo if lo is None else max(lo, tlo)
-                for t in bounds.his:
-                    thi = _hull_index(t, hulls)[1]
-                    if thi is not None:
-                        hi = thi if hi is None else min(hi, thi)
-            hulls[name] = (lo, hi)
-        # Non-integer entries get no hull; uses default to unbounded.
-    return hulls
+            shape = _recognize(d.pred, d.binder)
+            hulls[name] = _shape_hull(shape, hulls)
+            try:
+                points = _evaluate(shape, env)
+            except (UnboundVariable, DivisionByZero):
+                pass
+            domain = _domain(shape, points)
+            if isinstance(domain, FiniteSet) and len(domain.values) == 1:
+                env[name] = domain.values[0]
+            elif isinstance(domain, Interval) and domain.lo == domain.hi:
+                env[name] = domain.lo
+        # Other entries get no hull; lookups default to unbounded.
+        resolved[name] = _Entry(binder, shape, points, domain, deps)
+    resolution = _Resolution(resolved, hulls, env)
+    object.__setattr__(ctx, "_resolution", resolution)
+    return resolution
 
 
 # ---------------------------------------------------------------------------
@@ -395,48 +449,27 @@ class _Inconclusive(Exception):
     """Internal: enumeration infeasible (unbounded domain, cap, or eval error)."""
 
 
-def _candidate_values(d: Datatype, env: dict[str, int], enum_cap: int) -> list[int]:
-    if not (isinstance(d, Refined) and isinstance(d.base, Integer)):
+def _candidates(entry: _Entry, env: dict[str, int], enum_cap: int) -> Sequence[int]:
+    shape = entry.shape
+    if shape is None or isinstance(shape, _BoundShape) and not (shape.los and shape.his):
         raise _Inconclusive
-    binder, pred = d.binder, d.pred
-    eq = recognize_eq(pred, binder)
     try:
-        if eq is not None:
-            vals = sorted({_eval_term(t, env) for t in eq.terms})
-            return vals
-        bounds = recognize_bounds(pred, binder)
-        if bounds is None or not bounds.los or not bounds.his:
-            raise _Inconclusive
-        lo = max(_eval_term(t, env) for t in bounds.los)
-        hi = min(_eval_term(t, env) for t in bounds.his)
+        # Resolved points mention only single-valued names, whose one value
+        # every assignment shares; other entries evaluate per assignment.
+        points = _evaluate(shape, env) if entry.points is None else entry.points
+        if isinstance(shape, _EqShape):
+            return points
+        lo, hi = points
         if hi < lo:
-            return []
+            return ()
         if hi - lo + 1 > enum_cap:
             raise _Inconclusive
-        vals = list(range(lo, hi + 1))
-        for extra in bounds.residual:
-            vals = [v for v in vals if eval_prop({**env, binder: v}, extra)]
+        vals: Sequence[int] = range(lo, hi + 1)
+        for extra in shape.residual:
+            vals = [v for v in vals if eval_prop({**env, entry.binder: v}, extra)]
         return vals
     except (UnboundVariable, DivisionByZero):
         raise _Inconclusive from None
-
-
-def _eval_term(t: IndexTerm, env: dict[str, int]) -> int:
-    return eval_index(env, t)
-
-
-def _needed_entries(ctx: TypingContext, p: Proposition) -> list[tuple[str, Datatype]] | None:
-    """Entries to enumerate: free vars of p plus refinement dependencies.
-
-    Returns None when p mentions a variable the context does not bind.
-    """
-    needed = set(prop_vars(p))
-    for name, d in reversed(ctx.entries):
-        if name in needed and isinstance(d, Refined):
-            needed |= prop_vars(d.pred) - {d.binder}
-    if needed - set(ctx.names()):
-        return None
-    return [(name, d) for name, d in ctx.entries if name in needed]
 
 
 def entails(ctx: TypingContext, p: Proposition, enum_cap: int = DEFAULT_ENUM_CAP) -> Verdict:
@@ -446,7 +479,8 @@ def entails(ctx: TypingContext, p: Proposition, enum_cap: int = DEFAULT_ENUM_CAP
     Invalid: some assignment falsifies p. Undecidable: neither the interval
     abstraction nor enumeration within `enum_cap` assignments could settle it.
     """
-    abstract = _abs_prop(p, _context_hulls(ctx))
+    resolution = _resolve(ctx)
+    abstract = _abs_prop(p, resolution.hulls)
     if abstract is True:
         # Sound even when no assignment satisfies the context: the hull box
         # covers the whole satisfying set, and a vacuous entailment is valid.
@@ -456,9 +490,13 @@ def entails(ctx: TypingContext, p: Proposition, enum_cap: int = DEFAULT_ENUM_CAP
     # refinement), in which case the entailment holds vacuously. Only the
     # enumeration below may answer Invalid.
 
-    entries = _needed_entries(ctx, p)
-    if entries is None:
+    # Enumerate the free variables of p and what their refinements depend on.
+    resolved = resolution.entries
+    free = prop_vars(p)
+    needed = free.union(*(resolved[v].deps for v in free if v in resolved))
+    if not needed.issubset(resolved):
         return Verdict.UNDECIDABLE
+    entries = [(name, e) for name, e in resolved.items() if name in needed]
 
     budget = enum_cap
 
@@ -472,8 +510,8 @@ def entails(ctx: TypingContext, p: Proposition, enum_cap: int = DEFAULT_ENUM_CAP
                 return eval_prop(env, p)
             except (DivisionByZero, UnboundVariable):
                 raise _Inconclusive from None
-        name, d = entries[i]
-        for v in _candidate_values(d, env, enum_cap):
+        name, entry = entries[i]
+        for v in _candidates(entry, env, enum_cap):
             if not explore(i + 1, {**env, name: v}):
                 return False
         return True
@@ -494,31 +532,12 @@ def domain_of(ctx: TypingContext, name: str) -> Domain:
     FiniteSet for equality-disjunction refinements, Interval for pure bound
     conjunctions with resolvable endpoints, Unbounded otherwise.
     """
-    d = ctx.lookup(name)
-    if d is None:
+    entry = _resolve(ctx).entries.get(name)
+    if entry is None:
         raise NotIntegerRefined(f"{name!r} is not bound in the context")
-    if isinstance(d, Integer):
-        return Unbounded()
-    if not (isinstance(d, Refined) and isinstance(d.base, Integer)):
+    if entry.domain is None:
         raise NotIntegerRefined(f"{name!r} is not an integer refinement")
-    env = singleton_env(ctx, upto=name)
-    eq = recognize_eq(d.pred, d.binder)
-    if eq is not None:
-        try:
-            vals = sorted({_eval_term(t, env) for t in eq.terms})
-        except (UnboundVariable, DivisionByZero):
-            return Unbounded()
-        return FiniteSet(tuple(vals))
-    bounds = recognize_bounds(d.pred, d.binder)
-    if bounds is not None and not bounds.residual and bounds.los and bounds.his:
-        try:
-            lo = max(_eval_term(t, env) for t in bounds.los)
-            hi = min(_eval_term(t, env) for t in bounds.his)
-        except (UnboundVariable, DivisionByZero):
-            return Unbounded()
-        if lo <= hi:
-            return Interval(lo, hi)
-    return Unbounded()
+    return entry.domain
 
 
 def singleton_env(ctx: TypingContext, upto: str | None = None) -> dict[str, int]:
@@ -527,30 +546,13 @@ def singleton_env(ctx: TypingContext, upto: str | None = None) -> dict[str, int]
     Used to resolve loop bounds and message endpoints that mention earlier
     context names (typically just `size`).
     """
+    resolution = _resolve(ctx)
     env: dict[str, int] = {}
-    for name, d in ctx.entries:
+    for name in resolution.entries:
         if name == upto:
             break
-        if not (isinstance(d, Refined) and isinstance(d.base, Integer)):
-            continue
-        eq = recognize_eq(d.pred, d.binder)
-        if eq is not None:
-            try:
-                vals = {_eval_term(t, env) for t in eq.terms}
-            except (UnboundVariable, DivisionByZero):
-                continue
-            if len(vals) == 1:
-                env[name] = vals.pop()
-            continue
-        bounds = recognize_bounds(d.pred, d.binder)
-        if bounds is not None and not bounds.residual and bounds.los and bounds.his:
-            try:
-                lo = max(_eval_term(t, env) for t in bounds.los)
-                hi = min(_eval_term(t, env) for t in bounds.his)
-            except (UnboundVariable, DivisionByZero):
-                continue
-            if lo == hi:
-                env[name] = lo
+        if name in resolution.env:
+            env[name] = resolution.env[name]
     return env
 
 
@@ -586,25 +588,16 @@ class _DomainSpec:
 
 
 def _refinement_spec(ctx: TypingContext, d: Refined, enum_cap: int) -> _DomainSpec | None:
-    env = singleton_env(ctx)
-    eq = recognize_eq(d.pred, d.binder)
-    if eq is not None:
-        try:
-            return _DomainSpec(values=tuple(sorted({_eval_term(t, env) for t in eq.terms})))
-        except (UnboundVariable, DivisionByZero):
-            return None
-    bounds = recognize_bounds(d.pred, d.binder)
-    if bounds is None or bounds.residual:
+    shape = _recognize(d.pred, d.binder)
+    if isinstance(shape, _BoundShape) and shape.residual:
         return None
-    lo: int | None = None
-    hi: int | None = None
     try:
-        if bounds.los:
-            lo = max(_eval_term(t, env) for t in bounds.los)
-        if bounds.his:
-            hi = min(_eval_term(t, env) for t in bounds.his)
+        points = _evaluate(shape, _resolve(ctx).env)
     except (UnboundVariable, DivisionByZero):
         return None
+    if isinstance(shape, _EqShape):
+        return _DomainSpec(values=points)
+    lo, hi = points
     if lo is not None and hi is not None and hi - lo + 1 <= enum_cap:
         return _DomainSpec(values=tuple(range(lo, hi + 1)))
     return _DomainSpec(lo=lo, hi=hi, bounded=True)
@@ -685,7 +678,13 @@ def merged_context(n: int, ranks: Iterable[int]) -> TypingContext:
         raise InvalidRankSet("merged rank set is empty")
     if rs[0] < 0 or rs[-1] >= n:
         raise InvalidRankSet(f"ranks {rs} out of range for size {n}")
-    pred: Proposition = Cmp("=", Var("x"), IntLit(rs[0]))
-    for r in rs[1:]:
-        pred = Or(pred, Cmp("=", Var("x"), IntLit(r)))
+    pred = _any_of([Cmp("=", Var("x"), IntLit(r)) for r in rs])
     return initial_context(n).extend("rank", Refined("x", Integer(), pred))
+
+
+def _any_of(props: Sequence[Proposition]) -> Proposition:
+    """A balanced disjunction, whose depth grows with log2 of its length."""
+    if len(props) == 1:
+        return props[0]
+    mid = len(props) // 2
+    return Or(_any_of(props[:mid]), _any_of(props[mid:]))

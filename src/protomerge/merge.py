@@ -221,6 +221,30 @@ def _fresh(base: str, avoid: Iterable[str]) -> str:
     return name
 
 
+# The rules in the order the engine tries them; rule `a-b` is method
+# `_rule_a_b`.
+RULE_NAMES = (
+    "skip-skip",
+    "skip-msgS",
+    "msgS-skip",
+    "msgS-msgS",
+    "msg-skip",
+    "skip-msg",
+    "msg-msgS",
+    "msgS-msg",
+    "msg-msg-eq",
+    "allred-allred",
+    "foreach-foreach",
+    "seq-seq",
+    "skip-msgT",
+    "msgT-skipT",
+    "msg-msg-right",
+    "msg-msg-left",
+    "msgT-msgT-left",
+    "msgT-msgT-right",
+)
+
+
 class _Engine:
     def __init__(self, k: int, enum_cap: int):
         self.k = k
@@ -230,25 +254,8 @@ class _Engine:
         self.deepest_depth = -1
         self.deepest_path: tuple[str, ...] = ()
         self.deepest_attempts: tuple[tuple[RuleAttempt, str], ...] = ()
-        self.rules: tuple[tuple[str, object], ...] = (
-            ("skip-skip", self._rule_skip_skip),
-            ("skip-msgS", self._rule_skip_msgS),
-            ("msgS-skip", self._rule_msgS_skip),
-            ("msgS-msgS", self._rule_msgS_msgS),
-            ("msg-skip", self._rule_msg_skip),
-            ("skip-msg", self._rule_skip_msg),
-            ("msg-msgS", self._rule_msg_msgS),
-            ("msgS-msg", self._rule_msgS_msg),
-            ("msg-msg-eq", self._rule_msg_msg_eq),
-            ("allred-allred", self._rule_allred_allred),
-            ("foreach-foreach", self._rule_foreach_foreach),
-            ("seq-seq", self._rule_seq_seq),
-            ("skip-msgT", self._rule_skip_msgT),
-            ("msgT-skipT", self._rule_msgT_skipT),
-            ("msg-msg-right", self._rule_msg_msg_right),
-            ("msg-msg-left", self._rule_msg_msg_left),
-            ("msgT-msgT-left", self._rule_msgT_msgT_left),
-            ("msgT-msgT-right", self._rule_msgT_msgT_right),
+        self.rules: tuple[tuple[str, object], ...] = tuple(
+            (name, getattr(self, "_rule_" + name.replace("-", "_"))) for name in RULE_NAMES
         )
 
     # -- plumbing
@@ -647,28 +654,6 @@ class _Engine:
         rest, substeps = sub
         result = normalize_seq(Seq(rh, rest))
         return _Applied(result, (self._step("msgT-msgT-right", left, right, premises),) + substeps)
-
-
-RULE_NAMES = (
-    "skip-skip",
-    "skip-msgS",
-    "msgS-skip",
-    "msgS-msgS",
-    "msg-skip",
-    "skip-msg",
-    "msg-msgS",
-    "msgS-msg",
-    "msg-msg-eq",
-    "allred-allred",
-    "foreach-foreach",
-    "seq-seq",
-    "skip-msgT",
-    "msgT-skipT",
-    "msg-msg-right",
-    "msg-msg-left",
-    "msgT-msgT-left",
-    "msgT-msgT-right",
-)
 
 
 def _validate_merge_inputs(

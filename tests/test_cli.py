@@ -114,6 +114,10 @@ class TestInfer:
         assert code == 0
         assert out == "allreduce min float\n"
 
+    def test_many_ranks_without_recursion_error(self, capsys, write):
+        code, out, err = run(capsys, "infer", write("skip.proc", "skip\n"), "--size", "600")
+        assert (code, out, err) == (0, "skip\n", "")
+
     def test_size_too_small(self, capsys, write):
         f = write("p.proc", "skip")
         code, _, err = run(capsys, "infer", f, "--size", "1")

@@ -1,5 +1,8 @@
 """Entailment engine, domains, datatype equivalence, rank contexts."""
 
+import random
+from collections import Counter
+
 import pytest
 
 from protomerge import (
@@ -30,6 +33,7 @@ from protomerge import (
     merged_context,
     singleton_env,
 )
+from generators import brute_force_entails, gen_entail_case
 
 
 def ctx_with_rank(n, *ranks):
@@ -109,6 +113,32 @@ class TestEntails:
             .extend("b", Refined("x", Integer(), hollow))
         )
         assert entails(ctx, Cmp("=", Var("b"), IntLit(99))) is Verdict.VALID
+
+    def test_unsatisfiable_divisor_is_not_a_crash(self):
+        # d's hull is inverted, (1, 0), and ends at 0; dividing by it must
+        # not evaluate 4 / 0.
+        empty = And(Cmp("<=", IntLit(1), Var("x")), Cmp("<=", Var("x"), IntLit(0)))
+        ctx = TypingContext(()).extend("d", Refined("x", Integer(), empty))
+        p = Cmp("=", BinOp("/", IntLit(4), Var("d")), IntLit(4))
+        assert entails(ctx, p) is Verdict.VALID
+        assert domain_of(ctx, "d") == Unbounded()
+
+    def test_corpus_tallies(self):
+        # Criterion 8's 1000 cases, including the ones it skips for lack of
+        # a ground truth: the verdict counts on each side are pinned.
+        rng = random.Random(515)
+        tally = Counter()
+        for _ in range(1000):
+            case = gen_entail_case(rng)
+            decided = brute_force_entails(case) is not None
+            tally[decided, entails(case.ctx, case.query).value] += 1
+        assert tally == {
+            (True, "Invalid"): 561,
+            (True, "Valid"): 404,
+            (False, "Undecidable"): 26,
+            (False, "Invalid"): 7,
+            (False, "Valid"): 2,
+        }
 
     def test_verdict_labels(self):
         assert Verdict.VALID.value == "Valid"
@@ -229,6 +259,34 @@ class TestContexts:
         ctx = merged_context(3, [1, 0])
         assert ctx.names() == ("size", "rank")
         assert domain_of(ctx, "rank") == FiniteSet((0, 1))
+
+    def test_extended_context_sees_its_new_entry(self):
+        ctx = merged_context(3, [0])
+        assert entails(ctx, Cmp("<", Var("rank"), IntLit(1))) is Verdict.VALID
+        assert domain_of(ctx, "rank") == FiniteSet((0,))
+        bounds = And(Cmp("<=", IntLit(0), Var("x")), Cmp("<=", Var("x"), IntLit(1)))
+        wider = ctx.extend("i", Refined("x", Integer(), bounds))
+        assert domain_of(wider, "i") == Interval(0, 1)
+        assert entails(wider, Cmp("!=", Var("i"), IntLit(1))) is Verdict.INVALID
+        rebound = wider.extend("rank", Refined("x", Integer(), Cmp("=", Var("x"), Var("i"))))
+        assert domain_of(rebound, "rank") == Unbounded()
+        assert entails(rebound, Cmp("<", Var("rank"), IntLit(1))) is Verdict.INVALID
+        assert singleton_env(rebound) == {"size": 3}
+        assert domain_of(ctx, "rank") == FiniteSet((0,))
+
+    def test_queries_leave_equality_hash_and_repr_alone(self):
+        queried, fresh = merged_context(4, [0, 2]), merged_context(4, [0, 2])
+        entails(queried, Cmp("!=", Var("rank"), IntLit(1)))
+        assert queried == fresh
+        assert hash(queried) == hash(fresh)
+        assert repr(queried) == repr(fresh)
+
+    def test_large_rank_sets_hash_and_entail(self):
+        assert isinstance(hash(merged_context(2000, range(1999))), int)
+        ctx = merged_context(1200, range(1199))
+        assert domain_of(ctx, "rank") == FiniteSet(tuple(range(1199)))
+        assert entails(ctx, Cmp("!=", Var("rank"), IntLit(1199))) is Verdict.VALID
+        assert entails(ctx, Cmp("!=", Var("rank"), IntLit(600))) is Verdict.INVALID
 
     def test_invalid_rank_sets_rejected(self):
         with pytest.raises(InvalidRankSet):
