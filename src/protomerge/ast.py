@@ -2,7 +2,7 @@
 processes, typing contexts, and the diagnostics they produce.
 
 Everything here is an immutable tree. Structural equality is the equality used
-throughout (goldens compare whole trees), so all nodes are frozen dataclasses.
+throughout (goldens compare entire trees), so all nodes are frozen dataclasses.
 """
 
 from __future__ import annotations
@@ -136,14 +136,7 @@ class Refined:
     pred: Proposition
 
 
-@dataclass(frozen=True, slots=True)
-class Hole:
-    """Unknown datatype ``?id``; appears only during extraction."""
-
-    id: str
-
-
-Datatype = Union[Integer, Float, Array, Refined, Hole]
+Datatype = Union[Integer, Float, Array, Refined]
 
 
 class ReduceOp(enum.Enum):
@@ -299,7 +292,6 @@ class DiagnosticKind(enum.Enum):
     DATATYPE_MISMATCH = "DatatypeMismatch"
     ENTAILMENT_FAILED = "EntailmentFailed"
     ENTAILMENT_UNDECIDABLE = "EntailmentUndecidable"
-    UNSOLVABLE_EQUATIONS = "UnsolvableEquations"
 
 
 @dataclass(frozen=True, slots=True)
@@ -315,7 +307,7 @@ class Diagnostic:
     rule_trace: tuple[RuleAttempt, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        if not self.rule_trace and self.kind is not DiagnosticKind.UNSOLVABLE_EQUATIONS:
+        if not self.rule_trace:
             raise ValueError("rule_trace must be non-empty for merge diagnostics")
 
 
@@ -416,7 +408,7 @@ def prop_vars(p: Proposition) -> frozenset[str]:
 
 def datatype_vars(d: Datatype) -> frozenset[str]:
     match d:
-        case Integer() | Float() | Hole():
+        case Integer() | Float():
             return frozenset()
         case Array(elem, length):
             return datatype_vars(elem) | index_vars(length)
@@ -470,7 +462,7 @@ def _drop(sub: Sub, name: str) -> Sub:
 
 def subst_datatype(d: Datatype, sub: Sub) -> Datatype:
     match d:
-        case Integer() | Float() | Hole():
+        case Integer() | Float():
             return d
         case Array(elem, length):
             return Array(subst_datatype(elem, sub), subst_index(length, sub))
@@ -511,57 +503,3 @@ def subst_process(p: Process, sub: Sub) -> Process:
         case PSeq(a, b):
             return PSeq(subst_process(a, sub), subst_process(b, sub))
     raise TypeError(f"not a process: {p!r}")
-
-
-# ---------------------------------------------------------------------------
-# Holes
-
-
-def datatype_holes(d: Datatype) -> frozenset[str]:
-    match d:
-        case Hole(id):
-            return frozenset((id,))
-        case Array(elem, _):
-            return datatype_holes(elem)
-        case _:
-            return frozenset()
-
-
-def type_holes(t: ProtocolType) -> frozenset[str]:
-    match t:
-        case Skip():
-            return frozenset()
-        case Message(_, _, payload):
-            return datatype_holes(payload)
-        case Allreduce(_, _, payload, cont):
-            return datatype_holes(payload) | type_holes(cont)
-        case Foreach(_, _, _, body):
-            return type_holes(body)
-        case Seq(a, b):
-            return type_holes(a) | type_holes(b)
-    raise TypeError(f"not a protocol type: {t!r}")
-
-
-def fill_holes_datatype(d: Datatype, binding: Mapping[str, Datatype]) -> Datatype:
-    match d:
-        case Hole(id) if id in binding:
-            return binding[id]
-        case Array(elem, length):
-            return Array(fill_holes_datatype(elem, binding), length)
-        case _:
-            return d
-
-
-def fill_holes_type(t: ProtocolType, binding: Mapping[str, Datatype]) -> ProtocolType:
-    match t:
-        case Skip():
-            return t
-        case Message(src, dst, payload):
-            return Message(src, dst, fill_holes_datatype(payload, binding))
-        case Allreduce(op, binder, payload, cont):
-            return Allreduce(op, binder, fill_holes_datatype(payload, binding), fill_holes_type(cont, binding))
-        case Foreach(binder, lo, hi, body):
-            return Foreach(binder, lo, hi, fill_holes_type(body, binding))
-        case Seq(a, b):
-            return Seq(fill_holes_type(a, binding), fill_holes_type(b, binding))
-    raise TypeError(f"not a protocol type: {t!r}")

@@ -6,10 +6,9 @@ Subcommands:
   merge     merge two protocol files under an explicit rank set
   simulate  run per-rank protocol files together under rendezvous semantics
 
-Exit codes: 0 success; 1 protocol rejected (deadlock, mismatch, unsolvable
-datatypes, rank-dependent control flow); 2 parse error; 3 undecidable
-(entailment, datatype equivalence, or loop unfolding budget); 4 bad
-invocation.
+Exit codes: 0 success; 1 protocol rejected (deadlock, mismatch,
+rank-dependent control flow); 2 parse error; 3 undecidable (entailment,
+datatype equivalence, or loop unfolding budget); 4 bad invocation.
 """
 
 from __future__ import annotations
@@ -99,7 +98,6 @@ def _build_parser() -> argparse.ArgumentParser:
     extract.add_argument("file", help="process file")
     extract.add_argument("--rank", type=int, required=True)
     extract.add_argument("--size", type=int, required=True)
-    extract.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP)
     extract.add_argument("--json", action="store_true")
     extract.set_defaults(run=_cmd_extract)
 
@@ -210,9 +208,7 @@ def _cmd_infer(args) -> int:
     for rank in range(args.size):
         text, name = sources[0] if len(sources) == 1 else sources[rank]
         program = parse_process(text, name)
-        locals_.append(
-            (rank, extract_local_type(ctx, program, rank, args.size, enum_cap=args.enum_cap))
-        )
+        locals_.append((rank, extract_local_type(ctx, program, rank, args.size)))
     result, traces = merge_all(
         args.size, locals_, order=args.order, enum_cap=args.enum_cap, unroll=args.unroll
     )
@@ -227,7 +223,7 @@ def _cmd_extract(args) -> int:
         raise ValueError(f"--rank must lie in 0..{args.size - 1}, got {args.rank}")
     ctx = initial_context(args.size)
     program = parse_process(_read(args.file), args.file)
-    local = extract_local_type(ctx, program, args.rank, args.size, enum_cap=args.enum_cap)
+    local = extract_local_type(ctx, program, args.rank, args.size)
     if args.json:
         print(json.dumps({"status": "ok", "local_type": print_protocol(local)}, indent=2))
     else:

@@ -1,8 +1,9 @@
 """Per-rank local type extraction.
 
 Step one of the inference pipeline: specialize the shared program to a rank,
-map process constructs to type constructs while collecting datatype
-equations, and solve the equations by first-order unification.
+then map each process construct to the matching type construct. Every
+payload is written out in the program text, so the local type needs no
+inference beyond that walk.
 """
 
 from __future__ import annotations
@@ -10,13 +11,9 @@ from __future__ import annotations
 from .ast import (
     Allreduce,
     AllreduceStmt,
-    Array,
-    Cmp,
-    Datatype,
     For,
     Foreach,
     FRESH_BINDER,
-    Hole,
     If,
     IndexTerm,
     IntLit,
@@ -31,42 +28,25 @@ from .ast import (
     Seq,
     Skip,
     TypingContext,
-    datatype_holes,
     eval_index,
     eval_prop,
-    fill_holes_datatype,
-    fill_holes_type,
     is_closed,
     prop_vars,
     subst_index,
     subst_process,
     subst_prop,
-    type_holes,
 )
-from .logic import DEFAULT_ENUM_CAP, Verdict, dtype_equiv, entails
 from .merge import normalize_seq
 
 __all__ = [
-    "EquationSystem",
-    "Substitution",
     "ResidualConditional",
-    "UnsolvableEquations",
     "specialize",
-    "collect",
-    "solve",
     "extract_local_type",
 ]
-
-EquationSystem = list[tuple[Datatype, Datatype]]
-Substitution = dict[str, Datatype]
 
 
 class ResidualConditional(ProtomergeError):
     """An If survived specialization; the type language has no branching."""
-
-
-class UnsolvableEquations(ProtomergeError):
-    """The datatype equation system has no solution."""
 
 
 def _fold_closed(t: IndexTerm) -> IndexTerm:
@@ -131,105 +111,30 @@ def _partial_eval(p: Process) -> Process:
     raise TypeError(f"not a process: {p!r}")
 
 
-def collect(
-    ctx: TypingContext,
-    p: Process,
-    self_rank: int,
-    constraints: tuple[tuple[Datatype, Datatype], ...] = (),
-) -> tuple[EquationSystem, ProtocolType]:
-    """Map a rank-free process to a candidate local type plus equations.
+def _local_type(p: Process, self_rank: int) -> ProtocolType:
+    """Map a specialized process to the local type of rank self_rank."""
+    match p:
+        case PSkip():
+            return Skip()
+        case Send(to, payload):
+            return Message(IntLit(self_rank), to, payload)
+        case Recv(src, payload):
+            return Message(src, IntLit(self_rank), payload)
+        case AllreduceStmt(op, payload):
+            return Allreduce(op, FRESH_BINDER, payload, Skip())
+        case For(binder, lo, hi, body):
+            return Foreach(binder, lo, hi, _local_type(body, self_rank))
+        case If():
+            raise ResidualConditional("conditional whose test is still open after specialization")
+        case PSeq(first, second):
+            return Seq(_local_type(first, self_rank), _local_type(second, self_rank))
+    raise TypeError(f"not a process: {p!r}")
 
-    The process syntax never makes two datatypes meet, so the equation system
-    is exactly the caller-supplied constraint sites (equations on `?hole`
-    placeholders left in the program text).
+
+def extract_local_type(ctx: TypingContext, p: Process, self_rank: int, size: int) -> ProtocolType:
+    """specialize, then map to types: one rank's sequence-normalized local type.
+
+    The context describes the world the rank lives in; extraction itself
+    reads nothing from it.
     """
-    equations: EquationSystem = list(constraints)
-
-    def walk(node: Process) -> ProtocolType:
-        match node:
-            case PSkip():
-                return Skip()
-            case Send(to, payload):
-                return Message(IntLit(self_rank), to, payload)
-            case Recv(src, payload):
-                return Message(src, IntLit(self_rank), payload)
-            case AllreduceStmt(op, payload):
-                return Allreduce(op, FRESH_BINDER, payload, Skip())
-            case For(binder, lo, hi, body):
-                return Foreach(binder, lo, hi, walk(body))
-            case If():
-                raise ResidualConditional(
-                    "conditional whose test is still open after specialization"
-                )
-            case PSeq(first, second):
-                return Seq(walk(first), walk(second))
-        raise TypeError(f"not a process: {node!r}")
-
-    return equations, walk(p)
-
-
-def solve(
-    ctx: TypingContext, eqs: EquationSystem, enum_cap: int = DEFAULT_ENUM_CAP
-) -> Substitution:
-    """First-order unification over datatypes with occurs check.
-
-    Concrete-vs-concrete pairs discharge through dtype_equiv; array length
-    terms through entailment.
-    """
-    subst: Substitution = {}
-
-    def resolve(d: Datatype) -> Datatype:
-        return fill_holes_datatype(d, subst)
-
-    def bind(hole: str, d: Datatype) -> None:
-        if hole in datatype_holes(d):
-            raise UnsolvableEquations(f"occurs check: ?{hole} inside {d!r}")
-        one = {hole: d}
-        for name in subst:
-            subst[name] = fill_holes_datatype(subst[name], one)
-        subst[hole] = d
-
-    work = list(eqs)
-    while work:
-        lhs, rhs = work.pop(0)
-        lhs, rhs = resolve(lhs), resolve(rhs)
-        if lhs == rhs:
-            continue
-        match (lhs, rhs):
-            case (Hole(h), other) | (other, Hole(h)):
-                bind(h, other)
-            case (Array(e1, l1), Array(e2, l2)):
-                verdict = entails(ctx, Cmp("=", l1, l2), enum_cap)
-                if verdict is Verdict.INVALID:
-                    raise UnsolvableEquations(f"array lengths differ: {l1!r} vs {l2!r}")
-                if verdict is Verdict.UNDECIDABLE:
-                    raise UnsolvableEquations(
-                        f"array lengths not comparable: {l1!r} vs {l2!r}"
-                    )
-                work.append((e1, e2))
-            case _ if not datatype_holes(lhs) and not datatype_holes(rhs):
-                if not dtype_equiv(ctx, lhs, rhs, enum_cap):
-                    raise UnsolvableEquations(f"cannot unify {lhs!r} with {rhs!r}")
-            case _:
-                raise UnsolvableEquations(f"cannot unify {lhs!r} with {rhs!r}")
-    return subst
-
-
-def extract_local_type(
-    ctx: TypingContext,
-    p: Process,
-    self_rank: int,
-    size: int,
-    constraints: tuple[tuple[Datatype, Datatype], ...] = (),
-    enum_cap: int = DEFAULT_ENUM_CAP,
-) -> ProtocolType:
-    """specialize, collect, solve, substitute: one rank's hole-free local type."""
-    specialized = specialize(p, self_rank, size)
-    equations, candidate = collect(ctx, specialized, self_rank, constraints)
-    substitution = solve(ctx, equations, enum_cap)
-    solved = fill_holes_type(candidate, substitution)
-    leftover = type_holes(solved)
-    if leftover:
-        names = ", ".join(f"?{h}" for h in sorted(leftover))
-        raise UnsolvableEquations(f"unconstrained datatype holes: {names}")
-    return normalize_seq(solved)
+    return normalize_seq(_local_type(specialize(p, self_rank, size), self_rank))

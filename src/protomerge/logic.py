@@ -23,7 +23,6 @@ from .ast import (
     Datatype,
     DivisionByZero,
     Float,
-    Hole,
     IndexTerm,
     IntLit,
     Integer,
@@ -407,7 +406,7 @@ def _domain(shape: _EqShape | _BoundShape, points: tuple | None) -> Domain:
     return Interval(lo, hi)
 
 
-def _resolve(ctx: TypingContext) -> _Resolution:
+def _resolution_of(ctx: TypingContext) -> _Resolution:
     if ctx._resolution is not None:
         return ctx._resolution
     resolved: dict[str, _Entry] = {}
@@ -479,11 +478,11 @@ def entails(ctx: TypingContext, p: Proposition, enum_cap: int = DEFAULT_ENUM_CAP
     Invalid: some assignment falsifies p. Undecidable: neither the interval
     abstraction nor enumeration within `enum_cap` assignments could settle it.
     """
-    resolution = _resolve(ctx)
+    resolution = _resolution_of(ctx)
     abstract = _abs_prop(p, resolution.hulls)
     if abstract is True:
         # Sound even when no assignment satisfies the context: the hull box
-        # covers the whole satisfying set, and a vacuous entailment is valid.
+        # covers the entire satisfying set, and a vacuous entailment is valid.
         return Verdict.VALID
     # A False abstraction refutes p over the hull box, but cannot witness a
     # falsifying assignment: the satisfying set may be empty (an unsatisfiable
@@ -532,7 +531,7 @@ def domain_of(ctx: TypingContext, name: str) -> Domain:
     FiniteSet for equality-disjunction refinements, Interval for pure bound
     conjunctions with resolvable endpoints, Unbounded otherwise.
     """
-    entry = _resolve(ctx).entries.get(name)
+    entry = _resolution_of(ctx).entries.get(name)
     if entry is None:
         raise NotIntegerRefined(f"{name!r} is not bound in the context")
     if entry.domain is None:
@@ -546,7 +545,7 @@ def singleton_env(ctx: TypingContext, upto: str | None = None) -> dict[str, int]
     Used to resolve loop bounds and message endpoints that mention earlier
     context names (typically just `size`).
     """
-    resolution = _resolve(ctx)
+    resolution = _resolution_of(ctx)
     env: dict[str, int] = {}
     for name in resolution.entries:
         if name == upto:
@@ -592,7 +591,7 @@ def _refinement_spec(ctx: TypingContext, d: Refined, enum_cap: int) -> _DomainSp
     if isinstance(shape, _BoundShape) and shape.residual:
         return None
     try:
-        points = _evaluate(shape, _resolve(ctx).env)
+        points = _evaluate(shape, _resolution_of(ctx).env)
     except (UnboundVariable, DivisionByZero):
         return None
     if isinstance(shape, _EqShape):
@@ -616,12 +615,6 @@ def dtype_equiv(
     match (a, b):
         case (Integer(), Integer()) | (Float(), Float()):
             return True
-        case (Hole(x), Hole(y)):
-            if x == y:
-                return True
-            raise UndecidableEquivalence(f"cannot compare holes ?{x} and ?{y}")
-        case (Hole(x), _) | (_, Hole(x)):
-            raise UndecidableEquivalence(f"cannot compare hole ?{x} with a concrete type")
         case (Array(e1, l1), Array(e2, l2)):
             if not dtype_equiv(ctx, e1, e2, enum_cap):
                 return False

@@ -39,7 +39,6 @@ from .ast import (
     eval_index,
     index_vars,
     subst_type,
-    type_holes,
 )
 from .logic import (
     DEFAULT_ENUM_CAP,
@@ -656,18 +655,15 @@ class _Engine:
         return _Applied(result, (self._step("msgT-msgT-right", left, right, premises),) + substeps)
 
 
-def _validate_merge_inputs(
-    ctx: TypingContext, left: ProtocolType, right: ProtocolType, k: int
-) -> None:
+def _validate_merge_inputs(ctx: TypingContext, k: int) -> None:
     if ctx.lookup("size") is None or ctx.lookup("rank") is None:
         raise InvalidRankSet("merge context must bind both size and rank")
+    size = singleton_env(ctx).get("size")
+    if size is not None and not 0 <= k < size:
+        raise InvalidRankSet(f"rank {k} out of range for size {size}")
     domain = domain_of(ctx, "rank")
     if isinstance(domain, FiniteSet) and k in domain.values:
         raise InvalidRankSet(f"rank {k} is already part of the merged set {domain.values}")
-    holes = type_holes(left) | type_holes(right)
-    if holes:
-        names = ", ".join(f"?{h}" for h in sorted(holes))
-        raise ValueError(f"cannot merge types containing holes: {names}")
 
 
 def merge_types(
@@ -682,7 +678,7 @@ def merge_types(
     Raises MergeFailure (with a Diagnostic) when no derivation exists.
     """
     left, right = normalize_seq(left), normalize_seq(right)
-    _validate_merge_inputs(ctx, left, right, k)
+    _validate_merge_inputs(ctx, k)
     engine = _Engine(k, enum_cap)
     outcome = engine.merge(ctx, left, right, ())
     if outcome is None:

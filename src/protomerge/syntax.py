@@ -24,7 +24,6 @@ from .ast import (
     For,
     Foreach,
     FRESH_BINDER,
-    Hole,
     If,
     IndexTerm,
     IntLit,
@@ -89,7 +88,6 @@ _TOKEN_RE = re.compile(
     r"""(?P<ws>[ \t\r\n]+)
       | (?P<comment>\#[^\n]*)
       | (?P<int>\d+)
-      | (?P<hole>\?[A-Za-z_][A-Za-z0-9_]*)
       | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
       | (?P<op>\.\.|==|!=|<=|>=|[+\-*/=<>{}\[\]():;|?])
     """,
@@ -110,7 +108,7 @@ RESERVED_BINDERS = frozenset({"rank", "size"})
 
 @dataclass(frozen=True, slots=True)
 class _Token:
-    kind: str  # "int" | "ident" | "keyword" | "hole" | "op" | "eof"
+    kind: str  # "int" | "ident" | "keyword" | "op" | "eof"
     text: str
     span: SourceSpan
 
@@ -127,8 +125,6 @@ def _lex(text: str, filename: str) -> list[_Token]:
         tok = m.group()
         if kind == "int":
             tokens.append(_Token("int", tok, span))
-        elif kind == "hole":
-            tokens.append(_Token("hole", tok[1:], span))
         elif kind == "ident":
             tokens.append(_Token("keyword" if tok in KEYWORDS else "ident", tok, span))
         elif kind == "op":
@@ -342,9 +338,6 @@ class _Parser:
         elif self.at("keyword", "float"):
             self.advance()
             d = Float()
-        elif tok.kind == "hole":
-            self.advance()
-            d = Hole(tok.text)
         elif self.at("op", "{"):
             self.advance()
             binder = self.binder("refinement binder")
@@ -588,8 +581,6 @@ def print_datatype(d: Datatype) -> str:
             return "integer"
         case Float():
             return "float"
-        case Hole(id):
-            return f"?{id}"
         case Array(elem, length):
             return f"{print_datatype(elem)}[{print_index(length)}]"
         case Refined(binder, base, pred):

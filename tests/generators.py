@@ -22,7 +22,6 @@ from protomerge import (
     Float,
     For,
     Foreach,
-    Hole,
     If,
     IndexTerm,
     IntLit,
@@ -91,8 +90,6 @@ def gen_datatype(rng: random.Random, depth: int, names: tuple[str, ...] = FREE_N
     roll = rng.random()
     if depth <= 0 or roll < 0.3:
         return rng.choice((Integer(), Float()))
-    if roll < 0.4:
-        return Hole(f"h{rng.randint(1, 3)}")
     if roll < 0.7:
         return Array(gen_datatype(rng, depth - 1, names), gen_index(rng, depth - 1, names))
     binder = rng.choice(("v", "w"))

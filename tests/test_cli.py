@@ -132,6 +132,21 @@ class TestInfer:
 
 
 class TestExtract:
+    def test_enum_cap_is_not_an_option(self, capsys):
+        code, _, err = run(
+            capsys,
+            "extract",
+            str(PROGRAMS / "one_to_all.proc"),
+            "--rank",
+            "0",
+            "--size",
+            "3",
+            "--enum-cap",
+            "5",
+        )
+        assert code == 4
+        assert "unrecognized arguments: --enum-cap 5" in err
+
     def test_fan_out_rank_zero(self, capsys):
         code, out, _ = run(
             capsys, "extract", str(PROGRAMS / "one_to_all.proc"), "--rank", "0", "--size", "3"
@@ -205,6 +220,17 @@ class TestMerge:
         )
         assert code == 4
         assert err.startswith("protomerge: error: rank 0 is already part of the merged set")
+
+    @pytest.mark.parametrize("k", ["-1", "3"])
+    def test_k_outside_the_world_rejected(self, capsys, write, k):
+        left = write("left.ptype", "message 0 1 float")
+        right = write("right.ptype", "message 0 5 float")
+        code, out, err = run(
+            capsys, "merge", left, right, "--size", "3", "--merged", "0,1", "--k", k
+        )
+        assert code == 4
+        assert out == ""
+        assert err == f"protomerge: error: rank {k} out of range for size 3\n"
 
 
 class TestSimulate:
@@ -308,6 +334,27 @@ class TestErrorChannel:
         assert doc["kind"] == "ParseError"
         assert doc["file"] == f
         assert doc["line"] == 1
+
+    @pytest.mark.parametrize("command", ["infer", "extract", "merge", "simulate"])
+    def test_hole_payload_is_a_parse_error(self, capsys, write, command):
+        # `?id` is no datatype: the `?` of a conditional index term cannot
+        # start a payload, in process source and in protocol text alike.
+        if command in ("infer", "extract"):
+            bad = write("hole.proc", "send to 1 ?h1")
+            col = 11
+            argv = [bad, "--size", "2"] + (["--rank", "0"] if command == "extract" else [])
+        else:
+            bad = write("hole.ptype", "message 0 1 ?h1")
+            col = 13
+            peer = write("peer.ptype", "message 0 1 float")
+            if command == "merge":
+                argv = [peer, bad, "--size", "2", "--merged", "0", "--k", "1"]
+            else:
+                argv = [peer, bad, "--size", "2"]
+        code, out, err = run(capsys, command, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"parse error at {bad}:1:{col}: expected a datatype")
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "infer", "/nonexistent/x.proc", "--size", "2")

@@ -1,4 +1,4 @@
-"""Rank specialization, type candidate collection, equation solving."""
+"""Rank specialization and the walk from a process to its local type."""
 
 import pytest
 
@@ -8,8 +8,6 @@ from protomerge import (
     BinOp,
     Float,
     Foreach,
-    Hole,
-    Integer,
     IntLit,
     Message,
     PSkip,
@@ -19,13 +17,10 @@ from protomerge import (
     Send,
     Seq,
     Skip,
-    UnsolvableEquations,
     Var,
-    collect,
     extract_local_type,
     initial_context,
     parse_process,
-    solve,
     specialize,
 )
 from protomerge.ast import FRESH_BINDER
@@ -96,18 +91,19 @@ class TestSpecialize:
 
 
 class TestCollect:
+    """The walk that collects a specialized process into its local type."""
+
     def test_send_becomes_outbound_message(self):
-        eqs, t = collect(initial_context(2), Send(IntLit(1), Float()), 0)
-        assert eqs == []
+        t = extract_local_type(initial_context(2), Send(IntLit(1), Float()), 0, 2)
         assert t == Message(IntLit(0), IntLit(1), Float())
 
     def test_recv_becomes_inbound_message(self):
-        _, t = collect(initial_context(2), Recv(IntLit(0), Float()), 1)
+        t = extract_local_type(initial_context(2), Recv(IntLit(0), Float()), 1, 2)
         assert t == Message(IntLit(0), IntLit(1), Float())
 
     def test_structure_maps_pointwise(self):
         p = parse_process("for i: 1 .. 2 { send to i float }; allreduce min float")
-        _, t = collect(initial_context(3), specialize(p, 0, 3), 0)
+        t = extract_local_type(initial_context(3), p, 0, 3)
         assert t == Seq(
             Foreach("i", IntLit(1), IntLit(2), Message(IntLit(0), Var("i"), Float())),
             Allreduce(ReduceOp.MIN, FRESH_BINDER, Float(), Skip()),
@@ -116,45 +112,7 @@ class TestCollect:
     def test_residual_conditional_rejected(self):
         p = parse_process("if n = 0 { skip } else { skip }")
         with pytest.raises(ResidualConditional):
-            collect(initial_context(2), p, 0)
-
-    def test_constraints_pass_through(self):
-        cs = ((Hole("h1"), Float()),)
-        eqs, _ = collect(initial_context(2), PSkip(), 0, constraints=cs)
-        assert eqs == [(Hole("h1"), Float())]
-
-
-class TestSolve:
-    def test_binds_holes_transitively(self):
-        ctx = initial_context(2)
-        subst = solve(ctx, [(Hole("h1"), Hole("h2")), (Hole("h2"), Float())])
-        assert subst == {"h1": Float(), "h2": Float()}
-
-    def test_array_equation_decomposes(self):
-        ctx = initial_context(2)
-        subst = solve(ctx, [(Array(Hole("h1"), IntLit(4)), Array(Float(), IntLit(4)))])
-        assert subst == {"h1": Float()}
-
-    def test_array_length_mismatch_unsolvable(self):
-        ctx = initial_context(2)
-        with pytest.raises(UnsolvableEquations):
-            solve(ctx, [(Array(Float(), IntLit(4)), Array(Float(), IntLit(8)))])
-
-    def test_occurs_check(self):
-        ctx = initial_context(2)
-        with pytest.raises(UnsolvableEquations):
-            solve(ctx, [(Hole("h1"), Array(Hole("h1"), IntLit(2)))])
-
-    def test_concrete_clash_unsolvable(self):
-        ctx = initial_context(2)
-        with pytest.raises(UnsolvableEquations):
-            solve(ctx, [(Integer(), Float())])
-
-    def test_equivalent_concrete_pair_discharges(self):
-        ctx = initial_context(3)
-        open_len = BinOp("*", BinOp("/", IntLit(1000000), Var("size")), IntLit(4))
-        closed_len = BinOp("*", BinOp("/", IntLit(1000000), IntLit(3)), IntLit(4))
-        assert solve(ctx, [(Array(Float(), open_len), Array(Float(), closed_len))]) == {}
+            extract_local_type(initial_context(2), p, 0, 2)
 
 
 class TestExtractLocalType:
@@ -169,14 +127,3 @@ class TestExtractLocalType:
         p = parse_process("skip; send to 1 float; skip")
         t = extract_local_type(initial_context(2), p, 0, 2)
         assert t == Message(IntLit(0), IntLit(1), Float())
-
-    def test_holes_resolve_through_constraints(self):
-        p = parse_process("send to 1 ?h1")
-        cs = ((Hole("h1"), Array(Float(), IntLit(4))),)
-        t = extract_local_type(initial_context(2), p, 0, 2, constraints=cs)
-        assert t == Message(IntLit(0), IntLit(1), Array(Float(), IntLit(4)))
-
-    def test_unconstrained_hole_rejected(self):
-        p = parse_process("send to 1 ?h1")
-        with pytest.raises(UnsolvableEquations):
-            extract_local_type(initial_context(2), p, 0, 2)

@@ -12,7 +12,6 @@ from protomerge import (
     Cmp,
     FiniteSet,
     Float,
-    Hole,
     IntLit,
     Integer,
     Interval,
@@ -235,14 +234,6 @@ class TestDtypeEquiv:
         b = Refined("x", Float(), Cmp("<=", Var("x"), IntLit(0)))
         with pytest.raises(UndecidableEquivalence):
             dtype_equiv(ctx, a, b)
-
-    def test_holes_are_undecidable_unless_identical(self):
-        ctx = TypingContext(())
-        assert dtype_equiv(ctx, Hole("h1"), Hole("h1"))
-        with pytest.raises(UndecidableEquivalence):
-            dtype_equiv(ctx, Hole("h1"), Hole("h2"))
-        with pytest.raises(UndecidableEquivalence):
-            dtype_equiv(ctx, Hole("h1"), Float())
 
     def test_nested_array_element_mismatch(self):
         ctx = TypingContext(())

@@ -7,7 +7,6 @@ from protomerge import (
     DiagnosticKind,
     Float,
     Foreach,
-    Hole,
     InvalidRankSet,
     IntLit,
     Integer,
@@ -205,10 +204,11 @@ class TestMergeValidation:
         with pytest.raises(InvalidRankSet):
             merge_types(ctx, Skip(), Skip(), k=1)
 
-    def test_holes_rejected(self):
-        ctx = merged_context(2, [0])
-        with pytest.raises(ValueError):
-            merge_types(ctx, msg(0, 1, Hole("h1")), Skip(), k=1)
+    @pytest.mark.parametrize("k", [-1, 3])
+    def test_new_rank_must_lie_in_the_world(self, k):
+        ctx = merged_context(3, [0, 1])
+        with pytest.raises(InvalidRankSet, match=f"rank {k} out of range for size 3"):
+            merge_types(ctx, Skip(), msg(0, 5, Float()), k=k)
 
 
 class TestAttemptRule:

@@ -13,7 +13,6 @@ from protomerge import (
     Float,
     For,
     Foreach,
-    Hole,
     If,
     IntLit,
     Integer,
@@ -84,7 +83,8 @@ class TestDatatypes:
     def test_scalars_arrays_holes(self):
         assert parse_datatype("integer") == Integer()
         assert parse_datatype("float[n * 4]") == Array(Float(), BinOp("*", Var("n"), IntLit(4)))
-        assert parse_datatype("?h1") == Hole("h1")
+        with pytest.raises(ParseError):
+            parse_datatype("?h1")
 
     def test_nested_array_applies_outward(self):
         assert parse_datatype("float[2][3]") == Array(Array(Float(), IntLit(2)), IntLit(3))
