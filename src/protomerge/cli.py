@@ -76,6 +76,16 @@ def _rank_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
+def _non_negative(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
+
+
 def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
@@ -88,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
     infer.add_argument("files", nargs="+", help="one process file for every rank, or one per rank")
     infer.add_argument("--size", type=int, required=True, help="number of ranks (at least 2)")
     infer.add_argument("--order", type=_rank_list, default=None, help="merge order, e.g. 0,2,1")
-    infer.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP)
+    infer.add_argument("--enum-cap", type=_non_negative, default=DEFAULT_ENUM_CAP)
     infer.add_argument("--unroll", type=int, default=DEFAULT_UNROLL)
     infer.add_argument("--trace", action="store_true", help="log merge rule applications")
     infer.add_argument("--json", action="store_true")
@@ -107,7 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
     merge.add_argument("--size", type=int, required=True)
     merge.add_argument("--merged", type=_rank_list, required=True, help="already-merged ranks, e.g. 0,1")
     merge.add_argument("--k", type=int, required=True, help="rank being merged in")
-    merge.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP)
+    merge.add_argument("--enum-cap", type=_non_negative, default=DEFAULT_ENUM_CAP)
     merge.add_argument("--trace", action="store_true")
     merge.add_argument("--json", action="store_true")
     merge.set_defaults(run=_cmd_merge)

@@ -12,12 +12,14 @@ every applicable rule's premise broke.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Sequence
 
 from .ast import (
     Allreduce,
     And,
     Cmp,
+    Datatype,
     Diagnostic,
     DiagnosticKind,
     DivisionByZero,
@@ -141,17 +143,39 @@ def _constant_bounds(ctx: TypingContext, t: Foreach) -> tuple[int, int]:
 
 @dataclass(frozen=True, slots=True)
 class PremiseCheck:
+    """One premise a rule checked. `claim` is the proposition or the payload
+    pair it decided (or the formula text itself); `formula` renders it."""
+
     name: str
-    formula: str
+    claim: Proposition | tuple[Datatype, Datatype] | str
     verdict: str
+
+    @property
+    def formula(self) -> str:
+        claim = self.claim
+        if isinstance(claim, str):
+            return claim
+        if isinstance(claim, tuple):
+            return f"{print_datatype(claim[0])} == {print_datatype(claim[1])}"
+        return print_proposition(claim)
 
 
 @dataclass(frozen=True, slots=True)
 class MergeStep:
+    """One rule application; the operands are rendered when read."""
+
     rule: str
-    left: str
-    right: str
+    left_type: ProtocolType
+    right_type: ProtocolType
     premises: tuple[PremiseCheck, ...]
+
+    @property
+    def left(self) -> str:
+        return compact_protocol(self.left_type)
+
+    @property
+    def right(self) -> str:
+        return compact_protocol(self.right_type)
 
 
 @dataclass(frozen=True, slots=True)
@@ -195,8 +219,12 @@ class _Applied:
 
 @dataclass(frozen=True, slots=True)
 class _Refused:
-    premise: str
+    failed: PremiseCheck | str  # the failing premise, or why a subgoal failed
     kind: str
+
+    def text(self) -> str:
+        f = self.failed
+        return f if isinstance(f, str) else f"{f.name}: {f.formula} is {f.verdict}"
 
 
 _MISS = object()
@@ -204,6 +232,45 @@ _MISS = object()
 
 def _both_endpoints_differ(m: Message, t: IndexTerm) -> Proposition:
     return And(Cmp("!=", m.src, t), Cmp("!=", m.dst, t))
+
+
+# Message premises: name -> (the operand whose message it judges, the side
+# it judges it against, the verdict it wants of "the message avoids that
+# side"). Skip-likeness of the left operand is judged against the merged
+# ranks, of the right operand against k; "real" is the refutation.
+_AVOIDS = {
+    "left-skip-like": ("left", "merged", Verdict.VALID),
+    "left-real": ("left", "merged", Verdict.INVALID),
+    "left-avoids-k": ("left", "k", Verdict.VALID),
+    "right-skip-like": ("right", "k", Verdict.VALID),
+    "right-real": ("right", "k", Verdict.INVALID),
+    "right-avoids-merged": ("right", "merged", Verdict.VALID),
+}
+
+# Non-interference: the left message never touches rank k, the right message
+# never touches an already-merged rank, so the two orders are
+# indistinguishable to every rank involved.
+_NON_INTERFERENCE = ("left-real", "left-avoids-k", "right-real", "right-avoids-merged")
+
+# The rules on two single operands, each a message or skip, that check
+# message premises only: name -> (left shape, right shape, premises in the
+# order checked, conclusion from the operands).
+_MESSAGE_RULES = {
+    "skip-skip": (Skip, Skip, (), lambda l, r: Skip()),
+    "skip-msgS": (Skip, Message, ("right-skip-like",), lambda l, r: Skip()),
+    "msgS-skip": (Message, Skip, ("left-skip-like",), lambda l, r: Skip()),
+    "msgS-msgS": (Message, Message, ("left-skip-like", "right-skip-like"), lambda l, r: Skip()),
+    "msg-skip": (Message, Skip, ("left-real", "left-avoids-k"), lambda l, r: l),
+    "skip-msg": (Skip, Message, ("right-avoids-merged", "right-real"), lambda l, r: r),
+    "msg-msgS": (
+        Message, Message, ("left-real", "left-avoids-k", "right-skip-like"), lambda l, r: l
+    ),
+    "msgS-msg": (
+        Message, Message, ("left-skip-like", "right-real", "right-avoids-merged"), lambda l, r: r
+    ),
+    "msg-msg-right": (Message, Message, _NON_INTERFERENCE, lambda l, r: Seq(r, l)),
+    "msg-msg-left": (Message, Message, _NON_INTERFERENCE, lambda l, r: Seq(l, r)),
+}
 
 
 def _seq_parts(t: ProtocolType) -> tuple[ProtocolType, ProtocolType]:
@@ -220,8 +287,8 @@ def _fresh(base: str, avoid: Iterable[str]) -> str:
     return name
 
 
-# The rules in the order the engine tries them; rule `a-b` is method
-# `_rule_a_b`.
+# The rules in the order the engine tries them. A rule of `_MESSAGE_RULES`
+# runs as `_message_rule`; any other rule `a-b` is method `_rule_a_b`.
 RULE_NAMES = (
     "skip-skip",
     "skip-msgS",
@@ -246,15 +313,29 @@ RULE_NAMES = (
 
 class _Engine:
     def __init__(self, k: int, enum_cap: int):
-        self.k = k
         self.enum_cap = enum_cap
+        self.k_term = IntLit(k)
+        # The tables below key a context, and a side, by its id. Every
+        # context the engine sees outlives it (the caller's, and those it
+        # interns in `extensions`), as do both sides (`_RANK`, `k_term`), so
+        # an id names one of them for the engine's life.
         self.memo: dict = {}
+        # (id(context), id(side), src, dst) -> (verdict, proposition)
+        self.avoids: dict = {}
+        # (id(context), name, datatype) -> the extended context
+        self.extensions: dict = {}
         self.undecidable = False
         self.deepest_depth = -1
         self.deepest_path: tuple[str, ...] = ()
-        self.deepest_attempts: tuple[tuple[RuleAttempt, str], ...] = ()
+        self.deepest_attempts: tuple[tuple[str, _Refused], ...] = ()
         self.rules: tuple[tuple[str, object], ...] = tuple(
-            (name, getattr(self, "_rule_" + name.replace("-", "_"))) for name in RULE_NAMES
+            (
+                name,
+                partial(self._message_rule, name)
+                if name in _MESSAGE_RULES
+                else getattr(self, "_rule_" + name.replace("-", "_")),
+            )
+            for name in RULE_NAMES
         )
 
     # -- plumbing
@@ -267,7 +348,7 @@ class _Engine:
         path: tuple[str, ...],
     ) -> tuple[ProtocolType, tuple[MergeStep, ...]] | None:
         left, right = normalize_seq(left), normalize_seq(right)
-        key = (ctx, left, right)
+        key = (id(ctx), left, right)
         hit = self.memo.get(key, _MISS)
         if hit is not _MISS:
             if hit is None or hit[0] == "fail":
@@ -276,7 +357,7 @@ class _Engine:
             return hit[1], hit[2]
         # Guard against re-entering the same subproblem while it is open.
         self.memo[key] = ("fail", ())
-        attempts: list[tuple[RuleAttempt, str]] = []
+        attempts: list[tuple[str, _Refused]] = []
         for name, rule in self.rules:
             outcome = rule(ctx, left, right, path)
             if outcome is None:
@@ -284,7 +365,7 @@ class _Engine:
             if isinstance(outcome, _Applied):
                 self.memo[key] = ("ok", outcome.result, outcome.steps)
                 return outcome.result, outcome.steps
-            attempts.append((RuleAttempt(name, outcome.premise), outcome.kind))
+            attempts.append((name, outcome))
         record = tuple(attempts)
         self.memo[key] = ("fail", record)
         self._note_failure(path, record)
@@ -298,7 +379,7 @@ class _Engine:
 
     def diagnostic(self, left: ProtocolType, right: ProtocolType) -> Diagnostic:
         location = "/".join(self.deepest_path) or "root"
-        kinds = {k for _, k in self.deepest_attempts}
+        kinds = {r.kind for _, r in self.deepest_attempts}
         if self.undecidable:
             kind = DiagnosticKind.ENTAILMENT_UNDECIDABLE
         elif _DATATYPE in kinds:
@@ -307,7 +388,7 @@ class _Engine:
             kind = DiagnosticKind.ENTAILMENT_FAILED
         else:
             kind = DiagnosticKind.DEADLOCK_SUSPECTED
-        trace = tuple(a for a, _ in self.deepest_attempts)
+        trace = tuple(RuleAttempt(name, r.text()) for name, r in self.deepest_attempts)
         if not trace:
             trace = (
                 RuleAttempt(
@@ -317,194 +398,89 @@ class _Engine:
             )
         return Diagnostic(kind, location, trace)
 
-    def _step(
-        self,
-        rule: str,
-        left: ProtocolType,
-        right: ProtocolType,
-        premises: Sequence[PremiseCheck],
-    ) -> MergeStep:
-        return MergeStep(rule, compact_protocol(left), compact_protocol(right), tuple(premises))
+    def _extend(self, ctx: TypingContext, name: str, dtype: Datatype) -> TypingContext:
+        """ctx.extend, giving back the same object for the same extension."""
+        key = (id(ctx), name, dtype)
+        extended = self.extensions.get(key)
+        if extended is None:
+            extended = self.extensions[key] = ctx.extend(name, dtype)
+        return extended
 
-    def _entail(
-        self, ctx: TypingContext, name: str, p: Proposition, want: Verdict
-    ) -> tuple[bool, PremiseCheck]:
+    def _avoids(self, ctx: TypingContext, m: Message, side: IndexTerm):
+        """(verdict, proposition) of "m's endpoints both differ from side",
+        asked of entails once per context, endpoints and side."""
+        key = (id(ctx), id(side), m.src, m.dst)
+        fact = self.avoids.get(key)
+        if fact is None:
+            p = _both_endpoints_differ(m, side)
+            fact = self.avoids[key] = (entails(ctx, p, self.enum_cap), p)
+        if fact[0] is Verdict.UNDECIDABLE:
+            self.undecidable = True
+        return fact
+
+    def _messages(
+        self, ctx: TypingContext, lm: ProtocolType, rm: ProtocolType, names: Sequence[str]
+    ) -> list:
+        """The named message premises on left message lm and right message rm."""
+        checks = []
+        for name in names:
+            operand, side, want = _AVOIDS[name]
+            m = lm if operand == "left" else rm
+            verdict, p = self._avoids(ctx, m, _RANK if side == "merged" else self.k_term)
+            checks.append((verdict is want, PremiseCheck(name, p, verdict.value), _STRUCTURAL))
+        return checks
+
+    def _entail(self, ctx: TypingContext, name: str, p: Proposition, kind: str):
         verdict = entails(ctx, p, self.enum_cap)
         if verdict is Verdict.UNDECIDABLE:
             self.undecidable = True
-        return verdict is want, PremiseCheck(name, print_proposition(p), verdict.value)
+        return verdict is Verdict.VALID, PremiseCheck(name, p, verdict.value), kind
 
-    # Skip-likeness of the left operand is judged against the merged rank
-    # set (`rank`'s domain); of the right operand, against the single new
-    # rank k. "Real" is the refutation of the same entailment.
-
-    def _skipL(self, ctx, m: Message):
-        return self._entail(ctx, "left-skip-like", _both_endpoints_differ(m, _RANK), Verdict.VALID)
-
-    def _realL(self, ctx, m: Message):
-        return self._entail(ctx, "left-real", _both_endpoints_differ(m, _RANK), Verdict.INVALID)
-
-    def _skipK(self, ctx, m: Message):
-        return self._entail(
-            ctx, "right-skip-like", _both_endpoints_differ(m, IntLit(self.k)), Verdict.VALID
-        )
-
-    def _realK(self, ctx, m: Message):
-        return self._entail(
-            ctx, "right-real", _both_endpoints_differ(m, IntLit(self.k)), Verdict.INVALID
-        )
-
-    def _kfreeL(self, ctx, m: Message):
-        return self._entail(
-            ctx, "left-avoids-k", _both_endpoints_differ(m, IntLit(self.k)), Verdict.VALID
-        )
-
-    def _rankfreeR(self, ctx, m: Message):
-        return self._entail(
-            ctx, "right-avoids-merged", _both_endpoints_differ(m, _RANK), Verdict.VALID
-        )
-
-    def _payload_equiv(self, ctx, d1, d2) -> tuple[bool, PremiseCheck]:
-        formula = f"{print_datatype(d1)} == {print_datatype(d2)}"
+    def _payload_equiv(self, ctx, d1, d2):
         try:
             ok = dtype_equiv(ctx, d1, d2, self.enum_cap)
             verdict = "equivalent" if ok else "different"
         except UndecidableEquivalence:
             self.undecidable = True
             ok, verdict = False, "Undecidable"
-        return ok, PremiseCheck("payload-equivalent", formula, verdict)
+        return ok, PremiseCheck("payload-equivalent", (d1, d2), verdict), _DATATYPE
 
     def _run_premises(self, checks) -> tuple[_Refused | None, tuple[PremiseCheck, ...]]:
-        """Evaluate (ok, PremiseCheck, kind) triples in order; stop at first failure."""
+        """Take (ok, PremiseCheck, kind) triples in order; refuse at the first
+        that failed. The caller evaluates every premise of the rule first, so
+        an undecidable one marks the engine even after an earlier failure."""
         done: list[PremiseCheck] = []
         for ok, check, kind in checks:
             done.append(check)
             if not ok:
-                return _Refused(f"{check.name}: {check.formula} is {check.verdict}", kind), tuple(done)
+                return _Refused(check, kind), tuple(done)
         return None, tuple(done)
 
-    # -- skip and message rules
+    # -- message rules
 
-    def _rule_skip_skip(self, ctx, left, right, path):
-        if not (isinstance(left, Skip) and isinstance(right, Skip)):
+    def _message_rule(self, name, ctx, left, right, path):
+        lshape, rshape, names, conclude = _MESSAGE_RULES[name]
+        if not (isinstance(left, lshape) and isinstance(right, rshape)):
             return None
-        return _Applied(Skip(), (self._step("skip-skip", left, right, ()),))
-
-    def _rule_skip_msgS(self, ctx, left, right, path):
-        if not (isinstance(left, Skip) and isinstance(right, Message)):
-            return None
-        ok, check = self._skipK(ctx, right)
-        refused, premises = self._run_premises([(ok, check, _STRUCTURAL)])
+        refused, premises = self._run_premises(self._messages(ctx, left, right, names))
         if refused:
             return refused
-        return _Applied(Skip(), (self._step("skip-msgS", left, right, premises),))
-
-    def _rule_msgS_skip(self, ctx, left, right, path):
-        if not (isinstance(left, Message) and isinstance(right, Skip)):
-            return None
-        ok, check = self._skipL(ctx, left)
-        refused, premises = self._run_premises([(ok, check, _STRUCTURAL)])
-        if refused:
-            return refused
-        return _Applied(Skip(), (self._step("msgS-skip", left, right, premises),))
-
-    def _rule_msgS_msgS(self, ctx, left, right, path):
-        if not (isinstance(left, Message) and isinstance(right, Message)):
-            return None
-        refused, premises = self._run_premises(
-            [(*self._skipL(ctx, left), _STRUCTURAL), (*self._skipK(ctx, right), _STRUCTURAL)]
-        )
-        if refused:
-            return refused
-        return _Applied(Skip(), (self._step("msgS-msgS", left, right, premises),))
-
-    def _rule_msg_skip(self, ctx, left, right, path):
-        if not (isinstance(left, Message) and isinstance(right, Skip)):
-            return None
-        refused, premises = self._run_premises(
-            [(*self._realL(ctx, left), _STRUCTURAL), (*self._kfreeL(ctx, left), _STRUCTURAL)]
-        )
-        if refused:
-            return refused
-        return _Applied(left, (self._step("msg-skip", left, right, premises),))
-
-    def _rule_skip_msg(self, ctx, left, right, path):
-        if not (isinstance(left, Skip) and isinstance(right, Message)):
-            return None
-        refused, premises = self._run_premises(
-            [(*self._rankfreeR(ctx, right), _STRUCTURAL), (*self._realK(ctx, right), _STRUCTURAL)]
-        )
-        if refused:
-            return refused
-        return _Applied(right, (self._step("skip-msg", left, right, premises),))
-
-    def _rule_msg_msgS(self, ctx, left, right, path):
-        if not (isinstance(left, Message) and isinstance(right, Message)):
-            return None
-        refused, premises = self._run_premises(
-            [
-                (*self._realL(ctx, left), _STRUCTURAL),
-                (*self._kfreeL(ctx, left), _STRUCTURAL),
-                (*self._skipK(ctx, right), _STRUCTURAL),
-            ]
-        )
-        if refused:
-            return refused
-        return _Applied(left, (self._step("msg-msgS", left, right, premises),))
-
-    def _rule_msgS_msg(self, ctx, left, right, path):
-        if not (isinstance(left, Message) and isinstance(right, Message)):
-            return None
-        refused, premises = self._run_premises(
-            [
-                (*self._skipL(ctx, left), _STRUCTURAL),
-                (*self._realK(ctx, right), _STRUCTURAL),
-                (*self._rankfreeR(ctx, right), _STRUCTURAL),
-            ]
-        )
-        if refused:
-            return refused
-        return _Applied(right, (self._step("msgS-msg", left, right, premises),))
+        return _Applied(conclude(left, right), (MergeStep(name, left, right, premises),))
 
     def _rule_msg_msg_eq(self, ctx, left, right, path):
         if not (isinstance(left, Message) and isinstance(right, Message)):
             return None
         endpoints = And(Cmp("=", left.src, right.src), Cmp("=", left.dst, right.dst))
         refused, premises = self._run_premises(
-            [
-                (*self._realL(ctx, left), _STRUCTURAL),
-                (*self._realK(ctx, right), _STRUCTURAL),
-                (*self._entail(ctx, "endpoints-equal", endpoints, Verdict.VALID), _STRUCTURAL),
-                (*self._payload_equiv(ctx, left.payload, right.payload), _DATATYPE),
+            self._messages(ctx, left, right, ("left-real", "right-real"))
+            + [
+                self._entail(ctx, "endpoints-equal", endpoints, _STRUCTURAL),
+                self._payload_equiv(ctx, left.payload, right.payload),
             ]
         )
         if refused:
             return refused
-        return _Applied(left, (self._step("msg-msg-eq", left, right, premises),))
-
-    def _rule_msg_msg_right(self, ctx, left, right, path):
-        return self._interleave_messages(ctx, left, right, first=right, second=left, rule="msg-msg-right")
-
-    def _rule_msg_msg_left(self, ctx, left, right, path):
-        return self._interleave_messages(ctx, left, right, first=left, second=right, rule="msg-msg-left")
-
-    def _interleave_messages(self, ctx, left, right, first, second, rule):
-        if not (isinstance(left, Message) and isinstance(right, Message)):
-            return None
-        # Non-interference: the left message never touches rank k, the right
-        # message never touches an already-merged rank, so the two orders are
-        # indistinguishable to every rank involved.
-        refused, premises = self._run_premises(
-            [
-                (*self._realL(ctx, left), _STRUCTURAL),
-                (*self._kfreeL(ctx, left), _STRUCTURAL),
-                (*self._realK(ctx, right), _STRUCTURAL),
-                (*self._rankfreeR(ctx, right), _STRUCTURAL),
-            ]
-        )
-        if refused:
-            return refused
-        return _Applied(Seq(first, second), (self._step(rule, left, right, premises),))
+        return _Applied(left, (MergeStep("msg-msg-eq", left, right, premises),))
 
     # -- collective and structural rules
 
@@ -519,7 +495,7 @@ class _Engine:
         refused, premises = self._run_premises(
             [
                 (left.op is right.op, op_check, _ENTAILMENT),
-                (*self._payload_equiv(ctx, left.payload, right.payload), _DATATYPE),
+                self._payload_equiv(ctx, left.payload, right.payload),
             ]
         )
         if refused:
@@ -528,19 +504,19 @@ class _Engine:
         rcont = right.cont
         if right.binder != binder:
             rcont = subst_type(rcont, {right.binder: Var(binder)})
-        sub = self.merge(ctx.extend(binder, left.payload), left.cont, rcont, path + ("allreduce.cont",))
+        sub = self.merge(self._extend(ctx, binder, left.payload), left.cont, rcont, path + ("allreduce.cont",))
         if sub is None:
             return _Refused("continuations do not merge", _SUBMERGE)
         cont, substeps = sub
         result = Allreduce(left.op, binder, left.payload, cont)
-        return _Applied(result, (self._step("allred-allred", left, right, premises),) + substeps)
+        return _Applied(result, (MergeStep("allred-allred", left, right, premises),) + substeps)
 
     def _rule_foreach_foreach(self, ctx, left, right, path):
         if not (isinstance(left, Foreach) and isinstance(right, Foreach)):
             return None
         bounds = And(Cmp("=", left.lo, right.lo), Cmp("=", left.hi, right.hi))
         refused, premises = self._run_premises(
-            [(*self._entail(ctx, "bounds-equal", bounds, Verdict.VALID), _ENTAILMENT)]
+            [self._entail(ctx, "bounds-equal", bounds, _ENTAILMENT)]
         )
         if refused:
             return refused
@@ -552,12 +528,12 @@ class _Engine:
         entry = Refined(
             y, Integer(), And(Cmp("<=", left.lo, Var(y)), Cmp("<=", Var(y), left.hi))
         )
-        sub = self.merge(ctx.extend(binder, entry), left.body, rbody, path + (f"foreach[{binder}].body",))
+        sub = self.merge(self._extend(ctx, binder, entry), left.body, rbody, path + (f"foreach[{binder}].body",))
         if sub is None:
             return _Refused("loop bodies do not merge", _SUBMERGE)
         body, substeps = sub
         result = Foreach(binder, left.lo, left.hi, body)
-        return _Applied(result, (self._step("foreach-foreach", left, right, premises),) + substeps)
+        return _Applied(result, (MergeStep("foreach-foreach", left, right, premises),) + substeps)
 
     def _rule_seq_seq(self, ctx, left, right, path):
         if not (isinstance(left, Seq) or isinstance(right, Seq)):
@@ -574,7 +550,7 @@ class _Engine:
             return _Refused("second components do not merge", _SUBMERGE)
         (t5, steps1), (t6, steps2) = sub1, sub2
         result = normalize_seq(Seq(t5, t6))
-        return _Applied(result, (self._step("seq-seq", left, right, ()),) + steps1 + steps2)
+        return _Applied(result, (MergeStep("seq-seq", left, right, ()),) + steps1 + steps2)
 
     def _rule_skip_msgT(self, ctx, left, right, path):
         if not (
@@ -589,7 +565,7 @@ class _Engine:
             return _Refused("tail does not merge against skip", _SUBMERGE)
         (head, steps1), (tail, steps2) = sub1, sub2
         result = normalize_seq(Seq(head, tail))
-        return _Applied(result, (self._step("skip-msgT", left, right, ()),) + steps1 + steps2)
+        return _Applied(result, (MergeStep("skip-msgT", left, right, ()),) + steps1 + steps2)
 
     def _rule_msgT_skipT(self, ctx, left, right, path):
         if not (
@@ -604,7 +580,7 @@ class _Engine:
             return _Refused("tail does not merge against skip", _SUBMERGE)
         (head, steps1), (tail, steps2) = sub1, sub2
         result = normalize_seq(Seq(head, tail))
-        return _Applied(result, (self._step("msgT-skipT", left, right, ()),) + steps1 + steps2)
+        return _Applied(result, (MergeStep("msgT-skipT", left, right, ()),) + steps1 + steps2)
 
     def _rule_msgT_msgT_left(self, ctx, left, right, path):
         if not (isinstance(left, Seq) or isinstance(right, Seq)):
@@ -616,11 +592,7 @@ class _Engine:
         # The left head is emitted first; it must be invisible to rank k,
         # whose own first action is the right head.
         refused, premises = self._run_premises(
-            [
-                (*self._realL(ctx, lh), _STRUCTURAL),
-                (*self._kfreeL(ctx, lh), _STRUCTURAL),
-                (*self._realK(ctx, rh), _STRUCTURAL),
-            ]
+            self._messages(ctx, lh, rh, ("left-real", "left-avoids-k", "right-real"))
         )
         if refused:
             return refused
@@ -629,7 +601,7 @@ class _Engine:
             return _Refused("left tail does not merge against the right type", _SUBMERGE)
         rest, substeps = sub
         result = normalize_seq(Seq(lh, rest))
-        return _Applied(result, (self._step("msgT-msgT-left", left, right, premises),) + substeps)
+        return _Applied(result, (MergeStep("msgT-msgT-left", left, right, premises),) + substeps)
 
     def _rule_msgT_msgT_right(self, ctx, left, right, path):
         if not (isinstance(left, Seq) or isinstance(right, Seq)):
@@ -639,11 +611,7 @@ class _Engine:
         if not (isinstance(lh, Message) and isinstance(rh, Message)):
             return None
         refused, premises = self._run_premises(
-            [
-                (*self._realK(ctx, rh), _STRUCTURAL),
-                (*self._rankfreeR(ctx, rh), _STRUCTURAL),
-                (*self._realL(ctx, lh), _STRUCTURAL),
-            ]
+            self._messages(ctx, lh, rh, ("right-real", "right-avoids-merged", "left-real"))
         )
         if refused:
             return refused
@@ -652,7 +620,7 @@ class _Engine:
             return _Refused("left type does not merge against the right tail", _SUBMERGE)
         rest, substeps = sub
         result = normalize_seq(Seq(rh, rest))
-        return _Applied(result, (self._step("msgT-msgT-right", left, right, premises),) + substeps)
+        return _Applied(result, (MergeStep("msgT-msgT-right", left, right, premises),) + substeps)
 
 
 def _validate_merge_inputs(ctx: TypingContext, k: int) -> None:

@@ -130,6 +130,14 @@ class TestInfer:
         assert code == 4
         assert "expected 1 process file or 3 per-rank files" in err
 
+    def test_negative_enum_cap_is_a_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "infer", str(PROGRAMS / "nbody.proc"), "--size", "3", "--enum-cap", "-1"
+        )
+        assert code == 4
+        assert out == ""
+        assert err.endswith("error: argument --enum-cap: must not be negative, got -1\n")
+
 
 class TestExtract:
     def test_enum_cap_is_not_an_option(self, capsys):
@@ -220,6 +228,17 @@ class TestMerge:
         )
         assert code == 4
         assert err.startswith("protomerge: error: rank 0 is already part of the merged set")
+
+    def test_negative_enum_cap_is_a_usage_error(self, capsys, write):
+        left = write("left.ptype", "message 0 1 float")
+        right = write("right.ptype", "message 0 1 float")
+        code, out, err = run(
+            capsys, "merge", left, right, "--size", "3", "--merged", "0", "--k", "1",
+            "--enum-cap", "-5",
+        )
+        assert code == 4
+        assert out == ""
+        assert err.endswith("error: argument --enum-cap: must not be negative, got -5\n")
 
     @pytest.mark.parametrize("k", ["-1", "3"])
     def test_k_outside_the_world_rejected(self, capsys, write, k):

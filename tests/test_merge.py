@@ -1,7 +1,11 @@
 """Merge engine: normal forms, unfolding, rules, diagnostics, rank folding."""
 
+from pathlib import Path
+
 import pytest
 
+import protomerge
+import protomerge.merge as merge_module
 from protomerge import (
     Allreduce,
     DiagnosticKind,
@@ -20,6 +24,7 @@ from protomerge import (
     TypingContext,
     Var,
     attempt_rule,
+    extract_local_type,
     initial_context,
     merge_all,
     merge_types,
@@ -28,6 +33,7 @@ from protomerge import (
     unfold_foreach,
 )
 from protomerge.ast import FRESH_BINDER
+from protomerge.syntax import parse_process
 
 
 D = Float()
@@ -280,3 +286,90 @@ class TestMergeAll:
     def test_order_must_be_permutation(self):
         with pytest.raises(ValueError):
             merge_all(2, [(0, Skip()), (1, Skip())], order=[0, 0])
+
+
+class TestPremisesAndRendering:
+    """No (context, proposition) reaches entails twice in one merge_types
+    call, and no text is rendered until a trace is read."""
+
+    @staticmethod
+    def fold_steps(n, local_types):
+        """Merge ranks 1..n-1 into the accumulated type one merge_types call
+        at a time, yielding each call's merged set and outcome."""
+        accumulated = local_types[0]
+        for k in range(1, n):
+            merged = list(range(k))
+            accumulated, trace = merge_types(
+                merged_context(n, merged), accumulated, local_types[k], k
+            )
+            yield merged, trace
+
+    @staticmethod
+    def nbody_types(n):
+        source = (Path(protomerge.__file__).parent / "programs" / "nbody.proc").read_text()
+        ctx = initial_context(n)
+        return [extract_local_type(ctx, parse_process(source, "nbody"), r, n) for r in range(n)]
+
+    @staticmethod
+    def exchange_types():
+        # Projections of one global order: 0->1, 1->2, 2->0, 0->2, 1->0.
+        order = [(0, 1), (1, 2), (2, 0), (0, 2), (1, 0)]
+        types = []
+        for rank in range(3):
+            items = [msg(s, d) for s, d in order if rank in (s, d)]
+            t = items[-1]
+            for item in reversed(items[:-1]):
+                t = Seq(item, t)
+            types.append(t)
+        return types
+
+    @pytest.mark.parametrize("case", ["nbody-4", "exchange-3"])
+    def test_no_premise_reaches_entails_twice(self, monkeypatch, case):
+        n, types = (4, self.nbody_types(4)) if case == "nbody-4" else (3, self.exchange_types())
+        original = merge_module.entails
+        asked = []
+
+        def counting(ctx, p, *rest):
+            asked.append((ctx, p))
+            return original(ctx, p, *rest)
+
+        monkeypatch.setattr(merge_module, "entails", counting)
+        steps = 0
+        for merged, trace in self.fold_steps(n, types):
+            assert asked, f"merging into {merged} asked nothing"
+            assert len(asked) == len(set(asked)), f"a premise repeated merging into {merged}"
+            steps += len(trace.steps)
+            asked.clear()
+        assert steps > 0
+
+    def test_accepting_merge_renders_nothing_until_read(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("rendered while merging")
+
+        for name in ("compact_protocol", "print_proposition", "print_datatype"):
+            monkeypatch.setattr(merge_module, name, refuse)
+        ctx = merged_context(3, [0])
+        left = Seq(msg(0, 1), msg(2, 0))
+        right = Seq(msg(0, 1), msg(1, 2))
+        _, trace = merge_types(ctx, left, right, k=1)
+        monkeypatch.undo()
+        rendered = [
+            (s.rule, s.left, s.right, [(p.name, p.formula, p.verdict) for p in s.premises])
+            for s in trace.steps
+        ]
+        assert rendered == [
+            ("seq-seq", "message 0 1 float; message 2 0 float",
+             "message 0 1 float; message 1 2 float", []),
+            ("msg-msg-eq", "message 0 1 float", "message 0 1 float", [
+                ("left-real", "0 != rank and 1 != rank", "Invalid"),
+                ("right-real", "0 != 1 and 1 != 1", "Invalid"),
+                ("endpoints-equal", "0 = 0 and 1 = 1", "Valid"),
+                ("payload-equivalent", "float == float", "equivalent"),
+            ]),
+            ("msg-msg-right", "message 2 0 float", "message 1 2 float", [
+                ("left-real", "2 != rank and 0 != rank", "Invalid"),
+                ("left-avoids-k", "2 != 1 and 0 != 1", "Valid"),
+                ("right-real", "1 != 1 and 2 != 1", "Invalid"),
+                ("right-avoids-merged", "1 != rank and 2 != rank", "Valid"),
+            ]),
+        ]
