@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Mapping, Union
+from typing import Callable, Mapping, Union
 
 
 class ProtomergeError(Exception):
@@ -244,6 +244,85 @@ Process = Union[PSkip, Send, Recv, AllreduceStmt, For, If, PSeq]
 
 
 # ---------------------------------------------------------------------------
+# The sequence spine
+#
+# A Seq (or PSeq) tree is read as the list of its non-sequence items, left to
+# right. In sequence normal form it is right-nested, holds no Skip item, and
+# every loop and allreduce body is normal too. Extraction emits it, the entry
+# points (merge_types, attempt_rule, unfold_foreach) set it, and the merge
+# rules keep it. These walks keep their own stack: length costs no depth.
+
+
+def spine(t: ProtocolType | Process) -> list:
+    """The items of t's Seq or PSeq nodes, left to right, at any nesting."""
+    cls = PSeq if isinstance(t, PSeq) else Seq
+    items: list = []
+    todo = [t]
+    while todo:
+        node = todo.pop()
+        if type(node) is cls:
+            todo += (node.second, node.first)
+        else:
+            items.append(node)
+    return items
+
+
+def map_spine(t, leaf: Callable):
+    """t with each spine item x replaced by leaf(x), called left to right;
+    the Seq and PSeq nodes keep their shape."""
+    cls = PSeq if isinstance(t, PSeq) else Seq
+    if type(t) is not cls:
+        return leaf(t)
+    done: list = []
+    # Nodes still to walk, last one first; None joins the two results on
+    # top of `done` into one sequence node.
+    todo: list = [t]
+    while todo:
+        node = todo.pop()
+        if node is None:
+            second = done.pop()
+            done[-1] = cls(done[-1], second)
+        elif type(node) is cls:
+            todo += (None, node.second, node.first)
+        else:
+            done.append(leaf(node))
+    return done[0]
+
+
+def build_seq(items: list[ProtocolType], rest: ProtocolType | None = None) -> ProtocolType:
+    """Right-nest items in front of rest (or of nothing); Skip() when empty."""
+    node = rest
+    for item in reversed(items):
+        node = item if node is None else Seq(item, node)
+    return Skip() if node is None else node
+
+
+def concat(first: ProtocolType, second: ProtocolType) -> ProtocolType:
+    """The normal form of `first; second`, for two normal forms."""
+    if isinstance(second, Skip):
+        return first
+    if isinstance(first, Skip):
+        return second
+    return build_seq(spine(first), second)
+
+
+def normalize_seq(t: ProtocolType) -> ProtocolType:
+    """Right-associate sequences and drop skip units, in every body too.
+    Idempotent."""
+    items = []
+    for node in spine(t):
+        match node:
+            case Skip():
+                continue
+            case Allreduce(op, binder, payload, cont):
+                node = Allreduce(op, binder, payload, normalize_seq(cont))
+            case Foreach(binder, lo, hi, body):
+                node = Foreach(binder, lo, hi, normalize_seq(body))
+        items.append(node)
+    return build_seq(items)
+
+
+# ---------------------------------------------------------------------------
 # Typing contexts
 
 
@@ -456,7 +535,7 @@ def subst_prop(p: Proposition, sub: Sub) -> Proposition:
     raise TypeError(f"not a proposition: {p!r}")
 
 
-def _drop(sub: Sub, name: str) -> Sub:
+def drop_binder(sub: Sub, name: str) -> Sub:
     return {k: v for k, v in sub.items() if k != name} if name in sub else sub
 
 
@@ -467,39 +546,23 @@ def subst_datatype(d: Datatype, sub: Sub) -> Datatype:
         case Array(elem, length):
             return Array(subst_datatype(elem, sub), subst_index(length, sub))
         case Refined(binder, base, pred):
-            return Refined(binder, base, subst_prop(pred, _drop(sub, binder)))
+            return Refined(binder, base, subst_prop(pred, drop_binder(sub, binder)))
     raise TypeError(f"not a datatype: {d!r}")
 
 
 def subst_type(t: ProtocolType, sub: Sub) -> ProtocolType:
-    match t:
-        case Skip():
-            return t
-        case Message(src, dst, payload):
-            return Message(subst_index(src, sub), subst_index(dst, sub), subst_datatype(payload, sub))
-        case Allreduce(op, binder, payload, cont):
-            return Allreduce(op, binder, subst_datatype(payload, sub), subst_type(cont, _drop(sub, binder)))
-        case Foreach(binder, lo, hi, body):
-            return Foreach(binder, subst_index(lo, sub), subst_index(hi, sub), subst_type(body, _drop(sub, binder)))
-        case Seq(a, b):
-            return Seq(subst_type(a, sub), subst_type(b, sub))
-    raise TypeError(f"not a protocol type: {t!r}")
+    def leaf(node: ProtocolType) -> ProtocolType:
+        match node:
+            case Skip():
+                return node
+            case Message(src, dst, payload):
+                return Message(subst_index(src, sub), subst_index(dst, sub), subst_datatype(payload, sub))
+            case Allreduce(op, binder, payload, cont):
+                cont = subst_type(cont, drop_binder(sub, binder))
+                return Allreduce(op, binder, subst_datatype(payload, sub), cont)
+            case Foreach(binder, lo, hi, body):
+                body = subst_type(body, drop_binder(sub, binder))
+                return Foreach(binder, subst_index(lo, sub), subst_index(hi, sub), body)
+        raise TypeError(f"not a protocol type: {node!r}")
 
-
-def subst_process(p: Process, sub: Sub) -> Process:
-    match p:
-        case PSkip():
-            return p
-        case Send(to, payload):
-            return Send(subst_index(to, sub), subst_datatype(payload, sub))
-        case Recv(src, payload):
-            return Recv(subst_index(src, sub), subst_datatype(payload, sub))
-        case AllreduceStmt(op, payload):
-            return AllreduceStmt(op, subst_datatype(payload, sub))
-        case For(binder, lo, hi, body):
-            return For(binder, subst_index(lo, sub), subst_index(hi, sub), subst_process(body, _drop(sub, binder)))
-        case If(test, then, orelse):
-            return If(subst_prop(test, sub), subst_process(then, sub), subst_process(orelse, sub))
-        case PSeq(a, b):
-            return PSeq(subst_process(a, sub), subst_process(b, sub))
-    raise TypeError(f"not a process: {p!r}")
+    return map_spine(t, leaf)

@@ -99,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
     infer.add_argument("--size", type=int, required=True, help="number of ranks (at least 2)")
     infer.add_argument("--order", type=_rank_list, default=None, help="merge order, e.g. 0,2,1")
     infer.add_argument("--enum-cap", type=_non_negative, default=DEFAULT_ENUM_CAP)
-    infer.add_argument("--unroll", type=int, default=DEFAULT_UNROLL)
+    infer.add_argument("--unroll", type=_non_negative, default=DEFAULT_UNROLL)
     infer.add_argument("--trace", action="store_true", help="log merge rule applications")
     infer.add_argument("--json", action="store_true")
     infer.set_defaults(run=_cmd_infer)

@@ -18,25 +18,27 @@ from .ast import (
     IndexTerm,
     IntLit,
     Message,
-    PSeq,
     PSkip,
     Process,
     ProtocolType,
     ProtomergeError,
     Recv,
     Send,
-    Seq,
     Skip,
+    Sub,
     TypingContext,
+    build_seq,
+    drop_binder,
     eval_index,
     eval_prop,
     is_closed,
+    map_spine,
     prop_vars,
+    spine,
+    subst_datatype,
     subst_index,
-    subst_process,
     subst_prop,
 )
-from .merge import normalize_seq
 
 __all__ = [
     "ResidualConditional",
@@ -47,13 +49,6 @@ __all__ = [
 
 class ResidualConditional(ProtomergeError):
     """An If survived specialization; the type language has no branching."""
-
-
-def _fold_closed(t: IndexTerm) -> IndexTerm:
-    """Evaluate a closed index term to a literal; leave open terms alone."""
-    if isinstance(t, IntLit) or not is_closed(t):
-        return t
-    return IntLit(eval_index({}, t))
 
 
 def specialize(p: Process, rank: int, size: int) -> Process:
@@ -67,68 +62,67 @@ def specialize(p: Process, rank: int, size: int) -> Process:
     """
     if not 0 <= rank < size:
         raise ValueError(f"rank {rank} outside 0..{size - 1}")
-    ranked = subst_process(p, {"rank": IntLit(rank)})
-    return _partial_eval(_subst_control(ranked, {"size": IntLit(size)}))
+    everywhere = {"rank": IntLit(rank)}
+    return _specialize(p, everywhere, {**everywhere, "size": IntLit(size)})
 
 
-def _subst_control(p: Process, env: dict[str, IndexTerm]) -> Process:
-    match p:
-        case PSkip() | AllreduceStmt():
-            return p
-        case Send(to, payload):
-            return Send(subst_index(to, env), payload)
-        case Recv(src, payload):
-            return Recv(subst_index(src, env), payload)
-        case For(binder, lo, hi, body):
-            inner = {k: v for k, v in env.items() if k != binder}
-            return For(binder, subst_index(lo, env), subst_index(hi, env), _subst_control(body, inner))
-        case If(test, then, orelse):
-            return If(subst_prop(test, env), _subst_control(then, env), _subst_control(orelse, env))
-        case PSeq(first, second):
-            return PSeq(_subst_control(first, env), _subst_control(second, env))
-    raise TypeError(f"not a process: {p!r}")
+def _specialize(p: Process, everywhere: Sub, control: Sub) -> Process:
+    """One walk along p's spine; `control` substitutes in control positions,
+    `everywhere` in payloads."""
 
+    def fold(t: IndexTerm) -> IndexTerm:
+        t = subst_index(t, control)
+        return t if isinstance(t, IntLit) or not is_closed(t) else IntLit(eval_index({}, t))
 
-def _partial_eval(p: Process) -> Process:
-    match p:
-        case PSkip() | AllreduceStmt():
-            return p
-        case Send(to, payload):
-            return Send(_fold_closed(to), payload)
-        case Recv(src, payload):
-            return Recv(_fold_closed(src), payload)
-        case For(binder, lo, hi, body):
-            flo, fhi = _fold_closed(lo), _fold_closed(hi)
-            if isinstance(flo, IntLit) and isinstance(fhi, IntLit) and fhi.value < flo.value:
-                return PSkip()
-            return For(binder, flo, fhi, _partial_eval(body))
-        case If(test, then, orelse):
-            if not prop_vars(test):
-                return _partial_eval(then if eval_prop({}, test) else orelse)
-            return If(test, _partial_eval(then), _partial_eval(orelse))
-        case PSeq(first, second):
-            return PSeq(_partial_eval(first), _partial_eval(second))
-    raise TypeError(f"not a process: {p!r}")
+    def leaf(node: Process) -> Process:
+        match node:
+            case PSkip():
+                return node
+            case Send(to, payload):
+                return Send(fold(to), subst_datatype(payload, everywhere))
+            case Recv(src, payload):
+                return Recv(fold(src), subst_datatype(payload, everywhere))
+            case AllreduceStmt(op, payload):
+                return AllreduceStmt(op, subst_datatype(payload, everywhere))
+            case For(binder, lo, hi, body):
+                lo, hi = fold(lo), fold(hi)
+                if isinstance(lo, IntLit) and isinstance(hi, IntLit) and hi.value < lo.value:
+                    return PSkip()
+                body = _specialize(body, drop_binder(everywhere, binder), drop_binder(control, binder))
+                return For(binder, lo, hi, body)
+            case If(test, then, orelse):
+                test = subst_prop(test, control)
+                if not prop_vars(test):
+                    return _specialize(then if eval_prop({}, test) else orelse, everywhere, control)
+                return If(
+                    test, _specialize(then, everywhere, control), _specialize(orelse, everywhere, control)
+                )
+        raise TypeError(f"not a process: {node!r}")
+
+    return map_spine(p, leaf)
 
 
 def _local_type(p: Process, self_rank: int) -> ProtocolType:
-    """Map a specialized process to the local type of rank self_rank."""
-    match p:
-        case PSkip():
-            return Skip()
-        case Send(to, payload):
-            return Message(IntLit(self_rank), to, payload)
-        case Recv(src, payload):
-            return Message(src, IntLit(self_rank), payload)
-        case AllreduceStmt(op, payload):
-            return Allreduce(op, FRESH_BINDER, payload, Skip())
-        case For(binder, lo, hi, body):
-            return Foreach(binder, lo, hi, _local_type(body, self_rank))
-        case If():
-            raise ResidualConditional("conditional whose test is still open after specialization")
-        case PSeq(first, second):
-            return Seq(_local_type(first, self_rank), _local_type(second, self_rank))
-    raise TypeError(f"not a process: {p!r}")
+    """Map a specialized process to rank self_rank's local type, in sequence
+    normal form."""
+    items = []
+    for node in spine(p):
+        match node:
+            case PSkip():
+                continue
+            case Send(to, payload):
+                items.append(Message(IntLit(self_rank), to, payload))
+            case Recv(src, payload):
+                items.append(Message(src, IntLit(self_rank), payload))
+            case AllreduceStmt(op, payload):
+                items.append(Allreduce(op, FRESH_BINDER, payload, Skip()))
+            case For(binder, lo, hi, body):
+                items.append(Foreach(binder, lo, hi, _local_type(body, self_rank)))
+            case If():
+                raise ResidualConditional("conditional whose test is still open after specialization")
+            case _:
+                raise TypeError(f"not a process: {node!r}")
+    return build_seq(items)
 
 
 def extract_local_type(ctx: TypingContext, p: Process, self_rank: int, size: int) -> ProtocolType:
@@ -137,4 +131,4 @@ def extract_local_type(ctx: TypingContext, p: Process, self_rank: int, size: int
     The context describes the world the rank lives in; extraction itself
     reads nothing from it.
     """
-    return normalize_seq(_local_type(specialize(p, self_rank, size), self_rank))
+    return _local_type(specialize(p, self_rank, size), self_rank)

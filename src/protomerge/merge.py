@@ -38,8 +38,11 @@ from .ast import (
     TypingContext,
     UnboundVariable,
     Var,
+    build_seq,
+    concat,
     eval_index,
     index_vars,
+    normalize_seq,
     subst_type,
 )
 from .logic import (
@@ -67,7 +70,6 @@ __all__ = [
     "attempt_rule",
     "merge_all",
     "merge_types",
-    "normalize_seq",
     "unfold_foreach",
 ]
 
@@ -79,41 +81,6 @@ class NonConstantBounds(ProtomergeError):
 
 
 # ---------------------------------------------------------------------------
-# Sequence normal form
-
-
-def _seq_items(t: ProtocolType) -> list[ProtocolType]:
-    match t:
-        case Skip():
-            return []
-        case Seq(first, second):
-            return _seq_items(first) + _seq_items(second)
-        case _:
-            return [_normalize_node(t)]
-
-
-def _normalize_node(t: ProtocolType) -> ProtocolType:
-    match t:
-        case Allreduce(op, binder, payload, cont):
-            return Allreduce(op, binder, payload, normalize_seq(cont))
-        case Foreach(binder, lo, hi, body):
-            return Foreach(binder, lo, hi, normalize_seq(body))
-        case _:
-            return t
-
-
-def normalize_seq(t: ProtocolType) -> ProtocolType:
-    """Right-associate sequences and drop skip units, recursively. Idempotent."""
-    items = _seq_items(t)
-    if not items:
-        return Skip()
-    result = items[-1]
-    for item in reversed(items[:-1]):
-        result = Seq(item, result)
-    return result
-
-
-# ---------------------------------------------------------------------------
 # Constant-bound loop unfolding
 
 
@@ -122,11 +89,8 @@ def unfold_foreach(ctx: TypingContext, t: ProtocolType) -> ProtocolType:
     if not isinstance(t, Foreach):
         raise ValueError(f"unfold_foreach expects a foreach type, got {type(t).__name__}")
     lo, hi = _constant_bounds(ctx, t)
-    unfolded: ProtocolType = Skip()
-    for v in range(hi, lo - 1, -1):
-        instance = subst_type(t.body, {t.binder: IntLit(v)})
-        unfolded = instance if isinstance(unfolded, Skip) else Seq(instance, unfolded)
-    return normalize_seq(unfolded)
+    instances = [subst_type(t.body, {t.binder: IntLit(v)}) for v in range(lo, hi + 1)]
+    return normalize_seq(build_seq(instances))
 
 
 def _constant_bounds(ctx: TypingContext, t: Foreach) -> tuple[int, int]:
@@ -347,7 +311,6 @@ class _Engine:
         right: ProtocolType,
         path: tuple[str, ...],
     ) -> tuple[ProtocolType, tuple[MergeStep, ...]] | None:
-        left, right = normalize_seq(left), normalize_seq(right)
         key = (id(ctx), left, right)
         hit = self.memo.get(key, _MISS)
         if hit is not _MISS:
@@ -549,7 +512,7 @@ class _Engine:
         if sub2 is None:
             return _Refused("second components do not merge", _SUBMERGE)
         (t5, steps1), (t6, steps2) = sub1, sub2
-        result = normalize_seq(Seq(t5, t6))
+        result = concat(t5, t6)
         return _Applied(result, (MergeStep("seq-seq", left, right, ()),) + steps1 + steps2)
 
     def _rule_skip_msgT(self, ctx, left, right, path):
@@ -564,7 +527,7 @@ class _Engine:
         if sub2 is None:
             return _Refused("tail does not merge against skip", _SUBMERGE)
         (head, steps1), (tail, steps2) = sub1, sub2
-        result = normalize_seq(Seq(head, tail))
+        result = concat(head, tail)
         return _Applied(result, (MergeStep("skip-msgT", left, right, ()),) + steps1 + steps2)
 
     def _rule_msgT_skipT(self, ctx, left, right, path):
@@ -579,7 +542,7 @@ class _Engine:
         if sub2 is None:
             return _Refused("tail does not merge against skip", _SUBMERGE)
         (head, steps1), (tail, steps2) = sub1, sub2
-        result = normalize_seq(Seq(head, tail))
+        result = concat(head, tail)
         return _Applied(result, (MergeStep("msgT-skipT", left, right, ()),) + steps1 + steps2)
 
     def _rule_msgT_msgT_left(self, ctx, left, right, path):
@@ -600,7 +563,7 @@ class _Engine:
         if sub is None:
             return _Refused("left tail does not merge against the right type", _SUBMERGE)
         rest, substeps = sub
-        result = normalize_seq(Seq(lh, rest))
+        result = concat(lh, rest)
         return _Applied(result, (MergeStep("msgT-msgT-left", left, right, premises),) + substeps)
 
     def _rule_msgT_msgT_right(self, ctx, left, right, path):
@@ -619,7 +582,7 @@ class _Engine:
         if sub is None:
             return _Refused("left type does not merge against the right tail", _SUBMERGE)
         rest, substeps = sub
-        result = normalize_seq(Seq(rh, rest))
+        result = concat(rh, rest)
         return _Applied(result, (MergeStep("msgT-msgT-right", left, right, premises),) + substeps)
 
 
@@ -681,7 +644,7 @@ def attempt_rule(
 
 
 def _head_unfoldable(ctx: TypingContext, t: ProtocolType, unroll: int) -> bool:
-    head = t.first if isinstance(t, Seq) else t
+    head, _ = _seq_parts(t)
     if not isinstance(head, Foreach):
         return False
     try:
@@ -692,9 +655,8 @@ def _head_unfoldable(ctx: TypingContext, t: ProtocolType, unroll: int) -> bool:
 
 
 def _unfold_head(ctx: TypingContext, t: ProtocolType) -> ProtocolType:
-    if isinstance(t, Seq):
-        return normalize_seq(Seq(unfold_foreach(ctx, t.first), t.second))
-    return unfold_foreach(ctx, t)
+    head, rest = _seq_parts(t)
+    return concat(unfold_foreach(ctx, head), rest)
 
 
 def merge_all(
@@ -720,13 +682,12 @@ def merge_all(
         raise ValueError(f"order {sequence} is not a permutation of 0..{n - 1}")
 
     merged = [sequence[0]]
-    accumulated = normalize_seq(types[sequence[0]])
+    accumulated = types[sequence[0]]
     traces: list[MergeTrace] = []
     for k in sequence[1:]:
         ctx = merged_context(n, merged)
-        incoming = normalize_seq(types[k])
         try:
-            accumulated, trace = _merge_step(ctx, accumulated, incoming, k, enum_cap, unroll)
+            accumulated, trace = _merge_step(ctx, accumulated, types[k], k, enum_cap, unroll)
         except MergeFailure as failure:
             raise failure.annotated(
                 f"merging rank {k} into ranks {sorted(merged)}"
@@ -747,6 +708,8 @@ def _merge_step(
     try:
         return merge_types(ctx, left, right, k, enum_cap)
     except MergeFailure:
+        # The heads are those of the normal forms merge_types worked on.
+        left, right = normalize_seq(left), normalize_seq(right)
         left_unfoldable = _head_unfoldable(ctx, left, unroll)
         right_unfoldable = _head_unfoldable(ctx, right, unroll)
         if left_unfoldable == right_unfoldable:

@@ -33,6 +33,7 @@ from .ast import (
     TypingContext,
     UnboundVariable,
     eval_index,
+    map_spine,
     subst_type,
 )
 from .logic import dtype_equiv, initial_context, singleton_env
@@ -219,14 +220,12 @@ def cap_loops(ctx: TypingContext, t: ProtocolType, bound: int) -> ProtocolType:
         raise ValueError("loop bound must be at least 1")
     env = singleton_env(ctx)
 
-    def walk(node: ProtocolType) -> ProtocolType:
+    def cap(node: ProtocolType) -> ProtocolType:
         match node:
-            case Seq(first, second):
-                return Seq(walk(first), walk(second))
             case Allreduce(op, binder, payload, cont):
-                return Allreduce(op, binder, payload, walk(cont))
+                return Allreduce(op, binder, payload, map_spine(cont, cap))
             case Foreach(binder, lo, hi, body):
-                capped = walk(body)
+                capped = map_spine(body, cap)
                 try:
                     lo_v = eval_index(env, lo)
                     hi_v = eval_index(env, hi)
@@ -238,7 +237,7 @@ def cap_loops(ctx: TypingContext, t: ProtocolType, bound: int) -> ProtocolType:
             case _:
                 return node
 
-    return walk(t)
+    return map_spine(t, cap)
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,8 @@ from .ast import (
     Skip,
     TrueProp,
     Var,
+    build_seq,
+    spine,
 )
 
 __all__ = [
@@ -376,10 +378,7 @@ class _Parser:
         while self.at("op", ";"):
             self.advance()
             items.append(self.protocol_item())
-        node = items[-1]
-        for item in reversed(items[:-1]):
-            node = Seq(item, node)
-        return node
+        return build_seq(items)
 
     def protocol_item(self) -> ProtocolType:
         tok = self.peek()
@@ -599,20 +598,11 @@ def _bound_text(t: IndexTerm) -> str:
     return print_index(t, _ADD_LEVEL)
 
 
-def _seq_items(t: ProtocolType) -> list[ProtocolType]:
-    items = []
-    while isinstance(t, Seq):
-        items.append(t.first)
-        t = t.second
-    items.append(t)
-    return items
-
-
 def print_protocol(t: ProtocolType, indent: int = 0) -> str:
     pad = "  " * indent
     match t:
         case Seq():
-            return ";\n".join(print_protocol(item, indent) for item in _seq_items(t))
+            return ";\n".join(print_protocol(item, indent) for item in spine(t))
         case Skip():
             return f"{pad}skip"
         case Message(src, dst, payload):
@@ -632,7 +622,7 @@ def compact_protocol(t: ProtocolType) -> str:
     """Single-line rendering used in merge traces and diagnostics."""
     match t:
         case Seq():
-            return "; ".join(compact_protocol(item) for item in _seq_items(t))
+            return "; ".join(compact_protocol(item) for item in spine(t))
         case Skip():
             return "skip"
         case Message(src, dst, payload):
@@ -646,20 +636,11 @@ def compact_protocol(t: ProtocolType) -> str:
     raise TypeError(f"not a protocol type: {t!r}")
 
 
-def _pseq_items(p: Process) -> list[Process]:
-    items = []
-    while isinstance(p, PSeq):
-        items.append(p.first)
-        p = p.second
-    items.append(p)
-    return items
-
-
 def print_process(p: Process, indent: int = 0) -> str:
     pad = "  " * indent
     match p:
         case PSeq():
-            return ";\n".join(print_process(item, indent) for item in _pseq_items(p))
+            return ";\n".join(print_process(item, indent) for item in spine(p))
         case PSkip():
             return f"{pad}skip"
         case Send(to, payload):

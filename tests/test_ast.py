@@ -35,6 +35,7 @@ from protomerge import (
     subst_type,
     trunc_div,
 )
+from protomerge.ast import Seq, Skip, build_seq, concat, map_spine, spine
 
 
 class TestTruncDiv:
@@ -118,6 +119,34 @@ class TestSubstitution:
         # The loop bound is open at the binding site; the body's binder
         # occurrence is shadowed, the free k is not.
         assert out == Foreach("i", IntLit(1), IntLit(9), Message(Var("i"), IntLit(2), Float()))
+
+
+class TestSequenceSpine:
+    A = Message(IntLit(0), IntLit(1), Float())
+    B = Message(IntLit(1), IntLit(0), Float())
+    C = Message(Var("i"), IntLit(2), Float())
+
+    def test_spine_flattens_both_nestings_and_keeps_skips(self):
+        t = Seq(Seq(self.A, Skip()), Seq(self.B, self.C))
+        assert spine(t) == [self.A, Skip(), self.B, self.C]
+        assert spine(self.A) == [self.A]
+
+    def test_substitution_keeps_the_tree_shape(self):
+        t = Seq(Seq(self.A, self.C), Skip())
+        out = subst_type(t, {"i": IntLit(1)})
+        assert out == Seq(Seq(self.A, Message(IntLit(1), IntLit(2), Float())), Skip())
+
+    def test_map_spine_visits_items_left_to_right(self):
+        seen = []
+        t = Seq(self.A, Seq(Seq(self.B, self.C), Skip()))
+        assert map_spine(t, lambda x: seen.append(x) or x) == t
+        assert seen == spine(t)
+
+    def test_concat_of_normal_forms(self):
+        assert concat(Seq(self.A, self.B), self.C) == Seq(self.A, Seq(self.B, self.C))
+        assert concat(Skip(), self.A) == self.A
+        assert concat(self.A, Skip()) == self.A
+        assert build_seq([]) == Skip()
 
 
 class TestTypingContext:

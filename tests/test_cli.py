@@ -138,6 +138,14 @@ class TestInfer:
         assert out == ""
         assert err.endswith("error: argument --enum-cap: must not be negative, got -1\n")
 
+    def test_negative_unroll_is_a_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "infer", str(PROGRAMS / "nbody.proc"), "--size", "3", "--unroll", "-1"
+        )
+        assert code == 4
+        assert out == ""
+        assert err.endswith("error: argument --unroll: must not be negative, got -1\n")
+
 
 class TestExtract:
     def test_enum_cap_is_not_an_option(self, capsys):
@@ -189,6 +197,14 @@ class TestExtract:
         )
         assert code == 4
         assert "--rank must lie in 0..2" in err
+
+    def test_long_program_without_recursion_error(self, capsys, write):
+        f = write("long.proc", ";\n".join(["send to 1 float", "recv from 1 integer"] * 2500))
+        code, out, err = run(capsys, "extract", f, "--rank", "0", "--size", "2")
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert len(lines) == 5000
+        assert lines[-2:] == ["message 0 1 float;", "message 1 0 integer"]
 
 
 class TestMerge:
@@ -300,6 +316,14 @@ class TestSimulate:
         code, out, _ = run(capsys, "simulate", a, b, "--size", "2", "--unroll", "5000")
         assert code == 0
         assert out.count("message 0 -> 1") == 5000
+
+    def test_long_protocols_without_recursion_error(self, capsys, write):
+        text = ";\n".join(["message 0 1 float", "message 1 0 float"] * 2500)
+        a, b = write("a.ptype", text), write("b.ptype", text)
+        code, out, _ = run(capsys, "simulate", a, b, "--size", "2")
+        assert code == 0
+        assert out.startswith("Completed\n")
+        assert out.count("message 1 -> 0") == 2500
 
     def test_unfold_budget_exits_3(self, capsys, write):
         a = write("a.ptype", "foreach i: 1..5000000 { message 0 1 float }")

@@ -23,7 +23,8 @@ from protomerge import (
     Skip,
     TypingContext,
     Var,
-    attempt_rule,
+
+    compact_protocol,    attempt_rule,
     extract_local_type,
     initial_context,
     merge_all,
@@ -70,6 +71,25 @@ class TestNormalizeSeq:
         t = Seq(Seq(msg(0, 1), Skip()), Seq(msg(1, 2), msg(2, 0)))
         once = normalize_seq(t)
         assert normalize_seq(once) == once
+
+    def test_long_chains_nested_either_way(self):
+        # Far deeper than the interpreter's stack. Checked by text and
+        # shape: == and hash on such a chain still recurse.
+        items = [msg(i % 3, (i + 1) % 3) for i in range(10**4)]
+        right = left = Skip()
+        for item in reversed(items):
+            right = Seq(item, right)
+        for item in items:
+            left = Seq(left, item)
+        want = "; ".join(compact_protocol(m) for m in items)
+        for t in (left, right):
+            out = normalize_seq(t)
+            assert compact_protocol(out) == want
+            node, links = out, 0
+            while isinstance(node, Seq):
+                assert isinstance(node.first, Message)
+                node, links = node.second, links + 1
+            assert links == len(items) - 1
 
 
 class TestUnfoldForeach:

@@ -83,6 +83,14 @@ class TestLinearize:
         t = Foreach("i", IntLit(1), IntLit(20000), Message(IntLit(0), IntLit(1), D))
         assert linearize(initial_context(2), t, 0) == [SendTo(1, D)] * 20000
 
+    def test_long_loop_body_does_not_recurse(self):
+        body = msg(1, 0)
+        for _ in range(4999):
+            body = Seq(msg(0, 1), body)
+        actions = linearize(initial_context(2), Foreach("i", IntLit(1), IntLit(2), body), 0)
+        assert len(actions) == 10000
+        assert actions[4998:5001] == [SendTo(1, D), RecvFrom(1, D), SendTo(1, D)]
+
     def test_loop_binder_reaches_payloads_and_endpoints(self):
         body = Message(IntLit(0), Var("i"), Array(Float(), Var("i")))
         t = Foreach("i", IntLit(1), IntLit(2), body)
