@@ -76,13 +76,24 @@ def _rank_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
-def _non_negative(text: str) -> int:
+def _int(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
+def _non_negative(text: str) -> int:
+    value = _int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
+
+
+def _positive(text: str) -> int:
+    value = _int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
 
 
@@ -125,7 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run per-rank protocols to a verdict")
     sim.add_argument("files", nargs="+", help="one protocol file per rank")
     sim.add_argument("--size", type=int, required=True)
-    sim.add_argument("--unroll", type=int, default=DEFAULT_UNROLL, help="cap loop iterations")
+    sim.add_argument("--unroll", type=_positive, default=DEFAULT_UNROLL, help="cap loop iterations")
     sim.add_argument("--json", action="store_true")
     sim.set_defaults(run=_cmd_simulate)
 

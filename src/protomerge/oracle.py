@@ -32,9 +32,10 @@ from .ast import (
     Skip,
     TypingContext,
     UnboundVariable,
+    datatype_vars,
     eval_index,
     map_spine,
-    subst_type,
+    subst_datatype,
 )
 from .logic import dtype_equiv, initial_context, singleton_env
 # unfold_foreach is no longer called here; the name stays importable from
@@ -144,8 +145,8 @@ def _eval_endpoint(env: dict[str, int], term: IndexTerm) -> int:
         raise OpenIndexTerm(f"message endpoint is not a constant rank: {exc}") from None
 
 
-@dataclass(frozen=True, slots=True)
-class _Iterations:
+@dataclass(slots=True)
+class _Loop:
     """Loop instances binder = value..hi of body, still to be walked."""
 
     binder: str
@@ -154,21 +155,59 @@ class _Iterations:
     hi: int
 
 
+@dataclass(frozen=True, slots=True)
+class _Rebind:
+    """End of a scope: give `name` back its values in linearize's live and
+    env from before the scope began (None: it had none)."""
+
+    name: str
+    live_value: int | None
+    env_value: int | None
+
+
+def _set(mapping: dict[str, int], name: str, value: int | None) -> None:
+    if value is None:
+        mapping.pop(name, None)
+    else:
+        mapping[name] = value
+
+
+def _instance(payload: Datatype, live: dict[str, int], free: dict[int, frozenset[str]]) -> Datatype:
+    """payload with the live loop binders it mentions replaced by their
+    values; payload itself when it mentions none. free caches each payload
+    object's free variables by id."""
+    names = free.get(id(payload))
+    if names is None:
+        names = free[id(payload)] = datatype_vars(payload)
+    if names.isdisjoint(live):
+        return payload
+    return subst_datatype(payload, {x: IntLit(live[x]) for x in names if x in live})
+
+
 def linearize(ctx: TypingContext, t: ProtocolType, self_rank: int) -> list[Action]:
     """Project a protocol to rank self_rank's straight-line action list.
 
     Every foreach is fully unfolded (bounds must be constant under ctx) and
-    every message endpoint must evaluate to a concrete rank. The walk keeps
-    its own stack, so its depth does not grow with sequence length or trip
-    count. Raises UnfoldBudgetExceeded, before unfolding, once the loops
-    met so far would run more than LINEARIZE_BUDGET iterations in total.
+    every message endpoint must evaluate to a concrete rank. Loop bodies are
+    walked under an environment of the live loop binders' values, not
+    rebuilt per iteration: a payload that mentions no live loop binder goes
+    into the actions as the same object on every iteration, and only one
+    that does is substituted. The walk keeps its own stack, so its depth
+    does not grow with sequence length or trip count. Raises
+    UnfoldBudgetExceeded, before unfolding, once the loops met so far would
+    run more than LINEARIZE_BUDGET iterations in total.
     """
+    # Endpoints and bounds are evaluated under env: the context's single
+    # values overridden by the live loop binders, which live holds alone.
+    # Both change only where a loop iteration starts or a scope ends.
     env = singleton_env(ctx)
+    live: dict[str, int] = {}
+    free: dict[int, frozenset[str]] = {}
     actions: list[Action] = []
     unfolded = 0
-    # Nodes still to walk, last one first; a _Iterations entry stands for
-    # the loop instances not yet walked.
-    stack: list[ProtocolType | _Iterations] = [t]
+    # Nodes still to walk, last one first; a _Loop entry stands for the
+    # loop instances not yet walked, and a _Rebind entry ends a scope.
+    stack: list[ProtocolType | _Loop | _Rebind] = [t]
     while stack:
         node = stack.pop()
         match node:
@@ -181,11 +220,16 @@ def linearize(ctx: TypingContext, t: ProtocolType, self_rank: int) -> list[Actio
                 s = _eval_endpoint(env, src)
                 d = _eval_endpoint(env, dst)
                 if s == self_rank:
-                    actions.append(SendTo(d, payload))
+                    actions.append(SendTo(d, _instance(payload, live, free) if live else payload))
                 elif d == self_rank:
-                    actions.append(RecvFrom(s, payload))
-            case Allreduce(op, _, payload, cont):
-                actions.append(Collective(op, payload))
+                    actions.append(RecvFrom(s, _instance(payload, live, free) if live else payload))
+            case Allreduce(op, binder, payload, cont):
+                actions.append(Collective(op, _instance(payload, live, free) if live else payload))
+                if binder in live:
+                    # In the continuation `binder` names the reduction
+                    # result, which has no value here.
+                    stack.append(_Rebind(binder, live.pop(binder), env[binder]))
+                    _set(env, binder, singleton_env(ctx).get(binder))
                 stack.append(cont)
             case Foreach(binder, lo, hi, body):
                 try:
@@ -200,11 +244,17 @@ def linearize(ctx: TypingContext, t: ProtocolType, self_rank: int) -> list[Actio
                         f"linearizing rank {self_rank} would unfold more than "
                         f"{LINEARIZE_BUDGET} loop iterations"
                     )
-                stack.append(_Iterations(binder, body, lo_v, hi_v))
-            case _Iterations(binder, body, value, hi):
+                stack.append(_Rebind(binder, live.get(binder), env.get(binder)))
+                stack.append(_Loop(binder, body, lo_v, hi_v))
+            case _Loop(binder, body, value, hi):
+                env[binder] = live[binder] = value
                 if value < hi:
-                    stack.append(_Iterations(binder, body, value + 1, hi))
-                stack.append(subst_type(body, {binder: IntLit(value)}))
+                    node.value = value + 1
+                    stack.append(node)
+                stack.append(body)
+            case _Rebind(name, live_value, env_value):
+                _set(live, name, live_value)
+                _set(env, name, env_value)
             case _:
                 raise TypeError(f"unexpected protocol node {type(node).__name__}")
     return actions
@@ -268,7 +318,9 @@ def simulate(
     receive pair or collective the run meets that is blocked by payload or
     operator disagreement; such a block never clears. Otherwise returns
     Deadlocked with every rank's pending action. Costs O(total actions)
-    plus the payload comparisons.
+    plus the payload comparisons: dtype_equiv runs once per distinct pair
+    of payload values, and a pair of payload objects is hashed by value
+    only the first time it is compared.
     """
     if len(actions) != n:
         raise ValueError(f"expected {n} action lists, got {len(actions)}")
@@ -278,13 +330,23 @@ def simulate(
     pos = [0] * n
     trace: list[SimEvent] = []
 
+    # Payload comparisons are memoized by value, so dtype_equiv runs once
+    # per pair of distinct values, and in front of that by object identity,
+    # so a pair of payload objects met again is not hashed again: payloads
+    # a loop shares across iterations are one object. The action lists keep
+    # every payload alive for the whole run, so no id is reused.
+    equiv_by_id: dict[tuple[int, int], bool] = {}
     equiv_cache: dict[tuple[Datatype, Datatype], bool] = {}
 
     def payload_eq(d1: Datatype, d2: Datatype) -> bool:
-        key = (d1, d2)
-        if key not in equiv_cache:
-            equiv_cache[key] = dtype_equiv(ctx, d1, d2)
-        return equiv_cache[key]
+        ids = (id(d1), id(d2))
+        eq = equiv_by_id.get(ids)
+        if eq is None:
+            eq = equiv_cache.get((d1, d2))
+            if eq is None:
+                eq = equiv_cache[d1, d2] = dtype_equiv(ctx, d1, d2)
+            equiv_by_id[ids] = eq
+        return eq
 
     def head(rank: int) -> Action | None:
         return lists[rank][pos[rank]] if pos[rank] < len(lists[rank]) else None

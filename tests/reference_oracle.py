@@ -1,35 +1,134 @@
-"""Reference oracle: breadth-first search over every interleaving.
+"""Reference oracle: substitution-based projection and an exhaustive search.
 
-This is the exhaustive explorer that `protomerge.oracle.simulate` replaced,
-kept as the reference the one-run simulator is checked against. It visits
-every reachable state of the per-rank action lists, prefers completion over
-mismatch over deadlock, and returns a BFS-shortest witness trace. Its cost
-grows exponentially with the number of independent ranks, so it carries its
-own state budget.
+`reference_linearize` projects a protocol by substituting each loop
+binder's value into a fresh copy of the loop body, once per iteration. It
+is the projection `protomerge.oracle.linearize` replaced, kept as the
+reference that the environment-based walk is checked against.
+
+`simulate` is the breadth-first search over every interleaving that
+`protomerge.oracle.simulate` replaced, kept as the reference the one-run
+simulator is checked against. It visits every reachable state of the
+per-rank action lists, prefers completion over mismatch over deadlock, and
+returns a BFS-shortest witness trace. Its cost grows exponentially with the
+number of independent ranks, so it carries its own state budget.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 from typing import Sequence
 
 from protomerge import (
+    Allreduce,
     Collective,
     CollectiveEvent,
     Completed,
     Datatype,
     Deadlocked,
+    Foreach,
+    IntLit,
+    Message,
     MessageEvent,
     Mismatch,
+    NonConstantBounds,
+    ProtocolType,
     ProtomergeError,
     RecvFrom,
     SendTo,
+    Seq,
+    Skip,
     TypingContext,
     dtype_equiv,
     initial_context,
     print_datatype,
+    singleton_env,
 )
-from protomerge.oracle import Action, SimEvent, SimResult, _describe_action
+from protomerge.ast import DivisionByZero, UnboundVariable, eval_index, subst_type
+from protomerge.oracle import (
+    LINEARIZE_BUDGET,
+    Action,
+    SimEvent,
+    SimResult,
+    UnfoldBudgetExceeded,
+    _describe_action,
+    _eval_endpoint,
+)
+
+
+# ---------------------------------------------------------------------------
+# Projection by substitution
+
+
+@dataclass(frozen=True, slots=True)
+class _Iterations:
+    """Loop instances binder = value..hi of body, still to be walked."""
+
+    binder: str
+    body: ProtocolType
+    value: int
+    hi: int
+
+
+def reference_linearize(ctx: TypingContext, t: ProtocolType, self_rank: int) -> list[Action]:
+    """Project a protocol to rank self_rank's straight-line action list.
+
+    Every foreach is fully unfolded (bounds must be constant under ctx) and
+    every message endpoint must evaluate to a concrete rank. The walk keeps
+    its own stack, so its depth does not grow with sequence length or trip
+    count. Raises UnfoldBudgetExceeded, before unfolding, once the loops
+    met so far would run more than LINEARIZE_BUDGET iterations in total.
+    """
+    env = singleton_env(ctx)
+    actions: list[Action] = []
+    unfolded = 0
+    # Nodes still to walk, last one first; a _Iterations entry stands for
+    # the loop instances not yet walked.
+    stack: list[ProtocolType | _Iterations] = [t]
+    while stack:
+        node = stack.pop()
+        match node:
+            case Skip():
+                pass
+            case Seq(first, second):
+                stack.append(second)
+                stack.append(first)
+            case Message(src, dst, payload):
+                s = _eval_endpoint(env, src)
+                d = _eval_endpoint(env, dst)
+                if s == self_rank:
+                    actions.append(SendTo(d, payload))
+                elif d == self_rank:
+                    actions.append(RecvFrom(s, payload))
+            case Allreduce(op, _, payload, cont):
+                actions.append(Collective(op, payload))
+                stack.append(cont)
+            case Foreach(binder, lo, hi, body):
+                try:
+                    lo_v, hi_v = eval_index(env, lo), eval_index(env, hi)
+                except (UnboundVariable, DivisionByZero) as exc:
+                    raise NonConstantBounds(f"foreach bounds are not constant: {exc}") from None
+                if hi_v < lo_v:
+                    continue
+                unfolded += hi_v - lo_v + 1
+                if unfolded > LINEARIZE_BUDGET:
+                    raise UnfoldBudgetExceeded(
+                        f"linearizing rank {self_rank} would unfold more than "
+                        f"{LINEARIZE_BUDGET} loop iterations"
+                    )
+                stack.append(_Iterations(binder, body, lo_v, hi_v))
+            case _Iterations(binder, body, value, hi):
+                if value < hi:
+                    stack.append(_Iterations(binder, body, value + 1, hi))
+                stack.append(subst_type(body, {binder: IntLit(value)}))
+            case _:
+                raise TypeError(f"unexpected protocol node {type(node).__name__}")
+    return actions
+
+
+# ---------------------------------------------------------------------------
+# Exhaustive interleaving search
+
 
 DEFAULT_STATE_CAP = 10**6
 

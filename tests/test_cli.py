@@ -352,6 +352,15 @@ class TestSimulate:
         assert err.startswith("Deadlocked: ")
         assert "rank 6: send float to 7; rank 7: send float to 6" in err
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_unroll_below_one_is_a_usage_error(self, capsys, value):
+        # Rejected while parsing the command line, before any file is read.
+        code, out, err = run(capsys, "simulate", "no-such-0.ptype", "no-such-1.ptype",
+                             "--size", "2", "--unroll", value)
+        assert code == 4
+        assert out == ""
+        assert err.endswith(f"error: argument --unroll: must be at least 1, got {value}\n")
+
     def test_file_count_must_match_size(self, capsys, write):
         a = write("a.ptype", "skip")
         code, _, err = run(capsys, "simulate", a, "--size", "2")

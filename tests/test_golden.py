@@ -21,13 +21,35 @@ from protomerge.cli import main
 PROGRAMS = Path(protomerge.__file__).parent / "programs"
 GOLDEN = Path(__file__).parent / "golden"
 
-# Protocol files the merge cases read: the first step of a three-rank ring,
-# and a step whose payloads differ.
-MERGE_INPUTS = {
+NBODY_N3 = """foreach iter: 1..5000000 {{
+  foreach pipe: 1..2 {{
+    {first};
+    {second}
+  }};
+  allreduce min float
+}}
+"""
+BLOCK = "float[1000000 / size * 4]"
+
+# Protocol files the cases read. Merge: the first step of a three-rank ring,
+# and a step whose payloads differ. Simulate: nbody's extracted local types
+# at n=3, the symmetric ring's (every rank sends first), a payload clash,
+# and a loop whose binder reaches the payload.
+INPUTS = {
     "ring-left.ptype": "message 0 1 float;\nmessage 2 0 float\n",
     "ring-right.ptype": "message 0 1 float;\nmessage 1 2 float\n",
     "clash-left.ptype": "message 0 1 float;\nmessage 2 0 float\n",
     "clash-right.ptype": "message 0 1 integer;\nmessage 1 2 float\n",
+    "nbody-r0.ptype": NBODY_N3.format(first=f"message 0 1 {BLOCK}", second=f"message 2 0 {BLOCK}"),
+    "nbody-r1.ptype": NBODY_N3.format(first=f"message 0 1 {BLOCK}", second=f"message 1 2 {BLOCK}"),
+    "nbody-r2.ptype": NBODY_N3.format(first=f"message 1 2 {BLOCK}", second=f"message 2 0 {BLOCK}"),
+    "sring-r0.ptype": "message 0 1 float;\nmessage 2 0 float\n",
+    "sring-r1.ptype": "message 1 2 float;\nmessage 0 1 float\n",
+    "sring-r2.ptype": "message 2 0 float;\nmessage 1 2 float\n",
+    "sclash-r0.ptype": "message 0 1 float[size];\nallreduce sum integer\n",
+    "sclash-r1.ptype": "message 0 1 float[2 * size];\nallreduce sum integer\n",
+    "binder-r0.ptype": "foreach i: 1..3 {\n  message 0 1 float[i];\n  message 1 0 float[i * size]\n}\n",
+    "binder-r1.ptype": "foreach i: 1..3 {\n  message 0 1 float[i];\n  message 1 0 float[i * size]\n}\n",
 }
 
 MERGE_FLAGS = ("--size", "3", "--merged", "0", "--k", "1")
@@ -45,6 +67,13 @@ def _cases() -> dict[str, list[tuple[str, ...]]]:
         ("merge", "ring-left.ptype", "ring-right.ptype", *MERGE_FLAGS, "--json"),
         ("merge", "clash-left.ptype", "clash-right.ptype", *MERGE_FLAGS, "--trace"),
         ("merge", "clash-left.ptype", "clash-right.ptype", *MERGE_FLAGS, "--json"),
+    ]
+    nbody = ("nbody-r0.ptype", "nbody-r1.ptype", "nbody-r2.ptype", "--size", "3", "--unroll", "3")
+    ring = ("sring-r0.ptype", "sring-r1.ptype", "sring-r2.ptype", "--size", "3")
+    clash = ("sclash-r0.ptype", "sclash-r1.ptype", "--size", "2")
+    binder = ("binder-r0.ptype", "binder-r1.ptype", "--size", "2")
+    cases["simulate.txt"] = [
+        ("simulate", *files) + flag for files in (nbody, ring, clash, binder) for flag in ((), ("--json",))
     ]
     return cases
 
@@ -69,7 +98,7 @@ def _render(lines: list[tuple[str, ...]], inputs: Path) -> str:
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     directory = tmp_path_factory.mktemp("golden-inputs")
-    for name, text in MERGE_INPUTS.items():
+    for name, text in INPUTS.items():
         (directory / name).write_text(text, encoding="utf-8")
     return directory
 
@@ -83,7 +112,7 @@ def test_cli_output_matches_golden(name, inputs):
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as scratch:
         directory = Path(scratch)
-        for name, text in MERGE_INPUTS.items():
+        for name, text in INPUTS.items():
             (directory / name).write_text(text, encoding="utf-8")
         GOLDEN.mkdir(exist_ok=True)
         for name, lines in _cases().items():

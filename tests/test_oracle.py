@@ -1,13 +1,16 @@
 """Protocol execution oracle: projection, loop capping, the rendezvous run."""
 
 import random
+from pathlib import Path
 
 import pytest
 
+import protomerge
 from protomerge import (
     Allreduce,
     Array,
     BinOp,
+    Cmp,
     Collective,
     CollectiveEvent,
     Completed,
@@ -24,6 +27,7 @@ from protomerge import (
     OpenIndexTerm,
     RecvFrom,
     ReduceOp,
+    Refined,
     SendTo,
     Seq,
     Skip,
@@ -31,8 +35,10 @@ from protomerge import (
     UnfoldBudgetExceeded,
     Var,
     cap_loops,
+    extract_local_type,
     initial_context,
     linearize,
+    parse_process,
     simulate,
 )
 from protomerge.ast import FRESH_BINDER
@@ -119,6 +125,29 @@ class TestLinearize:
         t = Foreach("i", IntLit(1), Var("w"), msg(0, 1))
         with pytest.raises(NonConstantBounds):
             linearize(initial_context(2), t, 0)
+
+    def test_binder_free_payload_is_shared_across_iterations(self, monkeypatch):
+        def no_substitution(*args):
+            raise AssertionError("linearize substituted into a loop body")
+
+        monkeypatch.setattr(protomerge.ast, "subst_type", no_substitution)
+        monkeypatch.setattr(protomerge.oracle, "subst_datatype", no_substitution)
+        block = Array(Float(), BinOp("*", Var("size"), IntLit(4)))
+        inner = Foreach("j", IntLit(1), Var("size"), Message(Var("i"), IntLit(0), block))
+        t = Foreach("i", IntLit(1), IntLit(3), Seq(Message(IntLit(0), Var("i"), block), inner))
+        actions = linearize(initial_context(4), t, 0)
+        assert len(actions) == 3 * 5
+        assert all(a.payload is block for a in actions)
+
+    def test_payload_substituted_only_when_it_mentions_a_live_binder(self):
+        shared = Array(Float(), Var("size"))
+        own = Refined("i", Integer(), Cmp("<", Var("i"), Var("j")))
+        body = Seq(msg(0, 1, shared), Seq(msg(0, 1, Array(Float(), Var("i"))), msg(0, 1, own)))
+        t = Foreach("i", IntLit(1), IntLit(2), body)
+        actions = linearize(initial_context(2), t, 0)
+        assert [a.payload for a in actions[:2]] == [shared, Array(Float(), IntLit(1))]
+        assert actions[0].payload is shared and actions[3].payload is shared
+        assert actions[2].payload is own and actions[5].payload is own
 
 
 class TestCapLoops:
@@ -417,3 +446,165 @@ class TestAgainstReference:
             reference_oracle.simulate(lists, 8, state_cap=100)
         result = simulate(lists, 8)
         assert isinstance(result, Completed) and len(result.trace) == 24
+
+
+# ---------------------------------------------------------------------------
+# Differential check of linearize against projection by substitution
+
+
+LOOP_BINDERS = ("i", "j", "size")
+
+
+def _gen_term(rng, names, depth=1):
+    """A small index term over names; now and then one that cannot evaluate."""
+    roll = rng.random()
+    if roll < 0.01:
+        return Var("w")  # never bound
+    if roll < 0.02:
+        return BinOp("/", IntLit(1), BinOp("-", Var("size"), Var("size")))
+    if depth <= 0 or roll < 0.55:
+        if names and rng.random() < 0.6:
+            return Var(rng.choice(names))
+        return IntLit(rng.randint(0, 3))
+    op = rng.choice(("+", "-", "*", "/"))
+    right = IntLit(rng.randint(1, 2)) if op == "/" else _gen_term(rng, names, depth - 1)
+    return BinOp(op, _gen_term(rng, names, depth - 1), right)
+
+
+def _gen_payload(rng, names, depth=1):
+    roll = rng.random()
+    if depth <= 0 or roll < 0.3:
+        return rng.choice((Float(), Integer()))
+    if roll < 0.7:
+        return Array(_gen_payload(rng, names, depth - 1), _gen_term(rng, names))
+    # The refinement's own binder may reuse a loop binder's name.
+    binder = rng.choice(LOOP_BINDERS + ("v",))
+    return Refined(binder, Integer(), Cmp("<", Var(binder), _gen_term(rng, names + (binder,))))
+
+
+def _gen_bound(rng, names):
+    roll = rng.random()
+    if roll < 0.01:
+        return IntLit(2 * LINEARIZE_BUDGET)
+    if roll < 0.3:
+        return BinOp("-", Var("size"), IntLit(1))
+    if roll < 0.5 and names:
+        return BinOp("+", Var(rng.choice(names)), IntLit(rng.randint(0, 1)))
+    if roll < 0.6:
+        return _gen_term(rng, names)
+    return IntLit(rng.randint(0, 3))
+
+
+def _gen_loop_protocol(rng, names, depth):
+    """Random protocol rich in loops: nested foreach with constant and
+    size-dependent bounds, binders in endpoints, bounds and payloads,
+    reused binder names, and allreduce binders that shadow loop binders."""
+    items = []
+    for _ in range(rng.randint(1, 3)):
+        roll = rng.random()
+        if depth > 0 and roll < 0.35:
+            binder = rng.choice(LOOP_BINDERS)
+            lo = IntLit(rng.randint(0, 2)) if rng.random() < 0.7 else _gen_term(rng, names)
+            body = _gen_loop_protocol(rng, names + (binder,), depth - 1)
+            items.append(Foreach(binder, lo, _gen_bound(rng, names), body))
+        elif depth > 0 and roll < 0.5:
+            binder = rng.choice(LOOP_BINDERS + (FRESH_BINDER,))
+            inner = tuple(x for x in names if x != binder)
+            cont = _gen_loop_protocol(rng, inner, depth - 1) if rng.random() < 0.7 else Skip()
+            items.append(Allreduce(rng.choice(OPS), binder, _gen_payload(rng, names), cont))
+        else:
+            items.append(Message(_gen_term(rng, names), _gen_term(rng, names), _gen_payload(rng, names)))
+    t = items[-1]
+    for item in reversed(items[:-1]):
+        t = Seq(item, t)
+    return t
+
+
+def _outcome(fn, ctx, t, rank):
+    try:
+        return fn(ctx, t, rank)
+    except (OpenIndexTerm, NonConstantBounds, UnfoldBudgetExceeded) as exc:
+        return type(exc), str(exc)
+
+
+class TestLinearizeAgainstSubstitution:
+    """linearize must give the substitution-based projection's action list,
+    or raise the same error, on every protocol."""
+
+    def test_random_loop_protocols(self):
+        rng = random.Random(7)
+        seen = {"lists": 0, "actions": 0, OpenIndexTerm: 0, NonConstantBounds: 0, UnfoldBudgetExceeded: 0}
+        for _ in range(1500):
+            n = rng.randint(2, 4)
+            ctx = initial_context(n)
+            t = _gen_loop_protocol(rng, (), 3)
+            for rank in range(n):
+                got = _outcome(linearize, ctx, t, rank)
+                assert got == _outcome(reference_oracle.reference_linearize, ctx, t, rank), t
+                if isinstance(got, list):
+                    seen["lists"] += 1
+                    seen["actions"] += len(got)
+                else:
+                    seen[got[0]] += 1
+        assert seen["lists"] >= 3000 and seen["actions"] >= 10000, seen
+        assert min(seen.values()) >= 20, seen
+
+    @pytest.mark.parametrize(
+        "t",
+        [
+            # An inner loop reuses the outer binder: the inner value wins in
+            # its body, the outer one is back after it.
+            Foreach("i", IntLit(1), IntLit(2), Seq(
+                Foreach("i", Var("i"), IntLit(3), Message(IntLit(0), Var("i"), Array(Float(), Var("i")))),
+                Message(IntLit(0), Var("i"), Array(Integer(), Var("i"))),
+            )),
+            # An allreduce binder shadows the loop binder in its continuation
+            # only, where `i` is unbound.
+            Foreach("i", IntLit(1), IntLit(2), Seq(
+                Allreduce(ReduceOp.MIN, "i", Array(Float(), Var("i")), Message(IntLit(0), Var("i"), D)),
+                msg(0, 1),
+            )),
+            # A loop binder named size overrides the context's size; an
+            # allreduce binder named size brings the context's back.
+            Foreach("size", IntLit(1), IntLit(2), Seq(
+                Message(IntLit(0), Var("size"), Array(Float(), Var("size"))),
+                Allreduce(ReduceOp.SUM, "size", Array(Float(), Var("size")),
+                          Message(IntLit(0), BinOp("-", Var("size"), IntLit(1)), Array(Float(), Var("size")))),
+            )),
+            # A refinement's own binder named like the loop binder is not
+            # substituted; the loop binder next to it is.
+            Foreach("i", IntLit(0), BinOp("-", Var("size"), IntLit(1)), Message(
+                IntLit(0), Var("i"),
+                Array(Refined("i", Integer(), Cmp("<", Var("i"), IntLit(4))), Var("i")),
+            )),
+        ],
+        ids=["reused-binder", "allreduce-shadow", "binder-named-size", "refinement-binder"],
+    )
+    def test_scoping_cases(self, t):
+        ctx = initial_context(3)
+        for rank in range(3):
+            got = _outcome(linearize, ctx, t, rank)
+            assert got == _outcome(reference_oracle.reference_linearize, ctx, t, rank)
+
+
+NBODY = Path(protomerge.__file__).parent / "programs" / "nbody.proc"
+
+
+def test_simulate_compares_each_pair_of_payload_values_once(monkeypatch):
+    n = 8
+    ctx = initial_context(n)
+    program = parse_process(NBODY.read_text(encoding="utf-8"))
+    locals_ = [cap_loops(ctx, extract_local_type(ctx, program, r, n), 2) for r in range(n)]
+    lists = [linearize(ctx, t, r) for r, t in enumerate(locals_)]
+    calls = []
+    real = protomerge.oracle.dtype_equiv
+
+    def counting(ctx, d1, d2):
+        calls.append((d1, d2))
+        return real(ctx, d1, d2)
+
+    monkeypatch.setattr(protomerge.oracle, "dtype_equiv", counting)
+    result = simulate(lists, n, ctx=ctx)
+    assert isinstance(result, Completed) and len(result.trace) == 2 * (2 * n + 1)
+    block = Array(Float(), BinOp("*", BinOp("/", IntLit(1000000), Var("size")), IntLit(4)))
+    assert sorted(calls, key=repr) == sorted([(block, block), (D, D)], key=repr)
