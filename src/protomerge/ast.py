@@ -1,8 +1,10 @@
 """Core value language: index terms, propositions, datatypes, protocol types,
 processes, typing contexts, and the diagnostics they produce.
 
-Everything here is an immutable tree. Structural equality is the equality used
-throughout (goldens compare entire trees), so all nodes are frozen dataclasses.
+Everything here is an immutable tree. The nodes of index terms, propositions,
+datatypes, protocol types and processes are hash-consed: building a node looks
+its class and fields up in one table, so structurally equal nodes are one
+object, and == and hash are identity, O(1) at any depth.
 """
 
 from __future__ import annotations
@@ -25,24 +27,67 @@ class UnboundVariable(ProtomergeError):
 
 
 # ---------------------------------------------------------------------------
+# Hash-consing (Filliatre & Conchon, "Type-safe modular hash-consing", 2006)
+
+# Every node built, keyed by (class, *fields). Its fields are strings, ints,
+# enum members and nodes that are already interned, so a key hashes and
+# compares in time independent of the node's depth. It lives as long as the
+# process.
+_TABLE: dict[tuple, "_Node"] = {}
+
+
+class _Node:
+    """Base of the interned node classes. Each is a frozen slots dataclass
+    with eq=False and init=False over this class, built positionally."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args):
+        key = (cls, *args)
+        node = _TABLE.get(key)
+        if node is None:
+            names = cls.__slots__
+            if len(args) != len(names):
+                raise TypeError(f"{cls.__name__} takes {len(names)} positional arguments, got {len(args)}")
+            node = object.__new__(cls)
+            for name, value in zip(names, args):
+                object.__setattr__(node, name, value)
+            if hasattr(node, "__post_init__"):
+                node.__post_init__()
+            _TABLE[key] = node
+        return node
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the table.
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+# ---------------------------------------------------------------------------
 # Index terms
 
 
-@dataclass(frozen=True, slots=True)
-class IntLit:
+@dataclass(frozen=True, slots=True, eq=False, init=False)
+class IntLit(_Node):
     value: int
 
+    def __new__(cls, value):
+        # True == 1 and hash(True) == hash(1): a bool would find an int's
+        # entry in the table, or leave one that prints as True.
+        if type(value) is not int:
+            raise TypeError(f"IntLit value must be an int, not {type(value).__name__}")
+        return _Node.__new__(cls, value)
 
-@dataclass(frozen=True, slots=True)
-class Var:
+
+@dataclass(frozen=True, slots=True, eq=False, init=False)
+class Var(_Node):
     name: str
 
 
 BINOPS = ("+", "-", "*", "/")
 
 
-@dataclass(frozen=True, slots=True)
-class BinOp:
+@dataclass(frozen=True, slots=True, eq=False, init=False)
+class BinOp(_Node):
     op: str
     left: "IndexTerm"
     right: "IndexTerm"
@@ -52,8 +97,8 @@ class BinOp:
             raise ValueError(f"unknown index operator {self.op!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class Cond:
+@dataclass(frozen=True, slots=True, eq=False, init=False)
+class Cond(_Node):
     """Conditional index term: ``test ? then : orelse``."""
 
     test: "Proposition"
@@ -68,16 +113,16 @@ IndexTerm = Union[IntLit, Var, BinOp, Cond]
 # Propositions
 
 
-@dataclass(frozen=True, slots=True)
-class TrueProp:
+@dataclass(frozen=True, slots=True, eq=False, init=False)
+class TrueProp(_Node):
     pass
 
 
 CMPOPS = ("=", "!=", "<", "<=", ">", ">=")
 
 
-@dataclass(frozen=True, slots=True)
-class Cmp:
+@dataclass(frozen=True, slots=True, eq=False, init=False)
+class Cmp(_Node):
     op: str
     left: IndexTerm
     right: IndexTerm
@@ -87,20 +132,20 @@ class Cmp:
             raise ValueError(f"unknown comparison {self.op!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class And:
+@dataclass(frozen=True, slots=True, eq=False, init=False)
+class And(_Node):
     left: "Proposition"
     right: "Proposition"
 
 
-@dataclass(frozen=True, slots=True)
-class Or:
+@dataclass(frozen=True, slots=True, eq=False, init=False)
+class Or(_Node):
     left: "Proposition"
     right: "Proposition"
 
 
-@dataclass(frozen=True, slots=True)
-class Not:
+@dataclass(frozen=True, slots=True, eq=False, init=False)
+class Not(_Node):
     prop: "Proposition"
 
 
@@ -111,24 +156,24 @@ Proposition = Union[TrueProp, Cmp, And, Or, Not]
 # Datatypes
 
 
-@dataclass(frozen=True, slots=True)
-class Integer:
+@dataclass(frozen=True, slots=True, eq=False, init=False)
+class Integer(_Node):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class Float:
+@dataclass(frozen=True, slots=True, eq=False, init=False)
+class Float(_Node):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class Array:
+@dataclass(frozen=True, slots=True, eq=False, init=False)
+class Array(_Node):
     elem: "Datatype"
     length: IndexTerm
 
 
-@dataclass(frozen=True, slots=True)
-class Refined:
+@dataclass(frozen=True, slots=True, eq=False, init=False)
+class Refined(_Node):
     """Refinement type ``{binder : base | pred}``; base is Integer or Float."""
 
     binder: str
@@ -150,13 +195,13 @@ class ReduceOp(enum.Enum):
 # Protocol types
 
 
-@dataclass(frozen=True, slots=True)
-class Skip:
+@dataclass(frozen=True, slots=True, eq=False, init=False)
+class Skip(_Node):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class Message:
+@dataclass(frozen=True, slots=True, eq=False, init=False)
+class Message(_Node):
     src: IndexTerm
     dst: IndexTerm
     payload: Datatype
@@ -167,24 +212,24 @@ class Message:
 FRESH_BINDER = "_"
 
 
-@dataclass(frozen=True, slots=True)
-class Allreduce:
+@dataclass(frozen=True, slots=True, eq=False, init=False)
+class Allreduce(_Node):
     op: ReduceOp
     binder: str
     payload: Datatype
     cont: "ProtocolType"
 
 
-@dataclass(frozen=True, slots=True)
-class Foreach:
+@dataclass(frozen=True, slots=True, eq=False, init=False)
+class Foreach(_Node):
     binder: str
     lo: IndexTerm
     hi: IndexTerm
     body: "ProtocolType"
 
 
-@dataclass(frozen=True, slots=True)
-class Seq:
+@dataclass(frozen=True, slots=True, eq=False, init=False)
+class Seq(_Node):
     first: "ProtocolType"
     second: "ProtocolType"
 
@@ -196,46 +241,46 @@ ProtocolType = Union[Skip, Message, Allreduce, Foreach, Seq]
 # Processes (the per-rank input DSL)
 
 
-@dataclass(frozen=True, slots=True)
-class PSkip:
+@dataclass(frozen=True, slots=True, eq=False, init=False)
+class PSkip(_Node):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class Send:
+@dataclass(frozen=True, slots=True, eq=False, init=False)
+class Send(_Node):
     to: IndexTerm
     payload: Datatype
 
 
-@dataclass(frozen=True, slots=True)
-class Recv:
+@dataclass(frozen=True, slots=True, eq=False, init=False)
+class Recv(_Node):
     src: IndexTerm
     payload: Datatype
 
 
-@dataclass(frozen=True, slots=True)
-class AllreduceStmt:
+@dataclass(frozen=True, slots=True, eq=False, init=False)
+class AllreduceStmt(_Node):
     op: ReduceOp
     payload: Datatype
 
 
-@dataclass(frozen=True, slots=True)
-class For:
+@dataclass(frozen=True, slots=True, eq=False, init=False)
+class For(_Node):
     binder: str
     lo: IndexTerm
     hi: IndexTerm
     body: "Process"
 
 
-@dataclass(frozen=True, slots=True)
-class If:
+@dataclass(frozen=True, slots=True, eq=False, init=False)
+class If(_Node):
     test: Proposition
     then: "Process"
     orelse: "Process"
 
 
-@dataclass(frozen=True, slots=True)
-class PSeq:
+@dataclass(frozen=True, slots=True, eq=False, init=False)
+class PSeq(_Node):
     first: "Process"
     second: "Process"
 

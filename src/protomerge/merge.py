@@ -279,12 +279,12 @@ class _Engine:
     def __init__(self, k: int, enum_cap: int):
         self.enum_cap = enum_cap
         self.k_term = IntLit(k)
-        # The tables below key a context, and a side, by its id. Every
-        # context the engine sees outlives it (the caller's, and those it
-        # interns in `extensions`), as do both sides (`_RANK`, `k_term`), so
-        # an id names one of them for the engine's life.
+        # The tables below key a context by its id. Every context the
+        # engine sees outlives it (the caller's, and those it interns in
+        # `extensions`), so an id names one of them for the engine's life.
+        # Types and index terms are interned, so they key by identity.
         self.memo: dict = {}
-        # (id(context), id(side), src, dst) -> (verdict, proposition)
+        # (id(context), side, src, dst) -> (verdict, proposition)
         self.avoids: dict = {}
         # (id(context), name, datatype) -> the extended context
         self.extensions: dict = {}
@@ -372,7 +372,7 @@ class _Engine:
     def _avoids(self, ctx: TypingContext, m: Message, side: IndexTerm):
         """(verdict, proposition) of "m's endpoints both differ from side",
         asked of entails once per context, endpoints and side."""
-        key = (id(ctx), id(side), m.src, m.dst)
+        key = (id(ctx), side, m.src, m.dst)
         fact = self.avoids.get(key)
         if fact is None:
             p = _both_endpoints_differ(m, side)

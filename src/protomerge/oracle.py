@@ -172,13 +172,13 @@ def _set(mapping: dict[str, int], name: str, value: int | None) -> None:
         mapping[name] = value
 
 
-def _instance(payload: Datatype, live: dict[str, int], free: dict[int, frozenset[str]]) -> Datatype:
+def _instance(payload: Datatype, live: dict[str, int], free: dict[Datatype, frozenset[str]]) -> Datatype:
     """payload with the live loop binders it mentions replaced by their
-    values; payload itself when it mentions none. free caches each payload
-    object's free variables by id."""
-    names = free.get(id(payload))
+    values; payload itself when it mentions none. free caches each
+    payload's free variables."""
+    names = free.get(payload)
     if names is None:
-        names = free[id(payload)] = datatype_vars(payload)
+        names = free[payload] = datatype_vars(payload)
     if names.isdisjoint(live):
         return payload
     return subst_datatype(payload, {x: IntLit(live[x]) for x in names if x in live})
@@ -202,7 +202,7 @@ def linearize(ctx: TypingContext, t: ProtocolType, self_rank: int) -> list[Actio
     # Both change only where a loop iteration starts or a scope ends.
     env = singleton_env(ctx)
     live: dict[str, int] = {}
-    free: dict[int, frozenset[str]] = {}
+    free: dict[Datatype, frozenset[str]] = {}
     actions: list[Action] = []
     unfolded = 0
     # Nodes still to walk, last one first; a _Loop entry stands for the
@@ -319,8 +319,7 @@ def simulate(
     operator disagreement; such a block never clears. Otherwise returns
     Deadlocked with every rank's pending action. Costs O(total actions)
     plus the payload comparisons: dtype_equiv runs once per distinct pair
-    of payload values, and a pair of payload objects is hashed by value
-    only the first time it is compared.
+    of payloads.
     """
     if len(actions) != n:
         raise ValueError(f"expected {n} action lists, got {len(actions)}")
@@ -330,22 +329,14 @@ def simulate(
     pos = [0] * n
     trace: list[SimEvent] = []
 
-    # Payload comparisons are memoized by value, so dtype_equiv runs once
-    # per pair of distinct values, and in front of that by object identity,
-    # so a pair of payload objects met again is not hashed again: payloads
-    # a loop shares across iterations are one object. The action lists keep
-    # every payload alive for the whole run, so no id is reused.
-    equiv_by_id: dict[tuple[int, int], bool] = {}
+    # Payloads are interned, so this memo hashes and compares them by
+    # identity, and dtype_equiv runs once per pair of distinct values.
     equiv_cache: dict[tuple[Datatype, Datatype], bool] = {}
 
     def payload_eq(d1: Datatype, d2: Datatype) -> bool:
-        ids = (id(d1), id(d2))
-        eq = equiv_by_id.get(ids)
+        eq = equiv_cache.get((d1, d2))
         if eq is None:
-            eq = equiv_cache.get((d1, d2))
-            if eq is None:
-                eq = equiv_cache[d1, d2] = dtype_equiv(ctx, d1, d2)
-            equiv_by_id[ids] = eq
+            eq = equiv_cache[d1, d2] = dtype_equiv(ctx, d1, d2)
         return eq
 
     def head(rank: int) -> Action | None:

@@ -92,8 +92,9 @@ _TOKEN_RE = re.compile(
       | (?P<int>\d+)
       | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
       | (?P<op>\.\.|==|!=|<=|>=|[+\-*/=<>{}\[\]():;|?])
+      | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 KEYWORDS = frozenset(
@@ -107,39 +108,33 @@ _REDUCE_OPS = {"min": ReduceOp.MIN, "max": ReduceOp.MAX, "sum": ReduceOp.SUM, "p
 # ambient world size and the executing rank.
 RESERVED_BINDERS = frozenset({"rank", "size"})
 
+# (kind, text, offset): kind is "int", "ident", "keyword", "op" or "eof", and
+# offset is where the token starts in the source.
+_Token = tuple[str, str, int]
 
-@dataclass(frozen=True, slots=True)
-class _Token:
-    kind: str  # "int" | "ident" | "keyword" | "op" | "eof"
-    text: str
-    span: SourceSpan
+
+def _span(text: str, filename: str, offset: int) -> SourceSpan:
+    """The line and column, both from 1, of offset in text."""
+    return SourceSpan(filename, text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset))
 
 
 def _lex(text: str, filename: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", SourceSpan(filename, line, col))
-        span = SourceSpan(filename, line, col)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
+        if kind == "ws" or kind == "comment":
+            continue
         tok = m.group()
-        if kind == "int":
-            tokens.append(_Token("int", tok, span))
-        elif kind == "ident":
-            tokens.append(_Token("keyword" if tok in KEYWORDS else "ident", tok, span))
+        if kind == "ident":
+            if tok in KEYWORDS:
+                kind = "keyword"
         elif kind == "op":
-            tokens.append(_Token("op", "=" if tok == "==" else tok, span))
-        # ws / comment: skipped
-        nl = tok.count("\n")
-        if nl:
-            line += nl
-            col = len(tok) - tok.rfind("\n")
-        else:
-            col += len(tok)
-        pos = m.end()
-    tokens.append(_Token("eof", "", SourceSpan(filename, line, col)))
+            if tok == "==":
+                tok = "="
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {tok!r}", _span(text, filename, m.start()))
+        tokens.append((kind, tok, m.start()))
+    tokens.append(("eof", "", len(text)))
     return tokens
 
 
@@ -151,6 +146,8 @@ _CMP_OPS = {"=", "!=", "<", "<=", ">", ">="}
 
 class _Parser:
     def __init__(self, text: str, filename: str):
+        self.text = text
+        self.filename = filename
         self.tokens = _lex(text, filename)
         self.pos = 0
 
@@ -159,42 +156,50 @@ class _Parser:
     def peek(self) -> _Token:
         return self.tokens[self.pos]
 
+    def offset(self) -> int:
+        """Where the next token starts."""
+        return self.tokens[self.pos][2]
+
     def advance(self) -> _Token:
         tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+        if tok[0] != "eof":
             self.pos += 1
         return tok
 
     def at(self, kind: str, text: str | None = None) -> bool:
-        tok = self.peek()
-        return tok.kind == kind and (text is None or tok.text == text)
+        tok = self.tokens[self.pos]
+        return tok[0] == kind and (text is None or tok[1] == text)
+
+    def fail(self, message: str, offset: int | None = None) -> ParseError:
+        """A ParseError at offset, or at the next token."""
+        if offset is None:
+            offset = self.offset()
+        return ParseError(message, _span(self.text, self.filename, offset))
+
+    def unexpected(self, want: str) -> ParseError:
+        kind, text, offset = self.peek()
+        return self.fail(f"expected {want}, found {text or kind!r}", offset)
 
     def expect(self, kind: str, text: str | None = None) -> _Token:
-        tok = self.peek()
         if not self.at(kind, text):
-            want = text if text is not None else kind
-            raise ParseError(f"expected {want!r}, found {tok.text or tok.kind!r}", tok.span)
+            raise self.unexpected(repr(text if text is not None else kind))
         return self.advance()
 
-    def fail(self, message: str) -> ParseError:
-        return ParseError(message, self.peek().span)
-
     def expect_eof(self) -> None:
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise ParseError(f"trailing input starting at {tok.text!r}", tok.span)
+        kind, text, offset = self.peek()
+        if kind != "eof":
+            raise self.fail(f"trailing input starting at {text!r}", offset)
 
     def ident(self, what: str = "identifier") -> str:
-        tok = self.peek()
-        if tok.kind != "ident":
-            raise ParseError(f"expected {what}, found {tok.text or tok.kind!r}", tok.span)
-        return self.advance().text
+        if not self.at("ident"):
+            raise self.unexpected(what)
+        return self.advance()[1]
 
     def binder(self, what: str) -> str:
-        tok = self.peek()
+        offset = self.offset()
         name = self.ident(what)
         if name in RESERVED_BINDERS:
-            raise ParseError(f"{name!r} is reserved and cannot be bound", tok.span)
+            raise self.fail(f"{name!r} is reserved and cannot be bound", offset)
         return name
 
     # -- expressions (index terms and propositions share one grammar level)
@@ -202,9 +207,8 @@ class _Parser:
     def expr(self) -> IndexTerm | Proposition:
         node = self.or_level()
         if self.at("op", "?"):
-            span = self.peek().span
-            self.advance()
-            test = self.as_prop(node, span)
+            offset = self.advance()[2]
+            test = self.as_prop(node, offset)
             then = self.index_expr()
             self.expect("op", ":")
             orelse = self.index_expr()
@@ -212,128 +216,125 @@ class _Parser:
         return node
 
     def index_expr(self) -> IndexTerm:
-        span = self.peek().span
-        return self.as_index(self.expr(), span)
+        offset = self.offset()
+        return self.as_index(self.expr(), offset)
 
     def prop_expr(self) -> Proposition:
-        span = self.peek().span
-        return self.as_prop(self.expr(), span)
+        offset = self.offset()
+        return self.as_prop(self.expr(), offset)
 
-    def as_index(self, node: IndexTerm | Proposition, span: SourceSpan) -> IndexTerm:
+    def as_index(self, node: IndexTerm | Proposition, offset: int) -> IndexTerm:
         if isinstance(node, (IntLit, Var, BinOp, Cond)):
             return node
-        raise ParseError("expected an index term, found a proposition", span)
+        raise self.fail("expected an index term, found a proposition", offset)
 
-    def as_prop(self, node: IndexTerm | Proposition, span: SourceSpan) -> Proposition:
+    def as_prop(self, node: IndexTerm | Proposition, offset: int) -> Proposition:
         if isinstance(node, (TrueProp, Cmp, And, Or, Not)):
             return node
-        raise ParseError("expected a proposition, found an index term", span)
+        raise self.fail("expected a proposition, found an index term", offset)
 
     def or_level(self) -> IndexTerm | Proposition:
-        span = self.peek().span
+        offset = self.offset()
         node = self.and_level()
         while self.at("keyword", "or"):
             self.advance()
             rhs = self.and_level()
-            node = Or(self.as_prop(node, span), self.as_prop(rhs, span))
+            node = Or(self.as_prop(node, offset), self.as_prop(rhs, offset))
         return node
 
     def and_level(self) -> IndexTerm | Proposition:
-        span = self.peek().span
+        offset = self.offset()
         node = self.not_level()
         while self.at("keyword", "and"):
             self.advance()
             rhs = self.not_level()
-            node = And(self.as_prop(node, span), self.as_prop(rhs, span))
+            node = And(self.as_prop(node, offset), self.as_prop(rhs, offset))
         return node
 
     def not_level(self) -> IndexTerm | Proposition:
         if self.at("keyword", "not"):
-            span = self.advance().span
-            return Not(self.as_prop(self.not_level(), span))
+            offset = self.advance()[2]
+            return Not(self.as_prop(self.not_level(), offset))
         return self.cmp_level()
 
     def cmp_level(self) -> IndexTerm | Proposition:
-        span = self.peek().span
+        offset = self.offset()
         node = self.add_level()
-        if not (self.at("op") and self.peek().text in _CMP_OPS):
+        if not (self.at("op") and self.peek()[1] in _CMP_OPS):
             return node
         # Comparison chains (a <= b <= c) desugar to a conjunction.
         prop: Proposition | None = None
-        left = self.as_index(node, span)
-        while self.at("op") and self.peek().text in _CMP_OPS:
-            op = self.advance().text
-            right = self.as_index(self.add_level(), span)
+        left = self.as_index(node, offset)
+        while self.at("op") and self.peek()[1] in _CMP_OPS:
+            op = self.advance()[1]
+            right = self.as_index(self.add_level(), offset)
             link = Cmp(op, left, right)
             prop = link if prop is None else And(prop, link)
             left = right
         return prop
 
     def add_level(self) -> IndexTerm | Proposition:
-        span = self.peek().span
+        offset = self.offset()
         node = self.mul_level()
-        while self.at("op") and self.peek().text in ("+", "-"):
-            op = self.advance().text
-            rhs = self.as_index(self.mul_level(), span)
-            node = BinOp(op, self.as_index(node, span), rhs)
+        while self.at("op") and self.peek()[1] in ("+", "-"):
+            op = self.advance()[1]
+            rhs = self.as_index(self.mul_level(), offset)
+            node = BinOp(op, self.as_index(node, offset), rhs)
         return node
 
     def mul_level(self) -> IndexTerm | Proposition:
-        span = self.peek().span
+        offset = self.offset()
         node = self.atom()
-        while self.at("op") and self.peek().text in ("*", "/"):
-            op = self.advance().text
-            rhs = self.as_index(self.atom(), span)
-            node = BinOp(op, self.as_index(node, span), rhs)
+        while self.at("op") and self.peek()[1] in ("*", "/"):
+            op = self.advance()[1]
+            rhs = self.as_index(self.atom(), offset)
+            node = BinOp(op, self.as_index(node, offset), rhs)
         return node
 
     def atom(self) -> IndexTerm | Proposition:
-        tok = self.peek()
-        if tok.kind == "int":
+        kind, text, _ = self.peek()
+        if kind == "int":
             self.advance()
-            return IntLit(int(tok.text))
-        if tok.kind == "op" and tok.text == "-":
+            return IntLit(int(text))
+        if kind == "op" and text == "-":
             self.advance()
-            lit = self.expect("int")
-            return IntLit(-int(lit.text))
-        if tok.kind == "ident":
+            return IntLit(-int(self.expect("int")[1]))
+        if kind == "ident":
             self.advance()
-            return Var(tok.text)
-        if tok.kind == "keyword" and tok.text == "true":
+            return Var(text)
+        if kind == "keyword" and text == "true":
             self.advance()
             return TrueProp()
-        if tok.kind == "op" and tok.text == "(":
+        if kind == "op" and text == "(":
             self.advance()
             node = self.expr()
             self.expect("op", ")")
             return node
-        raise ParseError(f"expected an expression, found {tok.text or tok.kind!r}", tok.span)
+        raise self.unexpected("an expression")
 
     # Message endpoints and loop bounds: a bare literal or name, or any
     # parenthesized expression.
     def endpoint(self) -> IndexTerm:
-        tok = self.peek()
-        if tok.kind == "int":
+        kind, text, _ = self.peek()
+        if kind == "int":
             self.advance()
-            return IntLit(int(tok.text))
-        if tok.kind == "op" and tok.text == "-":
+            return IntLit(int(text))
+        if kind == "op" and text == "-":
             self.advance()
-            lit = self.expect("int")
-            return IntLit(-int(lit.text))
-        if tok.kind == "ident":
+            return IntLit(-int(self.expect("int")[1]))
+        if kind == "ident":
             self.advance()
-            return Var(tok.text)
-        if tok.kind == "op" and tok.text == "(":
+            return Var(text)
+        if kind == "op" and text == "(":
             self.advance()
             node = self.index_expr()
             self.expect("op", ")")
             return node
-        raise ParseError(f"expected a rank expression, found {tok.text or tok.kind!r}", tok.span)
+        raise self.unexpected("a rank expression")
 
     # -- datatypes
 
     def datatype(self) -> Datatype:
-        tok = self.peek()
         if self.at("keyword", "integer"):
             self.advance()
             d: Datatype = Integer()
@@ -356,7 +357,7 @@ class _Parser:
             self.expect("op", "}")
             d = Refined(binder, base, pred)
         else:
-            raise ParseError(f"expected a datatype, found {tok.text or tok.kind!r}", tok.span)
+            raise self.unexpected("a datatype")
         while self.at("op", "["):
             self.advance()
             length = self.index_expr()
@@ -365,11 +366,11 @@ class _Parser:
         return d
 
     def reduce_op(self) -> ReduceOp:
-        tok = self.peek()
-        if tok.kind == "keyword" and tok.text in _REDUCE_OPS:
+        kind, text, _ = self.peek()
+        if kind == "keyword" and text in _REDUCE_OPS:
             self.advance()
-            return _REDUCE_OPS[tok.text]
-        raise ParseError(f"expected a reduction op (min/max/sum/prod), found {tok.text or tok.kind!r}", tok.span)
+            return _REDUCE_OPS[text]
+        raise self.unexpected("a reduction op (min/max/sum/prod)")
 
     # -- protocol types
 
@@ -381,7 +382,6 @@ class _Parser:
         return build_seq(items)
 
     def protocol_item(self) -> ProtocolType:
-        tok = self.peek()
         if self.at("keyword", "skip"):
             self.advance()
             return Skip()
@@ -394,7 +394,7 @@ class _Parser:
         if self.at("keyword", "allreduce"):
             self.advance()
             op = self.reduce_op()
-            if self.peek().kind == "ident":
+            if self.at("ident"):
                 binder = self.binder("allreduce binder")
                 self.expect("op", ":")
                 payload = self.datatype()
@@ -415,7 +415,7 @@ class _Parser:
             body = self.protocol()
             self.expect("op", "}")
             return Foreach(binder, lo, hi, body)
-        raise ParseError(f"expected a protocol form, found {tok.text or tok.kind!r}", tok.span)
+        raise self.unexpected("a protocol form")
 
     # -- processes
 
@@ -430,7 +430,6 @@ class _Parser:
         return node
 
     def process_item(self) -> Process:
-        tok = self.peek()
         if self.at("keyword", "skip"):
             self.advance()
             return PSkip()
@@ -473,7 +472,7 @@ class _Parser:
             orelse = self.process()
             self.expect("op", "}")
             return If(test, then, orelse)
-        raise ParseError(f"expected a process statement, found {tok.text or tok.kind!r}", tok.span)
+        raise self.unexpected("a process statement")
 
 
 def parse_protocol(text: str, filename: str = "<string>") -> ProtocolType:

@@ -1,7 +1,13 @@
-"""Core AST behaviour: evaluation, substitution, contexts, diagnostics."""
+"""Core AST behaviour: interning, evaluation, substitution, contexts,
+diagnostics."""
+
+import copy
+import pickle
+from pathlib import Path
 
 import pytest
 
+import protomerge
 from protomerge import (
     And,
     Array,
@@ -18,24 +24,108 @@ from protomerge import (
     Message,
     Not,
     Or,
+    PSkip,
     Refined,
     RuleAttempt,
     TrueProp,
     TypingContext,
     UnboundVariable,
     Var,
+    cap_loops,
+    compact_protocol,
     datatype_vars,
     eval_index,
     eval_prop,
+    extract_local_type,
     index_vars,
+    initial_context,
     is_closed,
+    linearize,
+    merge_all,
+    parse_process,
+    parse_protocol,
+    print_index,
     prop_vars,
+    simulate,
     subst_index,
     subst_prop,
     subst_type,
     trunc_div,
 )
+from protomerge import ast
 from protomerge.ast import Seq, Skip, build_seq, concat, map_spine, spine
+
+
+class TestInterning:
+    def test_structurally_equal_trees_are_one_object(self):
+        s = "message 0 1 {x: integer | x >= 0}[4]; foreach i: 0..size - 1 { message i 0 float }"
+        assert parse_protocol(s) is parse_protocol(s)
+        assert Skip() is Skip()
+        assert BinOp("+", Var("i"), IntLit(1)) is BinOp("+", Var("i"), IntLit(1))
+
+    def test_classes_with_the_same_fields_stay_apart(self):
+        assert Skip() is not PSkip()
+        assert Skip() != PSkip()
+        assert And(TrueProp(), TrueProp()) != Or(TrueProp(), TrueProp())
+
+    def test_bad_operator_raises_on_every_build(self):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="unknown index operator"):
+                BinOp("%", IntLit(1), IntLit(2))
+            with pytest.raises(ValueError, match="unknown comparison"):
+                Cmp("~", IntLit(1), IntLit(2))
+
+    @pytest.mark.parametrize("int_first", [True, False])
+    def test_bool_is_not_an_int_literal(self, int_first):
+        # True == 1 and hash(True) == hash(1), so a bool must not reach the
+        # table, in either order of building.
+        if int_first:
+            assert IntLit(1).value == 1
+        with pytest.raises(TypeError):
+            IntLit(True)
+        with pytest.raises(TypeError):
+            IntLit(1.0)
+        assert type(IntLit(1).value) is int
+        assert print_index(IntLit(1)) == "1"
+        assert compact_protocol(parse_protocol("message 0 1 float")) == "message 0 1 float"
+
+    def test_construction_is_positional_with_every_field(self):
+        with pytest.raises(TypeError):
+            Message(IntLit(0), IntLit(1))
+        with pytest.raises(TypeError):
+            Var(name="x")
+
+    def test_copy_and_pickle_give_back_the_interned_node(self):
+        t = parse_protocol("foreach i: 1..3 { message 0 i {v: float | v > 0} }")
+        assert copy.copy(t) is t
+        assert copy.deepcopy(t) is t
+        assert pickle.loads(pickle.dumps(t)) is t
+
+    def test_second_pass_over_the_same_inputs_adds_no_entries(self):
+        source = (Path(protomerge.__file__).parent / "programs" / "nbody.proc").read_text()
+
+        def run_once():
+            n = 4
+            program = parse_process(source)
+            ctx = initial_context(n)
+            types = [(r, extract_local_type(ctx, program, r, n)) for r in range(n)]
+            merge_all(n, types)
+            simulate([linearize(ctx, cap_loops(ctx, t, 2), r) for r, t in types], n, ctx)
+
+        run_once()
+        before = len(ast._TABLE)
+        run_once()
+        assert len(ast._TABLE) == before
+
+    def test_long_chains_compare_and_hash_without_recursion(self):
+        # Two chains built apart, far deeper than the interpreter's stack.
+        def chain():
+            return build_seq([Message(IntLit(i % 3), IntLit((i + 1) % 3), Float()) for i in range(10**5)])
+
+        left, right = chain(), chain()
+        assert left == right
+        assert hash(left) == hash(right)
+        assert {left: "found"}[right] == "found"
 
 
 class TestTruncDiv:

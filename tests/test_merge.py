@@ -73,8 +73,8 @@ class TestNormalizeSeq:
         assert normalize_seq(once) == once
 
     def test_long_chains_nested_either_way(self):
-        # Far deeper than the interpreter's stack. Checked by text and
-        # shape: == and hash on such a chain still recurse.
+        # Far deeper than the interpreter's stack; == and hash are identity
+        # on interned nodes, so they cost no depth.
         items = [msg(i % 3, (i + 1) % 3) for i in range(10**4)]
         right = left = Skip()
         for item in reversed(items):
@@ -90,6 +90,8 @@ class TestNormalizeSeq:
                 assert isinstance(node.first, Message)
                 node, links = node.second, links + 1
             assert links == len(items) - 1
+        assert normalize_seq(left) == normalize_seq(right)
+        assert hash(normalize_seq(left)) == hash(normalize_seq(right))
 
 
 class TestUnfoldForeach:
