@@ -32,7 +32,9 @@ NBODY_N3 = """foreach iter: 1..5000000 {{
 BLOCK = "float[1000000 / size * 4]"
 
 # Protocol files the cases read. Merge: the first step of a three-rank ring,
-# and a step whose payloads differ. Simulate: nbody's extracted local types
+# a step whose payloads differ, a right head that must go first, skip against
+# a sequence on either side, and a right exchange the left type deadlocks
+# against. Simulate: nbody's extracted local types
 # at n=3, the symmetric ring's (every rank sends first), a payload clash,
 # and a loop whose binder reaches the payload.
 INPUTS = {
@@ -40,6 +42,10 @@ INPUTS = {
     "ring-right.ptype": "message 0 1 float;\nmessage 1 2 float\n",
     "clash-left.ptype": "message 0 1 float;\nmessage 2 0 float\n",
     "clash-right.ptype": "message 0 1 integer;\nmessage 1 2 float\n",
+    "relay-right.ptype": "message 1 2 float;\nmessage 0 1 float\n",
+    "skip.ptype": "skip\n",
+    "pair-right.ptype": "message 1 2 float;\nmessage 2 1 float\n",
+    "pair-left.ptype": "message 0 2 float;\nmessage 2 0 float\n",
     "nbody-r0.ptype": NBODY_N3.format(first=f"message 0 1 {BLOCK}", second=f"message 2 0 {BLOCK}"),
     "nbody-r1.ptype": NBODY_N3.format(first=f"message 0 1 {BLOCK}", second=f"message 1 2 {BLOCK}"),
     "nbody-r2.ptype": NBODY_N3.format(first=f"message 1 2 {BLOCK}", second=f"message 2 0 {BLOCK}"),
@@ -62,11 +68,16 @@ def _cases() -> dict[str, list[tuple[str, ...]]]:
         for size in (2, 3, 4):
             argv = ("infer", f"{program}.proc", "--size", str(size))
             cases[f"infer-{program}-n{size}.txt"] = [argv + ("--trace",), argv + ("--json",)]
+    pairs = (
+        ("ring-left.ptype", "ring-right.ptype"),
+        ("clash-left.ptype", "clash-right.ptype"),
+        ("ring-left.ptype", "relay-right.ptype"),
+        ("skip.ptype", "pair-right.ptype"),
+        ("pair-left.ptype", "skip.ptype"),
+        ("ring-left.ptype", "pair-right.ptype"),
+    )
     cases["merge.txt"] = [
-        ("merge", "ring-left.ptype", "ring-right.ptype", *MERGE_FLAGS, "--trace"),
-        ("merge", "ring-left.ptype", "ring-right.ptype", *MERGE_FLAGS, "--json"),
-        ("merge", "clash-left.ptype", "clash-right.ptype", *MERGE_FLAGS, "--trace"),
-        ("merge", "clash-left.ptype", "clash-right.ptype", *MERGE_FLAGS, "--json"),
+        ("merge", left, right, *MERGE_FLAGS, flag) for left, right in pairs for flag in ("--trace", "--json")
     ]
     nbody = ("nbody-r0.ptype", "nbody-r1.ptype", "nbody-r2.ptype", "--size", "3", "--unroll", "3")
     ring = ("sring-r0.ptype", "sring-r1.ptype", "sring-r2.ptype", "--size", "3")
