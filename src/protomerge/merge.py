@@ -12,7 +12,6 @@ every applicable rule's premise broke.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterable, Sequence
 
 from .ast import (
@@ -191,13 +190,6 @@ class _Refused:
         return f if isinstance(f, str) else f"{f.name}: {f.formula} is {f.verdict}"
 
 
-_MISS = object()
-
-
-def _both_endpoints_differ(m: Message, t: IndexTerm) -> Proposition:
-    return And(Cmp("!=", m.src, t), Cmp("!=", m.dst, t))
-
-
 # Message premises: name -> (the operand whose message it judges, the side
 # it judges it against, the verdict it wants of "the message avoids that
 # side"). Skip-likeness of the left operand is judged against the merged
@@ -216,26 +208,6 @@ _AVOIDS = {
 # indistinguishable to every rank involved.
 _NON_INTERFERENCE = ("left-real", "left-avoids-k", "right-real", "right-avoids-merged")
 
-# The rules on two single operands, each a message or skip, that check
-# message premises only: name -> (left shape, right shape, premises in the
-# order checked, conclusion from the operands).
-_MESSAGE_RULES = {
-    "skip-skip": (Skip, Skip, (), lambda l, r: Skip()),
-    "skip-msgS": (Skip, Message, ("right-skip-like",), lambda l, r: Skip()),
-    "msgS-skip": (Message, Skip, ("left-skip-like",), lambda l, r: Skip()),
-    "msgS-msgS": (Message, Message, ("left-skip-like", "right-skip-like"), lambda l, r: Skip()),
-    "msg-skip": (Message, Skip, ("left-real", "left-avoids-k"), lambda l, r: l),
-    "skip-msg": (Skip, Message, ("right-avoids-merged", "right-real"), lambda l, r: r),
-    "msg-msgS": (
-        Message, Message, ("left-real", "left-avoids-k", "right-skip-like"), lambda l, r: l
-    ),
-    "msgS-msg": (
-        Message, Message, ("left-skip-like", "right-real", "right-avoids-merged"), lambda l, r: r
-    ),
-    "msg-msg-right": (Message, Message, _NON_INTERFERENCE, lambda l, r: Seq(r, l)),
-    "msg-msg-left": (Message, Message, _NON_INTERFERENCE, lambda l, r: Seq(l, r)),
-}
-
 
 def _seq_parts(t: ProtocolType) -> tuple[ProtocolType, ProtocolType]:
     if isinstance(t, Seq):
@@ -251,28 +223,155 @@ def _fresh(base: str, avoid: Iterable[str]) -> str:
     return name
 
 
-# The rules in the order the engine tries them. A rule of `_MESSAGE_RULES`
-# runs as `_message_rule`; any other rule `a-b` is method `_rule_a_b`.
-RULE_NAMES = (
-    "skip-skip",
-    "skip-msgS",
-    "msgS-skip",
-    "msgS-msgS",
-    "msg-skip",
-    "skip-msg",
-    "msg-msgS",
-    "msgS-msg",
-    "msg-msg-eq",
-    "allred-allred",
-    "foreach-foreach",
-    "seq-seq",
-    "skip-msgT",
-    "msgT-skipT",
-    "msg-msg-right",
-    "msg-msg-left",
-    "msgT-msgT-left",
-    "msgT-msgT-right",
-)
+# ---------------------------------------------------------------------------
+# The rules
+#
+# A rule is a function (engine, ctx, left, right). It returns None when the
+# operand shapes do not match, else (premises, subgoals, conclude): the
+# premises as (ok, PremiseCheck, kind) triples in the order checked, all
+# evaluated; the sub-merges as (ctx, left, right, path label, refusal text),
+# merged in order; and `conclude`, from the sub-merges' results to the
+# rule's conclusion.
+
+
+def _message_rule(lshape, rshape, names, conclude):
+    """A rule on two single operands, each a message or skip, that checks
+    the named message premises only."""
+
+    def rule(engine, ctx, left, right):
+        if not (isinstance(left, lshape) and isinstance(right, rshape)):
+            return None
+        return engine.messages(ctx, left, right, names), (), lambda: conclude(left, right)
+
+    return rule
+
+
+def _msg_msg_eq(engine, ctx, left, right):
+    if not (isinstance(left, Message) and isinstance(right, Message)):
+        return None
+    endpoints = And(Cmp("=", left.src, right.src), Cmp("=", left.dst, right.dst))
+    premises = engine.messages(ctx, left, right, ("left-real", "right-real")) + [
+        engine.entail(ctx, "endpoints-equal", endpoints, _STRUCTURAL),
+        engine.payload_equiv(ctx, left.payload, right.payload),
+    ]
+    return premises, (), lambda: left
+
+
+def _allred_allred(engine, ctx, left, right):
+    if not (isinstance(left, Allreduce) and isinstance(right, Allreduce)):
+        return None
+    same_op = left.op is right.op
+    op_check = PremiseCheck(
+        "op-equal", f"{left.op.value} = {right.op.value}", "equal" if same_op else "different"
+    )
+    premises = [
+        (same_op, op_check, _ENTAILMENT),
+        engine.payload_equiv(ctx, left.payload, right.payload),
+    ]
+    binder, rbinder = left.binder, right.binder
+    rcont = right.cont if rbinder == binder else subst_type(right.cont, {rbinder: Var(binder)})
+    cont = (engine.extend(ctx, binder, left.payload), left.cont, rcont)
+    subgoal = cont + ("allreduce.cont", "continuations do not merge")
+    return premises, (subgoal,), lambda c: Allreduce(left.op, binder, left.payload, c)
+
+
+def _foreach_foreach(engine, ctx, left, right):
+    if not (isinstance(left, Foreach) and isinstance(right, Foreach)):
+        return None
+    bounds = And(Cmp("=", left.lo, right.lo), Cmp("=", left.hi, right.hi))
+    premises = [engine.entail(ctx, "bounds-equal", bounds, _ENTAILMENT)]
+    binder, rbinder = left.binder, right.binder
+    rbody = right.body if rbinder == binder else subst_type(right.body, {rbinder: Var(binder)})
+    y = _fresh("y", index_vars(left.lo) | index_vars(left.hi) | {binder})
+    entry = Refined(
+        y, Integer(), And(Cmp("<=", left.lo, Var(y)), Cmp("<=", Var(y), left.hi))
+    )
+    body = (engine.extend(ctx, binder, entry), left.body, rbody)
+    subgoal = body + (f"foreach[{binder}].body", "loop bodies do not merge")
+    return premises, (subgoal,), lambda b: Foreach(binder, left.lo, left.hi, b)
+
+
+def _seq_seq(engine, ctx, left, right):
+    if not (isinstance(left, Seq) or isinstance(right, Seq)):
+        return None
+    if isinstance(left, Skip) or isinstance(right, Skip):
+        return None
+    (lh, lt), (rh, rt) = _seq_parts(left), _seq_parts(right)
+    first = (ctx, lh, rh, "seq.first", "first components do not merge")
+    return (), (first, (ctx, lt, rt, "seq.second", "second components do not merge")), concat
+
+
+def _skip_vs_seq(flip: bool):
+    """skip-msgT: skip against a sequence headed by a message merges the head
+    and the tail against skip. With flip, msgT-skipT: the sequence is left."""
+
+    def rule(engine, ctx, left, right):
+        skip, seq = (right, left) if flip else (left, right)
+        if not (isinstance(skip, Skip) and isinstance(seq, Seq) and isinstance(seq.first, Message)):
+            return None
+
+        def goal(part, label, text):
+            return (ctx, part, skip, label, text) if flip else (ctx, skip, part, label, text)
+
+        head = goal(seq.first, "seq.head", "head does not merge against skip")
+        return (), (head, goal(seq.second, "seq.tail", "tail does not merge against skip")), concat
+
+    return rule
+
+
+def _msgT_msgT(emit_right: bool):
+    """msgT-msgT-left: the left head is emitted first; it must be invisible to
+    rank k, whose own first action is the right head. With emit_right,
+    msgT-msgT-right: the right head goes first, invisible to the merged ranks."""
+    if emit_right:
+        names = ("right-real", "right-avoids-merged", "left-real")
+        labels = ("left-vs-seq.tail", "left type does not merge against the right tail")
+    else:
+        names = ("left-real", "left-avoids-k", "right-real")
+        labels = ("seq.tail-vs-right", "left tail does not merge against the right type")
+
+    def rule(engine, ctx, left, right):
+        if not (isinstance(left, Seq) or isinstance(right, Seq)):
+            return None
+        lh, lt = _seq_parts(left)
+        rh, rt = _seq_parts(right)
+        if not (isinstance(lh, Message) and isinstance(rh, Message)):
+            return None
+        head, rest = (rh, (ctx, left, rt)) if emit_right else (lh, (ctx, lt, right))
+        premises = engine.messages(ctx, lh, rh, names)
+        return premises, (rest + labels,), lambda r: concat(head, r)
+
+    return rule
+
+
+# The rules in the order the engine tries them.
+_RULES = {
+    "skip-skip": _message_rule(Skip, Skip, (), lambda l, r: Skip()),
+    "skip-msgS": _message_rule(Skip, Message, ("right-skip-like",), lambda l, r: Skip()),
+    "msgS-skip": _message_rule(Message, Skip, ("left-skip-like",), lambda l, r: Skip()),
+    "msgS-msgS": _message_rule(
+        Message, Message, ("left-skip-like", "right-skip-like"), lambda l, r: Skip()
+    ),
+    "msg-skip": _message_rule(Message, Skip, ("left-real", "left-avoids-k"), lambda l, r: l),
+    "skip-msg": _message_rule(Skip, Message, ("right-avoids-merged", "right-real"), lambda l, r: r),
+    "msg-msgS": _message_rule(
+        Message, Message, ("left-real", "left-avoids-k", "right-skip-like"), lambda l, r: l
+    ),
+    "msgS-msg": _message_rule(
+        Message, Message, ("left-skip-like", "right-real", "right-avoids-merged"), lambda l, r: r
+    ),
+    "msg-msg-eq": _msg_msg_eq,
+    "allred-allred": _allred_allred,
+    "foreach-foreach": _foreach_foreach,
+    "seq-seq": _seq_seq,
+    "skip-msgT": _skip_vs_seq(flip=False),
+    "msgT-skipT": _skip_vs_seq(flip=True),
+    "msg-msg-right": _message_rule(Message, Message, _NON_INTERFERENCE, lambda l, r: Seq(r, l)),
+    "msg-msg-left": _message_rule(Message, Message, _NON_INTERFERENCE, lambda l, r: Seq(l, r)),
+    "msgT-msgT-left": _msgT_msgT(emit_right=False),
+    "msgT-msgT-right": _msgT_msgT(emit_right=True),
+}
+RULE_NAMES = tuple(_RULES)
 
 
 class _Engine:
@@ -283,6 +382,8 @@ class _Engine:
         # engine sees outlives it (the caller's, and those it interns in
         # `extensions`), so an id names one of them for the engine's life.
         # Types and index terms are interned, so they key by identity.
+        # (id(context), left, right) -> _Applied, or the refused attempts
+        # (() while the subproblem is open)
         self.memo: dict = {}
         # (id(context), side, src, dst) -> (verdict, proposition)
         self.avoids: dict = {}
@@ -292,17 +393,8 @@ class _Engine:
         self.deepest_depth = -1
         self.deepest_path: tuple[str, ...] = ()
         self.deepest_attempts: tuple[tuple[str, _Refused], ...] = ()
-        self.rules: tuple[tuple[str, object], ...] = tuple(
-            (
-                name,
-                partial(self._message_rule, name)
-                if name in _MESSAGE_RULES
-                else getattr(self, "_rule_" + name.replace("-", "_")),
-            )
-            for name in RULE_NAMES
-        )
 
-    # -- plumbing
+    # -- derivation
 
     def merge(
         self,
@@ -310,35 +402,55 @@ class _Engine:
         left: ProtocolType,
         right: ProtocolType,
         path: tuple[str, ...],
-    ) -> tuple[ProtocolType, tuple[MergeStep, ...]] | None:
+    ) -> _Applied | None:
         key = (id(ctx), left, right)
-        hit = self.memo.get(key, _MISS)
-        if hit is not _MISS:
-            if hit is None or hit[0] == "fail":
-                self._note_failure(path, () if hit is None else hit[1])
-                return None
-            return hit[1], hit[2]
-        # Guard against re-entering the same subproblem while it is open.
-        self.memo[key] = ("fail", ())
-        attempts: list[tuple[str, _Refused]] = []
-        for name, rule in self.rules:
-            outcome = rule(ctx, left, right, path)
-            if outcome is None:
-                continue
-            if isinstance(outcome, _Applied):
-                self.memo[key] = ("ok", outcome.result, outcome.steps)
-                return outcome.result, outcome.steps
-            attempts.append((name, outcome))
-        record = tuple(attempts)
-        self.memo[key] = ("fail", record)
-        self._note_failure(path, record)
-        return None
-
-    def _note_failure(self, path: tuple[str, ...], attempts) -> None:
+        outcome = self.memo.get(key)
+        if outcome is None:
+            # Guard against re-entering the same subproblem while it is open.
+            self.memo[key] = ()
+            attempts: list[tuple[str, _Refused]] = []
+            for name, rule in _RULES.items():
+                outcome = self.apply(name, rule, ctx, left, right, path)
+                if isinstance(outcome, _Applied):
+                    break
+                if outcome is not None:
+                    attempts.append((name, outcome))
+            else:
+                outcome = tuple(attempts)
+            self.memo[key] = outcome
+        if isinstance(outcome, _Applied):
+            return outcome
+        # The diagnostic reports the deepest subproblem every rule refused.
         if len(path) > self.deepest_depth:
             self.deepest_depth = len(path)
             self.deepest_path = path
-            self.deepest_attempts = tuple(attempts)
+            self.deepest_attempts = outcome
+        return None
+
+    def apply(self, name, rule, ctx, left, right, path) -> _Applied | _Refused | None:
+        """One rule at one node: None when the shapes do not match, else its
+        derivation or why it was refused. The rule evaluates every premise
+        before any is judged, so an undecidable one marks the engine even
+        after an earlier failure."""
+        shaped = rule(self, ctx, left, right)
+        if shaped is None:
+            return None
+        checks, subgoals, conclude = shaped
+        premises: list[PremiseCheck] = []
+        for ok, check, kind in checks:
+            premises.append(check)
+            if not ok:
+                return _Refused(check, kind)
+        results = []
+        substeps: tuple[MergeStep, ...] = ()
+        for sub_ctx, sub_left, sub_right, label, refusal in subgoals:
+            sub = self.merge(sub_ctx, sub_left, sub_right, path + (label,))
+            if sub is None:
+                return _Refused(refusal, _SUBMERGE)
+            results.append(sub.result)
+            substeps += sub.steps
+        step = MergeStep(name, left, right, tuple(premises))
+        return _Applied(conclude(*results), (step,) + substeps)
 
     def diagnostic(self, left: ProtocolType, right: ProtocolType) -> Diagnostic:
         location = "/".join(self.deepest_path) or "root"
@@ -361,7 +473,9 @@ class _Engine:
             )
         return Diagnostic(kind, location, trace)
 
-    def _extend(self, ctx: TypingContext, name: str, dtype: Datatype) -> TypingContext:
+    # -- premises and contexts, for the rules
+
+    def extend(self, ctx: TypingContext, name: str, dtype: Datatype) -> TypingContext:
         """ctx.extend, giving back the same object for the same extension."""
         key = (id(ctx), name, dtype)
         extended = self.extensions.get(key)
@@ -375,13 +489,13 @@ class _Engine:
         key = (id(ctx), side, m.src, m.dst)
         fact = self.avoids.get(key)
         if fact is None:
-            p = _both_endpoints_differ(m, side)
+            p = And(Cmp("!=", m.src, side), Cmp("!=", m.dst, side))
             fact = self.avoids[key] = (entails(ctx, p, self.enum_cap), p)
         if fact[0] is Verdict.UNDECIDABLE:
             self.undecidable = True
         return fact
 
-    def _messages(
+    def messages(
         self, ctx: TypingContext, lm: ProtocolType, rm: ProtocolType, names: Sequence[str]
     ) -> list:
         """The named message premises on left message lm and right message rm."""
@@ -393,13 +507,13 @@ class _Engine:
             checks.append((verdict is want, PremiseCheck(name, p, verdict.value), _STRUCTURAL))
         return checks
 
-    def _entail(self, ctx: TypingContext, name: str, p: Proposition, kind: str):
+    def entail(self, ctx: TypingContext, name: str, p: Proposition, kind: str):
         verdict = entails(ctx, p, self.enum_cap)
         if verdict is Verdict.UNDECIDABLE:
             self.undecidable = True
         return verdict is Verdict.VALID, PremiseCheck(name, p, verdict.value), kind
 
-    def _payload_equiv(self, ctx, d1, d2):
+    def payload_equiv(self, ctx, d1, d2):
         try:
             ok = dtype_equiv(ctx, d1, d2, self.enum_cap)
             verdict = "equivalent" if ok else "different"
@@ -407,183 +521,6 @@ class _Engine:
             self.undecidable = True
             ok, verdict = False, "Undecidable"
         return ok, PremiseCheck("payload-equivalent", (d1, d2), verdict), _DATATYPE
-
-    def _run_premises(self, checks) -> tuple[_Refused | None, tuple[PremiseCheck, ...]]:
-        """Take (ok, PremiseCheck, kind) triples in order; refuse at the first
-        that failed. The caller evaluates every premise of the rule first, so
-        an undecidable one marks the engine even after an earlier failure."""
-        done: list[PremiseCheck] = []
-        for ok, check, kind in checks:
-            done.append(check)
-            if not ok:
-                return _Refused(check, kind), tuple(done)
-        return None, tuple(done)
-
-    # -- message rules
-
-    def _message_rule(self, name, ctx, left, right, path):
-        lshape, rshape, names, conclude = _MESSAGE_RULES[name]
-        if not (isinstance(left, lshape) and isinstance(right, rshape)):
-            return None
-        refused, premises = self._run_premises(self._messages(ctx, left, right, names))
-        if refused:
-            return refused
-        return _Applied(conclude(left, right), (MergeStep(name, left, right, premises),))
-
-    def _rule_msg_msg_eq(self, ctx, left, right, path):
-        if not (isinstance(left, Message) and isinstance(right, Message)):
-            return None
-        endpoints = And(Cmp("=", left.src, right.src), Cmp("=", left.dst, right.dst))
-        refused, premises = self._run_premises(
-            self._messages(ctx, left, right, ("left-real", "right-real"))
-            + [
-                self._entail(ctx, "endpoints-equal", endpoints, _STRUCTURAL),
-                self._payload_equiv(ctx, left.payload, right.payload),
-            ]
-        )
-        if refused:
-            return refused
-        return _Applied(left, (MergeStep("msg-msg-eq", left, right, premises),))
-
-    # -- collective and structural rules
-
-    def _rule_allred_allred(self, ctx, left, right, path):
-        if not (isinstance(left, Allreduce) and isinstance(right, Allreduce)):
-            return None
-        op_check = PremiseCheck(
-            "op-equal",
-            f"{left.op.value} = {right.op.value}",
-            "equal" if left.op is right.op else "different",
-        )
-        refused, premises = self._run_premises(
-            [
-                (left.op is right.op, op_check, _ENTAILMENT),
-                self._payload_equiv(ctx, left.payload, right.payload),
-            ]
-        )
-        if refused:
-            return refused
-        binder = left.binder
-        rcont = right.cont
-        if right.binder != binder:
-            rcont = subst_type(rcont, {right.binder: Var(binder)})
-        sub = self.merge(self._extend(ctx, binder, left.payload), left.cont, rcont, path + ("allreduce.cont",))
-        if sub is None:
-            return _Refused("continuations do not merge", _SUBMERGE)
-        cont, substeps = sub
-        result = Allreduce(left.op, binder, left.payload, cont)
-        return _Applied(result, (MergeStep("allred-allred", left, right, premises),) + substeps)
-
-    def _rule_foreach_foreach(self, ctx, left, right, path):
-        if not (isinstance(left, Foreach) and isinstance(right, Foreach)):
-            return None
-        bounds = And(Cmp("=", left.lo, right.lo), Cmp("=", left.hi, right.hi))
-        refused, premises = self._run_premises(
-            [self._entail(ctx, "bounds-equal", bounds, _ENTAILMENT)]
-        )
-        if refused:
-            return refused
-        binder = left.binder
-        rbody = right.body
-        if right.binder != binder:
-            rbody = subst_type(rbody, {right.binder: Var(binder)})
-        y = _fresh("y", index_vars(left.lo) | index_vars(left.hi) | {binder})
-        entry = Refined(
-            y, Integer(), And(Cmp("<=", left.lo, Var(y)), Cmp("<=", Var(y), left.hi))
-        )
-        sub = self.merge(self._extend(ctx, binder, entry), left.body, rbody, path + (f"foreach[{binder}].body",))
-        if sub is None:
-            return _Refused("loop bodies do not merge", _SUBMERGE)
-        body, substeps = sub
-        result = Foreach(binder, left.lo, left.hi, body)
-        return _Applied(result, (MergeStep("foreach-foreach", left, right, premises),) + substeps)
-
-    def _rule_seq_seq(self, ctx, left, right, path):
-        if not (isinstance(left, Seq) or isinstance(right, Seq)):
-            return None
-        if isinstance(left, Skip) or isinstance(right, Skip):
-            return None
-        lh, lt = _seq_parts(left)
-        rh, rt = _seq_parts(right)
-        sub1 = self.merge(ctx, lh, rh, path + ("seq.first",))
-        if sub1 is None:
-            return _Refused("first components do not merge", _SUBMERGE)
-        sub2 = self.merge(ctx, lt, rt, path + ("seq.second",))
-        if sub2 is None:
-            return _Refused("second components do not merge", _SUBMERGE)
-        (t5, steps1), (t6, steps2) = sub1, sub2
-        result = concat(t5, t6)
-        return _Applied(result, (MergeStep("seq-seq", left, right, ()),) + steps1 + steps2)
-
-    def _rule_skip_msgT(self, ctx, left, right, path):
-        if not (
-            isinstance(left, Skip) and isinstance(right, Seq) and isinstance(right.first, Message)
-        ):
-            return None
-        sub1 = self.merge(ctx, Skip(), right.first, path + ("seq.head",))
-        if sub1 is None:
-            return _Refused("head does not merge against skip", _SUBMERGE)
-        sub2 = self.merge(ctx, Skip(), right.second, path + ("seq.tail",))
-        if sub2 is None:
-            return _Refused("tail does not merge against skip", _SUBMERGE)
-        (head, steps1), (tail, steps2) = sub1, sub2
-        result = concat(head, tail)
-        return _Applied(result, (MergeStep("skip-msgT", left, right, ()),) + steps1 + steps2)
-
-    def _rule_msgT_skipT(self, ctx, left, right, path):
-        if not (
-            isinstance(right, Skip) and isinstance(left, Seq) and isinstance(left.first, Message)
-        ):
-            return None
-        sub1 = self.merge(ctx, left.first, Skip(), path + ("seq.head",))
-        if sub1 is None:
-            return _Refused("head does not merge against skip", _SUBMERGE)
-        sub2 = self.merge(ctx, left.second, Skip(), path + ("seq.tail",))
-        if sub2 is None:
-            return _Refused("tail does not merge against skip", _SUBMERGE)
-        (head, steps1), (tail, steps2) = sub1, sub2
-        result = concat(head, tail)
-        return _Applied(result, (MergeStep("msgT-skipT", left, right, ()),) + steps1 + steps2)
-
-    def _rule_msgT_msgT_left(self, ctx, left, right, path):
-        if not (isinstance(left, Seq) or isinstance(right, Seq)):
-            return None
-        lh, lt = _seq_parts(left)
-        rh, _ = _seq_parts(right)
-        if not (isinstance(lh, Message) and isinstance(rh, Message)):
-            return None
-        # The left head is emitted first; it must be invisible to rank k,
-        # whose own first action is the right head.
-        refused, premises = self._run_premises(
-            self._messages(ctx, lh, rh, ("left-real", "left-avoids-k", "right-real"))
-        )
-        if refused:
-            return refused
-        sub = self.merge(ctx, lt, right, path + ("seq.tail-vs-right",))
-        if sub is None:
-            return _Refused("left tail does not merge against the right type", _SUBMERGE)
-        rest, substeps = sub
-        result = concat(lh, rest)
-        return _Applied(result, (MergeStep("msgT-msgT-left", left, right, premises),) + substeps)
-
-    def _rule_msgT_msgT_right(self, ctx, left, right, path):
-        if not (isinstance(left, Seq) or isinstance(right, Seq)):
-            return None
-        lh, _ = _seq_parts(left)
-        rh, rt = _seq_parts(right)
-        if not (isinstance(lh, Message) and isinstance(rh, Message)):
-            return None
-        refused, premises = self._run_premises(
-            self._messages(ctx, lh, rh, ("right-real", "right-avoids-merged", "left-real"))
-        )
-        if refused:
-            return refused
-        sub = self.merge(ctx, left, rt, path + ("left-vs-seq.tail",))
-        if sub is None:
-            return _Refused("left type does not merge against the right tail", _SUBMERGE)
-        rest, substeps = sub
-        result = concat(rh, rest)
-        return _Applied(result, (MergeStep("msgT-msgT-right", left, right, premises),) + substeps)
 
 
 def _validate_merge_inputs(ctx: TypingContext, k: int) -> None:
@@ -614,8 +551,7 @@ def merge_types(
     outcome = engine.merge(ctx, left, right, ())
     if outcome is None:
         raise MergeFailure(engine.diagnostic(left, right))
-    result, steps = outcome
-    return result, MergeTrace(steps)
+    return outcome.result, MergeTrace(outcome.steps)
 
 
 def attempt_rule(
@@ -631,12 +567,12 @@ def attempt_rule(
     Returns the rule's conclusion, or None when the rule is inapplicable,
     whether because the operand shapes do not match or a premise fails.
     """
+    fn = _RULES.get(rule)
+    if fn is None:
+        raise ValueError(f"unknown merge rule {rule!r}; expected one of {', '.join(RULE_NAMES)}")
     engine = _Engine(k, enum_cap)
-    for name, fn in engine.rules:
-        if name == rule:
-            outcome = fn(ctx, normalize_seq(left), normalize_seq(right), ())
-            return outcome.result if isinstance(outcome, _Applied) else None
-    raise ValueError(f"unknown merge rule {rule!r}; expected one of {', '.join(RULE_NAMES)}")
+    outcome = engine.apply(rule, fn, ctx, normalize_seq(left), normalize_seq(right), ())
+    return outcome.result if isinstance(outcome, _Applied) else None
 
 
 # ---------------------------------------------------------------------------
@@ -672,6 +608,8 @@ def merge_all(
     foreach (at most `unroll` iterations), that side is unfolded and the step
     retried once.
     """
+    if n < 1:
+        raise InvalidRankSet(f"world size must be positive, got {n}")
     types = dict(local_types)
     if len(types) != len(local_types):
         raise ValueError("duplicate rank in local types")

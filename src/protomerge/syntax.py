@@ -143,6 +143,13 @@ def _lex(text: str, filename: str) -> list[_Token]:
 
 _CMP_OPS = {"=", "!=", "<", "<=", ">", ">="}
 
+# The deepest index term or proposition the parser accepts: no more than
+# this many parentheses, `not`s and `?:` branches open at once, and no tree
+# taller than this (a chain 1 + 1 + ... grows one level per operator).
+# Deeper terms overflow the interpreter's stack, in the parser (eight frames
+# per parenthesis) or in the passes that walk the tree.
+MAX_TERM_DEPTH = 100
+
 
 class _Parser:
     def __init__(self, text: str, filename: str):
@@ -150,6 +157,8 @@ class _Parser:
         self.filename = filename
         self.tokens = _lex(text, filename)
         self.pos = 0
+        self.open = 0  # parentheses, `not`s and `?:` branches open
+        self.heights: dict = {}  # term node above the leaves -> its height
 
     # -- token plumbing
 
@@ -204,15 +213,34 @@ class _Parser:
 
     # -- expressions (index terms and propositions share one grammar level)
 
+    def too_deep(self, offset: int) -> ParseError:
+        return self.fail(f"term nests deeper than {MAX_TERM_DEPTH} levels", offset)
+
+    def enter(self, offset: int) -> None:
+        """Open one more parenthesis, `not` or `?:` branch; `open -= 1` closes it."""
+        if self.open == MAX_TERM_DEPTH:
+            raise self.too_deep(offset)
+        self.open += 1
+
+    def tree(self, offset: int, node, *children):
+        """node, built on children, unless that makes a tree too tall."""
+        height = 1 + max(self.heights.get(c, 1) for c in children)
+        if height > MAX_TERM_DEPTH:
+            raise self.too_deep(offset)
+        self.heights[node] = height
+        return node
+
     def expr(self) -> IndexTerm | Proposition:
         node = self.or_level()
         if self.at("op", "?"):
             offset = self.advance()[2]
             test = self.as_prop(node, offset)
+            self.enter(offset)
             then = self.index_expr()
             self.expect("op", ":")
             orelse = self.index_expr()
-            return Cond(test, then, orelse)
+            self.open -= 1
+            return self.tree(offset, Cond(test, then, orelse), test, then, orelse)
         return node
 
     def index_expr(self) -> IndexTerm:
@@ -237,24 +265,29 @@ class _Parser:
         offset = self.offset()
         node = self.and_level()
         while self.at("keyword", "or"):
-            self.advance()
+            at = self.advance()[2]
             rhs = self.and_level()
-            node = Or(self.as_prop(node, offset), self.as_prop(rhs, offset))
+            lhs, rhs = self.as_prop(node, offset), self.as_prop(rhs, offset)
+            node = self.tree(at, Or(lhs, rhs), lhs, rhs)
         return node
 
     def and_level(self) -> IndexTerm | Proposition:
         offset = self.offset()
         node = self.not_level()
         while self.at("keyword", "and"):
-            self.advance()
+            at = self.advance()[2]
             rhs = self.not_level()
-            node = And(self.as_prop(node, offset), self.as_prop(rhs, offset))
+            lhs, rhs = self.as_prop(node, offset), self.as_prop(rhs, offset)
+            node = self.tree(at, And(lhs, rhs), lhs, rhs)
         return node
 
     def not_level(self) -> IndexTerm | Proposition:
         if self.at("keyword", "not"):
             offset = self.advance()[2]
-            return Not(self.as_prop(self.not_level(), offset))
+            self.enter(offset)
+            p = self.as_prop(self.not_level(), offset)
+            self.open -= 1
+            return self.tree(offset, Not(p), p)
         return self.cmp_level()
 
     def cmp_level(self) -> IndexTerm | Proposition:
@@ -266,10 +299,10 @@ class _Parser:
         prop: Proposition | None = None
         left = self.as_index(node, offset)
         while self.at("op") and self.peek()[1] in _CMP_OPS:
-            op = self.advance()[1]
+            _, op, at = self.advance()
             right = self.as_index(self.add_level(), offset)
-            link = Cmp(op, left, right)
-            prop = link if prop is None else And(prop, link)
+            link = self.tree(at, Cmp(op, left, right), left, right)
+            prop = link if prop is None else self.tree(at, And(prop, link), prop, link)
             left = right
         return prop
 
@@ -277,18 +310,20 @@ class _Parser:
         offset = self.offset()
         node = self.mul_level()
         while self.at("op") and self.peek()[1] in ("+", "-"):
-            op = self.advance()[1]
+            _, op, at = self.advance()
             rhs = self.as_index(self.mul_level(), offset)
-            node = BinOp(op, self.as_index(node, offset), rhs)
+            lhs = self.as_index(node, offset)
+            node = self.tree(at, BinOp(op, lhs, rhs), lhs, rhs)
         return node
 
     def mul_level(self) -> IndexTerm | Proposition:
         offset = self.offset()
         node = self.atom()
         while self.at("op") and self.peek()[1] in ("*", "/"):
-            op = self.advance()[1]
+            _, op, at = self.advance()
             rhs = self.as_index(self.atom(), offset)
-            node = BinOp(op, self.as_index(node, offset), rhs)
+            lhs = self.as_index(node, offset)
+            node = self.tree(at, BinOp(op, lhs, rhs), lhs, rhs)
         return node
 
     def atom(self) -> IndexTerm | Proposition:
@@ -306,9 +341,10 @@ class _Parser:
             self.advance()
             return TrueProp()
         if kind == "op" and text == "(":
-            self.advance()
+            self.enter(self.advance()[2])
             node = self.expr()
             self.expect("op", ")")
+            self.open -= 1
             return node
         raise self.unexpected("an expression")
 
@@ -326,9 +362,10 @@ class _Parser:
             self.advance()
             return Var(text)
         if kind == "op" and text == "(":
-            self.advance()
+            self.enter(self.advance()[2])
             node = self.index_expr()
             self.expect("op", ")")
+            self.open -= 1
             return node
         raise self.unexpected("a rank expression")
 

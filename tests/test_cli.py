@@ -8,6 +8,7 @@ import pytest
 
 import protomerge
 from protomerge.cli import main
+from protomerge.syntax import MAX_TERM_DEPTH, ParseError, parse_protocol, print_protocol
 
 
 PROGRAMS = Path(protomerge.__file__).parent / "programs"
@@ -366,6 +367,53 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", a, "--size", "2")
         assert code == 4
         assert "expected 2 protocol files" in err
+
+
+class TestTermDepth:
+    """An index term or proposition nesting deeper than MAX_TERM_DEPTH is a
+    parse error at the token that crosses the limit, not a crash."""
+
+    REFINED = "message 0 1 {x: integer | "
+    ARRAY = "message 0 1 float["
+
+    @pytest.mark.parametrize(
+        "text, col",
+        [
+            (REFINED + "(" * 130 + "x = 1" + ")" * 130 + "}", len(REFINED) + MAX_TERM_DEPTH + 1),
+            (ARRAY + "(" * 125 + "4" + ")" * 125 + "]", len(ARRAY) + MAX_TERM_DEPTH + 1),
+            (REFINED + "not " * 1200 + "x = 1}", len(REFINED) + 4 * MAX_TERM_DEPTH + 1),
+            (ARRAY + "+".join(["1"] * 3000) + "]", len(ARRAY) + 2 * MAX_TERM_DEPTH),
+        ],
+        ids=["parenthesized-refinement", "parenthesized-length", "not-chain", "sum-chain"],
+    )
+    def test_too_deep_exits_2(self, capsys, write, text, col):
+        f = write("deep.ptype", text)
+        code, out, err = run(capsys, "simulate", f, f, "--size", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(
+            f"parse error at {f}:1:{col}: term nests deeper than {MAX_TERM_DEPTH} levels"
+        )
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            lambda depth: "float[" + "(" * depth + "4" + ")" * depth + "]",
+            lambda depth: "float[" + "+".join(["1"] * depth) + "]",
+            lambda depth: "{x: integer | " + "not " * (depth - 2) + "x = 1}",
+        ],
+        ids=["parentheses", "sum-chain", "not-chain"],
+    )
+    def test_at_the_limit_parses_round_trips_and_simulates(self, capsys, write, payload):
+        text = f"message 0 1 {payload(MAX_TERM_DEPTH)}"
+        t = parse_protocol(text)
+        assert parse_protocol(print_protocol(t)) == t
+        f = write("limit.ptype", text)
+        code, out, _ = run(capsys, "simulate", f, f, "--size", "2")
+        assert code == 0
+        assert out.startswith("Completed\n")
+        with pytest.raises(ParseError, match="term nests deeper"):
+            parse_protocol(f"message 0 1 {payload(MAX_TERM_DEPTH + 1)}")
 
 
 class TestErrorChannel:

@@ -1,5 +1,6 @@
 """Merge engine: normal forms, unfolding, rules, diagnostics, rank folding."""
 
+import random
 from pathlib import Path
 
 import pytest
@@ -35,6 +36,8 @@ from protomerge import (
 )
 from protomerge.ast import FRESH_BINDER
 from protomerge.syntax import parse_process
+
+from generators import gen_exchange
 
 
 D = Float()
@@ -264,6 +267,62 @@ class TestAttemptRule:
             attempt_rule(ctx, rule, Skip(), Skip(), k=1)
 
 
+# Each rule's mirror: the rule that derives the same judgment with the
+# operands swapped, once rank k and the merged rank swap roles.
+MIRROR = {
+    "skip-msgT": "msgT-skipT",
+    "msgT-msgT-left": "msgT-msgT-right",
+    "msg-skip": "skip-msg",
+    "msg-msgS": "msgS-msg",
+    "skip-msgS": "msgS-skip",
+    "msg-msg-left": "msg-msg-right",
+}
+MIRROR.update({b: a for a, b in MIRROR.items()})
+
+
+class TestMirrorSymmetry:
+    """With two ranks i and j, merging j's type into i's and i's into j's
+    are mirror images: each rule applies on one side exactly when its
+    mirror applies on the other."""
+
+    @staticmethod
+    def pairs(seed=7, draws=2000):
+        rng = random.Random(seed)
+        for _ in range(draws):
+            instance = gen_exchange(rng)
+            if instance.n >= 3:
+                types = dict(instance.local_types())
+                yield instance.n, types[0], types[1]
+
+    def test_every_rule_applies_exactly_when_its_mirror_does(self):
+        applied = dict.fromkeys(RULE_NAMES, 0)
+        for n, left, right in self.pairs():
+            into_0, into_1 = merged_context(n, [0]), merged_context(n, [1])
+            for rule in RULE_NAMES:
+                mirror = MIRROR.get(rule, rule)
+                forward = attempt_rule(into_0, rule, left, right, 1)
+                backward = attempt_rule(into_1, mirror, right, left, 0)
+                assert (forward is None) == (backward is None), (rule, left, right)
+                applied[rule] += forward is not None
+        # Every message of rank i's type has i as an endpoint, so no message
+        # is skip-like at the root and the msgS rules never apply there.
+        assert all(applied[rule] for rule in MIRROR if "msgS" not in rule), applied
+
+    def test_derivability_agrees(self):
+        derivable = []
+        for n, left, right in self.pairs():
+            outcomes = []
+            for merged, k, a, b in ((0, 1, left, right), (1, 0, right, left)):
+                try:
+                    merge_types(merged_context(n, [merged]), a, b, k)
+                    outcomes.append(True)
+                except MergeFailure:
+                    outcomes.append(False)
+            assert outcomes[0] == outcomes[1], (left, right)
+            derivable.append(outcomes[0])
+        assert any(derivable) and not all(derivable)
+
+
 class TestMergeAll:
     def one_to_all_types(self):
         fan = Foreach("i", IntLit(1), IntLit(2), Message(IntLit(0), Var("i"), D))
@@ -308,6 +367,11 @@ class TestMergeAll:
     def test_order_must_be_permutation(self):
         with pytest.raises(ValueError):
             merge_all(2, [(0, Skip()), (1, Skip())], order=[0, 0])
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_empty_world_rejected(self, n):
+        with pytest.raises(InvalidRankSet, match=f"world size must be positive, got {n}"):
+            merge_all(n, [])
 
 
 class TestPremisesAndRendering:
