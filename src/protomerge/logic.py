@@ -560,13 +560,19 @@ def singleton_env(ctx: TypingContext, upto: str | None = None) -> dict[str, int]
 
 
 def _strip_trivial(d: Datatype) -> Datatype:
-    match d:
-        case Refined(_, base, TrueProp()):
-            return base
-        case Array(elem, length):
-            return Array(_strip_trivial(elem), length)
-        case _:
-            return d
+    """d with a trivial element refinement {x: base | true} replaced by base,
+    under any number of array dimensions."""
+    lengths = []
+    elem = d
+    while isinstance(elem, Array):
+        lengths.append(elem.length)
+        elem = elem.elem
+    if not (isinstance(elem, Refined) and isinstance(elem.pred, TrueProp)):
+        return d
+    d = elem.base
+    for length in reversed(lengths):
+        d = Array(d, length)
+    return d
 
 
 _ALPHA = "$"
@@ -612,18 +618,27 @@ def dtype_equiv(
     UndecidableEquivalence when the engine cannot settle the question.
     """
     a, b = _strip_trivial(d1), _strip_trivial(d2)
+    # Elements first, then lengths from the innermost dimension out.
+    lengths = []
+    while isinstance(a, Array) and isinstance(b, Array):
+        lengths.append((a.length, b.length))
+        a, b = a.elem, b.elem
+    if not _element_equiv(ctx, a, b, enum_cap):
+        return False
+    for l1, l2 in reversed(lengths):
+        verdict = entails(ctx, Cmp("=", l1, l2), enum_cap)
+        if verdict is Verdict.UNDECIDABLE:
+            raise UndecidableEquivalence(f"array lengths {l1!r} and {l2!r} are not comparable")
+        if verdict is not Verdict.VALID:
+            return False
+    return True
+
+
+def _element_equiv(ctx: TypingContext, a: Datatype, b: Datatype, enum_cap: int) -> bool:
+    """dtype_equiv of two stripped datatypes that are not both arrays."""
     match (a, b):
         case (Integer(), Integer()) | (Float(), Float()):
             return True
-        case (Array(e1, l1), Array(e2, l2)):
-            if not dtype_equiv(ctx, e1, e2, enum_cap):
-                return False
-            verdict = entails(ctx, Cmp("=", l1, l2), enum_cap)
-            if verdict is Verdict.UNDECIDABLE:
-                raise UndecidableEquivalence(
-                    f"array lengths {l1!r} and {l2!r} are not comparable"
-                )
-            return verdict is Verdict.VALID
         case (Refined(b1, base1, p1), Refined(b2, base2, p2)):
             if base1 != base2:
                 return False

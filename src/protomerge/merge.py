@@ -203,6 +203,13 @@ _AVOIDS = {
     "right-avoids-merged": ("right", "merged", Verdict.VALID),
 }
 
+# The avoidance premises judged against each side. One verdict of "the
+# message avoids that side" decides all three.
+_SIDE_PREMISES = {
+    side: tuple(name for name, (_, judged, _) in _AVOIDS.items() if judged == side)
+    for side in ("merged", "k")
+}
+
 # Non-interference: the left message never touches rank k, the right message
 # never touches an already-merged rank, so the two orders are
 # indistinguishable to every rank involved.
@@ -213,6 +220,14 @@ def _seq_parts(t: ProtocolType) -> tuple[ProtocolType, ProtocolType]:
     if isinstance(t, Seq):
         return t.first, t.second
     return t, Skip()
+
+
+def _by_membership(ends: tuple[IndexTerm, ...], holds) -> Verdict | None:
+    """Valid when `holds` of the endpoints' values, else Invalid; None
+    unless every endpoint is an integer literal."""
+    if all(type(e) is IntLit for e in ends):
+        return Verdict.VALID if holds(*[e.value for e in ends]) else Verdict.INVALID
+    return None
 
 
 def _fresh(base: str, avoid: Iterable[str]) -> str:
@@ -249,9 +264,13 @@ def _message_rule(lshape, rshape, names, conclude):
 def _msg_msg_eq(engine, ctx, left, right):
     if not (isinstance(left, Message) and isinstance(right, Message)):
         return None
+    ends = (left.src, right.src, left.dst, right.dst)
     endpoints = And(Cmp("=", left.src, right.src), Cmp("=", left.dst, right.dst))
     premises = engine.messages(ctx, left, right, ("left-real", "right-real")) + [
-        engine.entail(ctx, "endpoints-equal", endpoints, _STRUCTURAL),
+        engine.entail(
+            ctx, "endpoints-equal", endpoints, _STRUCTURAL,
+            ends, lambda ls, rs, ld, rd: ls == rs and ld == rd,
+        ),
         engine.payload_equiv(ctx, left.payload, right.payload),
     ]
     return premises, (), lambda: left
@@ -375,9 +394,15 @@ RULE_NAMES = tuple(_RULES)
 
 
 class _Engine:
-    def __init__(self, k: int, enum_cap: int):
+    def __init__(
+        self, ctx: TypingContext, k: int, enum_cap: int, ranks: frozenset[int] | None = None
+    ):
+        """An engine for merges under ctx, whose `rank` ranges over `ranks`
+        when that set is known."""
         self.enum_cap = enum_cap
-        self.k_term = IntLit(k)
+        # Each side of an avoidance premise: its term, and the ranks it
+        # stands for.
+        self.sides = {"k": (IntLit(k), frozenset((k,))), "merged": (_RANK, ranks)}
         # The tables below key a context by its id. Every context the
         # engine sees outlives it (the caller's, and those it interns in
         # `extensions`), so an id names one of them for the engine's life.
@@ -385,10 +410,14 @@ class _Engine:
         # (id(context), left, right) -> _Applied, or the refused attempts
         # (() while the subproblem is open)
         self.memo: dict = {}
-        # (id(context), side, src, dst) -> (verdict, proposition)
-        self.avoids: dict = {}
+        # (id(context), premise name, src, dst) -> (ok, PremiseCheck, kind)
+        self.premises: dict = {}
         # (id(context), name, datatype) -> the extended context
         self.extensions: dict = {}
+        # ids of the contexts whose `rank` ranges over `ranks`. There,
+        # entails enumerates just those ranks (its budget covers them), so
+        # a premise on literal endpoints gets its verdict by membership.
+        self.ground = {id(ctx)} if ranks is not None and len(ranks) <= enum_cap else set()
         self.undecidable = False
         self.deepest_depth = -1
         self.deepest_path: tuple[str, ...] = ()
@@ -481,36 +510,55 @@ class _Engine:
         extended = self.extensions.get(key)
         if extended is None:
             extended = self.extensions[key] = ctx.extend(name, dtype)
+            # A binder that shadows a name (`rank`, or one its refinement
+            # mentions) may change what `rank` ranges over.
+            if id(ctx) in self.ground and ctx.lookup(name) is None:
+                self.ground.add(id(extended))
         return extended
 
-    def _avoids(self, ctx: TypingContext, m: Message, side: IndexTerm):
-        """(verdict, proposition) of "m's endpoints both differ from side",
-        asked of entails once per context, endpoints and side."""
-        key = (id(ctx), side, m.src, m.dst)
-        fact = self.avoids.get(key)
-        if fact is None:
-            p = And(Cmp("!=", m.src, side), Cmp("!=", m.dst, side))
-            fact = self.avoids[key] = (entails(ctx, p, self.enum_cap), p)
-        if fact[0] is Verdict.UNDECIDABLE:
-            self.undecidable = True
-        return fact
+    def decide(self, ctx: TypingContext, p: Proposition, ends=(), holds=None) -> Verdict:
+        """The verdict of premise p under ctx: by membership (`holds` of the
+        literal endpoints `ends`) where ctx's `rank` ranges over the merged
+        ranks, else by entails."""
+        verdict = None
+        if holds is not None and id(ctx) in self.ground:
+            verdict = _by_membership(ends, holds)
+        if verdict is None:
+            verdict = entails(ctx, p, self.enum_cap)
+            if verdict is Verdict.UNDECIDABLE:
+                self.undecidable = True
+        return verdict
+
+    def avoidance(self, ctx: TypingContext, name: str, m: Message):
+        """The named avoidance premise on message m. Its side is decided once
+        per context and endpoints, for all three premises judged against it."""
+        key = (id(ctx), name, m.src, m.dst)
+        premise = self.premises.get(key)
+        if premise is None:
+            side = _AVOIDS[name][1]
+            term, ranks = self.sides[side]
+            p = And(Cmp("!=", m.src, term), Cmp("!=", m.dst, term))
+            verdict = self.decide(
+                ctx, p, (m.src, m.dst), lambda src, dst: src not in ranks and dst not in ranks
+            )
+            for other in _SIDE_PREMISES[side]:
+                ok = verdict is _AVOIDS[other][2]
+                check = (ok, PremiseCheck(other, p, verdict.value), _STRUCTURAL)
+                self.premises[(id(ctx), other, m.src, m.dst)] = check
+            premise = self.premises[key]
+        return premise
 
     def messages(
         self, ctx: TypingContext, lm: ProtocolType, rm: ProtocolType, names: Sequence[str]
     ) -> list:
         """The named message premises on left message lm and right message rm."""
-        checks = []
-        for name in names:
-            operand, side, want = _AVOIDS[name]
-            m = lm if operand == "left" else rm
-            verdict, p = self._avoids(ctx, m, _RANK if side == "merged" else self.k_term)
-            checks.append((verdict is want, PremiseCheck(name, p, verdict.value), _STRUCTURAL))
-        return checks
+        return [
+            self.avoidance(ctx, name, lm if _AVOIDS[name][0] == "left" else rm) for name in names
+        ]
 
-    def entail(self, ctx: TypingContext, name: str, p: Proposition, kind: str):
-        verdict = entails(ctx, p, self.enum_cap)
-        if verdict is Verdict.UNDECIDABLE:
-            self.undecidable = True
+    def entail(self, ctx: TypingContext, name: str, p: Proposition, kind: str, ends=(), holds=None):
+        """The premise that ctx entails p, decided as `decide` does."""
+        verdict = self.decide(ctx, p, ends, holds)
         return verdict is Verdict.VALID, PremiseCheck(name, p, verdict.value), kind
 
     def payload_equiv(self, ctx, d1, d2):
@@ -523,15 +571,19 @@ class _Engine:
         return ok, PremiseCheck("payload-equivalent", (d1, d2), verdict), _DATATYPE
 
 
-def _validate_merge_inputs(ctx: TypingContext, k: int) -> None:
+def _validate_merge_inputs(ctx: TypingContext, k: int) -> frozenset[int] | None:
+    """Check ctx and k; give back the merged ranks when `rank`'s domain is finite."""
     if ctx.lookup("size") is None or ctx.lookup("rank") is None:
         raise InvalidRankSet("merge context must bind both size and rank")
     size = singleton_env(ctx).get("size")
     if size is not None and not 0 <= k < size:
         raise InvalidRankSet(f"rank {k} out of range for size {size}")
     domain = domain_of(ctx, "rank")
-    if isinstance(domain, FiniteSet) and k in domain.values:
-        raise InvalidRankSet(f"rank {k} is already part of the merged set {domain.values}")
+    if isinstance(domain, FiniteSet):
+        if k in domain.values:
+            raise InvalidRankSet(f"rank {k} is already part of the merged set {domain.values}")
+        return frozenset(domain.values)
+    return None
 
 
 def merge_types(
@@ -546,8 +598,8 @@ def merge_types(
     Raises MergeFailure (with a Diagnostic) when no derivation exists.
     """
     left, right = normalize_seq(left), normalize_seq(right)
-    _validate_merge_inputs(ctx, k)
-    engine = _Engine(k, enum_cap)
+    ranks = _validate_merge_inputs(ctx, k)
+    engine = _Engine(ctx, k, enum_cap, ranks)
     outcome = engine.merge(ctx, left, right, ())
     if outcome is None:
         raise MergeFailure(engine.diagnostic(left, right))
@@ -570,7 +622,7 @@ def attempt_rule(
     fn = _RULES.get(rule)
     if fn is None:
         raise ValueError(f"unknown merge rule {rule!r}; expected one of {', '.join(RULE_NAMES)}")
-    engine = _Engine(k, enum_cap)
+    engine = _Engine(ctx, k, enum_cap)
     outcome = engine.apply(rule, fn, ctx, normalize_seq(left), normalize_seq(right), ())
     return outcome.result if isinstance(outcome, _Applied) else None
 

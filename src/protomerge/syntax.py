@@ -150,6 +150,13 @@ _CMP_OPS = {"=", "!=", "<", "<=", ">", ">="}
 # per parenthesis) or in the passes that walk the tree.
 MAX_TERM_DEPTH = 100
 
+# The most `{ ... }` blocks (loop bodies, branches, allreduce continuations)
+# the parser accepts open at once. Extraction and merging walk blocks
+# recursively, and the parser spends two frames per block: with a term at
+# MAX_TERM_DEPTH in the innermost block, this many still fit the
+# interpreter's default stack.
+MAX_BLOCK_DEPTH = 64
+
 
 class _Parser:
     def __init__(self, text: str, filename: str):
@@ -158,6 +165,7 @@ class _Parser:
         self.tokens = _lex(text, filename)
         self.pos = 0
         self.open = 0  # parentheses, `not`s and `?:` branches open
+        self.blocks = 0  # `{ ... }` blocks open
         self.heights: dict = {}  # term node above the leaves -> its height
 
     # -- token plumbing
@@ -210,6 +218,18 @@ class _Parser:
         if name in RESERVED_BINDERS:
             raise self.fail(f"{name!r} is reserved and cannot be bound", offset)
         return name
+
+    def open_block(self) -> None:
+        """Consume a `{`, refusing the one that opens a block too many."""
+        offset = self.offset()
+        self.expect("op", "{")
+        if self.blocks == MAX_BLOCK_DEPTH:
+            raise self.fail(f"block nests deeper than {MAX_BLOCK_DEPTH} levels", offset)
+        self.blocks += 1
+
+    def close_block(self) -> None:
+        self.blocks -= 1
+        self.expect("op", "}")
 
     # -- expressions (index terms and propositions share one grammar level)
 
@@ -435,9 +455,9 @@ class _Parser:
                 binder = self.binder("allreduce binder")
                 self.expect("op", ":")
                 payload = self.datatype()
-                self.expect("op", "{")
+                self.open_block()
                 cont = self.protocol()
-                self.expect("op", "}")
+                self.close_block()
                 return Allreduce(op, binder, payload, cont)
             payload = self.datatype()
             return Allreduce(op, FRESH_BINDER, payload, Skip())
@@ -448,9 +468,9 @@ class _Parser:
             lo = self.index_expr()
             self.expect("op", "..")
             hi = self.index_expr()
-            self.expect("op", "{")
+            self.open_block()
             body = self.protocol()
-            self.expect("op", "}")
+            self.close_block()
             return Foreach(binder, lo, hi, body)
         raise self.unexpected("a protocol form")
 
@@ -494,20 +514,20 @@ class _Parser:
             lo = self.index_expr()
             self.expect("op", "..")
             hi = self.index_expr()
-            self.expect("op", "{")
+            self.open_block()
             body = self.process()
-            self.expect("op", "}")
+            self.close_block()
             return For(binder, lo, hi, body)
         if self.at("keyword", "if"):
             self.advance()
             test = self.prop_expr()
-            self.expect("op", "{")
+            self.open_block()
             then = self.process()
-            self.expect("op", "}")
+            self.close_block()
             self.expect("keyword", "else")
-            self.expect("op", "{")
+            self.open_block()
             orelse = self.process()
-            self.expect("op", "}")
+            self.close_block()
             return If(test, then, orelse)
         raise self.unexpected("a process statement")
 
@@ -611,16 +631,20 @@ def print_proposition(p: Proposition, level: int = 0) -> str:
 
 
 def print_datatype(d: Datatype) -> str:
+    dims = []
+    while isinstance(d, Array):
+        dims.append(f"[{print_index(d.length)}]")
+        d = d.elem
     match d:
         case Integer():
-            return "integer"
+            text = "integer"
         case Float():
-            return "float"
-        case Array(elem, length):
-            return f"{print_datatype(elem)}[{print_index(length)}]"
+            text = "float"
         case Refined(binder, base, pred):
-            return f"{{{binder}: {print_datatype(base)} | {print_proposition(pred)}}}"
-    raise TypeError(f"not a datatype: {d!r}")
+            text = f"{{{binder}: {print_datatype(base)} | {print_proposition(pred)}}}"
+        case _:
+            raise TypeError(f"not a datatype: {d!r}")
+    return text + "".join(reversed(dims))
 
 
 def _endpoint_text(t: IndexTerm) -> str:

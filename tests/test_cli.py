@@ -1,6 +1,8 @@
 """Command line interface: subcommands, exit codes, output shapes."""
 
 import json
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -8,7 +10,13 @@ import pytest
 
 import protomerge
 from protomerge.cli import main
-from protomerge.syntax import MAX_TERM_DEPTH, ParseError, parse_protocol, print_protocol
+from protomerge.syntax import (
+    MAX_BLOCK_DEPTH,
+    MAX_TERM_DEPTH,
+    ParseError,
+    parse_protocol,
+    print_protocol,
+)
 
 
 PROGRAMS = Path(protomerge.__file__).parent / "programs"
@@ -414,6 +422,116 @@ class TestTermDepth:
         assert out.startswith("Completed\n")
         with pytest.raises(ParseError, match="term nests deeper"):
             parse_protocol(f"message 0 1 {payload(MAX_TERM_DEPTH + 1)}")
+
+
+class TestArrayDimensions:
+    """Datatypes with thousands of array dimensions compare, strip and print
+    without recursing once per dimension."""
+
+    DIMS = "[1]" * 2000
+
+    @pytest.mark.parametrize(
+        "other, code",
+        [
+            (f"message 0 1 float{DIMS}", 0),
+            (f"message 0 1 {{x: float | true}}{DIMS}", 0),
+            (f"message 0 1 float[2]{DIMS[3:]}", 1),
+            (f"message 0 1 integer{DIMS}", 1),
+        ],
+        ids=["same", "trivially-refined", "inner-length-differs", "element-differs"],
+    )
+    def test_simulate_and_merge(self, capsys, write, other, code):
+        text = f"message 0 1 float{self.DIMS}"
+        a, b = write("a.ptype", text), write("b.ptype", other)
+        sim_code, sim_out, sim_err = run(capsys, "simulate", a, b, "--size", "2")
+        assert sim_code == code
+        assert (sim_out + sim_err).startswith("Completed\n" if code == 0 else "Mismatch: ")
+        merge_code, merge_out, merge_err = run(
+            capsys, "merge", a, b, "--size", "2", "--merged", "0", "--k", "1"
+        )
+        assert merge_code == code
+        if code == 0:
+            assert merge_out == text + "\n"
+        else:
+            assert merge_err.startswith("error: DatatypeMismatch")
+
+
+class TestBlockDepth:
+    """A process or protocol nesting `{ ... }` blocks deeper than
+    MAX_BLOCK_DEPTH is a parse error at the `{` that crosses the limit, not
+    a crash."""
+
+    @staticmethod
+    def loops(blocks, inner="if rank = 0 { send to 1 float } else { recv from 0 float }"):
+        """`blocks` blocks in all: loops around an if whose branches are one block."""
+        for i in range(blocks - 1):
+            inner = f"for i{i}: 1 .. 1 {{\n{inner}\n}}"
+        return inner
+
+    @staticmethod
+    def column(text, blocks):
+        """Column of the `{` that opens block number `blocks` (one line)."""
+        offset = -1
+        for _ in range(blocks):
+            offset = text.index("{", offset + 1)
+        return offset + 1
+
+    def test_nested_ifs_exit_2(self, capsys, write):
+        text = "skip"
+        for _ in range(400):
+            text = f"if rank = 0 {{ {text} }} else {{ skip }}"
+        f = write("deep.proc", text)
+        col = self.column(text, MAX_BLOCK_DEPTH + 1)
+        for argv in (["infer", f, "--size", "2"], ["extract", f, "--rank", "0", "--size", "2"]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err.startswith(
+                f"parse error at {f}:1:{col}: block nests deeper than {MAX_BLOCK_DEPTH} levels"
+            )
+
+    def test_nested_protocol_exits_2(self, capsys, write):
+        text = "message 0 1 float"
+        for i in range(MAX_BLOCK_DEPTH + 1):
+            if i % 2:
+                text = f"foreach i{i}: 1..1 {{ {text} }}"
+            else:
+                text = f"allreduce min v{i}: float {{ {text} }}"
+        f = write("deep.ptype", text)
+        code, _, err = run(capsys, "simulate", f, f, "--size", "2")
+        assert code == 2
+        col = self.column(text, MAX_BLOCK_DEPTH + 1)
+        assert err.startswith(f"parse error at {f}:1:{col}: block nests deeper")
+
+    def test_at_the_limit_infers_extracts_and_simulates(self, capsys, write):
+        f = write("limit.proc", self.loops(MAX_BLOCK_DEPTH))
+        code, out, _ = run(capsys, "infer", f, "--size", "2")
+        assert code == 0
+        assert out.count("foreach") == MAX_BLOCK_DEPTH - 1
+        files = []
+        for rank in (0, 1):
+            code, out, _ = run(capsys, "extract", f, "--rank", str(rank), "--size", "2")
+            assert code == 0
+            files.append(write(f"r{rank}.ptype", out))
+        code, out, _ = run(capsys, "simulate", *files, "--size", "2")
+        assert code == 0
+        assert out.startswith("Completed\n")
+        deeper = write("deeper.proc", self.loops(MAX_BLOCK_DEPTH + 1))
+        assert run(capsys, "infer", deeper, "--size", "2")[0] == 2
+
+    def test_limits_compose_in_a_fresh_interpreter(self, write):
+        # Blocks and a term both at their limits, in the innermost block: the
+        # parser's deepest stack, with the command line's own frames only.
+        term = "(" * MAX_TERM_DEPTH + "4" + ")" * MAX_TERM_DEPTH
+        inner = f"if rank = 0 {{ send to 1 float[{term}] }} else {{ recv from 0 float[{term}] }}"
+        f = write("limits.proc", self.loops(MAX_BLOCK_DEPTH, inner))
+        src = str(Path(protomerge.__file__).parents[1])
+        script = "import sys; from protomerge.cli import main; sys.exit(main(sys.argv[1:]))"
+        done = subprocess.run(
+            [sys.executable, "-c", script, "infer", f, "--size", "2", "--trace"],
+            capture_output=True, text=True, env={"PYTHONPATH": src}, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr[-500:]
+        assert done.stdout.count("foreach") == MAX_BLOCK_DEPTH - 1
 
 
 class TestErrorChannel:

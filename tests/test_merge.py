@@ -9,6 +9,9 @@ import protomerge
 import protomerge.merge as merge_module
 from protomerge import (
     Allreduce,
+    And,
+    BinOp,
+    Cmp,
     DiagnosticKind,
     Float,
     Foreach,
@@ -20,12 +23,15 @@ from protomerge import (
     NonConstantBounds,
     RULE_NAMES,
     ReduceOp,
+    Refined,
     Seq,
     Skip,
     TypingContext,
     Var,
+    Verdict,
 
     compact_protocol,    attempt_rule,
+    entails,
     extract_local_type,
     initial_context,
     merge_all,
@@ -35,6 +41,7 @@ from protomerge import (
     unfold_foreach,
 )
 from protomerge.ast import FRESH_BINDER
+from protomerge.logic import DEFAULT_ENUM_CAP
 from protomerge.syntax import parse_process
 
 from generators import gen_exchange
@@ -375,8 +382,9 @@ class TestMergeAll:
 
 
 class TestPremisesAndRendering:
-    """No (context, proposition) reaches entails twice in one merge_types
-    call, and no text is rendered until a trace is read."""
+    """No (context, proposition) is decided twice in one merge_types call,
+    by membership or by entails, and no text is rendered until a trace is
+    read."""
 
     @staticmethod
     def fold_steps(n, local_types):
@@ -410,22 +418,31 @@ class TestPremisesAndRendering:
         return types
 
     @pytest.mark.parametrize("case", ["nbody-4", "exchange-3"])
-    def test_no_premise_reaches_entails_twice(self, monkeypatch, case):
+    def test_no_premise_is_decided_twice(self, monkeypatch, case):
         n, types = (4, self.nbody_types(4)) if case == "nbody-4" else (3, self.exchange_types())
-        original = merge_module.entails
-        asked = []
+        decide, entails = merge_module._Engine.decide, merge_module.entails
+        decided, reached = [], []
 
-        def counting(ctx, p, *rest):
-            asked.append((ctx, p))
-            return original(ctx, p, *rest)
+        def counting_decide(engine, ctx, p, *rest):
+            decided.append((ctx, p))
+            return decide(engine, ctx, p, *rest)
 
-        monkeypatch.setattr(merge_module, "entails", counting)
+        def counting_entails(ctx, p, *rest):
+            reached.append((ctx, p))
+            return entails(ctx, p, *rest)
+
+        monkeypatch.setattr(merge_module._Engine, "decide", counting_decide)
+        monkeypatch.setattr(merge_module, "entails", counting_entails)
         steps = 0
         for merged, trace in self.fold_steps(n, types):
-            assert asked, f"merging into {merged} asked nothing"
-            assert len(asked) == len(set(asked)), f"a premise repeated merging into {merged}"
+            assert decided, f"merging into {merged} decided nothing"
+            assert len(decided) == len(set(decided)), f"a premise repeated merging into {merged}"
+            # Every endpoint is a literal, so membership decides every
+            # message premise; only nbody's loop bounds reach entails.
+            assert set(reached) < set(decided)
             steps += len(trace.steps)
-            asked.clear()
+            decided.clear()
+            reached.clear()
         assert steps > 0
 
     def test_accepting_merge_renders_nothing_until_read(self, monkeypatch):
@@ -459,3 +476,106 @@ class TestPremisesAndRendering:
                 ("right-avoids-merged", "1 != rank and 2 != rank", "Valid"),
             ]),
         ]
+
+
+class TestMembershipPremises:
+    """Where `rank` ranges over the merged ranks, message premises on literal
+    endpoints are decided by membership, with entails' verdicts."""
+
+    @staticmethod
+    def contexts(engine, ctx, n):
+        """ctx, ctx under a loop binder i in 0..n-1, and ctx under a binder
+        that rebinds rank to the whole world."""
+        world = And(Cmp("<=", IntLit(0), Var("y")), Cmp("<=", Var("y"), IntLit(n - 1)))
+        loop = Refined("y", Integer(), world)
+        return [ctx, engine.extend(ctx, "i", loop), engine.extend(ctx, "rank", loop)]
+
+    @staticmethod
+    def endpoints(rng, n):
+        return [
+            IntLit(rng.randrange(-1, n + 1)),
+            BinOp("-", Var("size"), IntLit(rng.randrange(1, n + 1))),
+            Var("i"),
+        ]
+
+    def test_membership_agrees_with_entails(self, monkeypatch):
+        by_membership = merge_module._by_membership
+        counted = []
+
+        def counting(ends, holds):
+            verdict = by_membership(ends, holds)
+            counted.append((verdict is not None, ends))
+            return verdict
+
+        monkeypatch.setattr(merge_module, "_by_membership", counting)
+        rng = random.Random(11)
+        for _ in range(300):
+            n = rng.randint(2, 8)
+            merged = sorted(rng.sample(range(n), rng.randint(1, n - 1)))
+            k = rng.choice([r for r in range(n) if r not in merged])
+            enum_cap = rng.choice((1, 2, DEFAULT_ENUM_CAP))
+            root = merged_context(n, merged)
+            engine = merge_module._Engine(root, k, enum_cap, frozenset(merged))
+            for ctx in self.contexts(engine, root, n):
+                ends = self.endpoints(rng, n)
+                lm = Message(rng.choice(ends), rng.choice(ends), D)
+                rm = Message(rng.choice(ends), rng.choice(ends), D)
+                for name, (operand, side, want) in merge_module._AVOIDS.items():
+                    m = lm if operand == "left" else rm
+                    term = Var("rank") if side == "merged" else IntLit(k)
+                    p = And(Cmp("!=", m.src, term), Cmp("!=", m.dst, term))
+                    verdict = entails(ctx, p, enum_cap)
+                    ok, check, _ = engine.avoidance(ctx, name, m)
+                    assert (ok, check.claim, check.verdict) == (
+                        verdict is want, p, verdict.value
+                    ), (n, merged, k, enum_cap, ctx.names(), name, m)
+                ok, check, _ = merge_module._msg_msg_eq(engine, ctx, lm, rm)[0][2]
+                p = And(Cmp("=", lm.src, rm.src), Cmp("=", lm.dst, rm.dst))
+                verdict = entails(ctx, p, enum_cap)
+                assert (ok, check.claim, check.verdict) == (verdict is Verdict.VALID, p, verdict.value)
+        decided = [ends for ok, ends in counted if ok]
+        assert decided and len(decided) < len(counted)
+        assert all(type(e) is IntLit for ends in decided for e in ends)
+
+    def test_rebound_rank_reaches_entails(self, monkeypatch):
+        monkeypatch.setattr(merge_module, "_by_membership", self.refuse)
+        root = merged_context(4, [0, 1])
+        engine = merge_module._Engine(root, 2, DEFAULT_ENUM_CAP, frozenset((0, 1)))
+        rebound = self.contexts(engine, root, 4)[2]
+        ok, check, _ = engine.avoidance(rebound, "left-skip-like", msg(2, 3))
+        assert (ok, check.verdict) == (False, "Invalid")
+
+    @staticmethod
+    def refuse(ends, holds):
+        raise AssertionError("decided by membership")
+
+    @staticmethod
+    def fold(instance):
+        """Per merge_types call: the trace's (rule, premise, formula,
+        verdict) rows, or the diagnostic that refused it."""
+        types = dict(instance.local_types())
+        accumulated, out = types[0], []
+        for k in range(1, instance.n):
+            try:
+                accumulated, trace = merge_types(
+                    merged_context(instance.n, range(k)), accumulated, types[k], k
+                )
+            except MergeFailure as failure:
+                out.append(failure.diagnostic)
+                break
+            out.append([
+                (s.rule, p.name, p.formula, p.verdict) for s in trace.steps for p in s.premises
+            ])
+        return out
+
+    def test_traces_match_entails_only_merges(self, monkeypatch):
+        rng = random.Random(5)
+        instances = [gen_exchange(rng) for _ in range(2000)]
+        with_membership = [self.fold(instance) for instance in instances]
+        monkeypatch.setattr(merge_module, "_by_membership", lambda ends, holds: None)
+        entails_only = [self.fold(instance) for instance in instances]
+        assert with_membership == entails_only
+        rows = [row for folds in with_membership for step in folds if isinstance(step, list)
+                for row in step]
+        assert {"endpoints-equal", "left-avoids-k", "right-avoids-merged"} <= {r[1] for r in rows}
+        assert any(isinstance(step, protomerge.Diagnostic) for f in with_membership for step in f)
