@@ -418,10 +418,29 @@ class DiagnosticKind(enum.Enum):
     ENTAILMENT_UNDECIDABLE = "EntailmentUndecidable"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class RuleAttempt:
+    """A rule refused at a diagnostic's node, and why: the text, or a function
+    that renders it when `failed_premise` is read. Equality, hash and repr go
+    by the rule and that text."""
+
     rule: str
-    failed_premise: str
+    reason: str | Callable[[], str]
+
+    @property
+    def failed_premise(self) -> str:
+        return self.reason if isinstance(self.reason, str) else self.reason()
+
+    def __eq__(self, other):
+        if not isinstance(other, RuleAttempt):
+            return NotImplemented
+        return (self.rule, self.failed_premise) == (other.rule, other.failed_premise)
+
+    def __hash__(self):
+        return hash((self.rule, self.failed_premise))
+
+    def __repr__(self):
+        return f"RuleAttempt(rule={self.rule!r}, failed_premise={self.failed_premise!r})"
 
 
 @dataclass(frozen=True, slots=True)

@@ -224,11 +224,12 @@ def _cmd_infer(args) -> int:
             f"expected 1 process file or {args.size} per-rank files, got {len(args.files)}"
         )
     ctx = initial_context(args.size)
-    sources = [(_read(f), f) for f in args.files]
+    # Each distinct file is read and parsed once, however many ranks share it.
+    texts = {f: _read(f) for f in dict.fromkeys(args.files)}
+    programs = {f: parse_process(text, f) for f, text in texts.items()}
     locals_: list[tuple[int, ProtocolType]] = []
     for rank in range(args.size):
-        text, name = sources[0] if len(sources) == 1 else sources[rank]
-        program = parse_process(text, name)
+        program = programs[args.files[0] if len(args.files) == 1 else args.files[rank]]
         locals_.append((rank, extract_local_type(ctx, program, rank, args.size)))
     result, traces = merge_all(
         args.size, locals_, order=args.order, enum_cap=args.enum_cap, unroll=args.unroll

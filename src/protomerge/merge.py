@@ -12,7 +12,7 @@ every applicable rule's premise broke.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .ast import (
     Allreduce,
@@ -104,14 +104,34 @@ def _constant_bounds(ctx: TypingContext, t: Foreach) -> tuple[int, int]:
 # Traces and failure
 
 
+class _Both(NamedTuple):
+    """The proposition `a op b and c op d`, kept as its parts and built when
+    it is read."""
+
+    op: str
+    a: IndexTerm
+    b: IndexTerm
+    c: IndexTerm
+    d: IndexTerm
+
+    def proposition(self) -> Proposition:
+        return And(Cmp(self.op, self.a, self.b), Cmp(self.op, self.c, self.d))
+
+
 @dataclass(frozen=True, slots=True)
 class PremiseCheck:
     """One premise a rule checked. `claim` is the proposition or the payload
-    pair it decided (or the formula text itself); `formula` renders it."""
+    pair it decided (or the formula text itself); `formula` renders it. The
+    engine states its propositions as `_Both` parts, built when read."""
 
     name: str
-    claim: Proposition | tuple[Datatype, Datatype] | str
+    stated: Proposition | _Both | tuple[Datatype, Datatype] | str
     verdict: str
+
+    @property
+    def claim(self) -> Proposition | tuple[Datatype, Datatype] | str:
+        stated = self.stated
+        return stated.proposition() if type(stated) is _Both else stated
 
     @property
     def formula(self) -> str:
@@ -210,6 +230,9 @@ _SIDE_PREMISES = {
     for side in ("merged", "k")
 }
 
+# The premises that judge the left operand's message.
+_ON_LEFT = frozenset(name for name, (operand, _, _) in _AVOIDS.items() if operand == "left")
+
 # Non-interference: the left message never touches rank k, the right message
 # never touches an already-merged rank, so the two orders are
 # indistinguishable to every rank involved.
@@ -225,9 +248,10 @@ def _seq_parts(t: ProtocolType) -> tuple[ProtocolType, ProtocolType]:
 def _by_membership(ends: tuple[IndexTerm, ...], holds) -> Verdict | None:
     """Valid when `holds` of the endpoints' values, else Invalid; None
     unless every endpoint is an integer literal."""
-    if all(type(e) is IntLit for e in ends):
-        return Verdict.VALID if holds(*[e.value for e in ends]) else Verdict.INVALID
-    return None
+    for e in ends:
+        if type(e) is not IntLit:
+            return None
+    return Verdict.VALID if holds(*[e.value for e in ends]) else Verdict.INVALID
 
 
 def _fresh(base: str, avoid: Iterable[str]) -> str:
@@ -239,14 +263,52 @@ def _fresh(base: str, avoid: Iterable[str]) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Operand shapes
+#
+# The rules are syntax-directed: an operand's shape class decides which
+# rules can fire on it. A sequence is message-headed when its head is a
+# message; any other sequence (headed by a loop, an allreduce, or, outside
+# normal form, by a sequence) is an other sequence.
+
+_SKIP, _MSG, _MSG_SEQ, _SEQ, _FOREACH, _ALLRED = (
+    "skip", "message", "message-headed sequence", "other sequence", "foreach", "allreduce"
+)
+_SHAPES = (_SKIP, _MSG, _MSG_SEQ, _SEQ, _FOREACH, _ALLRED)
+_SHAPE_OF = {Skip: _SKIP, Message: _MSG, Foreach: _FOREACH, Allreduce: _ALLRED}
+
+
+def _shape(t: ProtocolType) -> str | None:
+    if type(t) is Seq:
+        return _MSG_SEQ if type(t.first) is Message else _SEQ
+    return _SHAPE_OF.get(type(t))
+
+
+def _pair(lshape: str, rshape: str):
+    """The shape test that accepts exactly one pair of shape classes."""
+    return lambda l, r: l == lshape and r == rshape
+
+
+def _seq_pair(l: str, r: str) -> bool:
+    """seq-seq's shape test: a sequence on either side, skip on neither."""
+    return (l in (_MSG_SEQ, _SEQ) or r in (_MSG_SEQ, _SEQ)) and _SKIP not in (l, r)
+
+
+def _headed_pair(l: str, r: str) -> bool:
+    """msgT-msgT's shape test: each side a message or a message-headed
+    sequence, and at least one side a sequence."""
+    return _MSG_SEQ in (l, r) and l in (_MSG, _MSG_SEQ) and r in (_MSG, _MSG_SEQ)
+
+
+# ---------------------------------------------------------------------------
 # The rules
 #
-# A rule is a function (engine, ctx, left, right). It returns None when the
-# operand shapes do not match, else (premises, subgoals, conclude): the
-# premises as (ok, PremiseCheck, kind) triples in the order checked, all
-# evaluated; the sub-merges as (ctx, left, right, path label, refusal text),
-# merged in order; and `conclude`, from the sub-merges' results to the
-# rule's conclusion.
+# A rule is a shape test and a function (engine, ctx, left, right). The
+# shape test takes the operands' shape classes; the function is called only
+# on operands it accepts. The function returns (premises, subgoals,
+# conclude): the premises as (ok, PremiseCheck, kind) triples in the order
+# checked, all evaluated; the sub-merges as (ctx, left, right, path label,
+# refusal text), merged in order; and `conclude`, from the sub-merges'
+# results to the rule's conclusion.
 
 
 def _message_rule(lshape, rshape, names, conclude):
@@ -254,21 +316,16 @@ def _message_rule(lshape, rshape, names, conclude):
     the named message premises only."""
 
     def rule(engine, ctx, left, right):
-        if not (isinstance(left, lshape) and isinstance(right, rshape)):
-            return None
         return engine.messages(ctx, left, right, names), (), lambda: conclude(left, right)
 
-    return rule
+    return _pair(lshape, rshape), rule
 
 
 def _msg_msg_eq(engine, ctx, left, right):
-    if not (isinstance(left, Message) and isinstance(right, Message)):
-        return None
     ends = (left.src, right.src, left.dst, right.dst)
-    endpoints = And(Cmp("=", left.src, right.src), Cmp("=", left.dst, right.dst))
     premises = engine.messages(ctx, left, right, ("left-real", "right-real")) + [
         engine.entail(
-            ctx, "endpoints-equal", endpoints, _STRUCTURAL,
+            ctx, "endpoints-equal", _Both("=", *ends), _STRUCTURAL,
             ends, lambda ls, rs, ld, rd: ls == rs and ld == rd,
         ),
         engine.payload_equiv(ctx, left.payload, right.payload),
@@ -277,8 +334,6 @@ def _msg_msg_eq(engine, ctx, left, right):
 
 
 def _allred_allred(engine, ctx, left, right):
-    if not (isinstance(left, Allreduce) and isinstance(right, Allreduce)):
-        return None
     same_op = left.op is right.op
     op_check = PremiseCheck(
         "op-equal", f"{left.op.value} = {right.op.value}", "equal" if same_op else "different"
@@ -295,9 +350,7 @@ def _allred_allred(engine, ctx, left, right):
 
 
 def _foreach_foreach(engine, ctx, left, right):
-    if not (isinstance(left, Foreach) and isinstance(right, Foreach)):
-        return None
-    bounds = And(Cmp("=", left.lo, right.lo), Cmp("=", left.hi, right.hi))
+    bounds = _Both("=", left.lo, right.lo, left.hi, right.hi)
     premises = [engine.entail(ctx, "bounds-equal", bounds, _ENTAILMENT)]
     binder, rbinder = left.binder, right.binder
     rbody = right.body if rbinder == binder else subst_type(right.body, {rbinder: Var(binder)})
@@ -311,10 +364,6 @@ def _foreach_foreach(engine, ctx, left, right):
 
 
 def _seq_seq(engine, ctx, left, right):
-    if not (isinstance(left, Seq) or isinstance(right, Seq)):
-        return None
-    if isinstance(left, Skip) or isinstance(right, Skip):
-        return None
     (lh, lt), (rh, rt) = _seq_parts(left), _seq_parts(right)
     first = (ctx, lh, rh, "seq.first", "first components do not merge")
     return (), (first, (ctx, lt, rt, "seq.second", "second components do not merge")), concat
@@ -326,8 +375,6 @@ def _skip_vs_seq(flip: bool):
 
     def rule(engine, ctx, left, right):
         skip, seq = (right, left) if flip else (left, right)
-        if not (isinstance(skip, Skip) and isinstance(seq, Seq) and isinstance(seq.first, Message)):
-            return None
 
         def goal(part, label, text):
             return (ctx, part, skip, label, text) if flip else (ctx, skip, part, label, text)
@@ -335,7 +382,7 @@ def _skip_vs_seq(flip: bool):
         head = goal(seq.first, "seq.head", "head does not merge against skip")
         return (), (head, goal(seq.second, "seq.tail", "tail does not merge against skip")), concat
 
-    return rule
+    return (_pair(_MSG_SEQ, _SKIP) if flip else _pair(_SKIP, _MSG_SEQ)), rule
 
 
 def _msgT_msgT(emit_right: bool):
@@ -350,47 +397,56 @@ def _msgT_msgT(emit_right: bool):
         labels = ("seq.tail-vs-right", "left tail does not merge against the right type")
 
     def rule(engine, ctx, left, right):
-        if not (isinstance(left, Seq) or isinstance(right, Seq)):
-            return None
         lh, lt = _seq_parts(left)
         rh, rt = _seq_parts(right)
-        if not (isinstance(lh, Message) and isinstance(rh, Message)):
-            return None
         head, rest = (rh, (ctx, left, rt)) if emit_right else (lh, (ctx, lt, right))
         premises = engine.messages(ctx, lh, rh, names)
         return premises, (rest + labels,), lambda r: concat(head, r)
 
-    return rule
+    return _headed_pair, rule
 
 
-# The rules in the order the engine tries them.
+# The rules in the order the engine tries them: name -> (shape test, rule).
 _RULES = {
-    "skip-skip": _message_rule(Skip, Skip, (), lambda l, r: Skip()),
-    "skip-msgS": _message_rule(Skip, Message, ("right-skip-like",), lambda l, r: Skip()),
-    "msgS-skip": _message_rule(Message, Skip, ("left-skip-like",), lambda l, r: Skip()),
+    "skip-skip": _message_rule(_SKIP, _SKIP, (), lambda l, r: Skip()),
+    "skip-msgS": _message_rule(_SKIP, _MSG, ("right-skip-like",), lambda l, r: Skip()),
+    "msgS-skip": _message_rule(_MSG, _SKIP, ("left-skip-like",), lambda l, r: Skip()),
     "msgS-msgS": _message_rule(
-        Message, Message, ("left-skip-like", "right-skip-like"), lambda l, r: Skip()
+        _MSG, _MSG, ("left-skip-like", "right-skip-like"), lambda l, r: Skip()
     ),
-    "msg-skip": _message_rule(Message, Skip, ("left-real", "left-avoids-k"), lambda l, r: l),
-    "skip-msg": _message_rule(Skip, Message, ("right-avoids-merged", "right-real"), lambda l, r: r),
+    "msg-skip": _message_rule(_MSG, _SKIP, ("left-real", "left-avoids-k"), lambda l, r: l),
+    "skip-msg": _message_rule(_SKIP, _MSG, ("right-avoids-merged", "right-real"), lambda l, r: r),
     "msg-msgS": _message_rule(
-        Message, Message, ("left-real", "left-avoids-k", "right-skip-like"), lambda l, r: l
+        _MSG, _MSG, ("left-real", "left-avoids-k", "right-skip-like"), lambda l, r: l
     ),
     "msgS-msg": _message_rule(
-        Message, Message, ("left-skip-like", "right-real", "right-avoids-merged"), lambda l, r: r
+        _MSG, _MSG, ("left-skip-like", "right-real", "right-avoids-merged"), lambda l, r: r
     ),
-    "msg-msg-eq": _msg_msg_eq,
-    "allred-allred": _allred_allred,
-    "foreach-foreach": _foreach_foreach,
-    "seq-seq": _seq_seq,
+    "msg-msg-eq": (_pair(_MSG, _MSG), _msg_msg_eq),
+    "allred-allred": (_pair(_ALLRED, _ALLRED), _allred_allred),
+    "foreach-foreach": (_pair(_FOREACH, _FOREACH), _foreach_foreach),
+    "seq-seq": (_seq_pair, _seq_seq),
     "skip-msgT": _skip_vs_seq(flip=False),
     "msgT-skipT": _skip_vs_seq(flip=True),
-    "msg-msg-right": _message_rule(Message, Message, _NON_INTERFERENCE, lambda l, r: Seq(r, l)),
-    "msg-msg-left": _message_rule(Message, Message, _NON_INTERFERENCE, lambda l, r: Seq(l, r)),
+    "msg-msg-right": _message_rule(_MSG, _MSG, _NON_INTERFERENCE, lambda l, r: Seq(r, l)),
+    "msg-msg-left": _message_rule(_MSG, _MSG, _NON_INTERFERENCE, lambda l, r: Seq(l, r)),
     "msgT-msgT-left": _msgT_msgT(emit_right=False),
     "msgT-msgT-right": _msgT_msgT(emit_right=True),
 }
 RULE_NAMES = tuple(_RULES)
+
+# (left shape, right shape) -> the (name, rule) pairs whose shape test
+# accepts it, in table order.
+_INDEX = {
+    (l, r): tuple((name, rule) for name, (fits, rule) in _RULES.items() if fits(l, r))
+    for l in _SHAPES
+    for r in _SHAPES
+}
+
+
+def _offered(left: ProtocolType, right: ProtocolType):
+    """The rules whose shape test accepts left and right, in table order."""
+    return _INDEX.get((_shape(left), _shape(right)), ())
 
 
 class _Engine:
@@ -438,12 +494,11 @@ class _Engine:
             # Guard against re-entering the same subproblem while it is open.
             self.memo[key] = ()
             attempts: list[tuple[str, _Refused]] = []
-            for name, rule in _RULES.items():
+            for name, rule in _offered(left, right):
                 outcome = self.apply(name, rule, ctx, left, right, path)
                 if isinstance(outcome, _Applied):
                     break
-                if outcome is not None:
-                    attempts.append((name, outcome))
+                attempts.append((name, outcome))
             else:
                 outcome = tuple(attempts)
             self.memo[key] = outcome
@@ -456,15 +511,12 @@ class _Engine:
             self.deepest_attempts = outcome
         return None
 
-    def apply(self, name, rule, ctx, left, right, path) -> _Applied | _Refused | None:
-        """One rule at one node: None when the shapes do not match, else its
-        derivation or why it was refused. The rule evaluates every premise
-        before any is judged, so an undecidable one marks the engine even
-        after an earlier failure."""
-        shaped = rule(self, ctx, left, right)
-        if shaped is None:
-            return None
-        checks, subgoals, conclude = shaped
+    def apply(self, name, rule, ctx, left, right, path) -> _Applied | _Refused:
+        """One rule at one node whose shapes it accepts: its derivation or why
+        it was refused. The rule evaluates every premise before any is
+        judged, so an undecidable one marks the engine even after an earlier
+        failure."""
+        checks, subgoals, conclude = rule(self, ctx, left, right)
         premises: list[PremiseCheck] = []
         for ok, check, kind in checks:
             premises.append(check)
@@ -492,12 +544,14 @@ class _Engine:
             kind = DiagnosticKind.ENTAILMENT_FAILED
         else:
             kind = DiagnosticKind.DEADLOCK_SUSPECTED
-        trace = tuple(RuleAttempt(name, r.text()) for name, r in self.deepest_attempts)
+        # The refusals are rendered when they are read.
+        trace = tuple(RuleAttempt(name, r.text) for name, r in self.deepest_attempts)
         if not trace:
             trace = (
                 RuleAttempt(
                     "none",
-                    f"no rule matches {compact_protocol(left)} against {compact_protocol(right)}",
+                    lambda: f"no rule matches {compact_protocol(left)} against "
+                    f"{compact_protocol(right)}",
                 ),
             )
         return Diagnostic(kind, location, trace)
@@ -516,15 +570,15 @@ class _Engine:
                 self.ground.add(id(extended))
         return extended
 
-    def decide(self, ctx: TypingContext, p: Proposition, ends=(), holds=None) -> Verdict:
+    def decide(self, ctx: TypingContext, p: _Both, ends=(), holds=None) -> Verdict:
         """The verdict of premise p under ctx: by membership (`holds` of the
         literal endpoints `ends`) where ctx's `rank` ranges over the merged
-        ranks, else by entails."""
+        ranks, else by entails on p's proposition."""
         verdict = None
         if holds is not None and id(ctx) in self.ground:
             verdict = _by_membership(ends, holds)
         if verdict is None:
-            verdict = entails(ctx, p, self.enum_cap)
+            verdict = entails(ctx, p.proposition(), self.enum_cap)
             if verdict is Verdict.UNDECIDABLE:
                 self.undecidable = True
         return verdict
@@ -537,13 +591,14 @@ class _Engine:
         if premise is None:
             side = _AVOIDS[name][1]
             term, ranks = self.sides[side]
-            p = And(Cmp("!=", m.src, term), Cmp("!=", m.dst, term))
+            p = _Both("!=", m.src, term, m.dst, term)
             verdict = self.decide(
                 ctx, p, (m.src, m.dst), lambda src, dst: src not in ranks and dst not in ranks
             )
+            value = verdict.value
             for other in _SIDE_PREMISES[side]:
                 ok = verdict is _AVOIDS[other][2]
-                check = (ok, PremiseCheck(other, p, verdict.value), _STRUCTURAL)
+                check = (ok, PremiseCheck(other, p, value), _STRUCTURAL)
                 self.premises[(id(ctx), other, m.src, m.dst)] = check
             premise = self.premises[key]
         return premise
@@ -551,12 +606,17 @@ class _Engine:
     def messages(
         self, ctx: TypingContext, lm: ProtocolType, rm: ProtocolType, names: Sequence[str]
     ) -> list:
-        """The named message premises on left message lm and right message rm."""
-        return [
-            self.avoidance(ctx, name, lm if _AVOIDS[name][0] == "left" else rm) for name in names
-        ]
+        """The named message premises on left message lm and right message rm,
+        read from the table where their side is already decided."""
+        table, cid = self.premises, id(ctx)
+        premises = []
+        for name in names:
+            m = lm if name in _ON_LEFT else rm
+            premise = table.get((cid, name, m.src, m.dst))
+            premises.append(premise if premise is not None else self.avoidance(ctx, name, m))
+        return premises
 
-    def entail(self, ctx: TypingContext, name: str, p: Proposition, kind: str, ends=(), holds=None):
+    def entail(self, ctx: TypingContext, name: str, p: _Both, kind: str, ends=(), holds=None):
         """The premise that ctx entails p, decided as `decide` does."""
         verdict = self.decide(ctx, p, ends, holds)
         return verdict is Verdict.VALID, PremiseCheck(name, p, verdict.value), kind
@@ -597,7 +657,13 @@ def merge_types(
 
     Raises MergeFailure (with a Diagnostic) when no derivation exists.
     """
-    left, right = normalize_seq(left), normalize_seq(right)
+    return _merge_normal(ctx, normalize_seq(left), normalize_seq(right), k, enum_cap)
+
+
+def _merge_normal(
+    ctx: TypingContext, left: ProtocolType, right: ProtocolType, k: int, enum_cap: int
+) -> tuple[ProtocolType, MergeTrace]:
+    """merge_types on operands already in sequence normal form."""
     ranks = _validate_merge_inputs(ctx, k)
     engine = _Engine(ctx, k, enum_cap, ranks)
     outcome = engine.merge(ctx, left, right, ())
@@ -619,11 +685,13 @@ def attempt_rule(
     Returns the rule's conclusion, or None when the rule is inapplicable,
     whether because the operand shapes do not match or a premise fails.
     """
-    fn = _RULES.get(rule)
-    if fn is None:
+    if rule not in _RULES:
         raise ValueError(f"unknown merge rule {rule!r}; expected one of {', '.join(RULE_NAMES)}")
-    engine = _Engine(ctx, k, enum_cap)
-    outcome = engine.apply(rule, fn, ctx, normalize_seq(left), normalize_seq(right), ())
+    fits, fn = _RULES[rule]
+    left, right = normalize_seq(left), normalize_seq(right)
+    if not fits(_shape(left), _shape(right)):
+        return None
+    outcome = _Engine(ctx, k, enum_cap).apply(rule, fn, ctx, left, right, ())
     return outcome.result if isinstance(outcome, _Applied) else None
 
 
@@ -655,6 +723,8 @@ def merge_all(
     unroll: int = DEFAULT_UNROLL,
 ) -> tuple[ProtocolType, list[MergeTrace]]:
     """Fold merge_types over all ranks in the given order (default 0..n-1).
+    Each local type is put in sequence normal form once, as it enters the
+    fold, so the result is a normal form even for n = 1.
 
     When a step fails and exactly one side starts with a small constant-bound
     foreach (at most `unroll` iterations), that side is unfolded and the step
@@ -672,12 +742,15 @@ def merge_all(
         raise ValueError(f"order {sequence} is not a permutation of 0..{n - 1}")
 
     merged = [sequence[0]]
-    accumulated = types[sequence[0]]
+    # Engine output is normal, so only the local types need normalizing.
+    accumulated = normalize_seq(types[sequence[0]])
     traces: list[MergeTrace] = []
     for k in sequence[1:]:
         ctx = merged_context(n, merged)
         try:
-            accumulated, trace = _merge_step(ctx, accumulated, types[k], k, enum_cap, unroll)
+            accumulated, trace = _merge_step(
+                ctx, accumulated, normalize_seq(types[k]), k, enum_cap, unroll
+            )
         except MergeFailure as failure:
             raise failure.annotated(
                 f"merging rank {k} into ranks {sorted(merged)}"
@@ -695,11 +768,10 @@ def _merge_step(
     enum_cap: int,
     unroll: int,
 ) -> tuple[ProtocolType, MergeTrace]:
+    """One fold step on normal forms, retried once with a loop head unfolded."""
     try:
-        return merge_types(ctx, left, right, k, enum_cap)
+        return _merge_normal(ctx, left, right, k, enum_cap)
     except MergeFailure:
-        # The heads are those of the normal forms merge_types worked on.
-        left, right = normalize_seq(left), normalize_seq(right)
         left_unfoldable = _head_unfoldable(ctx, left, unroll)
         right_unfoldable = _head_unfoldable(ctx, right, unroll)
         if left_unfoldable == right_unfoldable:
@@ -708,4 +780,4 @@ def _merge_step(
             left = _unfold_head(ctx, left)
         else:
             right = _unfold_head(ctx, right)
-        return merge_types(ctx, left, right, k, enum_cap)
+        return _merge_normal(ctx, left, right, k, enum_cap)

@@ -262,3 +262,19 @@ class TestDiagnostic:
         attempt = RuleAttempt("msg-msg-eq", "payloads differ")
         d = Diagnostic(DiagnosticKind.DATATYPE_MISMATCH, "seq.first", (attempt,))
         assert d.rule_trace[0].rule == "msg-msg-eq"
+        assert d.rule_trace[0].failed_premise == "payloads differ"
+
+    def test_reason_is_rendered_when_read_and_compared_as_read(self):
+        rendered = []
+
+        def reason():
+            rendered.append(True)
+            return "payloads differ"
+
+        lazy, text = RuleAttempt("msg-msg-eq", reason), RuleAttempt("msg-msg-eq", "payloads differ")
+        assert not rendered
+        assert lazy.failed_premise == "payloads differ"
+        assert lazy == text and hash(lazy) == hash(text) and repr(lazy) == repr(text)
+        assert lazy != RuleAttempt("msg-msg-eq", "endpoints differ")
+        kind = DiagnosticKind.DATATYPE_MISMATCH
+        assert Diagnostic(kind, "root", (lazy,)) == Diagnostic(kind, "root", (text,))

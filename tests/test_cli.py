@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import protomerge
+import protomerge.cli as cli_module
 from protomerge.cli import main
 from protomerge.syntax import (
     MAX_BLOCK_DEPTH,
@@ -71,6 +72,22 @@ class TestInfer:
         code, out, _ = run(capsys, "infer", *files, "--size", "3")
         assert code == 0
         assert out == "allreduce min float\n"
+
+    def test_each_distinct_file_is_parsed_once(self, capsys, write, monkeypatch):
+        parse, parsed = cli_module.parse_process, []
+
+        def counting(text, name):
+            parsed.append(name)
+            return parse(text, name)
+
+        monkeypatch.setattr(cli_module, "parse_process", counting)
+        shared = str(PROGRAMS / "nbody.proc")
+        assert run(capsys, "infer", shared, "--size", "8")[0] == 0
+        assert parsed == [shared]
+        parsed.clear()
+        a, b = write("a.proc", "allreduce min float"), write("b.proc", "allreduce min float")
+        assert run(capsys, "infer", a, b, a, "--size", "3")[0] == 0
+        assert parsed == [a, b]
 
     def test_trace_goes_to_stderr(self, capsys, write):
         f = write("p.proc", RING)

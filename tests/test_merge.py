@@ -1,5 +1,6 @@
 """Merge engine: normal forms, unfolding, rules, diagnostics, rank folding."""
 
+import itertools
 import random
 from pathlib import Path
 
@@ -330,6 +331,189 @@ class TestMirrorSymmetry:
         assert any(derivable) and not all(derivable)
 
 
+def _head(t):
+    return t.first if isinstance(t, Seq) else t
+
+
+def _both(lcls, rcls):
+    return lambda l, r: isinstance(l, lcls) and isinstance(r, rcls)
+
+
+def _a_seq(l, r):
+    return isinstance(l, Seq) or isinstance(r, Seq)
+
+
+# Each rule's shape test as the rule once ran it on the operands themselves,
+# before the engine indexed the rules by shape class.
+REFERENCE_SHAPES = {
+    "skip-skip": _both(Skip, Skip),
+    "skip-msgS": _both(Skip, Message),
+    "msgS-skip": _both(Message, Skip),
+    "msgS-msgS": _both(Message, Message),
+    "msg-skip": _both(Message, Skip),
+    "skip-msg": _both(Skip, Message),
+    "msg-msgS": _both(Message, Message),
+    "msgS-msg": _both(Message, Message),
+    "msg-msg-eq": _both(Message, Message),
+    "allred-allred": _both(Allreduce, Allreduce),
+    "foreach-foreach": _both(Foreach, Foreach),
+    "seq-seq": lambda l, r: _a_seq(l, r) and not (isinstance(l, Skip) or isinstance(r, Skip)),
+    "skip-msgT": lambda l, r: isinstance(l, Skip) and isinstance(r, Seq) and isinstance(r.first, Message),
+    "msgT-skipT": lambda l, r: isinstance(r, Skip) and isinstance(l, Seq) and isinstance(l.first, Message),
+    "msg-msg-right": _both(Message, Message),
+    "msg-msg-left": _both(Message, Message),
+    "msgT-msgT-left": lambda l, r: _a_seq(l, r) and isinstance(_head(l), Message) and isinstance(_head(r), Message),
+    "msgT-msgT-right": lambda l, r: _a_seq(l, r) and isinstance(_head(l), Message) and isinstance(_head(r), Message),
+}
+
+
+def all_rules_offered(left, right):
+    """Every rule in table order, each behind its reference shape test."""
+    return tuple(
+        (name, rule) for name, (_, rule) in merge_module._RULES.items()
+        if REFERENCE_SHAPES[name](left, right)
+    )
+
+
+FAN = Foreach("i", IntLit(1), IntLit(2), Message(IntLit(0), Var("i"), D))
+
+# Operands covering every shape class, with rank 0 merged and k = 1.
+SHAPE_REPS = {
+    "skip": Skip(),
+    "message 0 1": msg(0, 1),
+    "message 2 0": msg(2, 0),
+    "message 1 2": msg(1, 2),
+    "message-headed 2 0": Seq(msg(2, 0), msg(0, 2)),
+    "message-headed 1 2": Seq(msg(1, 2), msg(2, 1)),
+    "seq-headed": Seq(Seq(msg(2, 0), msg(0, 1)), msg(1, 2)),
+    "loop-headed": Seq(FAN, msg(2, 0)),
+    "foreach": FAN,
+    "allreduce": allred(),
+}
+
+# attempt_rule(merged_context(3, [0]), rule, left, right, k=1) on SHAPE_REPS,
+# as computed by the engine that offered every node all rules: (rule, left,
+# right) -> the conclusion; every other combination gives None.
+REFERENCE_ATTEMPTS = {
+    ("skip-skip", "skip", "skip"): "skip",
+    ("skip-msgS", "skip", "message 2 0"): "skip",
+    ("msgS-skip", "message 1 2", "skip"): "skip",
+    ("msgS-msgS", "message 1 2", "message 2 0"): "skip",
+    ("msg-skip", "message 2 0", "skip"): "message 2 0 float",
+    ("skip-msg", "skip", "message 1 2"): "message 1 2 float",
+    ("msg-msgS", "message 2 0", "message 2 0"): "message 2 0 float",
+    ("msgS-msg", "message 1 2", "message 1 2"): "message 1 2 float",
+    ("msg-msg-eq", "message 0 1", "message 0 1"): "message 0 1 float",
+    ("allred-allred", "allreduce", "allreduce"): "allreduce min float",
+    ("foreach-foreach", "foreach", "foreach"): "foreach i: 1..2 { message 0 i float }",
+    ("seq-seq", "message 2 0", "message-headed 2 0"): "message 2 0 float",
+    ("seq-seq", "message 2 0", "message-headed 1 2"):
+        "message 1 2 float; message 2 0 float; message 2 1 float",
+    ("seq-seq", "message 1 2", "message-headed 2 0"): "skip",
+    ("seq-seq", "message 1 2", "message-headed 1 2"): "message 1 2 float; message 2 1 float",
+    ("seq-seq", "message-headed 2 0", "message 2 0"): "message 2 0 float; message 0 2 float",
+    ("seq-seq", "message-headed 2 0", "message 1 2"):
+        "message 1 2 float; message 2 0 float; message 0 2 float",
+    ("seq-seq", "message-headed 2 0", "message-headed 2 0"): "message 2 0 float; message 0 2 float",
+    ("seq-seq", "message-headed 2 0", "message-headed 1 2"):
+        "message 1 2 float; message 2 0 float; message 2 1 float; message 0 2 float",
+    ("seq-seq", "message-headed 1 2", "message 2 0"): "skip",
+    ("seq-seq", "message-headed 1 2", "message 1 2"): "message 1 2 float",
+    ("seq-seq", "message-headed 1 2", "message-headed 2 0"): "skip",
+    ("seq-seq", "message-headed 1 2", "message-headed 1 2"): "message 1 2 float; message 2 1 float",
+    ("seq-seq", "seq-headed", "seq-headed"):
+        "message 2 0 float; message 0 1 float; message 1 2 float",
+    ("seq-seq", "loop-headed", "loop-headed"):
+        "foreach i: 1..2 { message 0 i float }; message 2 0 float",
+    ("seq-seq", "loop-headed", "foreach"): "foreach i: 1..2 { message 0 i float }; message 2 0 float",
+    ("seq-seq", "foreach", "loop-headed"): "foreach i: 1..2 { message 0 i float }",
+    ("skip-msgT", "skip", "message-headed 2 0"): "skip",
+    ("skip-msgT", "skip", "message-headed 1 2"): "message 1 2 float; message 2 1 float",
+    ("msgT-skipT", "message-headed 2 0", "skip"): "message 2 0 float; message 0 2 float",
+    ("msgT-skipT", "message-headed 1 2", "skip"): "skip",
+    ("msg-msg-right", "message 2 0", "message 1 2"): "message 1 2 float; message 2 0 float",
+    ("msg-msg-left", "message 2 0", "message 1 2"): "message 2 0 float; message 1 2 float",
+    ("msgT-msgT-left", "message 2 0", "message-headed 1 2"):
+        "message 2 0 float; message 1 2 float; message 2 1 float",
+    ("msgT-msgT-left", "message-headed 2 0", "message 1 2"):
+        "message 2 0 float; message 1 2 float; message 0 2 float",
+    ("msgT-msgT-left", "message-headed 2 0", "message-headed 1 2"):
+        "message 2 0 float; message 1 2 float; message 0 2 float; message 2 1 float",
+    ("msgT-msgT-left", "seq-headed", "message 0 1"): "message 2 0 float; message 0 1 float",
+    ("msgT-msgT-right", "message 2 0", "message-headed 1 2"):
+        "message 1 2 float; message 2 1 float; message 2 0 float",
+    ("msgT-msgT-right", "message-headed 2 0", "message 1 2"):
+        "message 1 2 float; message 2 0 float; message 0 2 float",
+    ("msgT-msgT-right", "message-headed 2 0", "message-headed 1 2"):
+        "message 1 2 float; message 2 1 float; message 2 0 float; message 0 2 float",
+}
+
+PROGRAMS = Path(protomerge.__file__).parent / "programs"
+
+
+class TestShapeDispatch:
+    """The engine offers a node only the rules whose shape test accepts its
+    operands' shape classes; that changes no result, trace or diagnostic."""
+
+    def test_every_shape_class_is_represented(self):
+        shapes = {merge_module._shape(t) for t in SHAPE_REPS.values()}
+        assert shapes == set(merge_module._SHAPES)
+        assert merge_module._shape(SHAPE_REPS["seq-headed"]) == merge_module._SEQ
+
+    def test_index_is_exact(self):
+        for left, right in itertools.product(SHAPE_REPS.values(), repeat=2):
+            shapes = merge_module._shape(left), merge_module._shape(right)
+            offered = [name for name, _ in merge_module._offered(left, right)]
+            own = [name for name, (fits, _) in merge_module._RULES.items() if fits(*shapes)]
+            reference = [name for name, _ in all_rules_offered(left, right)]
+            assert offered == own == reference, (left, right)
+
+    def test_attempt_rule_matches_the_reference(self):
+        ctx = merged_context(3, [0])
+        pairs = list(itertools.product(SHAPE_REPS.items(), repeat=2))
+        for rule in RULE_NAMES:
+            for (a, left), (b, right) in pairs:
+                out = attempt_rule(ctx, rule, left, right, k=1)
+                rendered = None if out is None else compact_protocol(out)
+                assert rendered == REFERENCE_ATTEMPTS.get((rule, a, b)), (rule, a, b)
+
+    @staticmethod
+    def outcome(n, types):
+        """merge_all's result and trace rows, or its diagnostic, as read."""
+        try:
+            result, traces = merge_all(n, types)
+        except MergeFailure as failure:
+            d = failure.diagnostic
+            return d.kind, d.location, [(a.rule, a.failed_premise) for a in d.rule_trace]
+        rows = [
+            [(s.rule, [(p.name, p.formula, p.verdict) for p in s.premises]) for s in t.steps]
+            for t in traces
+        ]
+        return result, rows
+
+    @staticmethod
+    def inputs():
+        rng = random.Random(2024)
+        for _ in range(2000):
+            instance = gen_exchange(rng)
+            yield instance.n, instance.local_types()
+        for program in ("nbody", "one_to_all", "symmetric_ring"):
+            source = (PROGRAMS / f"{program}.proc").read_text()
+            for n in range(2, 9):
+                ctx = initial_context(n)
+                parsed = parse_process(source, program)
+                yield n, [(r, extract_local_type(ctx, parsed, r, n)) for r in range(n)]
+
+    def test_same_outcomes_as_offering_every_rule(self, monkeypatch):
+        cases = list(self.inputs())
+        indexed = [self.outcome(n, types) for n, types in cases]
+        monkeypatch.setattr(merge_module, "_offered", all_rules_offered)
+        every_rule = [self.outcome(n, types) for n, types in cases]
+        assert indexed == every_rule
+        rejected = sum(isinstance(o[0], DiagnosticKind) for o in indexed)
+        assert 0 < rejected < len(indexed)
+
+
 class TestMergeAll:
     def one_to_all_types(self):
         fan = Foreach("i", IntLit(1), IntLit(2), Message(IntLit(0), Var("i"), D))
@@ -348,6 +532,12 @@ class TestMergeAll:
         with pytest.raises(MergeFailure) as err:
             merge_all(3, self.one_to_all_types(), unroll=1)
         assert err.value.diagnostic.location.startswith("merging rank 1 into ranks [0]")
+
+    def test_local_types_enter_in_normal_form(self):
+        assert merge_all(1, [(0, Seq(Skip(), Seq(allred(), Skip())))]) == (allred(), [])
+        nested = Seq(Seq(msg(0, 1), Skip()), msg(1, 0))
+        result, _ = merge_all(2, [(0, nested), (1, nested)])
+        assert result == Seq(msg(0, 1), msg(1, 0))
 
     def test_order_override(self):
         types = [(r, allred()) for r in range(3)]
@@ -424,7 +614,8 @@ class TestPremisesAndRendering:
         decided, reached = [], []
 
         def counting_decide(engine, ctx, p, *rest):
-            decided.append((ctx, p))
+            # decide holds the premise as parts; entails sees the proposition.
+            decided.append((ctx, p.proposition()))
             return decide(engine, ctx, p, *rest)
 
         def counting_entails(ctx, p, *rest):
@@ -475,6 +666,25 @@ class TestPremisesAndRendering:
                 ("right-real", "1 != 1 and 2 != 1", "Invalid"),
                 ("right-avoids-merged", "1 != rank and 2 != rank", "Valid"),
             ]),
+        ]
+
+    @pytest.mark.parametrize("program, n", [("symmetric_ring", 3), ("one_to_all", 4)])
+    def test_rejecting_merge_renders_nothing_until_read(self, monkeypatch, program, n):
+        def refuse(*args):
+            raise AssertionError("rendered while merging")
+
+        ctx, parsed = initial_context(n), parse_process((PROGRAMS / f"{program}.proc").read_text())
+        types = [(r, extract_local_type(ctx, parsed, r, n)) for r in range(n)]
+        for name in ("compact_protocol", "print_proposition", "print_datatype"):
+            monkeypatch.setattr(merge_module, name, refuse)
+        with pytest.raises(MergeFailure) as err:
+            merge_all(n, types)
+        monkeypatch.undo()
+        d = err.value.diagnostic
+        golden = (Path(__file__).parent / "golden" / f"infer-{program}-n{n}.txt").read_text()
+        stderr = golden.split("--- stderr\n", 1)[1].split("\n\n", 1)[0]
+        assert stderr.splitlines() == [f"error: {d.kind.value} at {d.location}"] + [
+            f"  {a.rule}: {a.failed_premise}" for a in d.rule_trace
         ]
 
 
