@@ -372,14 +372,31 @@ def normalize_seq(t: ProtocolType) -> ProtocolType:
 
 
 @dataclass(frozen=True, slots=True)
+class FiniteSet:
+    """A finite set of integers, sorted and distinct: a domain, and the
+    context entry for a set of ranks."""
+
+    values: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if not self.values:
+            raise ValueError("FiniteSet must be non-empty")
+        for v in self.values:
+            if type(v) is not int:
+                raise TypeError(f"FiniteSet values must be ints, not {type(v).__name__}")
+        if list(self.values) != sorted(set(self.values)):
+            raise ValueError("FiniteSet values must be sorted and distinct")
+
+
+@dataclass(frozen=True, slots=True)
 class TypingContext:
-    """Ordered association of names to datatypes.
+    """Ordered association of names to datatypes, or to finite sets of ints.
 
     Later entries may reference earlier names in their refinements, so order
     is significant and preserved.
     """
 
-    entries: tuple[tuple[str, Datatype], ...] = ()
+    entries: tuple[tuple[str, Datatype | FiniteSet], ...] = ()
     # The entries' domains, hulls and dependencies, resolved once by
     # protomerge.logic on its first query. A context never changes, so the
     # resolution never goes stale; it takes no part in ==, hash or repr.
@@ -390,13 +407,13 @@ class TypingContext:
         if len(names) != len(set(names)):
             raise ValueError(f"duplicate context entries in {names}")
 
-    def lookup(self, name: str) -> Datatype | None:
+    def lookup(self, name: str) -> Datatype | FiniteSet | None:
         for n, d in self.entries:
             if n == name:
                 return d
         return None
 
-    def extend(self, name: str, dtype: Datatype) -> "TypingContext":
+    def extend(self, name: str, dtype: Datatype | FiniteSet) -> "TypingContext":
         if self.lookup(name) is not None:
             # Rebinding shadows: drop the old entry, append the new one.
             kept = tuple(e for e in self.entries if e[0] != name)

@@ -22,6 +22,7 @@ from .ast import (
     Cond,
     Datatype,
     DivisionByZero,
+    FiniteSet,
     Float,
     IndexTerm,
     IntLit,
@@ -84,17 +85,6 @@ class InvalidRankSet(ProtomergeError):
 
 # ---------------------------------------------------------------------------
 # Domains
-
-
-@dataclass(frozen=True, slots=True)
-class FiniteSet:
-    values: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.values:
-            raise ValueError("FiniteSet must be non-empty")
-        if list(self.values) != sorted(set(self.values)):
-            raise ValueError("FiniteSet values must be sorted and distinct")
 
 
 @dataclass(frozen=True, slots=True)
@@ -419,7 +409,12 @@ def _resolution_of(ctx: TypingContext) -> _Resolution:
             binder = d.binder
             direct = prop_vars(d.pred) - {binder}
             deps = direct.union(*(resolved[v].deps for v in direct if v in resolved))
-        if isinstance(d, Integer):
+        if isinstance(d, FiniteSet):
+            # A set of ranks: its own domain, with nothing to resolve.
+            domain, hulls[name] = d, (d.values[0], d.values[-1])
+            if len(d.values) == 1:
+                env[name] = d.values[0]
+        elif isinstance(d, Integer):
             domain = Unbounded()
         elif isinstance(d, Refined) and isinstance(d.base, Integer):
             shape = _recognize(d.pred, d.binder)
@@ -449,6 +444,8 @@ class _Inconclusive(Exception):
 
 
 def _candidates(entry: _Entry, env: dict[str, int], enum_cap: int) -> Sequence[int]:
+    if isinstance(entry.domain, FiniteSet):
+        return entry.domain.values
     shape = entry.shape
     if shape is None or isinstance(shape, _BoundShape) and not (shape.los and shape.his):
         raise _Inconclusive
@@ -528,8 +525,9 @@ def entails(ctx: TypingContext, p: Proposition, enum_cap: int = DEFAULT_ENUM_CAP
 def domain_of(ctx: TypingContext, name: str) -> Domain:
     """Domain of an integer-refined context entry.
 
-    FiniteSet for equality-disjunction refinements, Interval for pure bound
-    conjunctions with resolvable endpoints, Unbounded otherwise.
+    A FiniteSet entry is its own domain, returned as it is. FiniteSet for
+    equality-disjunction refinements, Interval for pure bound conjunctions
+    with resolvable endpoints, Unbounded otherwise.
     """
     entry = _resolution_of(ctx).entries.get(name)
     if entry is None:
@@ -582,30 +580,33 @@ def _alpha(pred: Proposition, binder: str) -> Proposition:
     return subst_prop(pred, {binder: Var(_ALPHA)})
 
 
-@dataclass(frozen=True, slots=True)
-class _DomainSpec:
-    """Resolved description of a refinement's satisfying set."""
-
-    values: tuple[int, ...] | None = None
-    lo: int | None = None
-    hi: int | None = None
-    bounded: bool = False  # True when lo/hi carry meaning
-
-
-def _refinement_spec(ctx: TypingContext, d: Refined, enum_cap: int) -> _DomainSpec | None:
+def _satisfying(ctx: TypingContext, d: Refined) -> tuple[bool, tuple]:
+    """An integer refinement's satisfying set: (True, its sorted values) for
+    equalities, or (False, (lo, hi)) for bounds, None on a side without one.
+    Raises UndecidableEquivalence for any other refinement."""
     shape = _recognize(d.pred, d.binder)
     if isinstance(shape, _BoundShape) and shape.residual:
-        return None
+        raise UndecidableEquivalence("unrecognized refinement shape")
     try:
-        points = _evaluate(shape, _resolution_of(ctx).env)
+        return isinstance(shape, _EqShape), _evaluate(shape, _resolution_of(ctx).env)
     except (UnboundVariable, DivisionByZero):
-        return None
-    if isinstance(shape, _EqShape):
-        return _DomainSpec(values=points)
-    lo, hi = points
-    if lo is not None and hi is not None and hi - lo + 1 <= enum_cap:
-        return _DomainSpec(values=tuple(range(lo, hi + 1)))
-    return _DomainSpec(lo=lo, hi=hi, bounded=True)
+        raise UndecidableEquivalence("unrecognized refinement shape") from None
+
+
+def _same_set(s1: tuple[bool, tuple], s2: tuple[bool, tuple]) -> bool:
+    """Whether two _satisfying sets are equal, without listing an interval."""
+    (listed1, points1), (listed2, points2) = s1, s2
+    if listed1 == listed2:
+        return points1 == points2 or not listed1 and _empty(points1) and _empty(points2)
+    values, (lo, hi) = (points1, points2) if listed1 else (points2, points1)
+    # Sorted, distinct values fill lo..hi when they start at lo, end at hi
+    # and number as many.
+    return values[0] == lo and values[-1] == hi == lo + len(values) - 1
+
+
+def _empty(bounds: tuple) -> bool:
+    lo, hi = bounds
+    return lo is not None and hi is not None and lo > hi
 
 
 def dtype_equiv(
@@ -623,7 +624,7 @@ def dtype_equiv(
     while isinstance(a, Array) and isinstance(b, Array):
         lengths.append((a.length, b.length))
         a, b = a.elem, b.elem
-    if not _element_equiv(ctx, a, b, enum_cap):
+    if not _element_equiv(ctx, a, b):
         return False
     for l1, l2 in reversed(lengths):
         verdict = entails(ctx, Cmp("=", l1, l2), enum_cap)
@@ -634,7 +635,7 @@ def dtype_equiv(
     return True
 
 
-def _element_equiv(ctx: TypingContext, a: Datatype, b: Datatype, enum_cap: int) -> bool:
+def _element_equiv(ctx: TypingContext, a: Datatype, b: Datatype) -> bool:
     """dtype_equiv of two stripped datatypes that are not both arrays."""
     match (a, b):
         case (Integer(), Integer()) | (Float(), Float()):
@@ -646,24 +647,13 @@ def _element_equiv(ctx: TypingContext, a: Datatype, b: Datatype, enum_cap: int) 
                 return True
             if isinstance(base1, Float):
                 raise UndecidableEquivalence("float refinements compare only syntactically")
-            s1 = _refinement_spec(ctx, a, enum_cap)
-            s2 = _refinement_spec(ctx, b, enum_cap)
-            if s1 is None or s2 is None:
-                raise UndecidableEquivalence("unrecognized refinement shape")
-            if s1.values is not None and s2.values is not None:
-                return s1.values == s2.values
-            if s1.bounded and s2.bounded:
-                return (s1.lo, s1.hi) == (s2.lo, s2.hi)
-            return False
+            return _same_set(_satisfying(ctx, a), _satisfying(ctx, b))
         case (Refined(_, base, _), other) | (other, Refined(_, base, _)) if type(other) is type(base):
             refined = a if isinstance(a, Refined) else b
             if isinstance(base, Float):
                 raise UndecidableEquivalence("float refinements compare only syntactically")
-            spec = _refinement_spec(ctx, refined, enum_cap)
-            if spec is None:
-                raise UndecidableEquivalence("unrecognized refinement shape")
             # Equivalent to the bare base only when entirely unconstrained.
-            return spec.values is None and spec.lo is None and spec.hi is None
+            return _satisfying(ctx, refined) == (False, (None, None))
         case _:
             return False
 
@@ -686,13 +676,4 @@ def merged_context(n: int, ranks: Iterable[int]) -> TypingContext:
         raise InvalidRankSet("merged rank set is empty")
     if rs[0] < 0 or rs[-1] >= n:
         raise InvalidRankSet(f"ranks {rs} out of range for size {n}")
-    pred = _any_of([Cmp("=", Var("x"), IntLit(r)) for r in rs])
-    return initial_context(n).extend("rank", Refined("x", Integer(), pred))
-
-
-def _any_of(props: Sequence[Proposition]) -> Proposition:
-    """A balanced disjunction, whose depth grows with log2 of its length."""
-    if len(props) == 1:
-        return props[0]
-    mid = len(props) // 2
-    return Or(_any_of(props[:mid]), _any_of(props[mid:]))
+    return initial_context(n).extend("rank", FiniteSet(tuple(rs)))

@@ -450,9 +450,7 @@ def _offered(left: ProtocolType, right: ProtocolType):
 
 
 class _Engine:
-    def __init__(
-        self, ctx: TypingContext, k: int, enum_cap: int, ranks: frozenset[int] | None = None
-    ):
+    def __init__(self, ctx: TypingContext, k: int, enum_cap: int, ranks: frozenset[int] | None):
         """An engine for merges under ctx, whose `rank` ranges over `ranks`
         when that set is known."""
         self.enum_cap = enum_cap
@@ -684,14 +682,16 @@ def attempt_rule(
 
     Returns the rule's conclusion, or None when the rule is inapplicable,
     whether because the operand shapes do not match or a premise fails.
+    Raises InvalidRankSet on the inputs merge_types refuses.
     """
     if rule not in _RULES:
         raise ValueError(f"unknown merge rule {rule!r}; expected one of {', '.join(RULE_NAMES)}")
+    ranks = _validate_merge_inputs(ctx, k)
     fits, fn = _RULES[rule]
     left, right = normalize_seq(left), normalize_seq(right)
     if not fits(_shape(left), _shape(right)):
         return None
-    outcome = _Engine(ctx, k, enum_cap).apply(rule, fn, ctx, left, right, ())
+    outcome = _Engine(ctx, k, enum_cap, ranks).apply(rule, fn, ctx, left, right, ())
     return outcome.result if isinstance(outcome, _Applied) else None
 
 

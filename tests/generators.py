@@ -44,6 +44,7 @@ from protomerge import (
     TypingContext,
     Var,
     eval_prop,
+    initial_context,
 )
 from protomerge.ast import DivisionByZero, eval_index
 
@@ -324,6 +325,16 @@ PAYLOADS = (
     Array(Float(), IntLit(4)),
     Array(Integer(), IntLit(2)),
 )
+
+
+def or_chain_context(n: int, ranks) -> TypingContext:
+    """Reference for merged_context: the merged ranks spelled as a
+    refinement, a disjunction of equalities {x: integer | x = r0 or ...}."""
+    eqs = [Cmp("=", Var("x"), IntLit(r)) for r in sorted(set(ranks))]
+    pred = eqs[0]
+    for eq in eqs[1:]:
+        pred = Or(pred, eq)
+    return initial_context(n).extend("rank", Refined("x", Integer(), pred))
 
 
 @dataclass(frozen=True)

@@ -282,6 +282,26 @@ class TestMerge:
         assert out == ""
         assert err.endswith("error: argument --enum-cap: must not be negative, got -5\n")
 
+    @pytest.mark.parametrize("enum_cap", ["0", "1", None])
+    def test_payload_verdict_ignores_enum_cap(self, capsys, write, enum_cap):
+        # The interval and the equalities describe the same two values.
+        interval = write("p1.ptype", "message 0 1 {x: integer | 0 <= x and x < 2}")
+        points = write("p2.ptype", "message 0 1 {x: integer | x = 0 or x = 1}")
+        cap = [] if enum_cap is None else ["--enum-cap", enum_cap]
+        code, out, err = run(
+            capsys, "merge", interval, points, "--size", "2", "--merged", "0", "--k", "1", *cap
+        )
+        if enum_cap == "0":
+            # No budget to enumerate the merged rank, so its premises are
+            # undecidable; the payloads still match.
+            assert code == 3
+            assert err.startswith("error: EntailmentUndecidable at root")
+            assert "is different" not in err
+        else:
+            assert (code, out, err) == (0, "message 0 1 {x: integer | 0 <= x and x < 2}\n", "")
+        code, out, _ = run(capsys, "simulate", interval, points, "--size", "2")
+        assert code == 0
+
     @pytest.mark.parametrize("k", ["-1", "3"])
     def test_k_outside_the_world_rejected(self, capsys, write, k):
         left = write("left.ptype", "message 0 1 float")

@@ -5,6 +5,8 @@ from collections import Counter
 
 import pytest
 
+import protomerge.ast as ast_module
+import protomerge.logic as logic_module
 from protomerge import (
     And,
     Array,
@@ -32,7 +34,10 @@ from protomerge import (
     merged_context,
     singleton_env,
 )
-from generators import brute_force_entails, gen_entail_case
+from protomerge.logic import DEFAULT_ENUM_CAP
+from protomerge.syntax import parse_datatype
+
+from generators import _gen_query, brute_force_entails, gen_entail_case, or_chain_context
 
 
 def ctx_with_rank(n, *ranks):
@@ -238,6 +243,96 @@ class TestDtypeEquiv:
     def test_nested_array_element_mismatch(self):
         ctx = TypingContext(())
         assert not dtype_equiv(ctx, Array(Integer(), IntLit(2)), Array(Float(), IntLit(2)))
+
+
+class TestRefinementSets:
+    """Integer refinements compare by their satisfying sets, whatever the
+    enumeration cap."""
+
+    @pytest.mark.parametrize("enum_cap", [0, 1, DEFAULT_ENUM_CAP])
+    def test_equalities_match_the_interval_they_fill(self, enum_cap):
+        interval = parse_datatype("{x: integer | 0 <= x and x < 2}")
+        points = parse_datatype("{x: integer | x = 0 or x = 1}")
+        for ctx in (TypingContext(()), merged_context(2, [0])):
+            assert dtype_equiv(ctx, interval, points, enum_cap)
+            assert dtype_equiv(ctx, points, interval, enum_cap)
+
+    @pytest.mark.parametrize("enum_cap", [0, 1, DEFAULT_ENUM_CAP])
+    def test_gaps_and_wide_intervals(self, enum_cap):
+        ctx = TypingContext(())
+        gap = parse_datatype("{x: integer | x = 0 or x = 2}")
+        assert not dtype_equiv(ctx, gap, parse_datatype("{x: integer | 0 <= x and x <= 2}"), enum_cap)
+        wide = parse_datatype("{x: integer | 0 <= x and x <= 1000000}")
+        same = parse_datatype("{y: integer | y < 1000001 and -1 < y}")
+        assert dtype_equiv(ctx, wide, same, enum_cap)
+        assert not dtype_equiv(ctx, wide, parse_datatype("{x: integer | 0 <= x and x <= 999999}"), enum_cap)
+
+    @pytest.mark.parametrize("enum_cap", [0, 1, DEFAULT_ENUM_CAP])
+    def test_empty_intervals_are_equal(self, enum_cap):
+        ctx = TypingContext(())
+        empty = parse_datatype("{x: integer | 3 <= x and x <= 1}")
+        other = parse_datatype("{y: integer | y > 5 and y < 5}")
+        assert dtype_equiv(ctx, empty, other, enum_cap)
+        assert not dtype_equiv(ctx, empty, parse_datatype("{x: integer | x = 2}"), enum_cap)
+
+    @pytest.mark.parametrize("enum_cap", [0, 1, DEFAULT_ENUM_CAP])
+    def test_open_bounds_compare_as_bounds(self, enum_cap):
+        ctx = TypingContext(())
+        at_least = [
+            parse_datatype(t)
+            for t in ("{x: integer | x >= 0}", "{y: integer | 0 <= y}", "{z: integer | z > -1}")
+        ]
+        for a in at_least:
+            for b in at_least:
+                assert dtype_equiv(ctx, a, b, enum_cap)
+        assert not dtype_equiv(ctx, at_least[0], parse_datatype("{x: integer | x <= 5}"), enum_cap)
+        assert not dtype_equiv(ctx, at_least[0], Integer(), enum_cap)
+        assert not dtype_equiv(ctx, Integer(), at_least[0], enum_cap)
+
+
+class TestRankSetEntry:
+    """merged_context binds `rank` to a FiniteSet, which answers every query
+    as the same ranks spelled as a disjunction of equalities do."""
+
+    def test_domain_is_the_entry(self):
+        ctx = merged_context(5, [3, 1, 3])
+        assert ctx.lookup("rank") == FiniteSet((1, 3))
+        assert domain_of(ctx, "rank") is ctx.lookup("rank")
+        assert logic_module.FiniteSet is ast_module.FiniteSet
+
+    @pytest.mark.parametrize("ranks", [[1.0], [True], [0, 2.0]])
+    def test_non_int_ranks_rejected(self, ranks):
+        with pytest.raises(TypeError):
+            merged_context(3, ranks)
+
+    def test_builds_no_proposition_nodes(self):
+        initial_context(2000)
+        before = Counter(type(node).__name__ for node in ast_module._TABLE.values())
+        merged_context(2000, range(1999))
+        after = Counter(type(node).__name__ for node in ast_module._TABLE.values())
+        assert (after["Or"], after["Cmp"]) == (before["Or"], before["Cmp"])
+
+    def test_matches_the_or_chain(self):
+        rng = random.Random(12)
+        checked = Counter()
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            ranks = rng.sample(range(n), rng.randint(1, n))
+            entry, chain = merged_context(n, ranks), or_chain_context(n, ranks)
+            assert domain_of(entry, "rank") == domain_of(chain, "rank")
+            assert singleton_env(entry) == singleton_env(chain)
+            assert singleton_env(entry, upto="rank") == singleton_env(chain, upto="rank")
+            a, b = rng.randint(-1, n), rng.randint(-1, n)
+            queries = [
+                And(Cmp("!=", IntLit(a), Var("rank")), Cmp("!=", IntLit(b), Var("rank"))),
+                *(_gen_query(rng, 2, ("rank", "size")) for _ in range(6)),
+            ]
+            for enum_cap in (0, len(ranks) - 1, DEFAULT_ENUM_CAP):
+                for q in queries:
+                    verdict = entails(entry, q, enum_cap)
+                    assert verdict is entails(chain, q, enum_cap), (n, ranks, q, enum_cap)
+                    checked[verdict] += 1
+        assert set(checked) == set(Verdict)
 
 
 class TestContexts:

@@ -45,7 +45,7 @@ from protomerge.ast import FRESH_BINDER
 from protomerge.logic import DEFAULT_ENUM_CAP
 from protomerge.syntax import parse_process
 
-from generators import gen_exchange
+from generators import gen_exchange, or_chain_context
 
 
 D = Float()
@@ -273,6 +273,17 @@ class TestAttemptRule:
         ctx = merged_context(3, [0])
         for rule in RULE_NAMES:
             attempt_rule(ctx, rule, Skip(), Skip(), k=1)
+
+    @pytest.mark.parametrize(
+        "ctx, k",
+        [(merged_context(3, [0, 1]), 1), (merged_context(3, [0, 1]), 7), (initial_context(3), 1)],
+        ids=["k-merged", "k-outside", "no-rank"],
+    )
+    def test_inputs_checked_as_merge_types_does(self, ctx, k):
+        with pytest.raises(InvalidRankSet):
+            merge_types(ctx, Skip(), Skip(), k)
+        with pytest.raises(InvalidRankSet):
+            attempt_rule(ctx, "skip-skip", Skip(), Skip(), k)
 
 
 # Each rule's mirror: the rule that derives the same judgment with the
@@ -760,23 +771,32 @@ class TestMembershipPremises:
         raise AssertionError("decided by membership")
 
     @staticmethod
-    def fold(instance):
+    def fold(instance, enum_cap=DEFAULT_ENUM_CAP, context=merged_context):
         """Per merge_types call: the trace's (rule, premise, formula,
-        verdict) rows, or the diagnostic that refused it."""
+        verdict) rows, or the diagnostic that refused it; then the result."""
         types = dict(instance.local_types())
         accumulated, out = types[0], []
         for k in range(1, instance.n):
             try:
                 accumulated, trace = merge_types(
-                    merged_context(instance.n, range(k)), accumulated, types[k], k
+                    context(instance.n, range(k)), accumulated, types[k], k, enum_cap
                 )
             except MergeFailure as failure:
                 out.append(failure.diagnostic)
-                break
+                return out
             out.append([
                 (s.rule, p.name, p.formula, p.verdict) for s in trace.steps for p in s.premises
             ])
-        return out
+        return out + [accumulated]
+
+    @pytest.mark.parametrize("enum_cap", [0, 1, DEFAULT_ENUM_CAP])
+    def test_traces_match_the_or_chain(self, enum_cap):
+        """The rank-set entry and the same ranks spelled as a refinement give
+        the same traces, conclusions and diagnostics."""
+        rng = random.Random(enum_cap)
+        for instance in (gen_exchange(rng) for _ in range(300)):
+            entry = self.fold(instance, enum_cap, merged_context)
+            assert entry == self.fold(instance, enum_cap, or_chain_context), instance
 
     def test_traces_match_entails_only_merges(self, monkeypatch):
         rng = random.Random(5)
