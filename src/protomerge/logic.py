@@ -481,18 +481,25 @@ def entails(ctx: TypingContext, p: Proposition, enum_cap: int = DEFAULT_ENUM_CAP
         # Sound even when no assignment satisfies the context: the hull box
         # covers the entire satisfying set, and a vacuous entailment is valid.
         return Verdict.VALID
-    # A False abstraction refutes p over the hull box, but cannot witness a
-    # falsifying assignment: the satisfying set may be empty (an unsatisfiable
-    # refinement), in which case the entailment holds vacuously. Only the
-    # enumeration below may answer Invalid.
-
-    # Enumerate the free variables of p and what their refinements depend on.
     resolved = resolution.entries
     free = prop_vars(p)
     needed = free.union(*(resolved[v].deps for v in free if v in resolved))
     if not needed.issubset(resolved):
         return Verdict.UNDECIDABLE
     entries = [(name, e) for name, e in resolved.items() if name in needed]
+    # A False abstraction refutes p over the hull box. It witnesses a
+    # falsifying assignment only where one exists: every needed entry has a
+    # non-empty FiniteSet or Interval domain (an unsatisfiable refinement
+    # makes the entailment hold vacuously), and evaluating p cannot divide
+    # by zero. Otherwise only the enumeration below may answer Invalid.
+    if (
+        abstract is False
+        and all(isinstance(e.domain, (FiniteSet, Interval)) for _, e in entries)
+        and all(_division_free(t) for t in _cmp_terms(p))
+    ):
+        return Verdict.INVALID
+
+    # Enumerate the free variables of p and what their refinements depend on.
 
     budget = enum_cap
 

@@ -127,6 +127,29 @@ class TestEntails:
         assert entails(ctx, p) is Verdict.VALID
         assert domain_of(ctx, "d") == Unbounded()
 
+    @pytest.mark.parametrize("enum_cap", [0, 1, DEFAULT_ENUM_CAP])
+    def test_refutation_over_known_domains_is_invalid(self, enum_cap):
+        # Every needed domain is a non-empty FiniteSet or Interval and p
+        # divides by nothing, so a refuted hull box holds a falsifying
+        # assignment even without the budget to enumerate one.
+        ctx = merged_context(2, [0])
+        closed = And(Cmp("=", IntLit(0), IntLit(0)), Cmp("=", IntLit(1), IntLit(2)))
+        assert entails(ctx, closed, enum_cap) is Verdict.INVALID
+        assert entails(ctx, Cmp("!=", IntLit(3), IntLit(3)), enum_cap) is Verdict.INVALID
+        assert entails(ctx, Cmp("=", IntLit(3), IntLit(3)), enum_cap) is Verdict.VALID
+        member = And(Cmp("!=", IntLit(0), Var("rank")), Cmp("!=", IntLit(1), Var("rank")))
+        assert entails(ctx, member, enum_cap) is Verdict.INVALID
+        assert entails(ctx, Cmp("<", Var("rank"), Var("size")), enum_cap) is Verdict.VALID
+        window = And(Cmp("<=", IntLit(2), Var("x")), Cmp("<=", Var("x"), IntLit(9)))
+        bounded = ctx.extend("i", Refined("x", Integer(), window))
+        assert entails(bounded, Cmp("<", Var("i"), Var("rank")), enum_cap) is Verdict.INVALID
+
+    def test_refutation_through_a_division_needs_enumeration(self):
+        ctx = merged_context(2, [0])
+        halved = Cmp("=", BinOp("/", IntLit(7), Var("size")), IntLit(9))
+        assert entails(ctx, halved, 0) is Verdict.UNDECIDABLE
+        assert entails(ctx, halved, 1) is Verdict.INVALID
+
     def test_corpus_tallies(self):
         # Criterion 8's 1000 cases, including the ones it skips for lack of
         # a ground truth: the verdict counts on each side are pinned.
