@@ -487,20 +487,15 @@ def entails(ctx: TypingContext, p: Proposition, enum_cap: int = DEFAULT_ENUM_CAP
     if not needed.issubset(resolved):
         return Verdict.UNDECIDABLE
     entries = [(name, e) for name, e in resolved.items() if name in needed]
-    # A False abstraction refutes p over the hull box. It witnesses a
-    # falsifying assignment only where one exists: every needed entry has a
-    # non-empty FiniteSet or Interval domain (an unsatisfiable refinement
-    # makes the entailment hold vacuously), and evaluating p cannot divide
-    # by zero. Otherwise only the enumeration below may answer Invalid.
-    if (
-        abstract is False
-        and all(isinstance(e.domain, (FiniteSet, Interval)) for _, e in entries)
-        and all(_division_free(t) for t in _cmp_terms(p))
-    ):
-        return Verdict.INVALID
+    # A False abstraction refutes p over the hull box, which holds a falsifying
+    # assignment when every needed domain is a (never empty) FiniteSet or
+    # Interval and p divides by nothing; else only enumeration answers Invalid.
+    if abstract is False:
+        known = all(isinstance(e.domain, (FiniteSet, Interval)) for _, e in entries)
+        if known and all(_division_free(t) for t in _cmp_terms(p)):
+            return Verdict.INVALID
 
     # Enumerate the free variables of p and what their refinements depend on.
-
     budget = enum_cap
 
     def explore(i: int, env: dict[str, int]) -> bool:

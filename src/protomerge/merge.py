@@ -230,9 +230,6 @@ _SIDE_PREMISES = {
     for side in ("merged", "k")
 }
 
-# The premises that judge the left operand's message.
-_ON_LEFT = frozenset(name for name, (operand, _, _) in _AVOIDS.items() if operand == "left")
-
 # Non-interference: the left message never touches rank k, the right message
 # never touches an already-merged rank, so the two orders are
 # indistinguishable to every rank involved.
@@ -245,13 +242,18 @@ def _seq_parts(t: ProtocolType) -> tuple[ProtocolType, ProtocolType]:
     return t, Skip()
 
 
-def _by_membership(ends: tuple[IndexTerm, ...], holds) -> Verdict | None:
-    """Valid when `holds` of the endpoints' values, else Invalid; None
-    unless every endpoint is an integer literal."""
-    for e in ends:
-        if type(e) is not IntLit:
-            return None
-    return Verdict.VALID if holds(*[e.value for e in ends]) else Verdict.INVALID
+def _values(ctx: TypingContext, t: IndexTerm, enum_cap: int) -> tuple[int, ...] | None:
+    """The values index term t takes under ctx, where they can be read off
+    without entails: an integer literal's value, or the merged ranks when t
+    is `rank` and ctx binds it to a FiniteSet of at most enum_cap ranks (so
+    entails would enumerate them). None elsewhere."""
+    if type(t) is IntLit:
+        return (t.value,)
+    if t is _RANK:
+        ranks = ctx.lookup("rank")
+        if type(ranks) is FiniteSet and len(ranks.values) <= enum_cap:
+            return ranks.values
+    return None
 
 
 def _fresh(base: str, avoid: Iterable[str]) -> str:
@@ -322,12 +324,9 @@ def _message_rule(lshape, rshape, names, conclude):
 
 
 def _msg_msg_eq(engine, ctx, left, right):
-    ends = (left.src, right.src, left.dst, right.dst)
+    ends = _Both("=", left.src, right.src, left.dst, right.dst)
     premises = engine.messages(ctx, left, right, ("left-real", "right-real")) + [
-        engine.entail(
-            ctx, "endpoints-equal", _Both("=", *ends), _STRUCTURAL,
-            ends, lambda ls, rs, ld, rd: ls == rs and ld == rd,
-        ),
+        engine.entail(ctx, "endpoints-equal", ends, _STRUCTURAL),
         engine.payload_equiv(ctx, left.payload, right.payload),
     ]
     return premises, (), lambda: left
@@ -450,13 +449,11 @@ def _offered(left: ProtocolType, right: ProtocolType):
 
 
 class _Engine:
-    def __init__(self, ctx: TypingContext, k: int, enum_cap: int, ranks: frozenset[int] | None):
-        """An engine for merges under ctx, whose `rank` ranges over `ranks`
-        when that set is known."""
+    def __init__(self, k: int, enum_cap: int):
+        """An engine for merging rank k into the ranks each context's `rank`
+        entry stands for."""
+        self.k = IntLit(k)
         self.enum_cap = enum_cap
-        # Each side of an avoidance premise: its term, and the ranks it
-        # stands for.
-        self.sides = {"k": (IntLit(k), frozenset((k,))), "merged": (_RANK, ranks)}
         # The tables below key a context by its id. Every context the
         # engine sees outlives it (the caller's, and those it interns in
         # `extensions`), so an id names one of them for the engine's life.
@@ -464,14 +461,11 @@ class _Engine:
         # (id(context), left, right) -> _Applied, or the refused attempts
         # (() while the subproblem is open)
         self.memo: dict = {}
-        # (id(context), premise name, src, dst) -> (ok, PremiseCheck, kind)
+        # (id(context), premise name, operands...) -> (ok, PremiseCheck,
+        # kind): every premise, decided once.
         self.premises: dict = {}
         # (id(context), name, datatype) -> the extended context
         self.extensions: dict = {}
-        # ids of the contexts whose `rank` ranges over `ranks`. There,
-        # entails enumerates just those ranks (its budget covers them), so
-        # a premise on literal endpoints gets its verdict by membership.
-        self.ground = {id(ctx)} if ranks is not None and len(ranks) <= enum_cap else set()
         self.undecidable = False
         self.deepest_depth = -1
         self.deepest_path: tuple[str, ...] = ()
@@ -562,86 +556,85 @@ class _Engine:
         extended = self.extensions.get(key)
         if extended is None:
             extended = self.extensions[key] = ctx.extend(name, dtype)
-            # A binder that shadows a name (`rank`, or one its refinement
-            # mentions) may change what `rank` ranges over.
-            if id(ctx) in self.ground and ctx.lookup(name) is None:
-                self.ground.add(id(extended))
         return extended
 
-    def decide(self, ctx: TypingContext, p: _Both, ends=(), holds=None) -> Verdict:
-        """The verdict of premise p under ctx: by membership (`holds` of the
-        literal endpoints `ends`) where ctx's `rank` ranges over the merged
-        ranks, else by entails on p's proposition."""
-        verdict = None
-        if holds is not None and id(ctx) in self.ground:
-            verdict = _by_membership(ends, holds)
-        if verdict is None:
-            verdict = entails(ctx, p.proposition(), self.enum_cap)
-            if verdict is Verdict.UNDECIDABLE:
-                self.undecidable = True
-        return verdict
-
-    def avoidance(self, ctx: TypingContext, name: str, m: Message):
-        """The named avoidance premise on message m. Its side is decided once
-        per context and endpoints, for all three premises judged against it."""
-        key = (id(ctx), name, m.src, m.dst)
-        premise = self.premises.get(key)
-        if premise is None:
-            side = _AVOIDS[name][1]
-            term, ranks = self.sides[side]
-            p = _Both("!=", m.src, term, m.dst, term)
-            verdict = self.decide(
-                ctx, p, (m.src, m.dst), lambda src, dst: src not in ranks and dst not in ranks
-            )
-            value = verdict.value
-            for other in _SIDE_PREMISES[side]:
-                ok = verdict is _AVOIDS[other][2]
-                check = (ok, PremiseCheck(other, p, value), _STRUCTURAL)
-                self.premises[(id(ctx), other, m.src, m.dst)] = check
-            premise = self.premises[key]
-        return premise
+    def decide(self, ctx: TypingContext, p: _Both) -> Verdict:
+        """The verdict of premise p (an equality or a disequality) under
+        ctx. Where each of its comparisons sets an integer literal against a
+        term whose values `_values` reads off ctx, it holds when it holds for
+        every such value, as entails would find; elsewhere entails decides."""
+        ok = True
+        for lit, term in ((p.a, p.b), (p.c, p.d)):
+            values = _values(ctx, term, self.enum_cap) if type(lit) is IntLit else None
+            if values is None:
+                verdict = entails(ctx, p.proposition(), self.enum_cap)
+                if verdict is Verdict.UNDECIDABLE:
+                    self.undecidable = True
+                return verdict
+            ok = ok and (values == (lit.value,) if p.op == "=" else lit.value not in values)
+        return Verdict.VALID if ok else Verdict.INVALID
 
     def messages(
         self, ctx: TypingContext, lm: ProtocolType, rm: ProtocolType, names: Sequence[str]
     ) -> list:
-        """The named message premises on left message lm and right message rm,
-        read from the table where their side is already decided."""
+        """The named message premises on left message lm and right message
+        rm. One verdict of "the message avoids that side" enters all three
+        premises judged against a side, once per context and endpoints."""
         table, cid = self.premises, id(ctx)
         premises = []
         for name in names:
-            m = lm if name in _ON_LEFT else rm
-            premise = table.get((cid, name, m.src, m.dst))
-            premises.append(premise if premise is not None else self.avoidance(ctx, name, m))
+            operand, side, _ = _AVOIDS[name]
+            m = lm if operand == "left" else rm
+            key = (cid, name, m.src, m.dst)
+            if key not in table:
+                term = _RANK if side == "merged" else self.k
+                p = _Both("!=", m.src, term, m.dst, term)
+                verdict = self.decide(ctx, p)
+                value = verdict.value
+                for other in _SIDE_PREMISES[side]:
+                    check = PremiseCheck(other, p, value)
+                    table[(cid, other, m.src, m.dst)] = (
+                        verdict is _AVOIDS[other][2], check, _STRUCTURAL
+                    )
+            premises.append(table[key])
         return premises
 
-    def entail(self, ctx: TypingContext, name: str, p: _Both, kind: str, ends=(), holds=None):
-        """The premise that ctx entails p, decided as `decide` does."""
-        verdict = self.decide(ctx, p, ends, holds)
-        return verdict is Verdict.VALID, PremiseCheck(name, p, verdict.value), kind
+    def entail(self, ctx: TypingContext, name: str, p: _Both, kind: str):
+        """The named premise that ctx entails p, decided once by `decide`."""
+        key = (id(ctx), name, p)
+        premise = self.premises.get(key)
+        if premise is None:
+            verdict = self.decide(ctx, p)
+            check = PremiseCheck(name, p, verdict.value)
+            premise = self.premises[key] = (verdict is Verdict.VALID, check, kind)
+        return premise
 
-    def payload_equiv(self, ctx, d1, d2):
-        try:
-            ok = dtype_equiv(ctx, d1, d2, self.enum_cap)
-            verdict = "equivalent" if ok else "different"
-        except UndecidableEquivalence:
-            self.undecidable = True
-            ok, verdict = False, "Undecidable"
-        return ok, PremiseCheck("payload-equivalent", (d1, d2), verdict), _DATATYPE
+    def payload_equiv(self, ctx: TypingContext, d1: Datatype, d2: Datatype):
+        """The premise that d1 and d2 are equivalent under ctx, decided once."""
+        key = (id(ctx), "payload-equivalent", d1, d2)
+        premise = self.premises.get(key)
+        if premise is None:
+            try:
+                ok = dtype_equiv(ctx, d1, d2, self.enum_cap)
+                verdict = "equivalent" if ok else "different"
+            except UndecidableEquivalence:
+                self.undecidable = True
+                ok, verdict = False, "Undecidable"
+            check = PremiseCheck("payload-equivalent", (d1, d2), verdict)
+            premise = self.premises[key] = (ok, check, _DATATYPE)
+        return premise
 
 
-def _validate_merge_inputs(ctx: TypingContext, k: int) -> frozenset[int] | None:
-    """Check ctx and k; give back the merged ranks when `rank`'s domain is finite."""
+def _validate_merge_inputs(ctx: TypingContext, k: int) -> None:
+    """Check ctx and k as merge_types requires."""
     if ctx.lookup("size") is None or ctx.lookup("rank") is None:
         raise InvalidRankSet("merge context must bind both size and rank")
     size = singleton_env(ctx).get("size")
     if size is not None and not 0 <= k < size:
         raise InvalidRankSet(f"rank {k} out of range for size {size}")
     domain = domain_of(ctx, "rank")
-    if isinstance(domain, FiniteSet):
-        if k in domain.values:
-            raise InvalidRankSet(f"rank {k} is already part of the merged set {domain.values}")
-        return frozenset(domain.values)
-    return None
+    if isinstance(domain, FiniteSet) and k in domain.values:
+        raise InvalidRankSet(f"rank {k} is already part of the merged set {domain.values}")
 
 
 def merge_types(
@@ -662,8 +655,8 @@ def _merge_normal(
     ctx: TypingContext, left: ProtocolType, right: ProtocolType, k: int, enum_cap: int
 ) -> tuple[ProtocolType, MergeTrace]:
     """merge_types on operands already in sequence normal form."""
-    ranks = _validate_merge_inputs(ctx, k)
-    engine = _Engine(ctx, k, enum_cap, ranks)
+    _validate_merge_inputs(ctx, k)
+    engine = _Engine(k, enum_cap)
     outcome = engine.merge(ctx, left, right, ())
     if outcome is None:
         raise MergeFailure(engine.diagnostic(left, right))
@@ -686,12 +679,12 @@ def attempt_rule(
     """
     if rule not in _RULES:
         raise ValueError(f"unknown merge rule {rule!r}; expected one of {', '.join(RULE_NAMES)}")
-    ranks = _validate_merge_inputs(ctx, k)
+    _validate_merge_inputs(ctx, k)
     fits, fn = _RULES[rule]
     left, right = normalize_seq(left), normalize_seq(right)
     if not fits(_shape(left), _shape(right)):
         return None
-    outcome = _Engine(ctx, k, enum_cap, ranks).apply(rule, fn, ctx, left, right, ())
+    outcome = _Engine(k, enum_cap).apply(rule, fn, ctx, left, right, ())
     return outcome.result if isinstance(outcome, _Applied) else None
 
 

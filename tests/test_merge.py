@@ -14,6 +14,7 @@ from protomerge import (
     BinOp,
     Cmp,
     DiagnosticKind,
+    FiniteSet,
     Float,
     Foreach,
     InvalidRankSet,
@@ -583,9 +584,9 @@ class TestMergeAll:
 
 
 class TestPremisesAndRendering:
-    """No (context, proposition) is decided twice in one merge_types call,
-    by membership or by entails, and no text is rendered until a trace is
-    read."""
+    """No premise is decided twice in one merge_types call, by comparing
+    values, by entails or by dtype_equiv, and no text is rendered until a
+    trace is read."""
 
     @staticmethod
     def fold_steps(n, local_types):
@@ -621,30 +622,47 @@ class TestPremisesAndRendering:
     @pytest.mark.parametrize("case", ["nbody-4", "exchange-3"])
     def test_no_premise_is_decided_twice(self, monkeypatch, case):
         n, types = (4, self.nbody_types(4)) if case == "nbody-4" else (3, self.exchange_types())
-        decide, entails = merge_module._Engine.decide, merge_module.entails
-        decided, reached = [], []
+        init = merge_module._Engine.__init__
+        entails, dtype_equiv = merge_module.entails, merge_module.dtype_equiv
+        decided, reached, compared = [], [], []
 
-        def counting_decide(engine, ctx, p, *rest):
-            # decide holds the premise as parts; entails sees the proposition.
-            decided.append((ctx, p.proposition()))
-            return decide(engine, ctx, p, *rest)
+        class Table(dict):
+            """The engine's premise table, recording each premise as it is
+            decided and entered."""
+
+            def __setitem__(self, key, premise):
+                assert key not in self, f"{key[1:]} decided twice"
+                decided.append((key[0], premise[1].claim))
+                super().__setitem__(key, premise)
+
+        def recording_init(engine, *args):
+            init(engine, *args)
+            engine.premises = Table()
 
         def counting_entails(ctx, p, *rest):
-            reached.append((ctx, p))
+            reached.append((id(ctx), p))
             return entails(ctx, p, *rest)
 
-        monkeypatch.setattr(merge_module._Engine, "decide", counting_decide)
+        def counting_dtype_equiv(ctx, d1, d2, *rest):
+            compared.append((id(ctx), (d1, d2)))
+            return dtype_equiv(ctx, d1, d2, *rest)
+
+        monkeypatch.setattr(merge_module._Engine, "__init__", recording_init)
         monkeypatch.setattr(merge_module, "entails", counting_entails)
+        monkeypatch.setattr(merge_module, "dtype_equiv", counting_dtype_equiv)
         steps = 0
         for merged, trace in self.fold_steps(n, types):
             assert decided, f"merging into {merged} decided nothing"
-            assert len(decided) == len(set(decided)), f"a premise repeated merging into {merged}"
-            # Every endpoint is a literal, so membership decides every
-            # message premise; only nbody's loop bounds reach entails.
-            assert set(reached) < set(decided)
+            assert len(reached) == len(set(reached)), f"a premise repeated merging into {merged}"
+            assert compared and len(compared) == len(set(compared)), (
+                f"a payload pair compared twice merging into {merged}"
+            )
+            # Every endpoint and bound is a literal, so no message or loop
+            # premise needs entails; every call it gets is for a premise.
+            assert set(reached) | set(compared) < set(decided)
             steps += len(trace.steps)
-            decided.clear()
-            reached.clear()
+            for seen in (decided, reached, compared):
+                seen.clear()
         assert steps > 0
 
     def test_accepting_merge_renders_nothing_until_read(self, monkeypatch):
@@ -700,8 +718,9 @@ class TestPremisesAndRendering:
 
 
 class TestMembershipPremises:
-    """Where `rank` ranges over the merged ranks, message premises on literal
-    endpoints are decided by membership, with entails' verdicts."""
+    """Where each comparison of a premise sets an integer literal against a
+    literal, or against `rank` bound to merged ranks entails would
+    enumerate, the values decide it, with entails' verdicts."""
 
     @staticmethod
     def contexts(engine, ctx, n):
@@ -717,58 +736,95 @@ class TestMembershipPremises:
             IntLit(rng.randrange(-1, n + 1)),
             BinOp("-", Var("size"), IntLit(rng.randrange(1, n + 1))),
             Var("i"),
+            Var("rank"),
         ]
 
+    @staticmethod
+    def agree(engine, ctx, lm, rm, k, enum_cap):
+        """Every message premise and endpoints-equal on lm and rm under ctx
+        has the verdict entails gives its proposition."""
+        for name, (operand, side, want) in merge_module._AVOIDS.items():
+            m = lm if operand == "left" else rm
+            term = Var("rank") if side == "merged" else IntLit(k)
+            p = And(Cmp("!=", m.src, term), Cmp("!=", m.dst, term))
+            verdict = entails(ctx, p, enum_cap)
+            ok, check, _ = engine.messages(ctx, m, m, (name,))[0]
+            assert (ok, check.claim, check.verdict) == (
+                verdict is want, p, verdict.value
+            ), (enum_cap, ctx.names(), name, m)
+        ok, check, _ = merge_module._msg_msg_eq(engine, ctx, lm, rm)[0][2]
+        p = And(Cmp("=", lm.src, rm.src), Cmp("=", lm.dst, rm.dst))
+        verdict = entails(ctx, p, enum_cap)
+        assert (ok, check.claim, check.verdict) == (verdict is Verdict.VALID, p, verdict.value)
+
     def test_membership_agrees_with_entails(self, monkeypatch):
-        by_membership = merge_module._by_membership
-        counted = []
+        values = merge_module._values
+        read = []
 
-        def counting(ends, holds):
-            verdict = by_membership(ends, holds)
-            counted.append((verdict is not None, ends))
-            return verdict
+        def counting(ctx, t, cap):
+            found = values(ctx, t, cap)
+            read.append((found, ctx.lookup("rank"), t, cap))
+            return found
 
-        monkeypatch.setattr(merge_module, "_by_membership", counting)
+        monkeypatch.setattr(merge_module, "_values", counting)
         rng = random.Random(11)
-        for _ in range(300):
-            n = rng.randint(2, 8)
-            merged = sorted(rng.sample(range(n), rng.randint(1, n - 1)))
-            k = rng.choice([r for r in range(n) if r not in merged])
-            enum_cap = rng.choice((1, 2, DEFAULT_ENUM_CAP))
-            root = merged_context(n, merged)
-            engine = merge_module._Engine(root, k, enum_cap, frozenset(merged))
-            for ctx in self.contexts(engine, root, n):
-                ends = self.endpoints(rng, n)
-                lm = Message(rng.choice(ends), rng.choice(ends), D)
-                rm = Message(rng.choice(ends), rng.choice(ends), D)
-                for name, (operand, side, want) in merge_module._AVOIDS.items():
-                    m = lm if operand == "left" else rm
-                    term = Var("rank") if side == "merged" else IntLit(k)
-                    p = And(Cmp("!=", m.src, term), Cmp("!=", m.dst, term))
-                    verdict = entails(ctx, p, enum_cap)
-                    ok, check, _ = engine.avoidance(ctx, name, m)
-                    assert (ok, check.claim, check.verdict) == (
-                        verdict is want, p, verdict.value
-                    ), (n, merged, k, enum_cap, ctx.names(), name, m)
-                ok, check, _ = merge_module._msg_msg_eq(engine, ctx, lm, rm)[0][2]
-                p = And(Cmp("=", lm.src, rm.src), Cmp("=", lm.dst, rm.dst))
-                verdict = entails(ctx, p, enum_cap)
-                assert (ok, check.claim, check.verdict) == (verdict is Verdict.VALID, p, verdict.value)
-        decided = [ends for ok, ends in counted if ok]
-        assert decided and len(decided) < len(counted)
-        assert all(type(e) is IntLit for ends in decided for e in ends)
-
-    def test_rebound_rank_reaches_entails(self, monkeypatch):
-        monkeypatch.setattr(merge_module, "_by_membership", self.refuse)
-        root = merged_context(4, [0, 1])
-        engine = merge_module._Engine(root, 2, DEFAULT_ENUM_CAP, frozenset((0, 1)))
-        rebound = self.contexts(engine, root, 4)[2]
-        ok, check, _ = engine.avoidance(rebound, "left-skip-like", msg(2, 3))
-        assert (ok, check.verdict) == (False, "Invalid")
+        for enum_cap in (0, 1, DEFAULT_ENUM_CAP):
+            for _ in range(300):
+                n = rng.randint(2, 8)
+                merged = sorted(rng.sample(range(n), rng.randint(1, n - 1)))
+                k = rng.choice([r for r in range(n) if r not in merged])
+                root = merged_context(n, merged)
+                engine = merge_module._Engine(k, enum_cap)
+                for ctx in self.contexts(engine, root, n):
+                    ends = self.endpoints(rng, n)
+                    lm = Message(rng.choice(ends), rng.choice(ends), D)
+                    rm = Message(rng.choice(ends), rng.choice(ends), D)
+                    self.agree(engine, ctx, lm, rm, k, enum_cap)
+                    # All four endpoints literal: endpoints-equal and the k
+                    # side compare literals.
+                    lm, rm = (msg(rng.randrange(n), rng.randrange(n)) for _ in range(2))
+                    self.agree(engine, ctx, lm, rm, k, enum_cap)
+        listed = [(entry, t, cap) for found, entry, t, cap in read if found is not None]
+        assert listed and len(listed) < len(read)
+        assert {(type(t), cap) for _, t, cap in listed} == {
+            (IntLit, 0), (IntLit, 1), (IntLit, DEFAULT_ENUM_CAP), (Var, 1), (Var, DEFAULT_ENUM_CAP)
+        }
+        for entry, t, cap in listed:
+            assert type(t) is IntLit or (
+                t == Var("rank") and type(entry) is FiniteSet and len(entry.values) <= cap
+            )
 
     @staticmethod
-    def refuse(ends, holds):
-        raise AssertionError("decided by membership")
+    def refusing(values):
+        """_values that fails the test when it lists `rank`'s values."""
+
+        def refusing(ctx, t, cap):
+            found = values(ctx, t, cap)
+            assert found is None or type(t) is IntLit, "rank read without entails"
+            return found
+
+        return refusing
+
+    def test_rebound_rank_reaches_entails(self, monkeypatch):
+        monkeypatch.setattr(merge_module, "_values", self.refusing(merge_module._values))
+        root = merged_context(4, [0, 1])
+        engine = merge_module._Engine(2, DEFAULT_ENUM_CAP)
+        rebound = self.contexts(engine, root, 4)[2]
+        ok, check, _ = engine.messages(rebound, msg(2, 3), msg(2, 3), ("left-skip-like",))[0]
+        assert (ok, check.verdict) == (False, "Invalid")
+        self.agree(engine, rebound, msg(0, 1), msg(3, 2), 2, DEFAULT_ENUM_CAP)
+
+    def test_rank_bound_by_a_refinement_reaches_entails(self, monkeypatch):
+        """The merged ranks spelled as a refinement go to entails, with the
+        verdicts the FiniteSet entry gets from the values."""
+        pairs = [(msg(2, 3), msg(0, 1)), (msg(0, 3), msg(3, 2)), (msg(3, 1), msg(2, 1))]
+        entry, chain = merged_context(4, [0, 1]), or_chain_context(4, [0, 1])
+        engine = merge_module._Engine(2, DEFAULT_ENUM_CAP)
+        want = [merge_module._msg_msg_eq(engine, entry, lm, rm)[0] for lm, rm in pairs]
+        monkeypatch.setattr(merge_module, "_values", self.refusing(merge_module._values))
+        for lm, rm in pairs:
+            self.agree(engine, chain, lm, rm, 2, DEFAULT_ENUM_CAP)
+        assert [merge_module._msg_msg_eq(engine, chain, lm, rm)[0] for lm, rm in pairs] == want
 
     @staticmethod
     def fold(instance, enum_cap=DEFAULT_ENUM_CAP, context=merged_context):
@@ -802,7 +858,7 @@ class TestMembershipPremises:
         rng = random.Random(5)
         instances = [gen_exchange(rng) for _ in range(2000)]
         with_membership = [self.fold(instance) for instance in instances]
-        monkeypatch.setattr(merge_module, "_by_membership", lambda ends, holds: None)
+        monkeypatch.setattr(merge_module, "_values", lambda ctx, t, enum_cap: None)
         entails_only = [self.fold(instance) for instance in instances]
         assert with_membership == entails_only
         rows = [row for folds in with_membership for step in folds if isinstance(step, list)
