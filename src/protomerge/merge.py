@@ -448,6 +448,14 @@ def _offered(left: ProtocolType, right: ProtocolType):
     return _INDEX.get((_shape(left), _shape(right)), ())
 
 
+def _cached(table: dict, key, compute, *args):
+    """table[key], entered as compute(*args) the first time it is asked for."""
+    value = table.get(key)
+    if value is None:
+        value = table[key] = compute(*args)
+    return value
+
+
 class _Engine:
     def __init__(self, k: int, enum_cap: int):
         """An engine for merging rank k into the ranks each context's `rank`
@@ -552,11 +560,7 @@ class _Engine:
 
     def extend(self, ctx: TypingContext, name: str, dtype: Datatype) -> TypingContext:
         """ctx.extend, giving back the same object for the same extension."""
-        key = (id(ctx), name, dtype)
-        extended = self.extensions.get(key)
-        if extended is None:
-            extended = self.extensions[key] = ctx.extend(name, dtype)
-        return extended
+        return _cached(self.extensions, (id(ctx), name, dtype), ctx.extend, name, dtype)
 
     def decide(self, ctx: TypingContext, p: _Both) -> Verdict:
         """The verdict of premise p (an equality or a disequality) under
@@ -601,28 +605,26 @@ class _Engine:
 
     def entail(self, ctx: TypingContext, name: str, p: _Both, kind: str):
         """The named premise that ctx entails p, decided once by `decide`."""
-        key = (id(ctx), name, p)
-        premise = self.premises.get(key)
-        if premise is None:
+
+        def judge():
             verdict = self.decide(ctx, p)
-            check = PremiseCheck(name, p, verdict.value)
-            premise = self.premises[key] = (verdict is Verdict.VALID, check, kind)
-        return premise
+            return verdict is Verdict.VALID, PremiseCheck(name, p, verdict.value), kind
+
+        return _cached(self.premises, (id(ctx), name, p), judge)
 
     def payload_equiv(self, ctx: TypingContext, d1: Datatype, d2: Datatype):
         """The premise that d1 and d2 are equivalent under ctx, decided once."""
-        key = (id(ctx), "payload-equivalent", d1, d2)
-        premise = self.premises.get(key)
-        if premise is None:
+
+        def judge():
             try:
                 ok = dtype_equiv(ctx, d1, d2, self.enum_cap)
                 verdict = "equivalent" if ok else "different"
             except UndecidableEquivalence:
                 self.undecidable = True
                 ok, verdict = False, "Undecidable"
-            check = PremiseCheck("payload-equivalent", (d1, d2), verdict)
-            premise = self.premises[key] = (ok, check, _DATATYPE)
-        return premise
+            return ok, PremiseCheck("payload-equivalent", (d1, d2), verdict), _DATATYPE
+
+        return _cached(self.premises, (id(ctx), "payload-equivalent", d1, d2), judge)
 
 
 def _validate_merge_inputs(ctx: TypingContext, k: int) -> None:

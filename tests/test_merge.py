@@ -622,22 +622,27 @@ class TestPremisesAndRendering:
     @pytest.mark.parametrize("case", ["nbody-4", "exchange-3"])
     def test_no_premise_is_decided_twice(self, monkeypatch, case):
         n, types = (4, self.nbody_types(4)) if case == "nbody-4" else (3, self.exchange_types())
-        init = merge_module._Engine.__init__
+        init, decide = merge_module._Engine.__init__, merge_module._Engine.decide
         entails, dtype_equiv = merge_module.entails, merge_module.dtype_equiv
-        decided, reached, compared = [], [], []
+        entered, decided, reached, compared = [], [], [], []
 
         class Table(dict):
             """The engine's premise table, recording each premise as it is
-            decided and entered."""
+            entered."""
 
             def __setitem__(self, key, premise):
-                assert key not in self, f"{key[1:]} decided twice"
-                decided.append((key[0], premise[1].claim))
+                assert key not in self, f"{key[1:]} entered twice"
+                entered.append((key[0], premise[1].claim))
                 super().__setitem__(key, premise)
 
         def recording_init(engine, *args):
             init(engine, *args)
             engine.premises = Table()
+
+        def counting_decide(engine, ctx, p, *rest):
+            # decide holds the premise as parts; entails sees the proposition.
+            decided.append((id(ctx), p.proposition()))
+            return decide(engine, ctx, p, *rest)
 
         def counting_entails(ctx, p, *rest):
             reached.append((id(ctx), p))
@@ -648,20 +653,23 @@ class TestPremisesAndRendering:
             return dtype_equiv(ctx, d1, d2, *rest)
 
         monkeypatch.setattr(merge_module._Engine, "__init__", recording_init)
+        monkeypatch.setattr(merge_module._Engine, "decide", counting_decide)
         monkeypatch.setattr(merge_module, "entails", counting_entails)
         monkeypatch.setattr(merge_module, "dtype_equiv", counting_dtype_equiv)
         steps = 0
         for merged, trace in self.fold_steps(n, types):
             assert decided, f"merging into {merged} decided nothing"
-            assert len(reached) == len(set(reached)), f"a premise repeated merging into {merged}"
-            assert compared and len(compared) == len(set(compared)), (
-                f"a payload pair compared twice merging into {merged}"
-            )
+            for seen, what in ((decided, "a premise decided"), (reached, "entails asked"),
+                               (compared, "a payload pair compared")):
+                assert len(seen) == len(set(seen)), f"{what} twice merging into {merged}"
+            assert compared, f"merging into {merged} compared no payloads"
             # Every endpoint and bound is a literal, so no message or loop
-            # premise needs entails; every call it gets is for a premise.
-            assert set(reached) | set(compared) < set(decided)
+            # premise needs entails; every call it or dtype_equiv gets, and
+            # every decision, is for a premise in the table.
+            assert set(reached) <= set(decided)
+            assert set(decided) | set(compared) <= set(entered)
             steps += len(trace.steps)
-            for seen in (decided, reached, compared):
+            for seen in (entered, decided, reached, compared):
                 seen.clear()
         assert steps > 0
 
