@@ -567,13 +567,16 @@ def prop_vars(p: Proposition) -> frozenset[str]:
 
 
 def datatype_vars(d: Datatype) -> frozenset[str]:
+    names: frozenset[str] = frozenset()
+    # Array dimensions are walked in a loop, not one call deep each.
+    while isinstance(d, Array):
+        names |= index_vars(d.length)
+        d = d.elem
     match d:
         case Integer() | Float():
-            return frozenset()
-        case Array(elem, length):
-            return datatype_vars(elem) | index_vars(length)
+            return names
         case Refined(binder, _, pred):
-            return prop_vars(pred) - {binder}
+            return names | (prop_vars(pred) - {binder})
     raise TypeError(f"not a datatype: {d!r}")
 
 
@@ -621,14 +624,21 @@ def drop_binder(sub: Sub, name: str) -> Sub:
 
 
 def subst_datatype(d: Datatype, sub: Sub) -> Datatype:
+    lengths = []
+    # Array dimensions are walked in a loop, not one call deep each.
+    while isinstance(d, Array):
+        lengths.append(subst_index(d.length, sub))
+        d = d.elem
     match d:
         case Integer() | Float():
-            return d
-        case Array(elem, length):
-            return Array(subst_datatype(elem, sub), subst_index(length, sub))
+            pass
         case Refined(binder, base, pred):
-            return Refined(binder, base, subst_prop(pred, drop_binder(sub, binder)))
-    raise TypeError(f"not a datatype: {d!r}")
+            d = Refined(binder, base, subst_prop(pred, drop_binder(sub, binder)))
+        case _:
+            raise TypeError(f"not a datatype: {d!r}")
+    for length in reversed(lengths):
+        d = Array(d, length)
+    return d
 
 
 def subst_type(t: ProtocolType, sub: Sub) -> ProtocolType:

@@ -539,20 +539,14 @@ def domain_of(ctx: TypingContext, name: str) -> Domain:
     return entry.domain
 
 
-def singleton_env(ctx: TypingContext, upto: str | None = None) -> dict[str, int]:
-    """Values of context variables whose domains are single points.
+def singleton_env(ctx: TypingContext) -> dict[str, int]:
+    """Values of context variables whose domains are single points, in
+    context order.
 
     Used to resolve loop bounds and message endpoints that mention earlier
     context names (typically just `size`).
     """
-    resolution = _resolution_of(ctx)
-    env: dict[str, int] = {}
-    for name in resolution.entries:
-        if name == upto:
-            break
-        if name in resolution.env:
-            env[name] = resolution.env[name]
-    return env
+    return dict(_resolution_of(ctx).env)
 
 
 # ---------------------------------------------------------------------------

@@ -28,13 +28,14 @@ from .ast import (
     ProtocolType,
     ProtomergeError,
     ReduceOp,
-    Seq,
     Skip,
     TypingContext,
     UnboundVariable,
     datatype_vars,
+    drop_binder,
     eval_index,
     map_spine,
+    spine,
     subst_datatype,
 )
 from .logic import dtype_equiv, initial_context, singleton_env
@@ -145,33 +146,6 @@ def _eval_endpoint(env: dict[str, int], term: IndexTerm) -> int:
         raise OpenIndexTerm(f"message endpoint is not a constant rank: {exc}") from None
 
 
-@dataclass(slots=True)
-class _Loop:
-    """Loop instances binder = value..hi of body, still to be walked."""
-
-    binder: str
-    body: ProtocolType
-    value: int
-    hi: int
-
-
-@dataclass(frozen=True, slots=True)
-class _Rebind:
-    """End of a scope: give `name` back its values in linearize's live and
-    env from before the scope began (None: it had none)."""
-
-    name: str
-    live_value: int | None
-    env_value: int | None
-
-
-def _set(mapping: dict[str, int], name: str, value: int | None) -> None:
-    if value is None:
-        mapping.pop(name, None)
-    else:
-        mapping[name] = value
-
-
 def _instance(payload: Datatype, live: dict[str, int], free: dict[Datatype, frozenset[str]]) -> Datatype:
     """payload with the live loop binders it mentions replaced by their
     values; payload itself when it mentions none. free caches each
@@ -188,75 +162,72 @@ def linearize(ctx: TypingContext, t: ProtocolType, self_rank: int) -> list[Actio
     """Project a protocol to rank self_rank's straight-line action list.
 
     Every foreach is fully unfolded (bounds must be constant under ctx) and
-    every message endpoint must evaluate to a concrete rank. Loop bodies are
-    walked under an environment of the live loop binders' values, not
-    rebuilt per iteration: a payload that mentions no live loop binder goes
-    into the actions as the same object on every iteration, and only one
-    that does is substituted. The walk keeps its own stack, so its depth
-    does not grow with sequence length or trip count. Raises
-    UnfoldBudgetExceeded, before unfolding, once the loops met so far would
-    run more than LINEARIZE_BUDGET iterations in total.
+    every message endpoint must evaluate to a concrete rank. The walk
+    follows each sequence's spine and recurses only into loop bodies and
+    allreduce continuations, so its depth grows with their nesting, never
+    with sequence length or trip count. A loop body's spine is built once
+    and walked once per iteration under an environment of the live loop
+    binders' values, not rebuilt: a payload that mentions no live loop
+    binder goes into the actions as the same object on every iteration,
+    and only one that does is substituted. Raises UnfoldBudgetExceeded,
+    before unfolding, once the loops met so far would run more than
+    LINEARIZE_BUDGET iterations in total.
     """
     # Endpoints and bounds are evaluated under env: the context's single
-    # values overridden by the live loop binders, which live holds alone.
-    # Both change only where a loop iteration starts or a scope ends.
-    env = singleton_env(ctx)
-    live: dict[str, int] = {}
+    # values (top) overridden by the live loop binders, which live holds
+    # alone. A scope that changes either walks under copies of both.
+    top = singleton_env(ctx)
     free: dict[Datatype, frozenset[str]] = {}
     actions: list[Action] = []
     unfolded = 0
-    # Nodes still to walk, last one first; a _Loop entry stands for the
-    # loop instances not yet walked, and a _Rebind entry ends a scope.
-    stack: list[ProtocolType | _Loop | _Rebind] = [t]
-    while stack:
-        node = stack.pop()
-        match node:
-            case Skip():
-                pass
-            case Seq(first, second):
-                stack.append(second)
-                stack.append(first)
-            case Message(src, dst, payload):
-                s = _eval_endpoint(env, src)
-                d = _eval_endpoint(env, dst)
-                if s == self_rank:
-                    actions.append(SendTo(d, _instance(payload, live, free) if live else payload))
-                elif d == self_rank:
-                    actions.append(RecvFrom(s, _instance(payload, live, free) if live else payload))
-            case Allreduce(op, binder, payload, cont):
-                actions.append(Collective(op, _instance(payload, live, free) if live else payload))
-                if binder in live:
-                    # In the continuation `binder` names the reduction
-                    # result, which has no value here.
-                    stack.append(_Rebind(binder, live.pop(binder), env[binder]))
-                    _set(env, binder, singleton_env(ctx).get(binder))
-                stack.append(cont)
-            case Foreach(binder, lo, hi, body):
-                try:
-                    lo_v, hi_v = eval_index(env, lo), eval_index(env, hi)
-                except (UnboundVariable, DivisionByZero) as exc:
-                    raise NonConstantBounds(f"foreach bounds are not constant: {exc}") from None
-                if hi_v < lo_v:
-                    continue
-                unfolded += hi_v - lo_v + 1
-                if unfolded > LINEARIZE_BUDGET:
-                    raise UnfoldBudgetExceeded(
-                        f"linearizing rank {self_rank} would unfold more than "
-                        f"{LINEARIZE_BUDGET} loop iterations"
-                    )
-                stack.append(_Rebind(binder, live.get(binder), env.get(binder)))
-                stack.append(_Loop(binder, body, lo_v, hi_v))
-            case _Loop(binder, body, value, hi):
-                env[binder] = live[binder] = value
-                if value < hi:
-                    node.value = value + 1
-                    stack.append(node)
-                stack.append(body)
-            case _Rebind(name, live_value, env_value):
-                _set(live, name, live_value)
-                _set(env, name, env_value)
-            case _:
-                raise TypeError(f"unexpected protocol node {type(node).__name__}")
+
+    def walk(items: list[ProtocolType], env: dict[str, int], live: dict[str, int]) -> None:
+        nonlocal unfolded
+        for node in items:
+            match node:
+                case Message(src, dst, payload):
+                    s = _eval_endpoint(env, src)
+                    d = _eval_endpoint(env, dst)
+                    if s == self_rank:
+                        actions.append(SendTo(d, _instance(payload, live, free) if live else payload))
+                    elif d == self_rank:
+                        actions.append(RecvFrom(s, _instance(payload, live, free) if live else payload))
+                case Allreduce(op, binder, payload, cont):
+                    actions.append(Collective(op, _instance(payload, live, free) if live else payload))
+                    if binder in live:
+                        # In the continuation `binder` names the reduction
+                        # result, which has no value here; the context's
+                        # single value, if it has one, is back in scope.
+                        cont_env = (
+                            {**env, binder: top[binder]} if binder in top else drop_binder(env, binder)
+                        )
+                        walk(spine(cont), cont_env, drop_binder(live, binder))
+                    else:
+                        walk(spine(cont), env, live)
+                case Foreach(binder, lo, hi, body):
+                    try:
+                        lo_v, hi_v = eval_index(env, lo), eval_index(env, hi)
+                    except (UnboundVariable, DivisionByZero) as exc:
+                        raise NonConstantBounds(f"foreach bounds are not constant: {exc}") from None
+                    if hi_v < lo_v:
+                        continue
+                    unfolded += hi_v - lo_v + 1
+                    if unfolded > LINEARIZE_BUDGET:
+                        raise UnfoldBudgetExceeded(
+                            f"linearizing rank {self_rank} would unfold more than "
+                            f"{LINEARIZE_BUDGET} loop iterations"
+                        )
+                    body_items = spine(body)
+                    inner_env, inner_live = dict(env), dict(live)
+                    for value in range(lo_v, hi_v + 1):
+                        inner_env[binder] = inner_live[binder] = value
+                        walk(body_items, inner_env, inner_live)
+                case Skip():
+                    pass
+                case _:
+                    raise TypeError(f"unexpected protocol node {type(node).__name__}")
+
+    walk(spine(t), top, {})
     return actions
 
 

@@ -10,6 +10,7 @@ import pytest
 
 import protomerge
 import protomerge.cli as cli_module
+from protomerge import initial_context, linearize
 from protomerge.cli import main
 from protomerge.syntax import (
     MAX_BLOCK_DEPTH,
@@ -18,6 +19,8 @@ from protomerge.syntax import (
     parse_protocol,
     print_protocol,
 )
+
+import reference_oracle
 
 
 PROGRAMS = Path(protomerge.__file__).parent / "programs"
@@ -455,8 +458,9 @@ class TestTermDepth:
 
 
 class TestArrayDimensions:
-    """Datatypes with thousands of array dimensions compare, strip and print
-    without recursing once per dimension."""
+    """Datatypes with thousands of array dimensions compare, strip, print,
+    substitute and list their free names without recursing once per
+    dimension."""
 
     DIMS = "[1]" * 2000
 
@@ -485,6 +489,21 @@ class TestArrayDimensions:
         else:
             assert merge_err.startswith("error: DatatypeMismatch")
 
+    def test_infer_substitutes_into_every_dimension(self, capsys, write):
+        dims = "[1]" * 3000
+        text = f"if rank = 0 {{ send to 1 float{dims} }} else {{ recv from 0 float{dims} }}"
+        f = write("dims.proc", text)
+        code, out, err = run(capsys, "infer", f, "--size", "2")
+        assert (code, err) == (0, "")
+        assert out == f"message 0 1 float{dims}\n"
+
+    def test_simulate_instantiates_every_dimension(self, capsys, write):
+        f = write("dims.ptype", "foreach i: 1..2 { message 0 1 float" + "[i]" * 3000 + " }")
+        code, out, err = run(capsys, "simulate", f, f, "--size", "2")
+        assert (code, err) == (0, "")
+        events = "".join(f"  message 0 -> 1: float{f'[{v}]' * 3000}\n" for v in (1, 2))
+        assert out == "Completed\n" + events
+
 
 class TestBlockDepth:
     """A process or protocol nesting `{ ... }` blocks deeper than
@@ -497,6 +516,17 @@ class TestBlockDepth:
         for i in range(blocks - 1):
             inner = f"for i{i}: 1 .. 1 {{\n{inner}\n}}"
         return inner
+
+    @staticmethod
+    def fresh(*argv):
+        """Run the command line in a fresh interpreter, whose stack holds
+        the command line's own frames only."""
+        src = str(Path(protomerge.__file__).parents[1])
+        script = "import sys; from protomerge.cli import main; sys.exit(main(sys.argv[1:]))"
+        return subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            capture_output=True, text=True, env={"PYTHONPATH": src}, timeout=60,
+        )
 
     @staticmethod
     def column(text, blocks):
@@ -554,14 +584,27 @@ class TestBlockDepth:
         term = "(" * MAX_TERM_DEPTH + "4" + ")" * MAX_TERM_DEPTH
         inner = f"if rank = 0 {{ send to 1 float[{term}] }} else {{ recv from 0 float[{term}] }}"
         f = write("limits.proc", self.loops(MAX_BLOCK_DEPTH, inner))
-        src = str(Path(protomerge.__file__).parents[1])
-        script = "import sys; from protomerge.cli import main; sys.exit(main(sys.argv[1:]))"
-        done = subprocess.run(
-            [sys.executable, "-c", script, "infer", f, "--size", "2", "--trace"],
-            capture_output=True, text=True, env={"PYTHONPATH": src}, timeout=60,
-        )
+        done = self.fresh("infer", f, "--size", "2", "--trace")
         assert done.returncode == 0, done.stderr[-500:]
         assert done.stdout.count("foreach") == MAX_BLOCK_DEPTH - 1
+
+    def test_shadowing_allreduces_at_the_limit(self, write):
+        # Blocks alternate foreach v and allreduce v from the outside in, so
+        # each allreduce shadows a live loop binder; a message follows each
+        # inner block, in the scope of the block around it.
+        text = "message 0 1 float[v]"
+        for i in reversed(range(MAX_BLOCK_DEPTH)):
+            head = "allreduce min v: float" if i % 2 else "foreach v: 1..1"
+            text = f"{head} {{ {text} }}" + ("; message 0 1 float[v]" if i else "")
+        ctx, t = initial_context(2), parse_protocol(text)
+        for rank in (0, 1):
+            actions = linearize(ctx, t, rank)
+            assert actions == reference_oracle.reference_linearize(ctx, t, rank)
+            assert len(actions) == MAX_BLOCK_DEPTH // 2 + MAX_BLOCK_DEPTH
+        f = write("shadow.ptype", text)
+        done = self.fresh("simulate", f, f, "--size", "2")
+        assert done.returncode == 0, done.stderr[-500:]
+        assert done.stdout.startswith("Completed\n")
 
 
 class TestErrorChannel:

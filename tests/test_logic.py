@@ -204,10 +204,6 @@ class TestSingletonEnv:
         ctx = merged_context(3, [0, 1])
         assert singleton_env(ctx) == {"size": 3}
 
-    def test_upto_stops_early(self):
-        ctx = merged_context(3, [2])
-        assert singleton_env(ctx, upto="rank") == {"size": 3}
-
 
 class TestDtypeEquiv:
     def test_scalars(self):
@@ -344,7 +340,6 @@ class TestRankSetEntry:
             entry, chain = merged_context(n, ranks), or_chain_context(n, ranks)
             assert domain_of(entry, "rank") == domain_of(chain, "rank")
             assert singleton_env(entry) == singleton_env(chain)
-            assert singleton_env(entry, upto="rank") == singleton_env(chain, upto="rank")
             a, b = rng.randint(-1, n), rng.randint(-1, n)
             queries = [
                 And(Cmp("!=", IntLit(a), Var("rank")), Cmp("!=", IntLit(b), Var("rank"))),
