@@ -356,7 +356,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         ValueError,
         OSError,
     ) as exc:
-        print(f"protomerge: error: {exc}", file=sys.stderr)
+        if wants_json:
+            _print_error(True, type(exc).__name__, str(exc))
+        else:
+            print(f"protomerge: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ProtomergeError as exc:
         _print_error(wants_json, type(exc).__name__, str(exc))

@@ -17,6 +17,7 @@ from .ast import (
     And,
     Array,
     BinOp,
+    CMPOPS,
     Cmp,
     Cond,
     Datatype,
@@ -45,7 +46,6 @@ from .ast import (
     Skip,
     TrueProp,
     Var,
-    build_seq,
     spine,
 )
 
@@ -139,23 +139,37 @@ def _lex(text: str, filename: str) -> list[_Token]:
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# Operator levels, read by the parser and the printers
+#
+# Loosest to tightest: `?:` 0, `or` 1, `and` 2, `not` 3, the comparisons 4,
+# `+ -` 5, `* /` 6, atoms 7. A binary operator's right operand sits one
+# level tighter than the operator, so operators associate to the left (and
+# comparisons chain, see `_Parser.binary`). A printed child is parenthesized
+# when its level is below the one its position needs.
 
-_CMP_OPS = {"=", "!=", "<", "<=", ">", ">="}
+_COND, _NOT, _CMP, _ATOM = 0, 3, 4, 7
+_LEVELS = {"or": 1, "and": 2, **dict.fromkeys(CMPOPS, _CMP), "+": 5, "-": 5, "*": 6, "/": 6}
+_CONNECTIVES = {"or": Or, "and": And}
+
+
+# ---------------------------------------------------------------------------
+# Parser
 
 # The deepest index term or proposition the parser accepts: no more than
 # this many parentheses, `not`s and `?:` branches open at once, and no tree
 # taller than this (a chain 1 + 1 + ... grows one level per operator).
-# Deeper terms overflow the interpreter's stack, in the parser (eight frames
+# Deeper terms overflow the interpreter's stack, in the parser (three frames
 # per parenthesis) or in the passes that walk the tree.
 MAX_TERM_DEPTH = 100
 
 # The most `{ ... }` blocks (loop bodies, branches, allreduce continuations)
 # the parser accepts open at once. Extraction and merging walk blocks
-# recursively, and the parser spends two frames per block: with a term at
+# recursively, and the parser spends four frames per block: with a term at
 # MAX_TERM_DEPTH in the innermost block, this many still fit the
 # interpreter's default stack.
 MAX_BLOCK_DEPTH = 64
+
+_SCALARS = {"integer": Integer, "float": Float}
 
 
 class _Parser:
@@ -202,36 +216,60 @@ class _Parser:
             raise self.unexpected(repr(text if text is not None else kind))
         return self.advance()
 
+    def keyword(self, words, want: str) -> str:
+        """Consume the next token, which must be one of words, and return it."""
+        word = self.tokens[self.pos][1]
+        if word not in words:
+            raise self.unexpected(want)
+        self.pos += 1
+        return word
+
     def expect_eof(self) -> None:
         kind, text, offset = self.peek()
         if kind != "eof":
             raise self.fail(f"trailing input starting at {text!r}", offset)
 
-    def ident(self, what: str = "identifier") -> str:
-        if not self.at("ident"):
-            raise self.unexpected(what)
-        return self.advance()[1]
-
     def binder(self, what: str) -> str:
-        offset = self.offset()
-        name = self.ident(what)
+        kind, name, offset = self.peek()
+        if kind != "ident":
+            raise self.unexpected(what)
         if name in RESERVED_BINDERS:
             raise self.fail(f"{name!r} is reserved and cannot be bound", offset)
+        self.pos += 1
         return name
 
-    def open_block(self) -> None:
-        """Consume a `{`, refusing the one that opens a block too many."""
+    def block(self, body):
+        """body() between `{` and `}`, refusing the `{` that opens a block too many."""
         offset = self.offset()
         self.expect("op", "{")
         if self.blocks == MAX_BLOCK_DEPTH:
             raise self.fail(f"block nests deeper than {MAX_BLOCK_DEPTH} levels", offset)
         self.blocks += 1
-
-    def close_block(self) -> None:
+        node = body()
         self.blocks -= 1
         self.expect("op", "}")
+        return node
 
-    # -- expressions (index terms and propositions share one grammar level)
+    def sequence(self, item, join):
+        """item() once or more, separated by `;`, right-nested by join."""
+        items = [item()]
+        while self.at("op", ";"):
+            self.advance()
+            items.append(item())
+        node = items.pop()
+        for first in reversed(items):
+            node = join(first, node)
+        return node
+
+    def loop(self) -> tuple[str, IndexTerm, IndexTerm]:
+        """`binder: lo .. hi`"""
+        binder = self.binder("loop binder")
+        self.expect("op", ":")
+        lo = self.index_expr()
+        self.expect("op", "..")
+        return binder, lo, self.index_expr()
+
+    # -- expressions (index terms and propositions share one grammar)
 
     def too_deep(self, offset: int) -> ParseError:
         return self.fail(f"term nests deeper than {MAX_TERM_DEPTH} levels", offset)
@@ -251,7 +289,7 @@ class _Parser:
         return node
 
     def expr(self) -> IndexTerm | Proposition:
-        node = self.or_level()
+        node = self.binary(_COND + 1)
         if self.at("op", "?"):
             offset = self.advance()[2]
             test = self.as_prop(node, offset)
@@ -281,70 +319,41 @@ class _Parser:
             return node
         raise self.fail("expected a proposition, found an index term", offset)
 
-    def or_level(self) -> IndexTerm | Proposition:
+    def binary(self, level: int) -> IndexTerm | Proposition:
+        """An expression whose operators bind at level or tighter (precedence
+        climbing). Operand kinds are checked at the offset where it starts."""
         offset = self.offset()
-        node = self.and_level()
-        while self.at("keyword", "or"):
-            at = self.advance()[2]
-            rhs = self.and_level()
-            lhs, rhs = self.as_prop(node, offset), self.as_prop(rhs, offset)
-            node = self.tree(at, Or(lhs, rhs), lhs, rhs)
-        return node
-
-    def and_level(self) -> IndexTerm | Proposition:
-        offset = self.offset()
-        node = self.not_level()
-        while self.at("keyword", "and"):
-            at = self.advance()[2]
-            rhs = self.not_level()
-            lhs, rhs = self.as_prop(node, offset), self.as_prop(rhs, offset)
-            node = self.tree(at, And(lhs, rhs), lhs, rhs)
-        return node
-
-    def not_level(self) -> IndexTerm | Proposition:
-        if self.at("keyword", "not"):
-            offset = self.advance()[2]
+        if level <= _NOT and self.at("keyword", "not"):
+            self.advance()
             self.enter(offset)
-            p = self.as_prop(self.not_level(), offset)
+            p = self.as_prop(self.binary(_NOT), offset)
             self.open -= 1
-            return self.tree(offset, Not(p), p)
-        return self.cmp_level()
-
-    def cmp_level(self) -> IndexTerm | Proposition:
-        offset = self.offset()
-        node = self.add_level()
-        if not (self.at("op") and self.peek()[1] in _CMP_OPS):
-            return node
-        # Comparison chains (a <= b <= c) desugar to a conjunction.
-        prop: Proposition | None = None
-        left = self.as_index(node, offset)
-        while self.at("op") and self.peek()[1] in _CMP_OPS:
-            _, op, at = self.advance()
-            right = self.as_index(self.add_level(), offset)
-            link = self.tree(at, Cmp(op, left, right), left, right)
-            prop = link if prop is None else self.tree(at, And(prop, link), prop, link)
-            left = right
-        return prop
-
-    def add_level(self) -> IndexTerm | Proposition:
-        offset = self.offset()
-        node = self.mul_level()
-        while self.at("op") and self.peek()[1] in ("+", "-"):
-            _, op, at = self.advance()
-            rhs = self.as_index(self.mul_level(), offset)
-            lhs = self.as_index(node, offset)
-            node = self.tree(at, BinOp(op, lhs, rhs), lhs, rhs)
-        return node
-
-    def mul_level(self) -> IndexTerm | Proposition:
-        offset = self.offset()
-        node = self.atom()
-        while self.at("op") and self.peek()[1] in ("*", "/"):
-            _, op, at = self.advance()
-            rhs = self.as_index(self.atom(), offset)
-            lhs = self.as_index(node, offset)
-            node = self.tree(at, BinOp(op, lhs, rhs), lhs, rhs)
-        return node
+            node = self.tree(offset, Not(p), p)
+        else:
+            node = self.atom()
+        chain = None  # the right operand of the comparison just read
+        while True:
+            _, op, at = self.tokens[self.pos]
+            mine = _LEVELS.get(op)
+            if mine is None or mine < level:
+                return node
+            self.pos += 1
+            if mine == _CMP:
+                # A chain a <= b < c desugars to a <= b and b < c.
+                left = self.as_index(node, offset) if chain is None else chain
+                right = self.as_index(self.binary(_CMP + 1), offset)
+                link = self.tree(at, Cmp(op, left, right), left, right)
+                node = link if chain is None else self.tree(at, And(node, link), node, link)
+                chain = right
+                continue
+            chain = None
+            rhs = self.binary(mine + 1)
+            if op in _CONNECTIVES:
+                lhs, rhs = self.as_prop(node, offset), self.as_prop(rhs, offset)
+                node = self.tree(at, _CONNECTIVES[op](lhs, rhs), lhs, rhs)
+            else:
+                lhs, rhs = self.as_index(node, offset), self.as_index(rhs, offset)
+                node = self.tree(at, BinOp(op, lhs, rhs), lhs, rhs)
 
     def atom(self) -> IndexTerm | Proposition:
         kind, text, _ = self.peek()
@@ -392,29 +401,19 @@ class _Parser:
     # -- datatypes
 
     def datatype(self) -> Datatype:
-        if self.at("keyword", "integer"):
-            self.advance()
-            d: Datatype = Integer()
-        elif self.at("keyword", "float"):
-            self.advance()
-            d = Float()
-        elif self.at("op", "{"):
-            self.advance()
+        word = self.keyword(("integer", "float", "{"), "a datatype")
+        if word == "{":
             binder = self.binder("refinement binder")
             self.expect("op", ":")
-            if self.at("keyword", "integer"):
-                base: Integer | Float = Integer()
-            elif self.at("keyword", "float"):
-                base = Float()
-            else:
+            if self.peek()[1] not in _SCALARS:
                 raise self.fail("refinement base must be 'integer' or 'float'")
-            self.advance()
+            base = _SCALARS[self.advance()[1]]()
             self.expect("op", "|")
             pred = self.prop_expr()
             self.expect("op", "}")
-            d = Refined(binder, base, pred)
+            d: Datatype = Refined(binder, base, pred)
         else:
-            raise self.unexpected("a datatype")
+            d = _SCALARS[word]()
         while self.at("op", "["):
             self.advance()
             length = self.index_expr()
@@ -423,187 +422,108 @@ class _Parser:
         return d
 
     def reduce_op(self) -> ReduceOp:
-        kind, text, _ = self.peek()
-        if kind == "keyword" and text in _REDUCE_OPS:
-            self.advance()
-            return _REDUCE_OPS[text]
-        raise self.unexpected("a reduction op (min/max/sum/prod)")
+        return _REDUCE_OPS[self.keyword(_REDUCE_OPS, "a reduction op (min/max/sum/prod)")]
 
     # -- protocol types
 
     def protocol(self) -> ProtocolType:
-        items = [self.protocol_item()]
-        while self.at("op", ";"):
-            self.advance()
-            items.append(self.protocol_item())
-        return build_seq(items)
+        return self.sequence(self.protocol_item, Seq)
 
     def protocol_item(self) -> ProtocolType:
-        if self.at("keyword", "skip"):
-            self.advance()
-            return Skip()
-        if self.at("keyword", "message"):
-            self.advance()
-            src = self.endpoint()
-            dst = self.endpoint()
-            payload = self.datatype()
-            return Message(src, dst, payload)
-        if self.at("keyword", "allreduce"):
-            self.advance()
-            op = self.reduce_op()
-            if self.at("ident"):
+        match self.keyword(("skip", "message", "allreduce", "foreach"), "a protocol form"):
+            case "skip":
+                return Skip()
+            case "message":
+                return Message(self.endpoint(), self.endpoint(), self.datatype())
+            case "allreduce":
+                op = self.reduce_op()
+                if not self.at("ident"):
+                    return Allreduce(op, FRESH_BINDER, self.datatype(), Skip())
                 binder = self.binder("allreduce binder")
                 self.expect("op", ":")
                 payload = self.datatype()
-                self.open_block()
-                cont = self.protocol()
-                self.close_block()
-                return Allreduce(op, binder, payload, cont)
-            payload = self.datatype()
-            return Allreduce(op, FRESH_BINDER, payload, Skip())
-        if self.at("keyword", "foreach"):
-            self.advance()
-            binder = self.binder("loop binder")
-            self.expect("op", ":")
-            lo = self.index_expr()
-            self.expect("op", "..")
-            hi = self.index_expr()
-            self.open_block()
-            body = self.protocol()
-            self.close_block()
-            return Foreach(binder, lo, hi, body)
-        raise self.unexpected("a protocol form")
+                return Allreduce(op, binder, payload, self.block(self.protocol))
+            case "foreach":
+                return Foreach(*self.loop(), self.block(self.protocol))
 
     # -- processes
 
     def process(self) -> Process:
-        items = [self.process_item()]
-        while self.at("op", ";"):
-            self.advance()
-            items.append(self.process_item())
-        node = items[-1]
-        for item in reversed(items[:-1]):
-            node = PSeq(item, node)
-        return node
+        return self.sequence(self.process_item, PSeq)
 
     def process_item(self) -> Process:
-        if self.at("keyword", "skip"):
-            self.advance()
-            return PSkip()
-        if self.at("keyword", "send"):
-            self.advance()
-            self.expect("keyword", "to")
-            to = self.endpoint()
-            payload = self.datatype()
-            return Send(to, payload)
-        if self.at("keyword", "recv"):
-            self.advance()
-            self.expect("keyword", "from")
-            src = self.endpoint()
-            payload = self.datatype()
-            return Recv(src, payload)
-        if self.at("keyword", "allreduce"):
-            self.advance()
-            op = self.reduce_op()
-            payload = self.datatype()
-            return AllreduceStmt(op, payload)
-        if self.at("keyword", "for"):
-            self.advance()
-            binder = self.binder("loop binder")
-            self.expect("op", ":")
-            lo = self.index_expr()
-            self.expect("op", "..")
-            hi = self.index_expr()
-            self.open_block()
-            body = self.process()
-            self.close_block()
-            return For(binder, lo, hi, body)
-        if self.at("keyword", "if"):
-            self.advance()
-            test = self.prop_expr()
-            self.open_block()
-            then = self.process()
-            self.close_block()
-            self.expect("keyword", "else")
-            self.open_block()
-            orelse = self.process()
-            self.close_block()
-            return If(test, then, orelse)
-        raise self.unexpected("a process statement")
+        match self.keyword(("skip", "send", "recv", "allreduce", "for", "if"), "a process statement"):
+            case "skip":
+                return PSkip()
+            case "send":
+                self.expect("keyword", "to")
+                return Send(self.endpoint(), self.datatype())
+            case "recv":
+                self.expect("keyword", "from")
+                return Recv(self.endpoint(), self.datatype())
+            case "allreduce":
+                return AllreduceStmt(self.reduce_op(), self.datatype())
+            case "for":
+                return For(*self.loop(), self.block(self.process))
+            case "if":
+                test = self.prop_expr()
+                then = self.block(self.process)
+                self.expect("keyword", "else")
+                return If(test, then, self.block(self.process))
+
+
+def _parse(rule, text: str, filename: str):
+    """rule's reading of the whole of text."""
+    p = _Parser(text, filename)
+    node = rule(p)
+    p.expect_eof()
+    return node
 
 
 def parse_protocol(text: str, filename: str = "<string>") -> ProtocolType:
-    p = _Parser(text, filename)
-    t = p.protocol()
-    p.expect_eof()
-    return t
+    return _parse(_Parser.protocol, text, filename)
 
 
 def parse_process(text: str, filename: str = "<string>") -> Process:
-    p = _Parser(text, filename)
-    pr = p.process()
-    p.expect_eof()
-    return pr
+    return _parse(_Parser.process, text, filename)
 
 
 def parse_index(text: str, filename: str = "<string>") -> IndexTerm:
-    p = _Parser(text, filename)
-    t = p.index_expr()
-    p.expect_eof()
-    return t
+    return _parse(_Parser.index_expr, text, filename)
 
 
 def parse_proposition(text: str, filename: str = "<string>") -> Proposition:
-    p = _Parser(text, filename)
-    t = p.prop_expr()
-    p.expect_eof()
-    return t
+    return _parse(_Parser.prop_expr, text, filename)
 
 
 def parse_datatype(text: str, filename: str = "<string>") -> Datatype:
-    p = _Parser(text, filename)
-    d = p.datatype()
-    p.expect_eof()
-    return d
+    return _parse(_Parser.datatype, text, filename)
 
 
 # ---------------------------------------------------------------------------
 # Printers
-#
-# Precedence levels, loosest to tightest:
-#   0 cond  1 or  2 and  3 not  4 cmp  5 add  6 mul  7 atom
-# A child is parenthesized when its level is below the level its position
-# requires, plus the usual left-associativity adjustment on right operands.
-
-_ADD_LEVEL = 5
-_MUL_LEVEL = 6
 
 
-def _index_level(t: IndexTerm) -> int:
-    match t:
-        case IntLit() | Var():
-            return 7
-        case BinOp(op, _, _):
-            return _ADD_LEVEL if op in ("+", "-") else _MUL_LEVEL
-        case Cond():
-            return 0
-    raise TypeError(f"not an index term: {t!r}")
+def _infix(op: str, left, right, show) -> tuple[int, str]:
+    """The level and text of `left op right`, whose operands show prints."""
+    mine = _LEVELS[op]
+    return mine, f"{show(left, mine)} {op} {show(right, mine + 1)}"
 
 
 def print_index(t: IndexTerm, level: int = 0) -> str:
     match t:
         case IntLit(v):
-            text = str(v)
-            mine = 7
+            mine, text = _ATOM, str(v)
         case Var(name):
-            text = name
-            mine = 7
+            mine, text = _ATOM, name
         case BinOp(op, l, r):
-            mine = _index_level(t)
-            text = f"{print_index(l, mine)} {op} {print_index(r, mine + 1)}"
+            mine, text = _infix(op, l, r, print_index)
         case Cond(test, then, orelse):
-            mine = 0
-            text = f"{print_proposition(test, 1)} ? {print_index(then, 1)} : {print_index(orelse, 0)}"
+            mine = _COND
+            text = (
+                f"{print_proposition(test, _COND + 1)} ? {print_index(then, _COND + 1)}"
+                f" : {print_index(orelse, _COND)}"
+            )
         case _:
             raise TypeError(f"not an index term: {t!r}")
     return f"({text})" if mine < level else text
@@ -614,17 +534,13 @@ def print_proposition(p: Proposition, level: int = 0) -> str:
         case TrueProp():
             return "true"
         case Cmp(op, l, r):
-            text = f"{print_index(l, _ADD_LEVEL)} {op} {print_index(r, _ADD_LEVEL)}"
-            mine = 4
+            mine, text = _infix(op, l, r, print_index)
         case And(l, r):
-            text = f"{print_proposition(l, 2)} and {print_proposition(r, 3)}"
-            mine = 2
+            mine, text = _infix("and", l, r, print_proposition)
         case Or(l, r):
-            text = f"{print_proposition(l, 1)} or {print_proposition(r, 2)}"
-            mine = 1
+            mine, text = _infix("or", l, r, print_proposition)
         case Not(q):
-            text = f"not {print_proposition(q, 3)}"
-            mine = 3
+            mine, text = _NOT, f"not {print_proposition(q, _NOT)}"
         case _:
             raise TypeError(f"not a proposition: {p!r}")
     return f"({text})" if mine < level else text
@@ -654,46 +570,44 @@ def _endpoint_text(t: IndexTerm) -> str:
 
 
 def _bound_text(t: IndexTerm) -> str:
-    # Bounds sit before '..' or '{'; anything below add-level needs parens.
-    return print_index(t, _ADD_LEVEL)
+    # Bounds sit before '..' or '{'; anything looser than `+` needs parens.
+    return print_index(t, _LEVELS["+"])
 
 
-def print_protocol(t: ProtocolType, indent: int = 0) -> str:
-    pad = "  " * indent
+# Protocol layouts: (indent per block, line break).
+_LINES = ("  ", "\n")
+_ONE_LINE = ("", " ")
+
+
+def _render_protocol(t: ProtocolType, layout: tuple[str, str], depth: int) -> str:
+    step, newline = layout
+    pad = step * depth
     match t:
         case Seq():
-            return ";\n".join(print_protocol(item, indent) for item in spine(t))
+            return f";{newline}".join(_render_protocol(item, layout, depth) for item in spine(t))
         case Skip():
             return f"{pad}skip"
         case Message(src, dst, payload):
             return f"{pad}message {_endpoint_text(src)} {_endpoint_text(dst)} {print_datatype(payload)}"
-        case Allreduce(op, binder, payload, cont):
-            if binder == FRESH_BINDER and cont == Skip():
+        case Allreduce(op, binder, payload, body):
+            if binder == FRESH_BINDER and body == Skip():
                 return f"{pad}allreduce {op.value} {print_datatype(payload)}"
-            body = print_protocol(cont, indent + 1)
-            return f"{pad}allreduce {op.value} {binder}: {print_datatype(payload)} {{\n{body}\n{pad}}}"
+            head = f"{pad}allreduce {op.value} {binder}: {print_datatype(payload)}"
         case Foreach(binder, lo, hi, body):
-            inner = print_protocol(body, indent + 1)
-            return f"{pad}foreach {binder}: {_bound_text(lo)}..{_bound_text(hi)} {{\n{inner}\n{pad}}}"
-    raise TypeError(f"not a protocol type: {t!r}")
+            head = f"{pad}foreach {binder}: {_bound_text(lo)}..{_bound_text(hi)}"
+        case _:
+            raise TypeError(f"not a protocol type: {t!r}")
+    inner = _render_protocol(body, layout, depth + 1)
+    return f"{head} {{{newline}{inner}{newline}{pad}}}"
+
+
+def print_protocol(t: ProtocolType, indent: int = 0) -> str:
+    return _render_protocol(t, _LINES, indent)
 
 
 def compact_protocol(t: ProtocolType) -> str:
     """Single-line rendering used in merge traces and diagnostics."""
-    match t:
-        case Seq():
-            return "; ".join(compact_protocol(item) for item in spine(t))
-        case Skip():
-            return "skip"
-        case Message(src, dst, payload):
-            return f"message {_endpoint_text(src)} {_endpoint_text(dst)} {print_datatype(payload)}"
-        case Allreduce(op, binder, payload, cont):
-            if binder == FRESH_BINDER and cont == Skip():
-                return f"allreduce {op.value} {print_datatype(payload)}"
-            return f"allreduce {op.value} {binder}: {print_datatype(payload)} {{ {compact_protocol(cont)} }}"
-        case Foreach(binder, lo, hi, body):
-            return f"foreach {binder}: {_bound_text(lo)}..{_bound_text(hi)} {{ {compact_protocol(body)} }}"
-    raise TypeError(f"not a protocol type: {t!r}")
+    return _render_protocol(t, _ONE_LINE, 0)
 
 
 def print_process(p: Process, indent: int = 0) -> str:

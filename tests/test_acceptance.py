@@ -31,6 +31,7 @@ from protomerge import (
     Var,
     Verdict,
     attempt_rule,
+    compact_protocol,
     dtype_equiv,
     entails,
     extract_local_type,
@@ -39,9 +40,15 @@ from protomerge import (
     merge_all,
     merged_context,
     normalize_seq,
+    parse_datatype,
+    parse_index,
     parse_process,
+    parse_proposition,
     parse_protocol,
+    print_datatype,
+    print_index,
     print_process,
+    print_proposition,
     print_protocol,
     simulate,
 )
@@ -50,9 +57,12 @@ from protomerge.cli import main
 
 from generators import (
     brute_force_entails,
+    gen_datatype,
     gen_entail_case,
     gen_exchange,
+    gen_index,
     gen_process,
+    gen_prop,
     gen_protocol,
 )
 
@@ -411,3 +421,20 @@ def test_criterion_09_print_parse_round_trip():
     for _ in range(500):
         p = gen_process(rng, rng.randint(1, 6))
         assert parse_process(print_process(p)) == p
+
+
+@pytest.mark.parametrize(
+    "generate, show, parse",
+    [
+        (gen_protocol, compact_protocol, parse_protocol),
+        (gen_prop, print_proposition, parse_proposition),
+        (gen_index, print_index, parse_index),
+        (gen_datatype, print_datatype, parse_datatype),
+    ],
+    ids=["compact_protocol", "print_proposition", "print_index", "print_datatype"],
+)
+def test_criterion_09_every_printer_round_trips(generate, show, parse):
+    rng = random.Random(99)
+    for _ in range(3000):
+        t = generate(rng, rng.randint(1, 6))
+        assert parse(show(t)) == t

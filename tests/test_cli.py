@@ -652,6 +652,38 @@ class TestErrorChannel:
         assert code == 4
         assert err.startswith("protomerge: error:")
 
+    @pytest.mark.parametrize(
+        "argv, kind, message",
+        [
+            (
+                ["infer", str(PROGRAMS / "nbody.proc"), "--size", "3", "--order", "0,0"],
+                "ValueError",
+                "order [0, 0] is not a permutation of 0..2",
+            ),
+            (
+                ["infer", "/nonexistent/x.proc", "--size", "2"],
+                "FileNotFoundError",
+                "[Errno 2] No such file or directory: '/nonexistent/x.proc'",
+            ),
+            (
+                ["simulate", "OPEN", "OPEN", "--size", "2"],
+                "OpenIndexTerm",
+                "message endpoint is not a constant rank: rank",
+            ),
+        ],
+        ids=["bad-order", "missing-file", "open-endpoint"],
+    )
+    def test_usage_errors_under_json(self, capsys, write, argv, kind, message):
+        # OPEN stands for a protocol file whose endpoint is not a constant.
+        f = write("open.ptype", "message rank 0 float")
+        argv = [f if a == "OPEN" else a for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (4, "")
+        assert err == f"protomerge: error: {message}\n"
+        code, out, err = run(capsys, *argv, "--json")
+        assert (code, err) == (4, "")
+        assert json.loads(out) == {"status": "error", "kind": kind, "message": message}
+
     def test_missing_subcommand(self, capsys):
         assert main([]) == 4
 

@@ -42,6 +42,7 @@ from protomerge import (
     print_protocol,
 )
 from protomerge.ast import FRESH_BINDER
+from protomerge.syntax import SourceSpan
 
 
 class TestIndexTerms:
@@ -178,6 +179,107 @@ class TestParseErrors:
     def test_prop_where_index_expected(self):
         with pytest.raises(ParseError):
             parse_datatype("float[true]")
+
+
+PARSERS = {
+    "protocol": parse_protocol,
+    "process": parse_process,
+    "index": parse_index,
+    "proposition": parse_proposition,
+    "datatype": parse_datatype,
+}
+
+# (rule, text, message, line, column) of malformed inputs, one per error path.
+PARSE_ERRORS = [
+    # Operand kinds: at each operator level, on `?:` and on the `not` operand.
+    ("index", "x or 1 = 1", "expected a proposition, found an index term", 1, 1),
+    ("proposition", "1 = 1 or x", "expected a proposition, found an index term", 1, 1),
+    ("proposition", "x and true", "expected a proposition, found an index term", 1, 1),
+    ("proposition", "true and\n  x + 1", "expected a proposition, found an index term", 1, 1),
+    ("proposition", "true < 1", "expected an index term, found a proposition", 1, 1),
+    ("proposition", "1 < (x = 2)", "expected an index term, found a proposition", 1, 1),
+    ("proposition", "0 <= x <= true", "expected an index term, found a proposition", 1, 1),
+    ("index", "true + 1", "expected an index term, found a proposition", 1, 1),
+    ("index", "1 - (x = 2)", "expected an index term, found a proposition", 1, 1),
+    ("index", "true * 2", "expected an index term, found a proposition", 1, 1),
+    ("index", "2 / true", "expected an index term, found a proposition", 1, 1),
+    ("index", "x + 2 * true", "expected an index term, found a proposition", 1, 5),
+    ("index", "1 ? 2 : 3", "expected a proposition, found an index term", 1, 3),
+    ("index", "x = 1 ? true : 2", "expected an index term, found a proposition", 1, 9),
+    ("index", "x = 1 ? 2 : true", "expected an index term, found a proposition", 1, 13),
+    ("proposition", "not 1", "expected a proposition, found an index term", 1, 1),
+    ("proposition", "true and not x + 1", "expected a proposition, found an index term", 1, 10),
+    ("index", "true", "expected an index term, found a proposition", 1, 1),
+    ("proposition", "x + 1", "expected a proposition, found an index term", 1, 1),
+    ("datatype", "float[x = 1]", "expected an index term, found a proposition", 1, 7),
+    ("datatype", "{v: integer | v + 1}", "expected a proposition, found an index term", 1, 15),
+    ("proposition", "x = 1 and not not 3", "expected a proposition, found an index term", 1, 15),
+    ("index", "(1 or x = 1)", "expected a proposition, found an index term", 1, 2),
+    ("index", "x = 1 ? 2 : 3 = 4", "expected an index term, found a proposition", 1, 13),
+    ("process", "if x + 1 { skip } else { skip }", "expected a proposition, found an index term", 1, 4),
+    # Each `expected <form>` from a failed alternative.
+    ("protocol", "bogus", "expected a protocol form, found 'bogus'", 1, 1),
+    ("protocol", "skip;\n  send to 1 float", "expected a protocol form, found 'send'", 2, 3),
+    ("process", "message 0 1 float", "expected a process statement, found 'message'", 1, 1),
+    ("process", "skip; skip;", "expected a process statement, found 'eof'", 1, 12),
+    ("datatype", "double", "expected a datatype, found 'double'", 1, 1),
+    ("protocol", "message 0 1 ?h1", "expected a datatype, found '?'", 1, 13),
+    ("protocol", "allreduce avg float", "expected a reduction op (min/max/sum/prod), found 'avg'", 1, 11),
+    ("process", "allreduce max", "expected a datatype, found 'eof'", 1, 14),
+    ("index", "1 + * 2", "expected an expression, found '*'", 1, 5),
+    ("index", "", "expected an expression, found 'eof'", 1, 1),
+    ("proposition", "x = not y", "expected an expression, found 'not'", 1, 5),
+    ("protocol", "message 0 + 1 float", "expected a rank expression, found '+'", 1, 11),
+    ("process", "send to float", "expected a rank expression, found 'float'", 1, 9),
+    ("protocol", "foreach 3: 0..1 { skip }", "expected loop binder, found '3'", 1, 9),
+    ("protocol", "allreduce min 3: float { skip }", "expected a datatype, found '3'", 1, 15),
+    ("datatype", "{1: integer | true}", "expected refinement binder, found '1'", 1, 2),
+    ("index", "- x", "expected 'int', found 'x'", 1, 3),
+    # Each expected token.
+    ("index", "(1 + 2", "expected ')', found 'eof'", 1, 7),
+    ("protocol", "message (0 1 float", "expected ')', found '1'", 1, 12),
+    ("datatype", "float[3", "expected ']', found 'eof'", 1, 8),
+    ("datatype", "{v: integer | v = 1", "expected '}', found 'eof'", 1, 20),
+    ("protocol", "foreach i: 0..1 { skip", "expected '}', found 'eof'", 1, 23),
+    ("protocol", "foreach i: 0 1 { skip }", "expected '..', found '1'", 1, 14),
+    ("protocol", "foreach i 0..1 { skip }", "expected ':', found '0'", 1, 11),
+    ("protocol", "foreach i: 0..1 skip", "expected '{', found 'skip'", 1, 17),
+    ("protocol", "allreduce sum v float { skip }", "expected ':', found 'float'", 1, 17),
+    ("index", "x = 1 ? 2 3", "expected ':', found '3'", 1, 11),
+    ("datatype", "{v: integer v = 1}", "expected '|', found 'v'", 1, 13),
+    ("datatype", "{v integer | true}", "expected ':', found 'integer'", 1, 4),
+    ("process", "if rank = 0 { skip }", "expected 'else', found 'eof'", 1, 21),
+    ("process", "if rank = 0 { skip } skip", "expected 'else', found 'skip'", 1, 22),
+    ("process", "send 1 float", "expected 'to', found '1'", 1, 6),
+    ("process", "recv to 1 float", "expected 'from', found 'to'", 1, 6),
+    ("process", "for i: 0..1 { skip } else", "trailing input starting at 'else'", 1, 22),
+    # Trailing input, reserved binders, refinement bases, bad characters.
+    ("protocol", "skip skip", "trailing input starting at 'skip'", 1, 6),
+    ("index", "1 2", "trailing input starting at '2'", 1, 3),
+    ("proposition", "x = 1)", "trailing input starting at ')'", 1, 6),
+    ("datatype", "float]", "trailing input starting at ']'", 1, 6),
+    ("process", "skip }", "trailing input starting at '}'", 1, 6),
+    ("protocol", "foreach rank: 0..1 { skip }", "'rank' is reserved and cannot be bound", 1, 9),
+    ("protocol", "allreduce min size: float { skip }", "'size' is reserved and cannot be bound", 1, 15),
+    ("process", "for size: 0..1 { skip }", "'size' is reserved and cannot be bound", 1, 5),
+    ("datatype", "{rank: integer | true}", "'rank' is reserved and cannot be bound", 1, 2),
+    ("datatype", "{v: bool | true}", "refinement base must be 'integer' or 'float'", 1, 5),
+    ("datatype", "{v: | true}", "refinement base must be 'integer' or 'float'", 1, 5),
+    ("index", "1 @ 2", "unexpected character '@'", 1, 3),
+    ("protocol", "message 0 1 float # ok\nmessage 1 0 float", "trailing input starting at 'message'", 2, 1),
+    # Nesting limits.
+    ("index", "(" * 101 + "1" + ")" * 101, "term nests deeper than 100 levels", 1, 101),
+    ("proposition", "not " * 101 + "true", "term nests deeper than 100 levels", 1, 401),
+    ("index", "+".join(["1"] * 101), "term nests deeper than 100 levels", 1, 200),
+    ("protocol", "foreach i: 0..1 { " * 65 + "skip" + " }" * 65, "block nests deeper than 64 levels", 1, 1169),
+]
+
+
+@pytest.mark.parametrize("rule, text, message, line, col", PARSE_ERRORS)
+def test_parse_error_message_and_span(rule, text, message, line, col):
+    with pytest.raises(ParseError) as err:
+        PARSERS[rule](text, "t")
+    assert (err.value.message, err.value.span) == (message, SourceSpan("t", line, col))
 
 
 class TestPrinters:
