@@ -7,232 +7,21 @@ communication pattern that no global protocol can explain. The `oracle`
 module independently replays protocols in one rendezvous run.
 """
 
-from .ast import (
-    Allreduce,
-    AllreduceStmt,
-    And,
-    Array,
-    BinOp,
-    Cmp,
-    Cond,
-    Datatype,
-    Diagnostic,
-    DiagnosticKind,
-    DivisionByZero,
-    Float,
-    For,
-    Foreach,
-    FRESH_BINDER,
-    If,
-    IndexTerm,
-    IntLit,
-    Integer,
-    Message,
-    Not,
-    Or,
-    Process,
-    Proposition,
-    ProtocolType,
-    ProtomergeError,
-    PSeq,
-    PSkip,
-    Recv,
-    ReduceOp,
-    Refined,
-    RuleAttempt,
-    Send,
-    Seq,
-    Skip,
-    TrueProp,
-    TypingContext,
-    UnboundVariable,
-    Var,
-    datatype_vars,
-    eval_index,
-    eval_prop,
-    index_vars,
-    is_closed,
-    normalize_seq,
-    prop_vars,
-    subst_datatype,
-    subst_index,
-    subst_prop,
-    subst_type,
-    trunc_div,
-)
-from .extract import (
-    ResidualConditional,
-    extract_local_type,
-    specialize,
-)
-from .logic import (
-    DEFAULT_ENUM_CAP,
-    FiniteSet,
-    Interval,
-    InvalidRankSet,
-    NotIntegerRefined,
-    Unbounded,
-    UndecidableEquivalence,
-    Verdict,
-    domain_of,
-    dtype_equiv,
-    entails,
-    initial_context,
-    merged_context,
-    singleton_env,
-)
-from .merge import (
-    DEFAULT_UNROLL,
-    MergeFailure,
-    MergeStep,
-    MergeTrace,
-    NonConstantBounds,
-    PremiseCheck,
-    RULE_NAMES,
-    attempt_rule,
-    merge_all,
-    merge_types,
-    unfold_foreach,
-)
-from .oracle import (
-    Collective,
-    CollectiveEvent,
-    Completed,
-    Deadlocked,
-    MessageEvent,
-    Mismatch,
-    OpenIndexTerm,
-    RecvFrom,
-    LINEARIZE_BUDGET,
-    SendTo,
-    UnfoldBudgetExceeded,
-    cap_loops,
-    linearize,
-    simulate,
-)
-from .syntax import (
-    ParseError,
-    SourceSpan,
-    compact_protocol,
-    parse_datatype,
-    parse_index,
-    parse_process,
-    parse_proposition,
-    parse_protocol,
-    print_datatype,
-    print_index,
-    print_process,
-    print_proposition,
-    print_protocol,
-)
+from . import ast, extract, logic, merge, oracle, syntax
+from .ast import *
+from .extract import *
+from .logic import *
+from .merge import *
+from .oracle import *
+from .syntax import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Allreduce",
-    "AllreduceStmt",
-    "And",
-    "Array",
-    "BinOp",
-    "Cmp",
-    "Collective",
-    "CollectiveEvent",
-    "Completed",
-    "Cond",
-    "DEFAULT_ENUM_CAP",
-    "DEFAULT_UNROLL",
-    "Datatype",
-    "Deadlocked",
-    "Diagnostic",
-    "DiagnosticKind",
-    "DivisionByZero",
-    "FRESH_BINDER",
-    "FiniteSet",
-    "Float",
-    "For",
-    "Foreach",
-    "If",
-    "IndexTerm",
-    "IntLit",
-    "Integer",
-    "Interval",
-    "InvalidRankSet",
-    "LINEARIZE_BUDGET",
-    "MergeFailure",
-    "MergeStep",
-    "MergeTrace",
-    "Message",
-    "MessageEvent",
-    "Mismatch",
-    "NonConstantBounds",
-    "Not",
-    "NotIntegerRefined",
-    "OpenIndexTerm",
-    "Or",
-    "PSeq",
-    "PSkip",
-    "ParseError",
-    "PremiseCheck",
-    "Process",
-    "Proposition",
-    "ProtocolType",
-    "ProtomergeError",
-    "RULE_NAMES",
-    "Recv",
-    "RecvFrom",
-    "ReduceOp",
-    "Refined",
-    "ResidualConditional",
-    "RuleAttempt",
-    "Send",
-    "SendTo",
-    "Seq",
-    "Skip",
-    "SourceSpan",
-    "TrueProp",
-    "TypingContext",
-    "UnboundVariable",
-    "Unbounded",
-    "UndecidableEquivalence",
-    "UnfoldBudgetExceeded",
-    "Var",
-    "Verdict",
-    "attempt_rule",
-    "cap_loops",
-    "compact_protocol",
-    "datatype_vars",
-    "domain_of",
-    "dtype_equiv",
-    "entails",
-    "eval_index",
-    "eval_prop",
-    "extract_local_type",
-    "index_vars",
-    "initial_context",
-    "is_closed",
-    "linearize",
-    "merge_all",
-    "merge_types",
-    "merged_context",
-    "normalize_seq",
-    "parse_datatype",
-    "parse_index",
-    "parse_process",
-    "parse_proposition",
-    "parse_protocol",
-    "print_datatype",
-    "print_index",
-    "print_process",
-    "print_proposition",
-    "print_protocol",
-    "prop_vars",
-    "simulate",
-    "singleton_env",
-    "specialize",
-    "subst_datatype",
-    "subst_index",
-    "subst_prop",
-    "subst_type",
-    "trunc_div",
-    "unfold_foreach",
+    *ast.__all__,
+    *extract.__all__,
+    *logic.__all__,
+    *merge.__all__,
+    *oracle.__all__,
+    *syntax.__all__,
 ]

@@ -10,8 +10,63 @@ object, and == and hash are identity, O(1) at any depth.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Callable, Mapping, Union
+
+
+__all__ = [
+    "ProtomergeError",
+    "DivisionByZero",
+    "UnboundVariable",
+    "IntLit",
+    "Var",
+    "BinOp",
+    "Cond",
+    "IndexTerm",
+    "TrueProp",
+    "Cmp",
+    "And",
+    "Or",
+    "Not",
+    "Proposition",
+    "Integer",
+    "Float",
+    "Array",
+    "Refined",
+    "Datatype",
+    "ReduceOp",
+    "Skip",
+    "Message",
+    "FRESH_BINDER",
+    "Allreduce",
+    "Foreach",
+    "Seq",
+    "ProtocolType",
+    "PSkip",
+    "Send",
+    "Recv",
+    "AllreduceStmt",
+    "For",
+    "If",
+    "PSeq",
+    "Process",
+    "normalize_seq",
+    "TypingContext",
+    "DiagnosticKind",
+    "RuleAttempt",
+    "Diagnostic",
+    "trunc_div",
+    "eval_index",
+    "eval_prop",
+    "index_vars",
+    "prop_vars",
+    "datatype_vars",
+    "is_closed",
+    "subst_index",
+    "subst_prop",
+    "subst_datatype",
+    "subst_type",
+]
 
 
 class ProtomergeError(Exception):
@@ -36,11 +91,20 @@ class UnboundVariable(ProtomergeError):
 _TABLE: dict[tuple, "_Node"] = {}
 
 
-class _Node:
-    """Base of the interned node classes. Each is a frozen slots dataclass
-    with eq=False and init=False over this class, built positionally."""
+class _NodeType(type):
+    """The fields of a node class are its annotations, in order: they are
+    its slots and its match args."""
 
-    __slots__ = ()
+    def __new__(mcs, name, bases, namespace):
+        fields = tuple(namespace.get("__annotations__", ()))
+        namespace["__slots__"] = namespace["__match_args__"] = fields
+        return super().__new__(mcs, name, bases, namespace)
+
+
+class _Node(metaclass=_NodeType):
+    """Base of the interned node classes. A node is built positionally, one
+    argument per field, and never changes; == and hash are identity, and
+    its repr is the one a dataclass would give it."""
 
     def __new__(cls, *args):
         key = (cls, *args)
@@ -57,6 +121,16 @@ class _Node:
             _TABLE[key] = node
         return node
 
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
     def __reduce__(self):
         # copy and pickle rebuild through the table.
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
@@ -66,7 +140,6 @@ class _Node:
 # Index terms
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
 class IntLit(_Node):
     value: int
 
@@ -78,7 +151,6 @@ class IntLit(_Node):
         return _Node.__new__(cls, value)
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Var(_Node):
     name: str
 
@@ -86,7 +158,6 @@ class Var(_Node):
 BINOPS = ("+", "-", "*", "/")
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
 class BinOp(_Node):
     op: str
     left: "IndexTerm"
@@ -97,7 +168,6 @@ class BinOp(_Node):
             raise ValueError(f"unknown index operator {self.op!r}")
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Cond(_Node):
     """Conditional index term: ``test ? then : orelse``."""
 
@@ -113,7 +183,6 @@ IndexTerm = Union[IntLit, Var, BinOp, Cond]
 # Propositions
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
 class TrueProp(_Node):
     pass
 
@@ -121,7 +190,6 @@ class TrueProp(_Node):
 CMPOPS = ("=", "!=", "<", "<=", ">", ">=")
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Cmp(_Node):
     op: str
     left: IndexTerm
@@ -132,19 +200,16 @@ class Cmp(_Node):
             raise ValueError(f"unknown comparison {self.op!r}")
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
 class And(_Node):
     left: "Proposition"
     right: "Proposition"
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Or(_Node):
     left: "Proposition"
     right: "Proposition"
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Not(_Node):
     prop: "Proposition"
 
@@ -156,23 +221,19 @@ Proposition = Union[TrueProp, Cmp, And, Or, Not]
 # Datatypes
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Integer(_Node):
     pass
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Float(_Node):
     pass
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Array(_Node):
     elem: "Datatype"
     length: IndexTerm
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Refined(_Node):
     """Refinement type ``{binder : base | pred}``; base is Integer or Float."""
 
@@ -195,12 +256,10 @@ class ReduceOp(enum.Enum):
 # Protocol types
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Skip(_Node):
     pass
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Message(_Node):
     src: IndexTerm
     dst: IndexTerm
@@ -212,7 +271,6 @@ class Message(_Node):
 FRESH_BINDER = "_"
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Allreduce(_Node):
     op: ReduceOp
     binder: str
@@ -220,7 +278,6 @@ class Allreduce(_Node):
     cont: "ProtocolType"
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Foreach(_Node):
     binder: str
     lo: IndexTerm
@@ -228,7 +285,6 @@ class Foreach(_Node):
     body: "ProtocolType"
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Seq(_Node):
     first: "ProtocolType"
     second: "ProtocolType"
@@ -241,30 +297,25 @@ ProtocolType = Union[Skip, Message, Allreduce, Foreach, Seq]
 # Processes (the per-rank input DSL)
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
 class PSkip(_Node):
     pass
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Send(_Node):
     to: IndexTerm
     payload: Datatype
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Recv(_Node):
     src: IndexTerm
     payload: Datatype
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
 class AllreduceStmt(_Node):
     op: ReduceOp
     payload: Datatype
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
 class For(_Node):
     binder: str
     lo: IndexTerm
@@ -272,14 +323,12 @@ class For(_Node):
     body: "Process"
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
 class If(_Node):
     test: Proposition
     then: "Process"
     orelse: "Process"
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
 class PSeq(_Node):
     first: "Process"
     second: "Process"

@@ -61,12 +61,17 @@ EXIT_UNDECIDABLE = 3
 EXIT_USAGE = 4
 
 
+class _UsageError(Exception):
+    """A command line that does not parse: argparse's message, and the text
+    argparse would print for it."""
+
+
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser whose usage failures exit with code 4, not 2."""
+    """ArgumentParser whose usage failures reach `main` as _UsageError, which
+    exits with code 4, not 2."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+        raise _UsageError(message, f"{self.format_usage()}{self.prog}: error: {message}\n")
 
 
 def _rank_list(text: str) -> list[int]:
@@ -313,9 +318,17 @@ def _report_simulation(args, result: SimResult) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+    except _UsageError as exc:
+        message, text = exc.args
+        if "--json" in argv:
+            _print_error(True, "UsageError", message)
+        else:
+            sys.stderr.write(text)
+        return EXIT_USAGE
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE

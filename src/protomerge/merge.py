@@ -186,13 +186,6 @@ class MergeFailure(ProtomergeError):
 
 _RANK = Var("rank")
 
-# Premise-failure classes, used to pick the Diagnostic kind at the deepest
-# failing node.
-_STRUCTURAL = "structural"
-_DATATYPE = "datatype"
-_ENTAILMENT = "entailment"
-_SUBMERGE = "submerge"
-
 
 @dataclass(frozen=True, slots=True)
 class _Applied:
@@ -203,7 +196,9 @@ class _Applied:
 @dataclass(frozen=True, slots=True)
 class _Refused:
     failed: PremiseCheck | str  # the failing premise, or why a subgoal failed
-    kind: str
+    # What the refusal suspects. A failed structural premise or sub-merge
+    # suspects a deadlock.
+    kind: DiagnosticKind
 
     def text(self) -> str:
         f = self.failed
@@ -326,7 +321,7 @@ def _message_rule(lshape, rshape, names, conclude):
 def _msg_msg_eq(engine, ctx, left, right):
     ends = _Both("=", left.src, right.src, left.dst, right.dst)
     premises = engine.messages(ctx, left, right, ("left-real", "right-real")) + [
-        engine.entail(ctx, "endpoints-equal", ends, _STRUCTURAL),
+        engine.entail(ctx, "endpoints-equal", ends, DiagnosticKind.DEADLOCK_SUSPECTED),
         engine.payload_equiv(ctx, left.payload, right.payload),
     ]
     return premises, (), lambda: left
@@ -338,7 +333,7 @@ def _allred_allred(engine, ctx, left, right):
         "op-equal", f"{left.op.value} = {right.op.value}", "equal" if same_op else "different"
     )
     premises = [
-        (same_op, op_check, _ENTAILMENT),
+        (same_op, op_check, DiagnosticKind.ENTAILMENT_FAILED),
         engine.payload_equiv(ctx, left.payload, right.payload),
     ]
     binder, rbinder = left.binder, right.binder
@@ -350,7 +345,7 @@ def _allred_allred(engine, ctx, left, right):
 
 def _foreach_foreach(engine, ctx, left, right):
     bounds = _Both("=", left.lo, right.lo, left.hi, right.hi)
-    premises = [engine.entail(ctx, "bounds-equal", bounds, _ENTAILMENT)]
+    premises = [engine.entail(ctx, "bounds-equal", bounds, DiagnosticKind.ENTAILMENT_FAILED)]
     binder, rbinder = left.binder, right.binder
     rbody = right.body if rbinder == binder else subst_type(right.body, {rbinder: Var(binder)})
     y = _fresh("y", index_vars(left.lo) | index_vars(left.hi) | {binder})
@@ -527,7 +522,7 @@ class _Engine:
         for sub_ctx, sub_left, sub_right, label, refusal in subgoals:
             sub = self.merge(sub_ctx, sub_left, sub_right, path + (label,))
             if sub is None:
-                return _Refused(refusal, _SUBMERGE)
+                return _Refused(refusal, DiagnosticKind.DEADLOCK_SUSPECTED)
             results.append(sub.result)
             substeps += sub.steps
         step = MergeStep(name, left, right, tuple(premises))
@@ -538,9 +533,9 @@ class _Engine:
         kinds = {r.kind for _, r in self.deepest_attempts}
         if self.undecidable:
             kind = DiagnosticKind.ENTAILMENT_UNDECIDABLE
-        elif _DATATYPE in kinds:
+        elif DiagnosticKind.DATATYPE_MISMATCH in kinds:
             kind = DiagnosticKind.DATATYPE_MISMATCH
-        elif _ENTAILMENT in kinds:
+        elif DiagnosticKind.ENTAILMENT_FAILED in kinds:
             kind = DiagnosticKind.ENTAILMENT_FAILED
         else:
             kind = DiagnosticKind.DEADLOCK_SUSPECTED
@@ -598,12 +593,12 @@ class _Engine:
                 for other in _SIDE_PREMISES[side]:
                     check = PremiseCheck(other, p, value)
                     table[(cid, other, m.src, m.dst)] = (
-                        verdict is _AVOIDS[other][2], check, _STRUCTURAL
+                        verdict is _AVOIDS[other][2], check, DiagnosticKind.DEADLOCK_SUSPECTED
                     )
             premises.append(table[key])
         return premises
 
-    def entail(self, ctx: TypingContext, name: str, p: _Both, kind: str):
+    def entail(self, ctx: TypingContext, name: str, p: _Both, kind: DiagnosticKind):
         """The named premise that ctx entails p, decided once by `decide`."""
 
         def judge():
@@ -622,7 +617,8 @@ class _Engine:
             except UndecidableEquivalence:
                 self.undecidable = True
                 ok, verdict = False, "Undecidable"
-            return ok, PremiseCheck("payload-equivalent", (d1, d2), verdict), _DATATYPE
+            check = PremiseCheck("payload-equivalent", (d1, d2), verdict)
+            return ok, check, DiagnosticKind.DATATYPE_MISMATCH
 
         return _cached(self.premises, (id(ctx), "payload-equivalent", d1, d2), judge)
 

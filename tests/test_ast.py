@@ -3,6 +3,7 @@ diagnostics."""
 
 import copy
 import pickle
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import pytest
@@ -52,8 +53,23 @@ from protomerge import (
     subst_type,
     trunc_div,
 )
-from protomerge import ast
-from protomerge.ast import Seq, Skip, build_seq, concat, map_spine, spine
+from protomerge import ast, extract, logic, merge, oracle, syntax
+from protomerge.ast import (
+    Allreduce,
+    AllreduceStmt,
+    For,
+    If,
+    PSeq,
+    Recv,
+    ReduceOp,
+    Send,
+    Seq,
+    Skip,
+    build_seq,
+    concat,
+    map_spine,
+    spine,
+)
 
 
 class TestInterning:
@@ -126,6 +142,101 @@ class TestInterning:
         assert left == right
         assert hash(left) == hash(right)
         assert {left: "found"}[right] == "found"
+
+
+F, I, V, T = Float(), IntLit(0), Var("i"), TrueProp()
+
+# One node of each interned class: the node, its fields in order, its repr.
+NODES = [
+    (I, ("value",), "IntLit(value=0)"),
+    (V, ("name",), "Var(name='i')"),
+    (
+        BinOp("+", V, I),
+        ("op", "left", "right"),
+        "BinOp(op='+', left=Var(name='i'), right=IntLit(value=0))",
+    ),
+    (
+        Cond(T, I, V),
+        ("test", "then", "orelse"),
+        "Cond(test=TrueProp(), then=IntLit(value=0), orelse=Var(name='i'))",
+    ),
+    (T, (), "TrueProp()"),
+    (Cmp("<", V, I), ("op", "left", "right"), "Cmp(op='<', left=Var(name='i'), right=IntLit(value=0))"),
+    (And(T, T), ("left", "right"), "And(left=TrueProp(), right=TrueProp())"),
+    (Or(T, T), ("left", "right"), "Or(left=TrueProp(), right=TrueProp())"),
+    (Not(T), ("prop",), "Not(prop=TrueProp())"),
+    (Integer(), (), "Integer()"),
+    (F, (), "Float()"),
+    (Array(F, V), ("elem", "length"), "Array(elem=Float(), length=Var(name='i'))"),
+    (
+        Refined("x", Integer(), T),
+        ("binder", "base", "pred"),
+        "Refined(binder='x', base=Integer(), pred=TrueProp())",
+    ),
+    (Skip(), (), "Skip()"),
+    (
+        Message(I, V, F),
+        ("src", "dst", "payload"),
+        "Message(src=IntLit(value=0), dst=Var(name='i'), payload=Float())",
+    ),
+    (
+        Allreduce(ReduceOp.MIN, "_", F, Skip()),
+        ("op", "binder", "payload", "cont"),
+        "Allreduce(op=<ReduceOp.MIN: 'min'>, binder='_', payload=Float(), cont=Skip())",
+    ),
+    (
+        Foreach("i", I, V, Skip()),
+        ("binder", "lo", "hi", "body"),
+        "Foreach(binder='i', lo=IntLit(value=0), hi=Var(name='i'), body=Skip())",
+    ),
+    (Seq(Skip(), Skip()), ("first", "second"), "Seq(first=Skip(), second=Skip())"),
+    (PSkip(), (), "PSkip()"),
+    (Send(V, F), ("to", "payload"), "Send(to=Var(name='i'), payload=Float())"),
+    (Recv(I, F), ("src", "payload"), "Recv(src=IntLit(value=0), payload=Float())"),
+    (
+        AllreduceStmt(ReduceOp.SUM, F),
+        ("op", "payload"),
+        "AllreduceStmt(op=<ReduceOp.SUM: 'sum'>, payload=Float())",
+    ),
+    (
+        For("i", I, V, PSkip()),
+        ("binder", "lo", "hi", "body"),
+        "For(binder='i', lo=IntLit(value=0), hi=Var(name='i'), body=PSkip())",
+    ),
+    (
+        If(T, PSkip(), PSkip()),
+        ("test", "then", "orelse"),
+        "If(test=TrueProp(), then=PSkip(), orelse=PSkip())",
+    ),
+    (PSeq(PSkip(), PSkip()), ("first", "second"), "PSeq(first=PSkip(), second=PSkip())"),
+]
+
+
+class TestNodeProtocol:
+    def test_every_node_class_is_covered(self):
+        assert {type(node) for node, _, _ in NODES} == set(ast._Node.__subclasses__())
+
+    @pytest.mark.parametrize("node, fields, text", NODES, ids=[type(n).__name__ for n, _, _ in NODES])
+    def test_slots_match_args_immutability_and_repr(self, node, fields, text):
+        assert not hasattr(node, "__dict__")
+        assert type(node).__match_args__ == fields
+        assert repr(node) == text
+        with pytest.raises(FrozenInstanceError, match="cannot assign to field 'extra'"):
+            node.extra = 1
+        for name in fields:
+            with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+                setattr(node, name, getattr(node, name))
+            with pytest.raises(FrozenInstanceError, match=f"cannot delete field '{name}'"):
+                delattr(node, name)
+        assert repr(node) == text
+
+
+def test_the_package_exports_every_module_s_public_names():
+    modules = (ast, extract, logic, merge, oracle, syntax)
+    assert sorted(protomerge.__all__) == sorted(name for m in modules for name in m.__all__)
+    for m in modules:
+        for name in m.__all__:
+            assert getattr(protomerge, name) is getattr(m, name), f"{m.__name__}.{name}"
 
 
 class TestTruncDiv:

@@ -684,6 +684,24 @@ class TestErrorChannel:
         assert (code, err) == (4, "")
         assert json.loads(out) == {"status": "error", "kind": kind, "message": message}
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--size", "two"], "argument --size: invalid int value: 'two'"),
+            (["--size", "2", "--bogus"], "unrecognized arguments: --bogus"),
+            ([], "the following arguments are required: --size"),
+        ],
+        ids=["bad-size", "unknown-flag", "missing-size"],
+    )
+    def test_command_lines_that_do_not_parse(self, capsys, argv, message):
+        code, out, err = run(capsys, "infer", "x.proc", *argv)
+        assert (code, out) == (4, "")
+        assert err.startswith("usage: protomerge ")
+        assert err.endswith(f": error: {message}\n")
+        code, out, err = run(capsys, "infer", "x.proc", *argv, "--json")
+        assert (code, err) == (4, "")
+        assert json.loads(out) == {"status": "error", "kind": "UsageError", "message": message}
+
     def test_missing_subcommand(self, capsys):
         assert main([]) == 4
 
