@@ -93,7 +93,13 @@ _TABLE: dict[tuple, "_Node"] = {}
 
 class _NodeType(type):
     """The fields of a node class are its annotations, in order: they are
-    its slots and its match args."""
+    its slots and its match args.
+
+    An isinstance test or class pattern that fails against a class whose
+    metaclass is not `type` takes the interpreter's slow path, about three
+    times the cost of a plain class. The walks that run on every node
+    (spine, normalize_seq, subst_datatype, extraction) test `type(x) is C`
+    instead."""
 
     def __new__(mcs, name, bases, namespace):
         fields = tuple(namespace.get("__annotations__", ()))
@@ -349,7 +355,7 @@ Process = Union[PSkip, Send, Recv, AllreduceStmt, For, If, PSeq]
 
 def spine(t: ProtocolType | Process) -> list:
     """The items of t's Seq or PSeq nodes, left to right, at any nesting."""
-    cls = PSeq if isinstance(t, PSeq) else Seq
+    cls = PSeq if type(t) is PSeq else Seq
     items: list = []
     todo = [t]
     while todo:
@@ -364,7 +370,7 @@ def spine(t: ProtocolType | Process) -> list:
 def map_spine(t, leaf: Callable):
     """t with each spine item x replaced by leaf(x), called left to right;
     the Seq and PSeq nodes keep their shape."""
-    cls = PSeq if isinstance(t, PSeq) else Seq
+    cls = PSeq if type(t) is PSeq else Seq
     if type(t) is not cls:
         return leaf(t)
     done: list = []
@@ -393,9 +399,9 @@ def build_seq(items: list[ProtocolType], rest: ProtocolType | None = None) -> Pr
 
 def concat(first: ProtocolType, second: ProtocolType) -> ProtocolType:
     """The normal form of `first; second`, for two normal forms."""
-    if isinstance(second, Skip):
+    if type(second) is Skip:
         return first
-    if isinstance(first, Skip):
+    if type(first) is Skip:
         return second
     return build_seq(spine(first), second)
 
@@ -405,13 +411,13 @@ def normalize_seq(t: ProtocolType) -> ProtocolType:
     Idempotent."""
     items = []
     for node in spine(t):
-        match node:
-            case Skip():
-                continue
-            case Allreduce(op, binder, payload, cont):
-                node = Allreduce(op, binder, payload, normalize_seq(cont))
-            case Foreach(binder, lo, hi, body):
-                node = Foreach(binder, lo, hi, normalize_seq(body))
+        kind = type(node)
+        if kind is Skip:
+            continue
+        if kind is Allreduce:
+            node = Allreduce(node.op, node.binder, node.payload, normalize_seq(node.cont))
+        elif kind is Foreach:
+            node = Foreach(node.binder, node.lo, node.hi, normalize_seq(node.body))
         items.append(node)
     return build_seq(items)
 
@@ -675,16 +681,13 @@ def drop_binder(sub: Sub, name: str) -> Sub:
 def subst_datatype(d: Datatype, sub: Sub) -> Datatype:
     lengths = []
     # Array dimensions are walked in a loop, not one call deep each.
-    while isinstance(d, Array):
+    while type(d) is Array:
         lengths.append(subst_index(d.length, sub))
         d = d.elem
-    match d:
-        case Integer() | Float():
-            pass
-        case Refined(binder, base, pred):
-            d = Refined(binder, base, subst_prop(pred, drop_binder(sub, binder)))
-        case _:
-            raise TypeError(f"not a datatype: {d!r}")
+    if type(d) is Refined:
+        d = Refined(d.binder, d.base, subst_prop(d.pred, drop_binder(sub, d.binder)))
+    elif type(d) is not Float and type(d) is not Integer:
+        raise TypeError(f"not a datatype: {d!r}")
     for length in reversed(lengths):
         d = Array(d, length)
     return d

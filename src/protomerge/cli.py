@@ -324,7 +324,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except _UsageError as exc:
         message, text = exc.args
-        if "--json" in argv:
+        if _asks_for_json(argv):
             _print_error(True, "UsageError", message)
         else:
             sys.stderr.write(text)
@@ -377,6 +377,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ProtomergeError as exc:
         _print_error(wants_json, type(exc).__name__, str(exc))
         return EXIT_REJECTED
+
+
+def _asks_for_json(argv: list[str]) -> bool:
+    """Whether argv sets `--json`, or a prefix of it that argparse would take
+    for it, in a command line that does not parse."""
+    probe = _Parser(add_help=False)
+    probe.add_argument("--json", action="store_true")
+    try:
+        return probe.parse_known_args(argv)[0].json
+    except _UsageError:  # `--json=...`
+        return False
 
 
 def _print_error(wants_json: bool, kind: str, message: str) -> None:

@@ -75,28 +75,27 @@ def _specialize(p: Process, everywhere: Sub, control: Sub) -> Process:
         return t if isinstance(t, IntLit) or not is_closed(t) else IntLit(eval_index({}, t))
 
     def leaf(node: Process) -> Process:
-        match node:
-            case PSkip():
-                return node
-            case Send(to, payload):
-                return Send(fold(to), subst_datatype(payload, everywhere))
-            case Recv(src, payload):
-                return Recv(fold(src), subst_datatype(payload, everywhere))
-            case AllreduceStmt(op, payload):
-                return AllreduceStmt(op, subst_datatype(payload, everywhere))
-            case For(binder, lo, hi, body):
-                lo, hi = fold(lo), fold(hi)
-                if isinstance(lo, IntLit) and isinstance(hi, IntLit) and hi.value < lo.value:
-                    return PSkip()
-                body = _specialize(body, drop_binder(everywhere, binder), drop_binder(control, binder))
-                return For(binder, lo, hi, body)
-            case If(test, then, orelse):
-                test = subst_prop(test, control)
-                if not prop_vars(test):
-                    return _specialize(then if eval_prop({}, test) else orelse, everywhere, control)
-                return If(
-                    test, _specialize(then, everywhere, control), _specialize(orelse, everywhere, control)
-                )
+        kind = type(node)
+        if kind is PSkip:
+            return node
+        if kind is Send:
+            return Send(fold(node.to), subst_datatype(node.payload, everywhere))
+        if kind is Recv:
+            return Recv(fold(node.src), subst_datatype(node.payload, everywhere))
+        if kind is AllreduceStmt:
+            return AllreduceStmt(node.op, subst_datatype(node.payload, everywhere))
+        if kind is For:
+            lo, hi = fold(node.lo), fold(node.hi)
+            if type(lo) is IntLit and type(hi) is IntLit and hi.value < lo.value:
+                return PSkip()
+            binder = node.binder
+            body = _specialize(node.body, drop_binder(everywhere, binder), drop_binder(control, binder))
+            return For(binder, lo, hi, body)
+        if kind is If:
+            test, then, orelse = subst_prop(node.test, control), node.then, node.orelse
+            if not prop_vars(test):
+                return _specialize(then if eval_prop({}, test) else orelse, everywhere, control)
+            return If(test, _specialize(then, everywhere, control), _specialize(orelse, everywhere, control))
         raise TypeError(f"not a process: {node!r}")
 
     return map_spine(p, leaf)
@@ -107,21 +106,21 @@ def _local_type(p: Process, self_rank: int) -> ProtocolType:
     normal form."""
     items = []
     for node in spine(p):
-        match node:
-            case PSkip():
-                continue
-            case Send(to, payload):
-                items.append(Message(IntLit(self_rank), to, payload))
-            case Recv(src, payload):
-                items.append(Message(src, IntLit(self_rank), payload))
-            case AllreduceStmt(op, payload):
-                items.append(Allreduce(op, FRESH_BINDER, payload, Skip()))
-            case For(binder, lo, hi, body):
-                items.append(Foreach(binder, lo, hi, _local_type(body, self_rank)))
-            case If():
-                raise ResidualConditional("conditional whose test is still open after specialization")
-            case _:
-                raise TypeError(f"not a process: {node!r}")
+        kind = type(node)
+        if kind is PSkip:
+            continue
+        if kind is Send:
+            items.append(Message(IntLit(self_rank), node.to, node.payload))
+        elif kind is Recv:
+            items.append(Message(node.src, IntLit(self_rank), node.payload))
+        elif kind is AllreduceStmt:
+            items.append(Allreduce(node.op, FRESH_BINDER, node.payload, Skip()))
+        elif kind is For:
+            items.append(Foreach(node.binder, node.lo, node.hi, _local_type(node.body, self_rank)))
+        elif kind is If:
+            raise ResidualConditional("conditional whose test is still open after specialization")
+        else:
+            raise TypeError(f"not a process: {node!r}")
     return build_seq(items)
 
 

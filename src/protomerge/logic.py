@@ -558,10 +558,10 @@ def _strip_trivial(d: Datatype) -> Datatype:
     under any number of array dimensions."""
     lengths = []
     elem = d
-    while isinstance(elem, Array):
+    while type(elem) is Array:
         lengths.append(elem.length)
         elem = elem.elem
-    if not (isinstance(elem, Refined) and isinstance(elem.pred, TrueProp)):
+    if not (type(elem) is Refined and type(elem.pred) is TrueProp):
         return d
     d = elem.base
     for length in reversed(lengths):
@@ -617,7 +617,7 @@ def dtype_equiv(
     a, b = _strip_trivial(d1), _strip_trivial(d2)
     # Elements first, then lengths from the innermost dimension out.
     lengths = []
-    while isinstance(a, Array) and isinstance(b, Array):
+    while type(a) is Array and type(b) is Array:
         lengths.append((a.length, b.length))
         a, b = a.elem, b.elem
     if not _element_equiv(ctx, a, b):

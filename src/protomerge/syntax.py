@@ -85,17 +85,30 @@ class ParseError(ProtomergeError):
 
 # ---------------------------------------------------------------------------
 # Lexer
+#
+# A token is its text, and "" ends the list. Its kind follows from the text:
+# digits (`str.isdecimal`, the characters `\d` matches) are an integer, an
+# identifier is a keyword or a name, and anything else is an operator. Where
+# a token starts is worked out only for a ParseError, by scanning the text
+# again (`_scan`).
 
-_TOKEN_RE = re.compile(
-    r"""(?P<ws>[ \t\r\n]+)
-      | (?P<comment>\#[^\n]*)
-      | (?P<int>\d+)
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<op>\.\.|==|!=|<=|>=|[+\-*/=<>{}\[\]():;|?])
-      | (?P<bad>.)
-    """,
-    re.VERBOSE | re.DOTALL,
-)
+# The token forms, tried in this order. Whitespace and `#` comments are gaps
+# between tokens; any other character is a bad character.
+_TOKEN = r"\d+|[A-Za-z_][A-Za-z0-9_]*|\.\.|==|!=|<=|>=|[+\-*/=<>{}\[\]():;|?]"
+_COMMENT = r"\#[^\n]*"
+_GAP = rf"(?:[ \t\r\n]+|{_COMMENT})*"
+
+# Each match is a token, or the end, and the gap after it. The gap comes
+# after the token so that nothing follows the repetition: with the gap in
+# front, a run of whitespace before a bad character backtracks through every
+# way of splitting the run, which is exponential in its length. findall
+# steps over a bad character; the search may then start at a `#`, whose
+# comment it returns whole, so that a comment's text never reads as tokens.
+_LEX_RE = re.compile(rf"({_TOKEN}|{_COMMENT}|\Z){_GAP}")
+_GAP_RE = re.compile(_GAP)
+_COMMENT_RE = re.compile(_COMMENT)
+_BLANKS = dict.fromkeys(map(ord, " \t\r\n"))
+_TOKEN_RE = re.compile(rf"(?P<gap>[ \t\r\n]+|{_COMMENT})|(?P<token>{_TOKEN})|(?P<bad>.)", re.DOTALL)
 
 KEYWORDS = frozenset(
     """skip message allreduce foreach for if else send recv to from
@@ -108,34 +121,45 @@ _REDUCE_OPS = {"min": ReduceOp.MIN, "max": ReduceOp.MAX, "sum": ReduceOp.SUM, "p
 # ambient world size and the executing rank.
 RESERVED_BINDERS = frozenset({"rank", "size"})
 
-# (kind, text, offset): kind is "int", "ident", "keyword", "op" or "eof", and
-# offset is where the token starts in the source.
-_Token = tuple[str, str, int]
-
 
 def _span(text: str, filename: str, offset: int) -> SourceSpan:
     """The line and column, both from 1, of offset in text."""
     return SourceSpan(filename, text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset))
 
 
-def _lex(text: str, filename: str) -> list[_Token]:
-    tokens: list[_Token] = []
+def _lex(text: str, filename: str) -> list[str]:
+    """The tokens of text, "" last, with `==` spelled `=`. Raises ParseError
+    at the first bad character."""
+    tokens = _LEX_RE.findall(text, _GAP_RE.match(text).end())
+    # Past a bad character, the tokens either lack it or hold a `#`, so
+    # they differ from the text's characters outside the gaps.
+    if "".join(tokens) != _COMMENT_RE.sub("", text).translate(_BLANKS):
+        tokens = _scan(text, filename)[0]
+    if "==" in text:
+        tokens = ["=" if tok == "==" else tok for tok in tokens]
+    return tokens
+
+
+def _scan(text: str, filename: str) -> tuple[list[str], list[int]]:
+    """The tokens of text, "" last, and the offset where each starts. Raises
+    ParseError at the first bad character. Slower than _lex: it runs only
+    to find a bad character or to place a ParseError."""
+    tokens, offsets = [], []
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        if kind == "ws" or kind == "comment":
-            continue
-        tok = m.group()
-        if kind == "ident":
-            if tok in KEYWORDS:
-                kind = "keyword"
-        elif kind == "op":
-            if tok == "==":
-                tok = "="
+        if kind == "token":
+            tokens.append(m.group())
+            offsets.append(m.start())
         elif kind == "bad":
-            raise ParseError(f"unexpected character {tok!r}", _span(text, filename, m.start()))
-        tokens.append((kind, tok, m.start()))
-    tokens.append(("eof", "", len(text)))
-    return tokens
+            raise ParseError(f"unexpected character {m.group()!r}", _span(text, filename, m.start()))
+    tokens.append("")
+    offsets.append(len(text))
+    return tokens, offsets
+
+
+def _is_name(tok: str) -> bool:
+    """Whether tok is a name: an identifier that is not a keyword."""
+    return tok.isidentifier() and tok not in KEYWORDS
 
 
 # ---------------------------------------------------------------------------
@@ -177,84 +201,70 @@ class _Parser:
         self.text = text
         self.filename = filename
         self.tokens = _lex(text, filename)
-        self.pos = 0
+        self.pos = 0  # index of the next token; an error is placed by index
         self.open = 0  # parentheses, `not`s and `?:` branches open
         self.blocks = 0  # `{ ... }` blocks open
         self.heights: dict = {}  # term node above the leaves -> its height
 
     # -- token plumbing
 
-    def peek(self) -> _Token:
+    def peek(self) -> str:
         return self.tokens[self.pos]
 
-    def offset(self) -> int:
-        """Where the next token starts."""
-        return self.tokens[self.pos][2]
+    def at(self, text: str) -> bool:
+        return self.tokens[self.pos] == text
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok[0] != "eof":
-            self.pos += 1
-        return tok
-
-    def at(self, kind: str, text: str | None = None) -> bool:
-        tok = self.tokens[self.pos]
-        return tok[0] == kind and (text is None or tok[1] == text)
-
-    def fail(self, message: str, offset: int | None = None) -> ParseError:
-        """A ParseError at offset, or at the next token."""
-        if offset is None:
-            offset = self.offset()
+    def fail(self, message: str, at: int | None = None) -> ParseError:
+        """A ParseError at token index at, or at the next token."""
+        offset = _scan(self.text, self.filename)[1][self.pos if at is None else at]
         return ParseError(message, _span(self.text, self.filename, offset))
 
     def unexpected(self, want: str) -> ParseError:
-        kind, text, offset = self.peek()
-        return self.fail(f"expected {want}, found {text or kind!r}", offset)
+        return self.fail(f"expected {want}, found {self.peek() or 'eof'!r}")
 
-    def expect(self, kind: str, text: str | None = None) -> _Token:
-        if not self.at(kind, text):
-            raise self.unexpected(repr(text if text is not None else kind))
-        return self.advance()
+    def expect(self, text: str) -> None:
+        if self.tokens[self.pos] != text:
+            raise self.unexpected(repr(text))
+        self.pos += 1
 
     def keyword(self, words, want: str) -> str:
         """Consume the next token, which must be one of words, and return it."""
-        word = self.tokens[self.pos][1]
+        word = self.tokens[self.pos]
         if word not in words:
             raise self.unexpected(want)
         self.pos += 1
         return word
 
     def expect_eof(self) -> None:
-        kind, text, offset = self.peek()
-        if kind != "eof":
-            raise self.fail(f"trailing input starting at {text!r}", offset)
+        if self.peek():
+            raise self.fail(f"trailing input starting at {self.peek()!r}")
 
     def binder(self, what: str) -> str:
-        kind, name, offset = self.peek()
-        if kind != "ident":
+        name = self.peek()
+        if not _is_name(name):
             raise self.unexpected(what)
         if name in RESERVED_BINDERS:
-            raise self.fail(f"{name!r} is reserved and cannot be bound", offset)
+            raise self.fail(f"{name!r} is reserved and cannot be bound")
         self.pos += 1
         return name
 
     def block(self, body):
         """body() between `{` and `}`, refusing the `{` that opens a block too many."""
-        offset = self.offset()
-        self.expect("op", "{")
+        at = self.pos
+        self.expect("{")
         if self.blocks == MAX_BLOCK_DEPTH:
-            raise self.fail(f"block nests deeper than {MAX_BLOCK_DEPTH} levels", offset)
+            raise self.fail(f"block nests deeper than {MAX_BLOCK_DEPTH} levels", at)
         self.blocks += 1
         node = body()
         self.blocks -= 1
-        self.expect("op", "}")
+        self.expect("}")
         return node
 
     def sequence(self, item, join):
         """item() once or more, separated by `;`, right-nested by join."""
         items = [item()]
-        while self.at("op", ";"):
-            self.advance()
+        while self.at(";"):
+            self.pos += 1
             items.append(item())
         node = items.pop()
         for first in reversed(items):
@@ -264,84 +274,86 @@ class _Parser:
     def loop(self) -> tuple[str, IndexTerm, IndexTerm]:
         """`binder: lo .. hi`"""
         binder = self.binder("loop binder")
-        self.expect("op", ":")
+        self.expect(":")
         lo = self.index_expr()
-        self.expect("op", "..")
+        self.expect("..")
         return binder, lo, self.index_expr()
 
     # -- expressions (index terms and propositions share one grammar)
 
-    def too_deep(self, offset: int) -> ParseError:
-        return self.fail(f"term nests deeper than {MAX_TERM_DEPTH} levels", offset)
+    def too_deep(self, at: int) -> ParseError:
+        return self.fail(f"term nests deeper than {MAX_TERM_DEPTH} levels", at)
 
-    def enter(self, offset: int) -> None:
+    def enter(self, at: int) -> None:
         """Open one more parenthesis, `not` or `?:` branch; `open -= 1` closes it."""
         if self.open == MAX_TERM_DEPTH:
-            raise self.too_deep(offset)
+            raise self.too_deep(at)
         self.open += 1
 
-    def tree(self, offset: int, node, *children):
+    def tree(self, at: int, node, *children):
         """node, built on children, unless that makes a tree too tall."""
         height = 1 + max(self.heights.get(c, 1) for c in children)
         if height > MAX_TERM_DEPTH:
-            raise self.too_deep(offset)
+            raise self.too_deep(at)
         self.heights[node] = height
         return node
 
     def expr(self) -> IndexTerm | Proposition:
         node = self.binary(_COND + 1)
-        if self.at("op", "?"):
-            offset = self.advance()[2]
-            test = self.as_prop(node, offset)
-            self.enter(offset)
+        if self.at("?"):
+            at = self.pos
+            self.pos += 1
+            test = self.as_prop(node, at)
+            self.enter(at)
             then = self.index_expr()
-            self.expect("op", ":")
+            self.expect(":")
             orelse = self.index_expr()
             self.open -= 1
-            return self.tree(offset, Cond(test, then, orelse), test, then, orelse)
+            return self.tree(at, Cond(test, then, orelse), test, then, orelse)
         return node
 
     def index_expr(self) -> IndexTerm:
-        offset = self.offset()
-        return self.as_index(self.expr(), offset)
+        at = self.pos
+        return self.as_index(self.expr(), at)
 
     def prop_expr(self) -> Proposition:
-        offset = self.offset()
-        return self.as_prop(self.expr(), offset)
+        at = self.pos
+        return self.as_prop(self.expr(), at)
 
-    def as_index(self, node: IndexTerm | Proposition, offset: int) -> IndexTerm:
+    def as_index(self, node: IndexTerm | Proposition, at: int) -> IndexTerm:
         if isinstance(node, (IntLit, Var, BinOp, Cond)):
             return node
-        raise self.fail("expected an index term, found a proposition", offset)
+        raise self.fail("expected an index term, found a proposition", at)
 
-    def as_prop(self, node: IndexTerm | Proposition, offset: int) -> Proposition:
+    def as_prop(self, node: IndexTerm | Proposition, at: int) -> Proposition:
         if isinstance(node, (TrueProp, Cmp, And, Or, Not)):
             return node
-        raise self.fail("expected a proposition, found an index term", offset)
+        raise self.fail("expected a proposition, found an index term", at)
 
     def binary(self, level: int) -> IndexTerm | Proposition:
         """An expression whose operators bind at level or tighter (precedence
-        climbing). Operand kinds are checked at the offset where it starts."""
-        offset = self.offset()
-        if level <= _NOT and self.at("keyword", "not"):
-            self.advance()
-            self.enter(offset)
-            p = self.as_prop(self.binary(_NOT), offset)
+        climbing). Operand kinds are checked at the token where it starts."""
+        start = self.pos
+        if level <= _NOT and self.at("not"):
+            self.pos += 1
+            self.enter(start)
+            p = self.as_prop(self.binary(_NOT), start)
             self.open -= 1
-            node = self.tree(offset, Not(p), p)
+            node = self.tree(start, Not(p), p)
         else:
             node = self.atom()
         chain = None  # the right operand of the comparison just read
         while True:
-            _, op, at = self.tokens[self.pos]
+            op = self.tokens[self.pos]
             mine = _LEVELS.get(op)
             if mine is None or mine < level:
                 return node
+            at = self.pos
             self.pos += 1
             if mine == _CMP:
                 # A chain a <= b < c desugars to a <= b and b < c.
-                left = self.as_index(node, offset) if chain is None else chain
-                right = self.as_index(self.binary(_CMP + 1), offset)
+                left = self.as_index(node, start) if chain is None else chain
+                right = self.as_index(self.binary(_CMP + 1), start)
                 link = self.tree(at, Cmp(op, left, right), left, right)
                 node = link if chain is None else self.tree(at, And(node, link), node, link)
                 chain = right
@@ -349,54 +361,54 @@ class _Parser:
             chain = None
             rhs = self.binary(mine + 1)
             if op in _CONNECTIVES:
-                lhs, rhs = self.as_prop(node, offset), self.as_prop(rhs, offset)
+                lhs, rhs = self.as_prop(node, start), self.as_prop(rhs, start)
                 node = self.tree(at, _CONNECTIVES[op](lhs, rhs), lhs, rhs)
             else:
-                lhs, rhs = self.as_index(node, offset), self.as_index(rhs, offset)
+                lhs, rhs = self.as_index(node, start), self.as_index(rhs, start)
                 node = self.tree(at, BinOp(op, lhs, rhs), lhs, rhs)
 
     def atom(self) -> IndexTerm | Proposition:
-        kind, text, _ = self.peek()
-        if kind == "int":
-            self.advance()
-            return IntLit(int(text))
-        if kind == "op" and text == "-":
-            self.advance()
-            return IntLit(-int(self.expect("int")[1]))
-        if kind == "ident":
-            self.advance()
-            return Var(text)
-        if kind == "keyword" and text == "true":
-            self.advance()
+        tok = self.tokens[self.pos]
+        if tok == "(":
+            return self.parens(self.expr)
+        if tok == "true":
+            self.pos += 1
             return TrueProp()
-        if kind == "op" and text == "(":
-            self.enter(self.advance()[2])
-            node = self.expr()
-            self.expect("op", ")")
-            self.open -= 1
-            return node
-        raise self.unexpected("an expression")
+        return self.literal("an expression")
 
     # Message endpoints and loop bounds: a bare literal or name, or any
     # parenthesized expression.
     def endpoint(self) -> IndexTerm:
-        kind, text, _ = self.peek()
-        if kind == "int":
-            self.advance()
-            return IntLit(int(text))
-        if kind == "op" and text == "-":
-            self.advance()
-            return IntLit(-int(self.expect("int")[1]))
-        if kind == "ident":
-            self.advance()
-            return Var(text)
-        if kind == "op" and text == "(":
-            self.enter(self.advance()[2])
-            node = self.index_expr()
-            self.expect("op", ")")
-            self.open -= 1
-            return node
-        raise self.unexpected("a rank expression")
+        if self.at("("):
+            return self.parens(self.index_expr)
+        return self.literal("a rank expression")
+
+    def parens(self, inner):
+        """inner() between `(` and `)`."""
+        self.enter(self.pos)
+        self.pos += 1
+        node = inner()
+        self.expect(")")
+        self.open -= 1
+        return node
+
+    def literal(self, want: str) -> IndexTerm:
+        """An integer, a negated integer or a name; want says what was expected."""
+        tok = self.tokens[self.pos]
+        if _is_name(tok):
+            self.pos += 1
+            return Var(tok)
+        if tok.isdecimal():
+            self.pos += 1
+            return IntLit(int(tok))
+        if tok == "-":
+            self.pos += 1
+            tok = self.peek()
+            if not tok.isdecimal():
+                raise self.unexpected("'int'")
+            self.pos += 1
+            return IntLit(-int(tok))
+        raise self.unexpected(want)
 
     # -- datatypes
 
@@ -404,20 +416,21 @@ class _Parser:
         word = self.keyword(("integer", "float", "{"), "a datatype")
         if word == "{":
             binder = self.binder("refinement binder")
-            self.expect("op", ":")
-            if self.peek()[1] not in _SCALARS:
+            self.expect(":")
+            base = self.peek()
+            if base not in _SCALARS:
                 raise self.fail("refinement base must be 'integer' or 'float'")
-            base = _SCALARS[self.advance()[1]]()
-            self.expect("op", "|")
+            self.pos += 1
+            self.expect("|")
             pred = self.prop_expr()
-            self.expect("op", "}")
-            d: Datatype = Refined(binder, base, pred)
+            self.expect("}")
+            d: Datatype = Refined(binder, _SCALARS[base](), pred)
         else:
             d = _SCALARS[word]()
-        while self.at("op", "["):
-            self.advance()
+        while self.at("["):
+            self.pos += 1
             length = self.index_expr()
-            self.expect("op", "]")
+            self.expect("]")
             d = Array(d, length)
         return d
 
@@ -437,10 +450,10 @@ class _Parser:
                 return Message(self.endpoint(), self.endpoint(), self.datatype())
             case "allreduce":
                 op = self.reduce_op()
-                if not self.at("ident"):
+                if not _is_name(self.peek()):
                     return Allreduce(op, FRESH_BINDER, self.datatype(), Skip())
                 binder = self.binder("allreduce binder")
-                self.expect("op", ":")
+                self.expect(":")
                 payload = self.datatype()
                 return Allreduce(op, binder, payload, self.block(self.protocol))
             case "foreach":
@@ -456,10 +469,10 @@ class _Parser:
             case "skip":
                 return PSkip()
             case "send":
-                self.expect("keyword", "to")
+                self.expect("to")
                 return Send(self.endpoint(), self.datatype())
             case "recv":
-                self.expect("keyword", "from")
+                self.expect("from")
                 return Recv(self.endpoint(), self.datatype())
             case "allreduce":
                 return AllreduceStmt(self.reduce_op(), self.datatype())
@@ -468,7 +481,7 @@ class _Parser:
             case "if":
                 test = self.prop_expr()
                 then = self.block(self.process)
-                self.expect("keyword", "else")
+                self.expect("else")
                 return If(test, then, self.block(self.process))
 
 

@@ -384,3 +384,37 @@ def gen_exchange(rng: random.Random) -> ExchangeInstance:
             ranks.append(tuple(triples))
         per_rank = tuple(ranks)
     return ExchangeInstance(n, per_rank)
+
+
+# ---------------------------------------------------------------------------
+# Text mutations (for lexer and parser differentials)
+
+# What a mutation inserts: token pieces, gaps and comments, bad characters
+# (`\x0b`, `\f`, a lone `.` or `!`, `@`, `é`), and characters that a scanner
+# could take for a digit (`٣`) or a blank (`\x85`, `\xa0`).
+MUTATION_PIECES = tuple(" \t\r\n#@!.=<>-+*/(){}[]:;|?09_aZ") + (
+    "\x0b", "\f", "\x85", "\xa0", "٣", "é", "$", "'", "\\",
+    "==", "..", "!=", "# c\n", "#", "not ", "skip", "rank", "12",
+)
+
+
+def mutate_text(rng: random.Random, text: str) -> str:
+    """text after one to three random edits: an insertion, a deletion, a
+    replacement, a truncation, a copied slice or an inserted comment."""
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randint(0, len(text))
+        edit = rng.randrange(6)
+        if edit == 0:
+            text = text[:i] + rng.choice(MUTATION_PIECES) + text[i:]
+        elif edit == 1:
+            text = text[:i] + text[i + 1 :]
+        elif edit == 2:
+            text = text[:i] + rng.choice(MUTATION_PIECES) + text[i + 1 :]
+        elif edit == 3:
+            text = text[:i]
+        elif edit == 4:
+            j = rng.randint(0, len(text))
+            text = text[:i] + text[j : j + rng.randint(1, 8)] + text[i:]
+        else:
+            text = text[:i] + "#" + rng.choice(MUTATION_PIECES) + rng.choice(("\n", "")) + text[i:]
+    return text

@@ -702,6 +702,22 @@ class TestErrorChannel:
         assert (code, err) == (4, "")
         assert json.loads(out) == {"status": "error", "kind": "UsageError", "message": message}
 
+    @pytest.mark.parametrize("flag", ["--jso", "--js"])
+    @pytest.mark.parametrize(
+        "argv, kind",
+        [
+            (["x.proc", "--size", "two"], "UsageError"),
+            (["/nonexistent/x.proc", "--size", "2"], "FileNotFoundError"),
+        ],
+        ids=["does-not-parse", "missing-file"],
+    )
+    def test_a_prefix_of_json_asks_for_json(self, capsys, argv, kind, flag):
+        # argparse takes a prefix of --json for it, so a command line that
+        # does not parse must read it the same way.
+        code, out, err = run(capsys, "infer", *argv, flag)
+        assert (code, err) == (4, "")
+        assert json.loads(out)["kind"] == kind
+
     def test_missing_subcommand(self, capsys):
         assert main([]) == 4
 

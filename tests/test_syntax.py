@@ -1,7 +1,12 @@
 """Parser and printer round trips, error spans, surface sugar."""
 
+import random
+import time
+from pathlib import Path
+
 import pytest
 
+import protomerge
 from protomerge import (
     Allreduce,
     AllreduceStmt,
@@ -31,6 +36,8 @@ from protomerge import (
     TrueProp,
     Var,
     compact_protocol,
+    extract_local_type,
+    initial_context,
     parse_datatype,
     parse_index,
     parse_process,
@@ -41,8 +48,14 @@ from protomerge import (
     print_proposition,
     print_protocol,
 )
+from protomerge import syntax
 from protomerge.ast import FRESH_BINDER
-from protomerge.syntax import SourceSpan
+from protomerge.syntax import SourceSpan, _lex, _scan
+
+import reference_lexer
+from generators import gen_process, gen_protocol, mutate_text
+
+PROGRAMS = Path(protomerge.__file__).parent / "programs"
 
 
 class TestIndexTerms:
@@ -280,6 +293,92 @@ def test_parse_error_message_and_span(rule, text, message, line, col):
     with pytest.raises(ParseError) as err:
         PARSERS[rule](text, "t")
     assert (err.value.message, err.value.span) == (message, SourceSpan("t", line, col))
+
+
+# Lexer edge cases, each as the reference lexer reports it: `==` is shown as
+# `=`, a bad character is reported before a syntax error ahead of it, `\x0b`
+# and `\f` are not blanks, and empty or blank input ends at once.
+LEXER_ERRORS = [
+    ("index", "1 + == 2", "expected an expression, found '='", 1, 5),
+    ("index", "x === 1", "expected an expression, found '='", 1, 5),
+    ("protocol", "message 0 1 float ==", "trailing input starting at '='", 1, 19),
+    ("index", "1 + + @", "unexpected character '@'", 1, 7),
+    ("protocol", "bogus;\n  skip @", "unexpected character '@'", 2, 8),
+    ("index", "1\x0b+ 2", "unexpected character '\\x0b'", 1, 2),
+    ("index", "1 +\f2", "unexpected character '\\x0c'", 1, 4),
+    ("index", "x\u0663", "trailing input starting at '\u0663'", 1, 2),
+    ("index", "", "expected an expression, found 'eof'", 1, 1),
+    ("protocol", " \t\r\n  ", "expected a protocol form, found 'eof'", 2, 3),
+    ("process", "# only a comment", "expected a process statement, found 'eof'", 1, 17),
+    # The comment after the bad `.` holds `..`, which is no token.
+    ("protocol", "foreach i: 0.# ..\n.1 { skip }", "unexpected character '.'", 1, 13),
+]
+
+
+@pytest.mark.parametrize("rule, text, message, line, col", LEXER_ERRORS)
+def test_lexer_error_message_and_span(rule, text, message, line, col):
+    with pytest.raises(ParseError) as err:
+        PARSERS[rule](text, "t")
+    assert (err.value.message, err.value.span) == (message, SourceSpan("t", line, col))
+
+
+class TestLexer:
+    @staticmethod
+    def inputs(rng):
+        """Printed protocols and processes and 20 seeded mutations of each,
+        then short texts where a bad `.`, `..`, a comment and a newline meet."""
+        for i in range(1000):
+            if i % 2:
+                base = print_process(gen_process(rng, 3))
+            else:
+                base = rng.choice((print_protocol, compact_protocol))(gen_protocol(rng, 3))
+            yield base
+            for _ in range(20):
+                yield mutate_text(rng, base)
+        for _ in range(4000):
+            yield "".join(rng.choice((".", "..", "#", "\n", "1", " ")) for _ in range(rng.randint(0, 8)))
+
+    def test_matches_the_reference_lexer(self):
+        inputs = 0
+        for text in self.inputs(random.Random(2026)):
+            inputs += 1
+            try:
+                want = reference_lexer.lex(text, "t")
+            except ParseError as bad:
+                with pytest.raises(ParseError) as err:
+                    _lex(text, "t")
+                assert (err.value.message, err.value.span) == (bad.message, bad.span), text
+                continue
+            assert _lex(text, "t") == [tok for _, tok, _ in want], text
+            assert _scan(text, "t")[1] == [offset for _, _, offset in want], text
+        assert inputs >= 25_000
+
+    def test_a_comment_holds_any_character_and_may_end_the_text(self):
+        assert parse_process("skip # @\x0b\f\u0663\xe9!.#\x00") == PSkip()
+        assert parse_process("skip #") == PSkip()
+
+    def test_unicode_digits_are_integers(self):
+        assert parse_index("\u0663") == IntLit(3)
+        assert parse_index("1\u0663") == IntLit(13)
+
+    def test_a_long_gap_before_a_bad_character_is_scanned_in_linear_time(self):
+        text = "1" + " \n" * 50_000 + "#" * 50_000 + "\n@"
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as err:
+            parse_index(text)
+        assert (err.value.message, err.value.span.line) == ("unexpected character '@'", 50_002)
+        assert time.perf_counter() - start < 2.0
+
+    @pytest.mark.parametrize("path", sorted(PROGRAMS.glob("*.proc")), ids=lambda p: p.stem)
+    def test_a_parse_that_succeeds_works_out_no_offset(self, monkeypatch, path):
+        def scan(text, filename):
+            raise AssertionError("offsets worked out for a parse that succeeds")
+
+        monkeypatch.setattr(syntax, "_scan", scan)
+        program = parse_process(path.read_text(encoding="utf-8"), str(path))
+        for rank in range(4):
+            local = extract_local_type(initial_context(4), program, rank, 4)
+            assert parse_protocol(print_protocol(local)) == local
 
 
 class TestPrinters:
