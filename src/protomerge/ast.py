@@ -18,6 +18,7 @@ __all__ = [
     "ProtomergeError",
     "DivisionByZero",
     "UnboundVariable",
+    "NestingTooDeep",
     "IntLit",
     "Var",
     "BinOp",
@@ -79,6 +80,27 @@ class DivisionByZero(ProtomergeError):
 
 class UnboundVariable(ProtomergeError):
     """Raised when evaluation meets a variable missing from its environment."""
+
+
+class NestingTooDeep(ProtomergeError):
+    """Raised when a walk meets loop bodies and allreduce continuations
+    nested deeper than MAX_BLOCK_DEPTH."""
+
+
+# The most `{ ... }` blocks (loop bodies, branches, allreduce continuations)
+# open at once. The parser refuses the `{` of a deeper one. Extraction and
+# merging walk blocks recursively, and the parser spends four frames per
+# block: with a term at its deepest (syntax.MAX_TERM_DEPTH) in the innermost
+# block, this many still fit the interpreter's default stack. The oracle's
+# walks refuse a deeper protocol built through the API (`deeper`).
+MAX_BLOCK_DEPTH = 64
+
+
+def deeper(depth: int) -> int:
+    """The depth of a loop body or allreduce continuation met at depth."""
+    if depth == MAX_BLOCK_DEPTH:
+        raise NestingTooDeep(f"loops and allreduces nest deeper than {MAX_BLOCK_DEPTH} levels")
+    return depth + 1
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,15 @@ Subcommands:
 
 Exit codes: 0 success; 1 protocol rejected (deadlock, mismatch,
 rank-dependent control flow); 2 parse error; 3 undecidable (entailment,
-datatype equivalence, or loop unfolding budget); 4 bad invocation.
+datatype equivalence, or loop unfolding budget); 4 bad invocation, or a
+stdout closed before the output was written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -318,6 +320,31 @@ def _report_simulation(args, result: SimResult) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    try:
+        code = _run(argv)
+        if sys.stdout is not None:  # None when started with stdout closed
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader of stdout has gone, as in `protomerge ... | head -1`.
+        _drop_stdout()
+        return EXIT_USAGE
+    return code
+
+
+def _drop_stdout() -> None:
+    """Point stdout at os.devnull, as the Python docs' note on SIGPIPE
+    advises, so that what is still buffered, flushed at exit, fails no
+    more. A stream without a file descriptor is replaced instead."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, sys.stdout.fileno())
+    except (AttributeError, OSError, ValueError):
+        sys.stdout = os.fdopen(devnull, "w")
+    else:
+        os.close(devnull)
+
+
+def _run(argv: Sequence[str] | None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
     try:
@@ -361,6 +388,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (UndecidableEquivalence, UnfoldBudgetExceeded) as exc:
         _print_error(wants_json, type(exc).__name__, str(exc))
         return EXIT_UNDECIDABLE
+    except BrokenPipeError:
+        raise  # an OSError, but of stdout: main handles it
     except (
         InvalidRankSet,
         NonConstantBounds,

@@ -15,6 +15,7 @@ same state. One run therefore decides completion, mismatch and deadlock.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 from .ast import (
@@ -32,8 +33,10 @@ from .ast import (
     TypingContext,
     UnboundVariable,
     datatype_vars,
+    deeper,
     drop_binder,
     eval_index,
+    index_vars,
     map_spine,
     spine,
     subst_datatype,
@@ -146,7 +149,7 @@ def _eval_endpoint(env: dict[str, int], term: IndexTerm) -> int:
         raise OpenIndexTerm(f"message endpoint is not a constant rank: {exc}") from None
 
 
-def _instance(payload: Datatype, live: dict[str, int], free: dict[Datatype, frozenset[str]]) -> Datatype:
+def _instance(payload: Datatype, live: dict[str, int], free: dict) -> Datatype:
     """payload with the live loop binders it mentions replaced by their
     values; payload itself when it mentions none. free caches each
     payload's free variables."""
@@ -158,6 +161,33 @@ def _instance(payload: Datatype, live: dict[str, int], free: dict[Datatype, froz
     return subst_datatype(payload, {x: IntLit(live[x]) for x in names if x in live})
 
 
+def _over_budget(self_rank: int) -> UnfoldBudgetExceeded:
+    return UnfoldBudgetExceeded(
+        f"linearizing rank {self_rank} would unfold more than {LINEARIZE_BUDGET} loop iterations"
+    )
+
+
+def _free_names(t: ProtocolType, depth: int, free: dict) -> frozenset[str]:
+    """The names t reads: those of its endpoints, payloads and loop bounds,
+    and of its bodies and continuations less their binders. free caches them."""
+    names = free.get(t)
+    if names is not None:
+        return names
+    names = frozenset()
+    for node in spine(t):
+        match node:
+            case Message(src, dst, payload):
+                names |= index_vars(src) | index_vars(dst) | datatype_vars(payload)
+            case Allreduce(_, binder, payload, cont):
+                names |= datatype_vars(payload)
+                if type(cont) is not Skip:
+                    names |= _free_names(cont, deeper(depth), free) - {binder}
+            case Foreach(binder, lo, hi, body):
+                names |= index_vars(lo) | index_vars(hi) | (_free_names(body, deeper(depth), free) - {binder})
+    free[t] = names
+    return names
+
+
 def linearize(ctx: TypingContext, t: ProtocolType, self_rank: int) -> list[Action]:
     """Project a protocol to rank self_rank's straight-line action list.
 
@@ -165,23 +195,24 @@ def linearize(ctx: TypingContext, t: ProtocolType, self_rank: int) -> list[Actio
     every message endpoint must evaluate to a concrete rank. The walk
     follows each sequence's spine and recurses only into loop bodies and
     allreduce continuations, so its depth grows with their nesting, never
-    with sequence length or trip count. A loop body's spine is built once
-    and walked once per iteration under an environment of the live loop
-    binders' values, not rebuilt: a payload that mentions no live loop
-    binder goes into the actions as the same object on every iteration,
-    and only one that does is substituted. Raises UnfoldBudgetExceeded,
-    before unfolding, once the loops met so far would run more than
-    LINEARIZE_BUDGET iterations in total.
+    with sequence length or trip count; past MAX_BLOCK_DEPTH it raises
+    NestingTooDeep. A loop body free of its binder yields the same actions
+    on every iteration: it is walked once, and its block of actions is
+    repeated. Any other body is walked once per iteration under an
+    environment of the live loop binders' values: only a payload that
+    mentions one is substituted. Raises UnfoldBudgetExceeded, before
+    unfolding, once the loops met so far would run more than
+    LINEARIZE_BUDGET iterations in total, every repeated block counted.
     """
     # Endpoints and bounds are evaluated under env: the context's single
     # values (top) overridden by the live loop binders, which live holds
     # alone. A scope that changes either walks under copies of both.
     top = singleton_env(ctx)
-    free: dict[Datatype, frozenset[str]] = {}
+    free: dict = {}
     actions: list[Action] = []
     unfolded = 0
 
-    def walk(items: list[ProtocolType], env: dict[str, int], live: dict[str, int]) -> None:
+    def walk(items: list[ProtocolType], env: dict[str, int], live: dict[str, int], depth: int) -> None:
         nonlocal unfolded
         for node in items:
             match node:
@@ -194,6 +225,8 @@ def linearize(ctx: TypingContext, t: ProtocolType, self_rank: int) -> list[Actio
                         actions.append(RecvFrom(s, _instance(payload, live, free) if live else payload))
                 case Allreduce(op, binder, payload, cont):
                     actions.append(Collective(op, _instance(payload, live, free) if live else payload))
+                    if type(cont) is Skip:
+                        continue
                     if binder in live:
                         # In the continuation `binder` names the reduction
                         # result, which has no value here; the context's
@@ -201,9 +234,9 @@ def linearize(ctx: TypingContext, t: ProtocolType, self_rank: int) -> list[Actio
                         cont_env = (
                             {**env, binder: top[binder]} if binder in top else drop_binder(env, binder)
                         )
-                        walk(spine(cont), cont_env, drop_binder(live, binder))
+                        walk(spine(cont), cont_env, drop_binder(live, binder), deeper(depth))
                     else:
-                        walk(spine(cont), env, live)
+                        walk(spine(cont), env, live, deeper(depth))
                 case Foreach(binder, lo, hi, body):
                     try:
                         lo_v, hi_v = eval_index(env, lo), eval_index(env, hi)
@@ -213,21 +246,27 @@ def linearize(ctx: TypingContext, t: ProtocolType, self_rank: int) -> list[Actio
                         continue
                     unfolded += hi_v - lo_v + 1
                     if unfolded > LINEARIZE_BUDGET:
-                        raise UnfoldBudgetExceeded(
-                            f"linearizing rank {self_rank} would unfold more than "
-                            f"{LINEARIZE_BUDGET} loop iterations"
-                        )
+                        raise _over_budget(self_rank)
+                    inner = deeper(depth)
+                    repeat = binder not in _free_names(body, inner, free)
                     body_items = spine(body)
                     inner_env, inner_live = dict(env), dict(live)
-                    for value in range(lo_v, hi_v + 1):
+                    start, before = len(actions), unfolded
+                    for value in range(lo_v, lo_v + 1 if repeat else hi_v + 1):
                         inner_env[binder] = inner_live[binder] = value
-                        walk(body_items, inner_env, inner_live)
+                        walk(body_items, inner_env, inner_live, inner)
+                    if repeat and hi_v > lo_v:
+                        # Each repeat runs the one walk's nested iterations.
+                        unfolded += (unfolded - before) * (hi_v - lo_v)
+                        if unfolded > LINEARIZE_BUDGET:
+                            raise _over_budget(self_rank)
+                        actions.extend(actions[start:] * (hi_v - lo_v))
                 case Skip():
                     pass
                 case _:
                     raise TypeError(f"unexpected protocol node {type(node).__name__}")
 
-    walk(spine(t), top, {})
+    walk(spine(t), top, {}, 0)
     return actions
 
 
@@ -235,18 +274,19 @@ def cap_loops(ctx: TypingContext, t: ProtocolType, bound: int) -> ProtocolType:
     """Truncate every constant-bound foreach to at most `bound` iterations.
 
     Loops whose bounds do not evaluate under ctx are left untouched. Useful
-    for keeping linearizations small before simulating.
+    for keeping linearizations small before simulating. Nesting deeper than
+    MAX_BLOCK_DEPTH raises NestingTooDeep.
     """
     if bound < 1:
         raise ValueError("loop bound must be at least 1")
     env = singleton_env(ctx)
 
-    def cap(node: ProtocolType) -> ProtocolType:
+    def cap(node: ProtocolType, depth: int = 0) -> ProtocolType:
         match node:
-            case Allreduce(op, binder, payload, cont):
-                return Allreduce(op, binder, payload, map_spine(cont, cap))
+            case Allreduce(op, binder, payload, cont) if type(cont) is not Skip:
+                return Allreduce(op, binder, payload, map_spine(cont, partial(cap, depth=deeper(depth))))
             case Foreach(binder, lo, hi, body):
-                capped = map_spine(body, cap)
+                capped = map_spine(body, partial(cap, depth=deeper(depth)))
                 try:
                     lo_v = eval_index(env, lo)
                     hi_v = eval_index(env, hi)

@@ -9,6 +9,7 @@ well-formed tree, which the test suite exercises on generated corpora.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 
 from .ast import (
@@ -29,6 +30,7 @@ from .ast import (
     IndexTerm,
     IntLit,
     Integer,
+    MAX_BLOCK_DEPTH,
     Message,
     Not,
     Or,
@@ -185,13 +187,6 @@ _CONNECTIVES = {"or": Or, "and": And}
 # Deeper terms overflow the interpreter's stack, in the parser (three frames
 # per parenthesis) or in the passes that walk the tree.
 MAX_TERM_DEPTH = 100
-
-# The most `{ ... }` blocks (loop bodies, branches, allreduce continuations)
-# the parser accepts open at once. Extraction and merging walk blocks
-# recursively, and the parser spends four frames per block: with a term at
-# MAX_TERM_DEPTH in the innermost block, this many still fit the
-# interpreter's default stack.
-MAX_BLOCK_DEPTH = 64
 
 _SCALARS = {"integer": Integer, "float": Float}
 
@@ -398,16 +393,20 @@ class _Parser:
         if _is_name(tok):
             self.pos += 1
             return Var(tok)
-        if tok.isdecimal():
-            self.pos += 1
-            return IntLit(int(tok))
-        if tok == "-":
-            self.pos += 1
-            tok = self.peek()
-            if not tok.isdecimal():
-                raise self.unexpected("'int'")
-            self.pos += 1
-            return IntLit(-int(tok))
+        try:
+            if tok.isdecimal():
+                self.pos += 1
+                return IntLit(int(tok))
+            if tok == "-":
+                self.pos += 1
+                tok = self.peek()
+                if not tok.isdecimal():
+                    raise self.unexpected("'int'")
+                self.pos += 1
+                return IntLit(-int(tok))
+        except ValueError:  # more digits than the interpreter converts
+            limit = sys.get_int_max_str_digits()
+            raise self.fail(f"integer literal has more than {limit} digits", self.pos - 1) from None
         raise self.unexpected(want)
 
     # -- datatypes

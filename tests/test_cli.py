@@ -10,7 +10,7 @@ import pytest
 
 import protomerge
 import protomerge.cli as cli_module
-from protomerge import initial_context, linearize
+from protomerge import extract_local_type, initial_context, linearize, parse_process
 from protomerge.cli import main
 from protomerge.syntax import (
     MAX_BLOCK_DEPTH,
@@ -647,6 +647,16 @@ class TestErrorChannel:
         assert out == ""
         assert err.startswith(f"parse error at {bad}:1:{col}: expected a datatype")
 
+    def test_long_integer_literal_is_a_parse_error(self, capsys, write):
+        f = write("long.proc", "send to 1 float[" + "1" * 5000 + "]")
+        code, out, err = run(capsys, "infer", f, "--size", "2")
+        assert (code, out) == (2, "")
+        assert err == f"parse error at {f}:1:17: integer literal has more than 4300 digits\n"
+        code, out, err = run(capsys, "infer", f, "--size", "2", "--json")
+        assert (code, err) == (2, "")
+        doc = json.loads(out)
+        assert (doc["kind"], doc["line"], doc["col"]) == ("ParseError", 1, 17)
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "infer", "/nonexistent/x.proc", "--size", "2")
         assert code == 4
@@ -729,3 +739,55 @@ class TestErrorChannel:
         code, _, err = run(capsys, "infer", f, "--size", "2")
         assert code == 1
         assert err.startswith("error: ResidualConditional:")
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+class TestClosedStdout:
+    """A stdout that closes early, as in `protomerge simulate ... | head -1`,
+    ends the command with exit 4 and no error line or traceback; one that
+    was closed from the start changes nothing."""
+
+    @pytest.fixture
+    def nbody16(self, write):
+        ctx = initial_context(16)
+        program = parse_process((PROGRAMS / "nbody.proc").read_text(encoding="utf-8"))
+        return [
+            write(f"r{rank}.ptype", print_protocol(extract_local_type(ctx, program, rank, 16)))
+            for rank in range(16)
+        ]
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    def test_simulation_output(self, capsys, monkeypatch, nbody16, flags):
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+        code = main(["simulate", *nbody16, "--size", "16", "--unroll", "16", *flags])
+        devnull = sys.stdout
+        assert not isinstance(devnull, _ClosedPipe)
+        print("dropped")  # stdout now leads nowhere, and takes this quietly
+        devnull.close()
+        assert code == 4
+        assert capsys.readouterr().err == ""
+
+    def test_started_without_stdout(self, capsys, monkeypatch, write):
+        # An interpreter started with stdout closed sets sys.stdout to None.
+        f = write("m.ptype", "message 0 1 float")
+        monkeypatch.setattr(sys, "stdout", None)
+        assert main(["simulate", f, f, "--size", "2"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_error_document(self, capsys, monkeypatch, write):
+        # Under --json the parse error's document is what meets the pipe.
+        f = write("bad.ptype", "message 0 1")
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+        code = main(["simulate", f, f, "--size", "2", "--json"])
+        sys.stdout.close()
+        assert code == 4
+        assert capsys.readouterr().err == ""

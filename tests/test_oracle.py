@@ -23,6 +23,7 @@ from protomerge import (
     Message,
     MessageEvent,
     Mismatch,
+    NestingTooDeep,
     NonConstantBounds,
     OpenIndexTerm,
     RecvFrom,
@@ -41,7 +42,7 @@ from protomerge import (
     parse_process,
     simulate,
 )
-from protomerge.ast import FRESH_BINDER
+from protomerge.ast import FRESH_BINDER, MAX_BLOCK_DEPTH, spine, subst_type
 
 import reference_oracle
 from generators import gen_exchange
@@ -149,6 +150,48 @@ class TestLinearize:
         assert actions[0].payload is shared and actions[3].payload is shared
         assert actions[2].payload is own and actions[5].payload is own
 
+    def test_binder_free_body_is_walked_once(self, monkeypatch):
+        calls = []
+        real = protomerge.oracle._eval_endpoint
+
+        def counting(env, term):
+            calls.append(term)
+            return real(env, term)
+
+        monkeypatch.setattr(protomerge.oracle, "_eval_endpoint", counting)
+        ctx = initial_context(2)
+        t = Foreach("i", IntLit(1), IntLit(1000), msg(0, 1))
+        assert linearize(ctx, t, 0) == [SendTo(1, D)] * 1000
+        assert len(calls) == 2
+        calls.clear()
+        # The payload mentions i: the body is walked once per iteration.
+        t = Foreach("i", IntLit(1), IntLit(1000), msg(0, 1, Array(Float(), Var("i"))))
+        actions = linearize(ctx, t, 0)
+        assert actions[-1] == SendTo(1, Array(Float(), IntLit(1000)))
+        assert len(calls) == 2 * 1000
+
+    def test_repeated_block_counts_against_the_budget(self):
+        # One walk of the outer body unfolds 1000 inner iterations and fits;
+        # its 999 repeats would bring the total to 1 001 000.
+        inner = Foreach("j", IntLit(1), IntLit(1000), msg(0, 1))
+        t = Foreach("i", IntLit(1), IntLit(1000), inner)
+        with pytest.raises(UnfoldBudgetExceeded) as err:
+            linearize(initial_context(2), t, 0)
+        over = Foreach("i", IntLit(1), IntLit(LINEARIZE_BUDGET + 1), msg(0, 1))
+        with pytest.raises(UnfoldBudgetExceeded) as reference:
+            reference_oracle.reference_linearize(initial_context(2), over, 0)
+        assert str(err.value) == str(reference.value)
+        # 1000 outer and 999 000 inner iterations: exactly the budget.
+        t = Foreach("i", IntLit(1), IntLit(1000), Foreach("j", IntLit(1), IntLit(999), msg(0, 1)))
+        assert len(linearize(initial_context(2), t, 0)) == 999000
+
+    def test_rank_outside_a_binder_free_loop_gets_nothing(self):
+        ctx = initial_context(3)
+        assert linearize(ctx, Foreach("i", IntLit(1), IntLit(1000), msg(0, 1)), 2) == []
+        # A collective in the same body is every rank's.
+        t = Foreach("i", IntLit(1), IntLit(1000), Seq(msg(0, 1), allred()))
+        assert linearize(ctx, t, 2) == [Collective(ReduceOp.MIN, D)] * 1000
+
 
 class TestCapLoops:
     def test_truncates_long_constant_loops(self):
@@ -168,6 +211,43 @@ class TestCapLoops:
     def test_bound_must_be_positive(self):
         with pytest.raises(ValueError):
             cap_loops(initial_context(2), Skip(), 0)
+
+
+class TestNestingLimit:
+    """A protocol built through the API may nest loop bodies and allreduce
+    continuations MAX_BLOCK_DEPTH deep, as parsed text may; past that the
+    oracle raises NestingTooDeep, not RecursionError."""
+
+    @staticmethod
+    def nest(levels, inner=msg(0, 1)):
+        """levels blocks, alternating foreach and allreduce from the inside out."""
+        t = inner
+        for level in range(levels):
+            t = Foreach("i", IntLit(1), IntLit(1), t) if level % 2 else Allreduce(ReduceOp.MIN, "v", D, t)
+        return t
+
+    @pytest.mark.parametrize("levels", [MAX_BLOCK_DEPTH + 1, 2000])
+    def test_too_deep_is_a_typed_error(self, levels):
+        ctx = initial_context(2)
+        deep = self.nest(levels)
+        loops = msg(0, 1)
+        for _ in range(levels):
+            loops = Foreach("i", IntLit(1), IntLit(1), loops)
+        for t in (deep, loops):
+            with pytest.raises(NestingTooDeep, match=f"deeper than {MAX_BLOCK_DEPTH} levels"):
+                cap_loops(ctx, t, 2)
+            with pytest.raises(NestingTooDeep, match=f"deeper than {MAX_BLOCK_DEPTH} levels"):
+                linearize(ctx, t, 0)
+        with pytest.raises(NestingTooDeep):
+            protomerge.oracle._free_names(deep, 0, {})
+
+    def test_at_the_limit(self):
+        ctx = initial_context(2)
+        # A bare allreduce opens no block, in parsed text or here.
+        for t in (self.nest(MAX_BLOCK_DEPTH), self.nest(MAX_BLOCK_DEPTH, allred())):
+            assert cap_loops(ctx, t, 1) is t
+            for rank in (0, 1):
+                assert linearize(ctx, t, rank) == reference_oracle.reference_linearize(ctx, t, rank)
 
 
 class TestSimulate:
@@ -520,6 +600,16 @@ def _gen_loop_protocol(rng, names, depth):
     return t
 
 
+def _loops(t):
+    """Every foreach in t, at any nesting."""
+    for node in spine(t):
+        if isinstance(node, Foreach):
+            yield node
+            yield from _loops(node.body)
+        elif isinstance(node, Allreduce):
+            yield from _loops(node.cont)
+
+
 def _outcome(fn, ctx, t, rank):
     try:
         return fn(ctx, t, rank)
@@ -534,20 +624,31 @@ class TestLinearizeAgainstSubstitution:
     def test_random_loop_protocols(self):
         rng = random.Random(7)
         seen = {"lists": 0, "actions": 0, OpenIndexTerm: 0, NonConstantBounds: 0, UnfoldBudgetExceeded: 0}
+        # Loops of the protocols that linearize for some rank, by whether
+        # their body mentions the binder (walked once per iteration) or not
+        # (walked once and repeated).
+        loops = {"per-iteration": 0, "repeated": 0}
         for _ in range(1500):
             n = rng.randint(2, 4)
             ctx = initial_context(n)
             t = _gen_loop_protocol(rng, (), 3)
+            linearized = False
             for rank in range(n):
                 got = _outcome(linearize, ctx, t, rank)
                 assert got == _outcome(reference_oracle.reference_linearize, ctx, t, rank), t
                 if isinstance(got, list):
                     seen["lists"] += 1
                     seen["actions"] += len(got)
+                    linearized = True
                 else:
                     seen[got[0]] += 1
+            if linearized:
+                for loop in _loops(t):
+                    mentioned = subst_type(loop.body, {loop.binder: IntLit(0)}) is not loop.body
+                    loops["per-iteration" if mentioned else "repeated"] += 1
         assert seen["lists"] >= 3000 and seen["actions"] >= 10000, seen
         assert min(seen.values()) >= 20, seen
+        assert loops["per-iteration"] >= 1000 and loops["repeated"] >= 100, loops
 
     @pytest.mark.parametrize(
         "t",

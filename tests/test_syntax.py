@@ -285,6 +285,16 @@ PARSE_ERRORS = [
     ("proposition", "not " * 101 + "true", "term nests deeper than 100 levels", 1, 401),
     ("index", "+".join(["1"] * 101), "term nests deeper than 100 levels", 1, 200),
     ("protocol", "foreach i: 0..1 { " * 65 + "skip" + " }" * 65, "block nests deeper than 64 levels", 1, 1169),
+    # Integer literals with more digits than the interpreter converts (4300
+    # by default), placed at the digits, negated or not.
+    pytest.param("index", "9" * 5000, "integer literal has more than 4300 digits", 1, 1, id="long-literal"),
+    pytest.param(
+        "index", "-" + "9" * 5000, "integer literal has more than 4300 digits", 1, 2, id="long-negated-literal"
+    ),
+    pytest.param(
+        "datatype", "float[1 + " + "1" * 4301 + "]", "integer literal has more than 4300 digits", 1, 11,
+        id="long-literal-in-payload",
+    ),
 ]
 
 
