@@ -83,23 +83,24 @@ class UnboundVariable(ProtomergeError):
 
 
 class NestingTooDeep(ProtomergeError):
-    """Raised when a walk meets loop bodies and allreduce continuations
-    nested deeper than MAX_BLOCK_DEPTH."""
+    """Raised when a walk meets loop bodies, branches or allreduce
+    continuations nested deeper than MAX_BLOCK_DEPTH."""
 
 
 # The most `{ ... }` blocks (loop bodies, branches, allreduce continuations)
 # open at once. The parser refuses the `{` of a deeper one. Extraction and
 # merging walk blocks recursively, and the parser spends four frames per
 # block: with a term at its deepest (syntax.MAX_TERM_DEPTH) in the innermost
-# block, this many still fit the interpreter's default stack. The oracle's
-# walks refuse a deeper protocol built through the API (`deeper`).
+# block, this many still fit the interpreter's default stack. Extraction,
+# normalize_seq (and so the merge entry points) and the oracle's walks
+# refuse a deeper program or protocol built through the API (`deeper`).
 MAX_BLOCK_DEPTH = 64
 
 
 def deeper(depth: int) -> int:
-    """The depth of a loop body or allreduce continuation met at depth."""
+    """The depth of a block (loop body, branch or allreduce continuation) met at depth."""
     if depth == MAX_BLOCK_DEPTH:
-        raise NestingTooDeep(f"loops and allreduces nest deeper than {MAX_BLOCK_DEPTH} levels")
+        raise NestingTooDeep(f"blocks nest deeper than {MAX_BLOCK_DEPTH} levels")
     return depth + 1
 
 
@@ -389,11 +390,10 @@ def spine(t: ProtocolType | Process) -> list:
     return items
 
 
-def map_spine(t, leaf: Callable):
+def map_spine(t: ProtocolType, leaf: Callable) -> ProtocolType:
     """t with each spine item x replaced by leaf(x), called left to right;
-    the Seq and PSeq nodes keep their shape."""
-    cls = PSeq if type(t) is PSeq else Seq
-    if type(t) is not cls:
+    the Seq nodes keep their shape."""
+    if type(t) is not Seq:
         return leaf(t)
     done: list = []
     # Nodes still to walk, last one first; None joins the two results on
@@ -403,8 +403,8 @@ def map_spine(t, leaf: Callable):
         node = todo.pop()
         if node is None:
             second = done.pop()
-            done[-1] = cls(done[-1], second)
-        elif type(node) is cls:
+            done[-1] = Seq(done[-1], second)
+        elif type(node) is Seq:
             todo += (None, node.second, node.first)
         else:
             done.append(leaf(node))
@@ -430,16 +430,21 @@ def concat(first: ProtocolType, second: ProtocolType) -> ProtocolType:
 
 def normalize_seq(t: ProtocolType) -> ProtocolType:
     """Right-associate sequences and drop skip units, in every body too.
-    Idempotent."""
+    Idempotent. Loop bodies and allreduce continuations nested deeper than
+    MAX_BLOCK_DEPTH raise NestingTooDeep."""
+    return _normalize(t, 0)
+
+
+def _normalize(t: ProtocolType, depth: int) -> ProtocolType:
     items = []
     for node in spine(t):
         kind = type(node)
         if kind is Skip:
             continue
-        if kind is Allreduce:
-            node = Allreduce(node.op, node.binder, node.payload, normalize_seq(node.cont))
+        if kind is Allreduce and type(node.cont) is not Skip:  # a bare one opens no block
+            node = Allreduce(node.op, node.binder, node.payload, _normalize(node.cont, deeper(depth)))
         elif kind is Foreach:
-            node = Foreach(node.binder, node.lo, node.hi, normalize_seq(node.body))
+            node = Foreach(node.binder, node.lo, node.hi, _normalize(node.body, deeper(depth)))
         items.append(node)
     return build_seq(items)
 

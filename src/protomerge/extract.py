@@ -1,12 +1,15 @@
 """Per-rank local type extraction.
 
-Step one of the inference pipeline: specialize the shared program to a rank,
-then map each process construct to the matching type construct. Every
-payload is written out in the program text, so the local type needs no
+Step one of the inference pipeline: one walk over the shared program reads
+off one rank's local type. It substitutes the rank and the world size as it
+goes and maps each statement it reaches to the matching type construct.
+Every payload is written out in the program text, so the local type needs no
 inference beyond that walk.
 """
 
 from __future__ import annotations
+
+import sys
 
 from .ast import (
     Allreduce,
@@ -28,11 +31,11 @@ from .ast import (
     Sub,
     TypingContext,
     build_seq,
+    deeper,
     drop_binder,
     eval_index,
     eval_prop,
     is_closed,
-    map_spine,
     prop_vars,
     spine,
     subst_datatype,
@@ -42,92 +45,77 @@ from .ast import (
 
 __all__ = [
     "ResidualConditional",
-    "specialize",
     "extract_local_type",
 ]
 
 
 class ResidualConditional(ProtomergeError):
-    """An If survived specialization; the type language has no branching."""
+    """A conditional's test stays open once the rank and size substitute;
+    the type language has no branching."""
 
 
-def specialize(p: Process, rank: int, size: int) -> Process:
-    """Instantiate the program for one rank.
-
-    The rank literal substitutes everywhere; the size literal only in control
-    positions (endpoints, loop bounds, conditional tests), so payloads stay
-    parametric in size. Closed endpoints and bounds fold to literals, closed
-    conditionals reduce to the taken branch, and loops whose constant range
-    is empty drop away. Idempotent.
-    """
-    if not 0 <= rank < size:
-        raise ValueError(f"rank {rank} outside 0..{size - 1}")
-    everywhere = {"rank": IntLit(rank)}
-    return _specialize(p, everywhere, {**everywhere, "size": IntLit(size)})
-
-
-def _specialize(p: Process, everywhere: Sub, control: Sub) -> Process:
-    """One walk along p's spine; `control` substitutes in control positions,
-    `everywhere` in payloads."""
-
-    def fold(t: IndexTerm) -> IndexTerm:
-        t = subst_index(t, control)
-        return t if isinstance(t, IntLit) or not is_closed(t) else IntLit(eval_index({}, t))
-
-    def leaf(node: Process) -> Process:
-        kind = type(node)
-        if kind is PSkip:
-            return node
-        if kind is Send:
-            return Send(fold(node.to), subst_datatype(node.payload, everywhere))
-        if kind is Recv:
-            return Recv(fold(node.src), subst_datatype(node.payload, everywhere))
-        if kind is AllreduceStmt:
-            return AllreduceStmt(node.op, subst_datatype(node.payload, everywhere))
-        if kind is For:
-            lo, hi = fold(node.lo), fold(node.hi)
-            if type(lo) is IntLit and type(hi) is IntLit and hi.value < lo.value:
-                return PSkip()
-            binder = node.binder
-            body = _specialize(node.body, drop_binder(everywhere, binder), drop_binder(control, binder))
-            return For(binder, lo, hi, body)
-        if kind is If:
-            test, then, orelse = subst_prop(node.test, control), node.then, node.orelse
-            if not prop_vars(test):
-                return _specialize(then if eval_prop({}, test) else orelse, everywhere, control)
-            return If(test, _specialize(then, everywhere, control), _specialize(orelse, everywhere, control))
-        raise TypeError(f"not a process: {node!r}")
-
-    return map_spine(p, leaf)
+def _fold(t: IndexTerm, control: Sub) -> IndexTerm:
+    """t with control substituted, folded to a literal when that closes it.
+    A literal with more digits than the interpreter prints (the int-to-text
+    limit; 0 or an interpreter before 3.10.7 sets none) is refused."""
+    t = subst_index(t, control)
+    if type(t) is IntLit or not is_closed(t):
+        return t
+    value = eval_index({}, t)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # 2**(3 * limit) < 10**limit, so a shorter value is never too long.
+    if limit and value.bit_length() > 3 * limit and abs(value) >= 10**limit:
+        raise ValueError(f"an endpoint or loop bound folds to an integer of more than {limit} digits")
+    return IntLit(value)
 
 
-def _local_type(p: Process, self_rank: int) -> ProtocolType:
-    """Map a specialized process to rank self_rank's local type, in sequence
-    normal form."""
-    items = []
+def _walk(p: Process, me: IntLit, everywhere: Sub, control: Sub, depth: int, items: list) -> list:
+    """Append to items the local type of what rank `me` runs of p. `control`
+    substitutes in control positions (endpoints, loop bounds, conditional
+    tests), `everywhere` in payloads."""
     for node in spine(p):
         kind = type(node)
         if kind is PSkip:
             continue
         if kind is Send:
-            items.append(Message(IntLit(self_rank), node.to, node.payload))
+            items.append(Message(me, _fold(node.to, control), subst_datatype(node.payload, everywhere)))
         elif kind is Recv:
-            items.append(Message(node.src, IntLit(self_rank), node.payload))
+            items.append(Message(_fold(node.src, control), me, subst_datatype(node.payload, everywhere)))
         elif kind is AllreduceStmt:
-            items.append(Allreduce(node.op, FRESH_BINDER, node.payload, Skip()))
+            payload = subst_datatype(node.payload, everywhere)
+            items.append(Allreduce(node.op, FRESH_BINDER, payload, Skip()))
         elif kind is For:
-            items.append(Foreach(node.binder, node.lo, node.hi, _local_type(node.body, self_rank)))
+            lo, hi = _fold(node.lo, control), _fold(node.hi, control)
+            if type(lo) is IntLit and type(hi) is IntLit and hi.value < lo.value:
+                continue
+            binder = node.binder
+            inner = drop_binder(everywhere, binder), drop_binder(control, binder)
+            body = _walk(node.body, me, *inner, deeper(depth), [])
+            items.append(Foreach(binder, lo, hi, build_seq(body)))
         elif kind is If:
-            raise ResidualConditional("conditional whose test is still open after specialization")
+            test = subst_prop(node.test, control)
+            if prop_vars(test):
+                raise ResidualConditional("conditional whose test is still open after specialization")
+            taken = node.then if eval_prop({}, test) else node.orelse
+            _walk(taken, me, everywhere, control, deeper(depth), items)
         else:
             raise TypeError(f"not a process: {node!r}")
-    return build_seq(items)
+    return items
 
 
 def extract_local_type(ctx: TypingContext, p: Process, self_rank: int, size: int) -> ProtocolType:
-    """specialize, then map to types: one rank's sequence-normalized local type.
+    """Rank self_rank's local type of p, in sequence normal form.
 
-    The context describes the world the rank lives in; extraction itself
-    reads nothing from it.
+    The rank literal substitutes everywhere, the size literal only in control
+    positions, so payloads stay parametric in size. Closed endpoints and
+    bounds fold to literals, a closed conditional gives the branch it takes,
+    and a loop whose constant range is empty drops away. An open conditional
+    raises ResidualConditional; blocks nested past MAX_BLOCK_DEPTH raise
+    NestingTooDeep. The context describes the world the rank lives in;
+    extraction itself reads nothing from it.
     """
-    return _local_type(specialize(p, self_rank, size), self_rank)
+    if not 0 <= self_rank < size:
+        raise ValueError(f"rank {self_rank} outside 0..{size - 1}")
+    me = IntLit(self_rank)
+    everywhere = {"rank": me}
+    return build_seq(_walk(p, me, everywhere, {**everywhere, "size": IntLit(size)}, 0, []))

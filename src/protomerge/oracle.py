@@ -64,8 +64,9 @@ __all__ = [
     "simulate",
 ]
 
-# Loop iterations one linearize call may unfold. Loop bounds are numbers in
-# the input, so this is the oracle's only cost not bounded by input size.
+# Loop iterations one linearize call may unfold, and actions it may build.
+# Loop bounds are numbers in the input, so this is the oracle's only cost
+# not bounded by input size.
 LINEARIZE_BUDGET = 10**6
 
 
@@ -74,7 +75,7 @@ class OpenIndexTerm(ProtomergeError):
 
 
 class UnfoldBudgetExceeded(ProtomergeError):
-    """Linearizing a protocol would unfold more loop iterations than allowed."""
+    """Linearizing a protocol would unfold more loop iterations or actions than allowed."""
 
 
 # -- per-rank actions
@@ -161,10 +162,8 @@ def _instance(payload: Datatype, live: dict[str, int], free: dict) -> Datatype:
     return subst_datatype(payload, {x: IntLit(live[x]) for x in names if x in live})
 
 
-def _over_budget(self_rank: int) -> UnfoldBudgetExceeded:
-    return UnfoldBudgetExceeded(
-        f"linearizing rank {self_rank} would unfold more than {LINEARIZE_BUDGET} loop iterations"
-    )
+def _over_budget(self_rank: int, excess: str = "unfold more than {} loop iterations") -> UnfoldBudgetExceeded:
+    return UnfoldBudgetExceeded(f"linearizing rank {self_rank} would " + excess.format(LINEARIZE_BUDGET))
 
 
 def _free_names(t: ProtocolType, depth: int, free: dict) -> frozenset[str]:
@@ -202,7 +201,9 @@ def linearize(ctx: TypingContext, t: ProtocolType, self_rank: int) -> list[Actio
     environment of the live loop binders' values: only a payload that
     mentions one is substituted. Raises UnfoldBudgetExceeded, before
     unfolding, once the loops met so far would run more than
-    LINEARIZE_BUDGET iterations in total, every repeated block counted.
+    LINEARIZE_BUDGET iterations in total, every repeated block counted, or
+    build more than LINEARIZE_BUDGET actions (checked after each walk of a
+    loop body and before a block is repeated).
     """
     # Endpoints and bounds are evaluated under env: the context's single
     # values (top) overridden by the live loop binders, which live holds
@@ -255,11 +256,15 @@ def linearize(ctx: TypingContext, t: ProtocolType, self_rank: int) -> list[Actio
                     for value in range(lo_v, lo_v + 1 if repeat else hi_v + 1):
                         inner_env[binder] = inner_live[binder] = value
                         walk(body_items, inner_env, inner_live, inner)
+                        if len(actions) > LINEARIZE_BUDGET:
+                            raise _over_budget(self_rank, "build more than {} actions")
                     if repeat and hi_v > lo_v:
                         # Each repeat runs the one walk's nested iterations.
                         unfolded += (unfolded - before) * (hi_v - lo_v)
                         if unfolded > LINEARIZE_BUDGET:
                             raise _over_budget(self_rank)
+                        if len(actions) + (len(actions) - start) * (hi_v - lo_v) > LINEARIZE_BUDGET:
+                            raise _over_budget(self_rank, "build more than {} actions")
                         actions.extend(actions[start:] * (hi_v - lo_v))
                 case Skip():
                     pass

@@ -657,6 +657,21 @@ class TestErrorChannel:
         doc = json.loads(out)
         assert (doc["kind"], doc["line"], doc["col"]) == ("ParseError", 1, 17)
 
+    @pytest.mark.parametrize("command", ["extract", "infer"])
+    def test_fold_past_the_digit_limit(self, capsys, write, command):
+        # Each literal parses; their product has more digits than the
+        # interpreter prints.
+        nines = "9" * 3000
+        f = write("fold.proc", f"send to ({nines} * {nines}) float")
+        argv = [command, f, "--size", "2"] + (["--rank", "0"] if command == "extract" else [])
+        message = "an endpoint or loop bound folds to an integer of more than 4300 digits"
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (4, "")
+        assert err == f"protomerge: error: {message}\n"
+        code, out, err = run(capsys, *argv, "--json")
+        assert (code, err) == (4, "")
+        assert json.loads(out) == {"status": "error", "kind": "ValueError", "message": message}
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "infer", "/nonexistent/x.proc", "--size", "2")
         assert code == 4

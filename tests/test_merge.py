@@ -22,6 +22,7 @@ from protomerge import (
     Integer,
     Message,
     MergeFailure,
+    NestingTooDeep,
     NonConstantBounds,
     RULE_NAMES,
     ReduceOp,
@@ -42,7 +43,7 @@ from protomerge import (
     normalize_seq,
     unfold_foreach,
 )
-from protomerge.ast import FRESH_BINDER
+from protomerge.ast import FRESH_BINDER, MAX_BLOCK_DEPTH
 from protomerge.logic import DEFAULT_ENUM_CAP
 from protomerge.syntax import parse_process
 
@@ -104,6 +105,43 @@ class TestNormalizeSeq:
             assert links == len(items) - 1
         assert normalize_seq(left) == normalize_seq(right)
         assert hash(normalize_seq(left)) == hash(normalize_seq(right))
+
+
+class TestNestingLimit:
+    """Types built through the API nest loop bodies and allreduce
+    continuations at most MAX_BLOCK_DEPTH deep, as parsed text does; past
+    that normal form and the merge entry points raise NestingTooDeep, not
+    RecursionError."""
+
+    @staticmethod
+    def nest(levels, inner=msg(0, 1)):
+        """levels blocks, alternating foreach and allreduce from the inside out."""
+        t = inner
+        for level in range(levels):
+            t = Foreach("i", IntLit(1), IntLit(1), t) if level % 2 else Allreduce(ReduceOp.MIN, "v", D, t)
+        return t
+
+    @pytest.mark.parametrize("levels", [MAX_BLOCK_DEPTH + 1, 2000])
+    def test_too_deep_is_a_typed_error(self, levels):
+        loops = msg(0, 1)
+        for _ in range(levels):
+            loops = Foreach("i", IntLit(1), IntLit(1), loops)
+        ctx = merged_context(2, [0])
+        for t in (loops, self.nest(levels)):
+            for call in (
+                lambda: normalize_seq(t),
+                lambda: merge_all(2, [(0, t), (1, t)]),
+                lambda: merge_types(ctx, t, t, 1),
+                lambda: merge_types(ctx, Skip(), t, 1),
+                lambda: attempt_rule(ctx, "foreach-foreach", t, t, 1),
+            ):
+                with pytest.raises(NestingTooDeep, match=f"deeper than {MAX_BLOCK_DEPTH} levels"):
+                    call()
+
+    def test_at_the_limit(self):
+        for t in (self.nest(MAX_BLOCK_DEPTH), self.nest(MAX_BLOCK_DEPTH, allred())):
+            assert normalize_seq(t) is t
+            assert merge_all(2, [(0, t), (1, t)])[0] is t
 
 
 class TestUnfoldForeach:

@@ -42,7 +42,7 @@ from protomerge import (
     parse_process,
     simulate,
 )
-from protomerge.ast import FRESH_BINDER, MAX_BLOCK_DEPTH, spine, subst_type
+from protomerge.ast import FRESH_BINDER, MAX_BLOCK_DEPTH, build_seq, spine, subst_type
 
 import reference_oracle
 from generators import gen_exchange
@@ -121,6 +121,25 @@ class TestLinearize:
         t = Foreach("i", IntLit(1), IntLit(LINEARIZE_BUDGET), inner)
         with pytest.raises(UnfoldBudgetExceeded):
             linearize(initial_context(2), t, 0)
+
+    def test_budget_bounds_a_repeated_block(self):
+        # 2000 trips pass the iteration budget; repeating the 1000 actions
+        # of the one walk would build 2 * 10**6.
+        body = build_seq([msg(0, 1)] * 1000)
+        t = Foreach("i", IntLit(1), IntLit(2000), body)
+        with pytest.raises(UnfoldBudgetExceeded, match=f"more than {LINEARIZE_BUDGET} actions"):
+            linearize(initial_context(2), t, 0)
+
+    def test_budget_bounds_the_actions_of_each_walk(self, monkeypatch):
+        # A body that reads its binder is walked once per iteration; 10
+        # actions a walk reach 100 actions in 10 iterations, and 101 in 11.
+        monkeypatch.setattr(protomerge.oracle, "LINEARIZE_BUDGET", 100)
+        body = build_seq([Message(IntLit(0), IntLit(1), Array(Float(), Var("i")))] * 10)
+        for binder in ("i", "j"):  # walked each time, walked once
+            ctx = initial_context(2)
+            assert len(linearize(ctx, Foreach(binder, IntLit(1), IntLit(10), body), 0)) == 100
+            with pytest.raises(UnfoldBudgetExceeded, match="more than 100 actions"):
+                linearize(ctx, Foreach(binder, IntLit(1), IntLit(11), body), 0)
 
     def test_non_constant_bounds_rejected(self):
         t = Foreach("i", IntLit(1), Var("w"), msg(0, 1))
