@@ -392,20 +392,24 @@ def spine(t: ProtocolType | Process) -> list:
 
 def map_spine(t: ProtocolType, leaf: Callable) -> ProtocolType:
     """t with each spine item x replaced by leaf(x), called left to right;
-    the Seq nodes keep their shape."""
+    the Seq nodes keep their shape. A Seq whose two halves map to
+    themselves is kept as it is, so when every leaf returns its own item
+    the result is t and no node is looked up."""
     if type(t) is not Seq:
         return leaf(t)
     done: list = []
-    # Nodes still to walk, last one first; None joins the two results on
-    # top of `done` into one sequence node.
+    # Nodes still to walk, last one first; a 1-tuple (seq,) joins the two
+    # results on top of `done` into one sequence node in place of seq.
     todo: list = [t]
     while todo:
         node = todo.pop()
-        if node is None:
+        if type(node) is tuple:
+            seq = node[0]
             second = done.pop()
-            done[-1] = Seq(done[-1], second)
+            first = done[-1]
+            done[-1] = seq if first is seq.first and second is seq.second else Seq(first, second)
         elif type(node) is Seq:
-            todo += (None, node.second, node.first)
+            todo += ((node,), node.second, node.first)
         else:
             done.append(leaf(node))
     return done[0]
@@ -720,7 +724,11 @@ def subst_datatype(d: Datatype, sub: Sub) -> Datatype:
     return d
 
 
-def subst_type(t: ProtocolType, sub: Sub) -> ProtocolType:
+def subst_type(t: ProtocolType, sub: Sub, depth: int = 0) -> ProtocolType:
+    """t with sub applied to its free index variables. t sits depth blocks
+    deep; loop bodies and allreduce continuations nested deeper than
+    MAX_BLOCK_DEPTH raise NestingTooDeep."""
+
     def leaf(node: ProtocolType) -> ProtocolType:
         match node:
             case Skip():
@@ -728,10 +736,11 @@ def subst_type(t: ProtocolType, sub: Sub) -> ProtocolType:
             case Message(src, dst, payload):
                 return Message(subst_index(src, sub), subst_index(dst, sub), subst_datatype(payload, sub))
             case Allreduce(op, binder, payload, cont):
-                cont = subst_type(cont, drop_binder(sub, binder))
+                if type(cont) is not Skip:  # a bare allreduce opens no block
+                    cont = subst_type(cont, drop_binder(sub, binder), deeper(depth))
                 return Allreduce(op, binder, subst_datatype(payload, sub), cont)
             case Foreach(binder, lo, hi, body):
-                body = subst_type(body, drop_binder(sub, binder))
+                body = subst_type(body, drop_binder(sub, binder), deeper(depth))
                 return Foreach(binder, subst_index(lo, sub), subst_index(hi, sub), body)
         raise TypeError(f"not a protocol type: {node!r}")
 

@@ -84,11 +84,13 @@ class NonConstantBounds(ProtomergeError):
 
 
 def unfold_foreach(ctx: TypingContext, t: ProtocolType) -> ProtocolType:
-    """Replace a constant-bound foreach by its instantiated body sequence."""
+    """Replace a constant-bound foreach by its instantiated body sequence.
+    The body sits one block deep: a nest deeper than MAX_BLOCK_DEPTH raises
+    NestingTooDeep."""
     if not isinstance(t, Foreach):
         raise ValueError(f"unfold_foreach expects a foreach type, got {type(t).__name__}")
     lo, hi = _constant_bounds(ctx, t)
-    instances = [subst_type(t.body, {t.binder: IntLit(v)}) for v in range(lo, hi + 1)]
+    instances = [subst_type(t.body, {t.binder: IntLit(v)}, 1) for v in range(lo, hi + 1)]
     return normalize_seq(build_seq(instances))
 
 

@@ -216,14 +216,18 @@ def linearize(ctx: TypingContext, t: ProtocolType, self_rank: int) -> list[Actio
     def walk(items: list[ProtocolType], env: dict[str, int], live: dict[str, int], depth: int) -> None:
         nonlocal unfolded
         for node in items:
+            # Most items are messages, and a class pattern that misses a
+            # node class is slow (ast._NodeType): test for them first.
+            if type(node) is Message:
+                s = _eval_endpoint(env, node.src)
+                d = _eval_endpoint(env, node.dst)
+                payload = node.payload
+                if s == self_rank:
+                    actions.append(SendTo(d, _instance(payload, live, free) if live else payload))
+                elif d == self_rank:
+                    actions.append(RecvFrom(s, _instance(payload, live, free) if live else payload))
+                continue
             match node:
-                case Message(src, dst, payload):
-                    s = _eval_endpoint(env, src)
-                    d = _eval_endpoint(env, dst)
-                    if s == self_rank:
-                        actions.append(SendTo(d, _instance(payload, live, free) if live else payload))
-                    elif d == self_rank:
-                        actions.append(RecvFrom(s, _instance(payload, live, free) if live else payload))
                 case Allreduce(op, binder, payload, cont):
                     actions.append(Collective(op, _instance(payload, live, free) if live else payload))
                     if type(cont) is Skip:
@@ -287,6 +291,8 @@ def cap_loops(ctx: TypingContext, t: ProtocolType, bound: int) -> ProtocolType:
     env = singleton_env(ctx)
 
     def cap(node: ProtocolType, depth: int = 0) -> ProtocolType:
+        if type(node) is Message or type(node) is Skip:
+            return node
         match node:
             case Allreduce(op, binder, payload, cont) if type(cont) is not Skip:
                 return Allreduce(op, binder, payload, map_spine(cont, partial(cap, depth=deeper(depth))))
@@ -335,17 +341,17 @@ def simulate(
     operator disagreement; such a block never clears. Otherwise returns
     Deadlocked with every rank's pending action. Costs O(total actions)
     plus the payload comparisons: dtype_equiv runs once per distinct pair
-    of payloads.
+    of payloads. Equal message events in the trace are one shared object.
     """
     if len(actions) != n:
         raise ValueError(f"expected {n} action lists, got {len(actions)}")
     if ctx is None:
         ctx = initial_context(n)
-    lists = [list(rank_actions) for rank_actions in actions]
+    # Each list ends in a None sentinel, so a rank's head is lists[r][pos[r]].
+    lists = [[*rank_actions, None] for rank_actions in actions]
     pos = [0] * n
     trace: list[SimEvent] = []
-
-    # Payloads are interned, so this memo hashes and compares them by
+    # Payloads are interned, so these keys hash and compare them by
     # identity, and dtype_equiv runs once per pair of distinct values.
     equiv_cache: dict[tuple[Datatype, Datatype], bool] = {}
 
@@ -355,57 +361,61 @@ def simulate(
             eq = equiv_cache[d1, d2] = dtype_equiv(ctx, d1, d2)
         return eq
 
-    def head(rank: int) -> Action | None:
-        return lists[rank][pos[rank]] if pos[rank] < len(lists[rank]) else None
-
-    def partner(i: int) -> int | None:
-        """The rank j that rank i's head sends to, if j's head receives from
-        i. A self-message has none: one head cannot both send and receive."""
-        a = head(i)
-        if isinstance(a, SendTo) and 0 <= a.peer < n:
-            b = head(a.peer)
-            if isinstance(b, RecvFrom) and b.peer == i:
-                return a.peer
-        return None
-
+    # Under (src, dst, payload), the one event built per distinct message;
+    # under (src, dst, payload, received payload), the same event for each
+    # pair that has fired, whose payloads need no comparison again.
+    events: dict[tuple, MessageEvent] = {}
     # Senders of facing pairs, possibly queued twice or gone stale; each is
     # checked again when popped. Every facing pair has an entry.
     ready: list[int] = []
     at_collective = 0
+    arrived: Sequence[int] = range(n)  # the ranks whose head just changed
 
-    def arrive(rank: int) -> None:
-        """Queue what rank's new head action can take part in."""
-        nonlocal at_collective
-        match head(rank):
-            case Collective():
+    while arrived:
+        # Queue what each arrived rank's new head action can take part in.
+        for rank in arrived:
+            a = lists[rank][pos[rank]]
+            kind = type(a)
+            if kind is Collective:
                 at_collective += 1
-            case SendTo() if partner(rank) is not None:
-                ready.append(rank)
-            case RecvFrom(peer) if 0 <= peer < n and partner(peer) == rank:
-                ready.append(peer)
-
-    for rank in range(n):
-        arrive(rank)
-
-    while True:
-        if ready:
+            elif kind is SendTo:
+                peer = a.peer
+                if 0 <= peer < n:
+                    b = lists[peer][pos[peer]]
+                    if type(b) is RecvFrom and b.peer == rank:
+                        ready.append(rank)
+            elif kind is RecvFrom:
+                peer = a.peer
+                if 0 <= peer < n:
+                    b = lists[peer][pos[peer]]
+                    if type(b) is SendTo and b.peer == rank:
+                        ready.append(peer)
+        arrived = ()
+        while ready:
             i = ready.pop()
-            j = partner(i)
-            if j is None:
+            a = lists[i][pos[i]]
+            if type(a) is not SendTo or not 0 <= (j := a.peer) < n:
                 continue
-            a, b = head(i), head(j)
-            if not payload_eq(a.payload, b.payload):
-                return Mismatch(
-                    f"rank {i} sends {print_datatype(a.payload)} but rank {j} "
-                    f"expects {print_datatype(b.payload)}"
-                )
+            b = lists[j][pos[j]]
+            if type(b) is not RecvFrom or b.peer != i:
+                continue  # stale, or a self-message: one head cannot both send and receive
+            payload = a.payload
+            key = (i, j, payload, b.payload)
+            event = events.get(key)
+            if event is None:
+                if not payload_eq(payload, b.payload):
+                    return Mismatch(
+                        f"rank {i} sends {print_datatype(payload)} but rank {j} "
+                        f"expects {print_datatype(b.payload)}"
+                    )
+                event = events[key] = events.setdefault((i, j, payload), MessageEvent(i, j, payload))
             pos[i] += 1
             pos[j] += 1
-            trace.append(MessageEvent(i, j, a.payload))
-            arrive(i)
-            arrive(j)
-        elif at_collective == n:
-            heads = [head(r) for r in range(n)]
+            trace.append(event)
+            arrived = (i, j)
+            break
+        if not arrived and at_collective == n:
+            heads = [lists[r][pos[r]] for r in range(n)]
             ops = {h.op for h in heads}
             if len(ops) > 1:
                 names = ", ".join(sorted(op.value for op in ops))
@@ -417,14 +427,10 @@ def simulate(
                 )
                 return Mismatch(f"collective payloads disagree: {shapes}")
             at_collective = 0
-            for r in range(n):
-                pos[r] += 1
+            pos = [p + 1 for p in pos]
             trace.append(CollectiveEvent(base.op, base.payload))
-            for r in range(n):
-                arrive(r)
-        else:
-            break
+            arrived = range(n)
 
-    if all(pos[r] == len(lists[r]) for r in range(n)):
+    if all(rank_actions[p] is None for rank_actions, p in zip(lists, pos)):
         return Completed(tuple(trace))
-    return Deadlocked("; ".join(_describe_action(r, head(r)) for r in range(n)))
+    return Deadlocked("; ".join(_describe_action(r, lists[r][pos[r]]) for r in range(n)))

@@ -11,6 +11,11 @@ simulator is checked against. It visits every reachable state of the
 per-rank action lists, prefers completion over mismatch over deadlock, and
 returns a BFS-shortest witness trace. Its cost grows exponentially with the
 number of independent ranks, so it carries its own state budget.
+
+`previous_simulate` is the one-run simulator as it was written with a
+helper call per head lookup, pairing test and arrival, before
+`protomerge.oracle.simulate` became one flat loop. The flat loop must give
+the same result, event for event.
 """
 
 from __future__ import annotations
@@ -245,3 +250,115 @@ def simulate(
         stuck = start
     pending = "; ".join(_describe_action(r, head(stuck, r)) for r in range(n))
     return Deadlocked(pending)
+
+
+# ---------------------------------------------------------------------------
+# The one-run simulator with a helper call per event
+
+
+def previous_simulate(
+    actions: Sequence[Sequence[Action]],
+    n: int,
+    ctx: TypingContext | None = None,
+) -> SimResult:
+    """Run the per-rank action lists to their one terminal state.
+
+    Returns Completed with the run's trace, one valid order of events, if
+    every rank finishes. Otherwise returns Mismatch for the first send and
+    receive pair or collective the run meets that is blocked by payload or
+    operator disagreement; such a block never clears. Otherwise returns
+    Deadlocked with every rank's pending action. Costs O(total actions)
+    plus the payload comparisons: dtype_equiv runs once per distinct pair
+    of payloads.
+    """
+    if len(actions) != n:
+        raise ValueError(f"expected {n} action lists, got {len(actions)}")
+    if ctx is None:
+        ctx = initial_context(n)
+    lists = [list(rank_actions) for rank_actions in actions]
+    pos = [0] * n
+    trace: list[SimEvent] = []
+
+    # Payloads are interned, so this memo hashes and compares them by
+    # identity, and dtype_equiv runs once per pair of distinct values.
+    equiv_cache: dict[tuple[Datatype, Datatype], bool] = {}
+
+    def payload_eq(d1: Datatype, d2: Datatype) -> bool:
+        eq = equiv_cache.get((d1, d2))
+        if eq is None:
+            eq = equiv_cache[d1, d2] = dtype_equiv(ctx, d1, d2)
+        return eq
+
+    def head(rank: int) -> Action | None:
+        return lists[rank][pos[rank]] if pos[rank] < len(lists[rank]) else None
+
+    def partner(i: int) -> int | None:
+        """The rank j that rank i's head sends to, if j's head receives from
+        i. A self-message has none: one head cannot both send and receive."""
+        a = head(i)
+        if isinstance(a, SendTo) and 0 <= a.peer < n:
+            b = head(a.peer)
+            if isinstance(b, RecvFrom) and b.peer == i:
+                return a.peer
+        return None
+
+    # Senders of facing pairs, possibly queued twice or gone stale; each is
+    # checked again when popped. Every facing pair has an entry.
+    ready: list[int] = []
+    at_collective = 0
+
+    def arrive(rank: int) -> None:
+        """Queue what rank's new head action can take part in."""
+        nonlocal at_collective
+        match head(rank):
+            case Collective():
+                at_collective += 1
+            case SendTo() if partner(rank) is not None:
+                ready.append(rank)
+            case RecvFrom(peer) if 0 <= peer < n and partner(peer) == rank:
+                ready.append(peer)
+
+    for rank in range(n):
+        arrive(rank)
+
+    while True:
+        if ready:
+            i = ready.pop()
+            j = partner(i)
+            if j is None:
+                continue
+            a, b = head(i), head(j)
+            if not payload_eq(a.payload, b.payload):
+                return Mismatch(
+                    f"rank {i} sends {print_datatype(a.payload)} but rank {j} "
+                    f"expects {print_datatype(b.payload)}"
+                )
+            pos[i] += 1
+            pos[j] += 1
+            trace.append(MessageEvent(i, j, a.payload))
+            arrive(i)
+            arrive(j)
+        elif at_collective == n:
+            heads = [head(r) for r in range(n)]
+            ops = {h.op for h in heads}
+            if len(ops) > 1:
+                names = ", ".join(sorted(op.value for op in ops))
+                return Mismatch(f"collective operators disagree: {names}")
+            base = heads[0]
+            if not all(payload_eq(h.payload, base.payload) for h in heads[1:]):
+                shapes = ", ".join(
+                    f"rank {r}: {print_datatype(h.payload)}" for r, h in enumerate(heads)
+                )
+                return Mismatch(f"collective payloads disagree: {shapes}")
+            at_collective = 0
+            for r in range(n):
+                pos[r] += 1
+            trace.append(CollectiveEvent(base.op, base.payload))
+            for r in range(n):
+                arrive(r)
+        else:
+            break
+
+    if all(pos[r] == len(lists[r]) for r in range(n)):
+        return Completed(tuple(trace))
+    return Deadlocked("; ".join(_describe_action(r, head(r)) for r in range(n)))

@@ -343,6 +343,21 @@ class TestSequenceSpine:
         assert map_spine(t, lambda x: seen.append(x) or x) == t
         assert seen == spine(t)
 
+    def test_map_spine_builds_nothing_when_nothing_changes(self, monkeypatch):
+        t = Seq(self.A, Seq(Seq(self.B, self.C), Skip()))
+        built = []
+        real = protomerge.ast._Node.__new__
+
+        def counting(cls, *args):
+            built.append(cls)
+            return real(cls, *args)
+
+        monkeypatch.setattr(protomerge.ast._Node, "__new__", counting)
+        assert map_spine(t, lambda x: x) is t
+        # Only the Seq nodes above a changed leaf are looked up again.
+        out = map_spine(t, lambda x: self.A if x is self.C else x)
+        assert built == [Seq] * 3 and out is Seq(self.A, Seq(Seq(self.B, self.A), Skip()))
+
     def test_concat_of_normal_forms(self):
         assert concat(Seq(self.A, self.B), self.C) == Seq(self.A, Seq(self.B, self.C))
         assert concat(Skip(), self.A) == self.A

@@ -43,7 +43,7 @@ from protomerge import (
     normalize_seq,
     unfold_foreach,
 )
-from protomerge.ast import FRESH_BINDER, MAX_BLOCK_DEPTH
+from protomerge.ast import FRESH_BINDER, MAX_BLOCK_DEPTH, subst_type
 from protomerge.logic import DEFAULT_ENUM_CAP
 from protomerge.syntax import parse_process
 
@@ -110,8 +110,8 @@ class TestNormalizeSeq:
 class TestNestingLimit:
     """Types built through the API nest loop bodies and allreduce
     continuations at most MAX_BLOCK_DEPTH deep, as parsed text does; past
-    that normal form and the merge entry points raise NestingTooDeep, not
-    RecursionError."""
+    that normal form, substitution, loop unfolding and the merge entry
+    points raise NestingTooDeep, not RecursionError."""
 
     @staticmethod
     def nest(levels, inner=msg(0, 1)):
@@ -130,6 +130,7 @@ class TestNestingLimit:
         for t in (loops, self.nest(levels)):
             for call in (
                 lambda: normalize_seq(t),
+                lambda: subst_type(t, {"size": IntLit(2)}),
                 lambda: merge_all(2, [(0, t), (1, t)]),
                 lambda: merge_types(ctx, t, t, 1),
                 lambda: merge_types(ctx, Skip(), t, 1),
@@ -137,11 +138,23 @@ class TestNestingLimit:
             ):
                 with pytest.raises(NestingTooDeep, match=f"deeper than {MAX_BLOCK_DEPTH} levels"):
                     call()
+        with pytest.raises(NestingTooDeep, match=f"deeper than {MAX_BLOCK_DEPTH} levels"):
+            unfold_foreach(ctx, loops)
 
     def test_at_the_limit(self):
         for t in (self.nest(MAX_BLOCK_DEPTH), self.nest(MAX_BLOCK_DEPTH, allred())):
             assert normalize_seq(t) is t
             assert merge_all(2, [(0, t), (1, t)])[0] is t
+        # A message at the limit still has its free names substituted.
+        sized = Message(IntLit(0), BinOp("-", Var("size"), IntLit(1)), D)
+        one = Message(IntLit(0), BinOp("-", IntLit(2), IntLit(1)), D)
+        assert subst_type(self.nest(MAX_BLOCK_DEPTH, sized), {"size": IntLit(2)}) == self.nest(MAX_BLOCK_DEPTH, one)
+        inner = Message(IntLit(0), Var("j"), D)
+        want = msg(0, 1)
+        for _ in range(MAX_BLOCK_DEPTH - 1):
+            inner = Foreach("i", IntLit(1), IntLit(1), inner)
+            want = Foreach("i", IntLit(1), IntLit(1), want)
+        assert unfold_foreach(TypingContext(()), Foreach("j", IntLit(1), IntLit(1), inner)) == want
 
 
 class TestUnfoldForeach:

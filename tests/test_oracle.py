@@ -288,6 +288,17 @@ class TestSimulate:
             MessageEvent(2, 0, D),
         )
 
+    def test_equal_message_events_are_one_object(self):
+        four = Array(Float(), IntLit(4))
+        also_four = Array(Float(), BinOp("+", IntLit(2), IntLit(2)))
+        lists = [
+            [SendTo(1, four), RecvFrom(1, D), SendTo(1, four)],
+            [RecvFrom(0, four), SendTo(0, D), RecvFrom(0, also_four)],
+        ]
+        result = simulate(lists, 2)
+        assert result == Completed((MessageEvent(0, 1, four), MessageEvent(1, 0, D), MessageEvent(0, 1, four)))
+        assert result.trace[0] is result.trace[2]
+
     def test_symmetric_sends_deadlock(self):
         lists = [
             [SendTo(1, D), RecvFrom(1, D)],
@@ -501,6 +512,8 @@ class TestAgainstReference:
 
     def check(self, lists, n, kinds):
         got = simulate(lists, n)
+        # The same run as the simulator with a helper call per event.
+        assert got == reference_oracle.previous_simulate(lists, n), lists
         want = reference_oracle.simulate(lists, n)
         assert type(got) is type(want), (lists, got, want)
         kinds[type(got).__name__] += 1
@@ -707,7 +720,19 @@ class TestLinearizeAgainstSubstitution:
             assert got == _outcome(reference_oracle.reference_linearize, ctx, t, rank)
 
 
-NBODY = Path(protomerge.__file__).parent / "programs" / "nbody.proc"
+PROGRAMS = Path(protomerge.__file__).parent / "programs"
+NBODY = PROGRAMS / "nbody.proc"
+
+
+@pytest.mark.parametrize("program", ["nbody.proc", "one_to_all.proc", "symmetric_ring.proc"])
+def test_simulate_repeats_the_previous_run_on_bundled_programs(program):
+    process = parse_process((PROGRAMS / program).read_text(encoding="utf-8"))
+    for n in range(2, 25):
+        ctx = initial_context(n)
+        locals_ = [cap_loops(ctx, extract_local_type(ctx, process, r, n), n) for r in range(n)]
+        lists = [linearize(ctx, t, r) for r, t in enumerate(locals_)]
+        assert simulate(lists, n, ctx=ctx) == reference_oracle.previous_simulate(lists, n, ctx=ctx), n
+
 
 
 def test_simulate_compares_each_pair_of_payload_values_once(monkeypatch):
