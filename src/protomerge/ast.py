@@ -2,9 +2,10 @@
 processes, typing contexts, and the diagnostics they produce.
 
 Everything here is an immutable tree. The nodes of index terms, propositions,
-datatypes, protocol types and processes are hash-consed: building a node looks
-its class and fields up in one table, so structurally equal nodes are one
-object, and == and hash are identity, O(1) at any depth.
+datatypes, protocol types, processes, finite sets and typing contexts are
+hash-consed: building a node looks its class and fields up in one table, so
+structurally equal nodes are one object, and == and hash are identity, O(1)
+at any depth.
 """
 
 from __future__ import annotations
@@ -108,9 +109,9 @@ def deeper(depth: int) -> int:
 # Hash-consing (Filliatre & Conchon, "Type-safe modular hash-consing", 2006)
 
 # Every node built, keyed by (class, *fields). Its fields are strings, ints,
-# enum members and nodes that are already interned, so a key hashes and
-# compares in time independent of the node's depth. It lives as long as the
-# process.
+# enum members, nodes that are already interned and tuples of these (a set's
+# values, a context's entries), so a key hashes and compares in time
+# independent of the node's depth. It lives as long as the process.
 _TABLE: dict[tuple, "_Node"] = {}
 
 
@@ -457,36 +458,35 @@ def _normalize(t: ProtocolType, depth: int) -> ProtocolType:
 # Typing contexts
 
 
-@dataclass(frozen=True, slots=True)
-class FiniteSet:
+class FiniteSet(_Node):
     """A finite set of integers, sorted and distinct: a domain, and the
     context entry for a set of ranks."""
 
     values: tuple[int, ...]
 
+    def __new__(cls, values):
+        # As for IntLit: a bool must not find an int's entry in the table.
+        for v in values:
+            if type(v) is not int:
+                raise TypeError(f"FiniteSet values must be ints, not {type(v).__name__}")
+        return _Node.__new__(cls, values)
+
     def __post_init__(self) -> None:
         if not self.values:
             raise ValueError("FiniteSet must be non-empty")
-        for v in self.values:
-            if type(v) is not int:
-                raise TypeError(f"FiniteSet values must be ints, not {type(v).__name__}")
         if list(self.values) != sorted(set(self.values)):
             raise ValueError("FiniteSet values must be sorted and distinct")
 
 
-@dataclass(frozen=True, slots=True)
-class TypingContext:
+class TypingContext(_Node):
     """Ordered association of names to datatypes, or to finite sets of ints.
 
     Later entries may reference earlier names in their refinements, so order
-    is significant and preserved.
+    is significant and preserved. Contexts are interned like every node, so
+    equal contexts are one object, and protomerge.logic resolves each once.
     """
 
-    entries: tuple[tuple[str, Datatype | FiniteSet], ...] = ()
-    # The entries' domains, hulls and dependencies, resolved once by
-    # protomerge.logic on its first query. A context never changes, so the
-    # resolution never goes stale; it takes no part in ==, hash or repr.
-    _resolution: object = field(default=None, init=False, repr=False, compare=False)
+    entries: tuple[tuple[str, Datatype | FiniteSet], ...]
 
     def __post_init__(self) -> None:
         names = [n for n, _ in self.entries]

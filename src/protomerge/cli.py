@@ -201,6 +201,12 @@ def _event_doc(event) -> dict:
             return {"event": "collective", "op": op.value, "payload": print_datatype(payload)}
 
 
+def _event_line(doc: dict) -> str:
+    if doc["event"] == "message":
+        return f"  message {doc['src']} -> {doc['dst']}: {doc['payload']}"
+    return f"  allreduce {doc['op']}: {doc['payload']}"
+
+
 def _emit_result(
     args, result: ProtocolType, traces: list[MergeTrace]
 ) -> int:
@@ -284,21 +290,14 @@ def _cmd_simulate(args) -> int:
 def _report_simulation(args, result: SimResult) -> int:
     match result:
         case Completed(trace):
+            # A trace repeats few distinct events: each is rendered once.
+            docs = {e: _event_doc(e) for e in dict.fromkeys(trace)}
             if args.json:
-                doc = {
-                    "status": "ok",
-                    "result": "Completed",
-                    "trace": [_event_doc(e) for e in trace],
-                }
+                doc = {"status": "ok", "result": "Completed", "trace": [docs[e] for e in trace]}
                 print(json.dumps(doc, indent=2))
             else:
-                print("Completed")
-                for event in trace:
-                    match event:
-                        case MessageEvent(src, dst, payload):
-                            print(f"  message {src} -> {dst}: {print_datatype(payload)}")
-                        case CollectiveEvent(op, payload):
-                            print(f"  allreduce {op.value}: {print_datatype(payload)}")
+                lines = {e: _event_line(d) for e, d in docs.items()}
+                print("\n".join(["Completed"] + [lines[e] for e in trace]))
             return EXIT_OK
         case Deadlocked(stuck):
             if args.json:

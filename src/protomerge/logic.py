@@ -396,9 +396,15 @@ def _domain(shape: _EqShape | _BoundShape, points: tuple | None) -> Domain:
     return Interval(lo, hi)
 
 
+# Each context's resolution, made on its first query. Contexts are interned
+# and never change, so it lives, as the node table does, for the process.
+_RESOLUTIONS: dict[TypingContext, _Resolution] = {}
+
+
 def _resolution_of(ctx: TypingContext) -> _Resolution:
-    if ctx._resolution is not None:
-        return ctx._resolution
+    resolution = _RESOLUTIONS.get(ctx)
+    if resolution is not None:
+        return resolution
     resolved: dict[str, _Entry] = {}
     hulls: dict[str, Hull] = {}
     env: dict[str, int] = {}
@@ -430,8 +436,7 @@ def _resolution_of(ctx: TypingContext) -> _Resolution:
                 env[name] = domain.lo
         # Other entries get no hull; lookups default to unbounded.
         resolved[name] = _Entry(binder, shape, points, domain, deps)
-    resolution = _Resolution(resolved, hulls, env)
-    object.__setattr__(ctx, "_resolution", resolution)
+    resolution = _RESOLUTIONS[ctx] = _Resolution(resolved, hulls, env)
     return resolution
 
 

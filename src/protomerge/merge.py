@@ -340,7 +340,7 @@ def _allred_allred(engine, ctx, left, right):
     ]
     binder, rbinder = left.binder, right.binder
     rcont = right.cont if rbinder == binder else subst_type(right.cont, {rbinder: Var(binder)})
-    cont = (engine.extend(ctx, binder, left.payload), left.cont, rcont)
+    cont = (ctx.extend(binder, left.payload), left.cont, rcont)
     subgoal = cont + ("allreduce.cont", "continuations do not merge")
     return premises, (subgoal,), lambda c: Allreduce(left.op, binder, left.payload, c)
 
@@ -354,7 +354,7 @@ def _foreach_foreach(engine, ctx, left, right):
     entry = Refined(
         y, Integer(), And(Cmp("<=", left.lo, Var(y)), Cmp("<=", Var(y), left.hi))
     )
-    body = (engine.extend(ctx, binder, entry), left.body, rbody)
+    body = (ctx.extend(binder, entry), left.body, rbody)
     subgoal = body + (f"foreach[{binder}].body", "loop bodies do not merge")
     return premises, (subgoal,), lambda b: Foreach(binder, left.lo, left.hi, b)
 
@@ -445,32 +445,28 @@ def _offered(left: ProtocolType, right: ProtocolType):
     return _INDEX.get((_shape(left), _shape(right)), ())
 
 
-def _cached(table: dict, key, compute, *args):
-    """table[key], entered as compute(*args) the first time it is asked for."""
+def _cached(table: dict, key, compute):
+    """table[key], entered as compute() the first time it is asked for."""
     value = table.get(key)
     if value is None:
-        value = table[key] = compute(*args)
+        value = table[key] = compute()
     return value
 
 
 class _Engine:
+    """An engine for merging rank k into the ranks each context's `rank`
+    entry stands for. Contexts, types and index terms are interned, so its
+    tables key them by identity: a context built twice is one key."""
+
     def __init__(self, k: int, enum_cap: int):
-        """An engine for merging rank k into the ranks each context's `rank`
-        entry stands for."""
         self.k = IntLit(k)
         self.enum_cap = enum_cap
-        # The tables below key a context by its id. Every context the
-        # engine sees outlives it (the caller's, and those it interns in
-        # `extensions`), so an id names one of them for the engine's life.
-        # Types and index terms are interned, so they key by identity.
-        # (id(context), left, right) -> _Applied, or the refused attempts
+        # (context, left, right) -> _Applied, or the refused attempts
         # (() while the subproblem is open)
         self.memo: dict = {}
-        # (id(context), premise name, operands...) -> (ok, PremiseCheck,
-        # kind): every premise, decided once.
+        # (context, premise name, operands...) -> (ok, PremiseCheck, kind):
+        # every premise, decided once.
         self.premises: dict = {}
-        # (id(context), name, datatype) -> the extended context
-        self.extensions: dict = {}
         self.undecidable = False
         self.deepest_depth = -1
         self.deepest_path: tuple[str, ...] = ()
@@ -485,7 +481,7 @@ class _Engine:
         right: ProtocolType,
         path: tuple[str, ...],
     ) -> _Applied | None:
-        key = (id(ctx), left, right)
+        key = (ctx, left, right)
         outcome = self.memo.get(key)
         if outcome is None:
             # Guard against re-entering the same subproblem while it is open.
@@ -553,11 +549,7 @@ class _Engine:
             )
         return Diagnostic(kind, location, trace)
 
-    # -- premises and contexts, for the rules
-
-    def extend(self, ctx: TypingContext, name: str, dtype: Datatype) -> TypingContext:
-        """ctx.extend, giving back the same object for the same extension."""
-        return _cached(self.extensions, (id(ctx), name, dtype), ctx.extend, name, dtype)
+    # -- premises, for the rules
 
     def decide(self, ctx: TypingContext, p: _Both) -> Verdict:
         """The verdict of premise p (an equality or a disequality) under
@@ -581,12 +573,12 @@ class _Engine:
         """The named message premises on left message lm and right message
         rm. One verdict of "the message avoids that side" enters all three
         premises judged against a side, once per context and endpoints."""
-        table, cid = self.premises, id(ctx)
+        table = self.premises
         premises = []
         for name in names:
             operand, side, _ = _AVOIDS[name]
             m = lm if operand == "left" else rm
-            key = (cid, name, m.src, m.dst)
+            key = (ctx, name, m.src, m.dst)
             if key not in table:
                 term = _RANK if side == "merged" else self.k
                 p = _Both("!=", m.src, term, m.dst, term)
@@ -594,7 +586,7 @@ class _Engine:
                 value = verdict.value
                 for other in _SIDE_PREMISES[side]:
                     check = PremiseCheck(other, p, value)
-                    table[(cid, other, m.src, m.dst)] = (
+                    table[(ctx, other, m.src, m.dst)] = (
                         verdict is _AVOIDS[other][2], check, DiagnosticKind.DEADLOCK_SUSPECTED
                     )
             premises.append(table[key])
@@ -607,7 +599,7 @@ class _Engine:
             verdict = self.decide(ctx, p)
             return verdict is Verdict.VALID, PremiseCheck(name, p, verdict.value), kind
 
-        return _cached(self.premises, (id(ctx), name, p), judge)
+        return _cached(self.premises, (ctx, name, p), judge)
 
     def payload_equiv(self, ctx: TypingContext, d1: Datatype, d2: Datatype):
         """The premise that d1 and d2 are equivalent under ctx, decided once."""
@@ -622,7 +614,7 @@ class _Engine:
             check = PremiseCheck("payload-equivalent", (d1, d2), verdict)
             return ok, check, DiagnosticKind.DATATYPE_MISMATCH
 
-        return _cached(self.premises, (id(ctx), "payload-equivalent", d1, d2), judge)
+        return _cached(self.premises, (ctx, "payload-equivalent", d1, d2), judge)
 
 
 def _validate_merge_inputs(ctx: TypingContext, k: int) -> None:

@@ -18,6 +18,7 @@ from protomerge import (
     Diagnostic,
     DiagnosticKind,
     DivisionByZero,
+    FiniteSet,
     Float,
     Foreach,
     IntLit,
@@ -43,6 +44,7 @@ from protomerge import (
     is_closed,
     linearize,
     merge_all,
+    merged_context,
     parse_process,
     parse_protocol,
     print_index,
@@ -104,6 +106,22 @@ class TestInterning:
         assert type(IntLit(1).value) is int
         assert print_index(IntLit(1)) == "1"
         assert compact_protocol(parse_protocol("message 0 1 float")) == "message 0 1 float"
+
+    @pytest.mark.parametrize("int_first", [True, False])
+    def test_bool_is_not_a_set_value(self, int_first):
+        if int_first:
+            assert FiniteSet((1,)).values == (1,)
+        with pytest.raises(TypeError):
+            FiniteSet((True,))
+        with pytest.raises(TypeError):
+            FiniteSet((0, False))
+        assert type(FiniteSet((1,)).values[0]) is int
+
+    def test_bad_set_raises_on_every_build(self):
+        for _ in range(2):
+            for values in ((), (2, 1), (1, 1)):
+                with pytest.raises(ValueError):
+                    FiniteSet(values)
 
     def test_construction_is_positional_with_every_field(self):
         with pytest.raises(TypeError):
@@ -209,6 +227,12 @@ NODES = [
         "If(test=TrueProp(), then=PSkip(), orelse=PSkip())",
     ),
     (PSeq(PSkip(), PSkip()), ("first", "second"), "PSeq(first=PSkip(), second=PSkip())"),
+    (FiniteSet((0, 2)), ("values",), "FiniteSet(values=(0, 2))"),
+    (
+        TypingContext((("n", Integer()),)),
+        ("entries",),
+        "TypingContext(entries=(('n', Integer()),))",
+    ),
 ]
 
 
@@ -219,6 +243,9 @@ class TestNodeProtocol:
     @pytest.mark.parametrize("node, fields, text", NODES, ids=[type(n).__name__ for n, _, _ in NODES])
     def test_slots_match_args_immutability_and_repr(self, node, fields, text):
         assert not hasattr(node, "__dict__")
+        assert copy.copy(node) is node
+        assert copy.deepcopy(node) is node
+        assert pickle.loads(pickle.dumps(node)) is node
         assert type(node).__match_args__ == fields
         assert repr(node) == text
         with pytest.raises(FrozenInstanceError, match="cannot assign to field 'extra'"):
@@ -371,6 +398,14 @@ class TestTypingContext:
         assert ctx.lookup("size") == Integer()
         assert ctx.lookup("missing") is None
         assert ctx.names() == ("size", "rank")
+
+    def test_equal_contexts_are_one_object(self):
+        assert merged_context(5, [3, 1]) is merged_context(5, (1, 3, 1))
+        ctx = initial_context(4)
+        loop = Refined("y", Integer(), Cmp("<=", Var("y"), IntLit(3)))
+        assert ctx.extend("i", loop) is ctx.extend("i", loop)
+        assert ctx.extend("i", loop).extend("i", Integer()) is ctx.extend("i", Integer())
+        assert ctx.extend("i", loop) is not ctx.extend("j", loop)
 
     def test_extend_shadows_by_dropping_and_appending(self):
         ctx = TypingContext(()).extend("x", Integer()).extend("y", Float()).extend("x", Float())

@@ -10,7 +10,14 @@ import pytest
 
 import protomerge
 import protomerge.cli as cli_module
-from protomerge import extract_local_type, initial_context, linearize, parse_process
+from protomerge import (
+    cap_loops,
+    extract_local_type,
+    initial_context,
+    linearize,
+    parse_process,
+    simulate,
+)
 from protomerge.cli import main
 from protomerge.syntax import (
     MAX_BLOCK_DEPTH,
@@ -344,6 +351,30 @@ class TestSimulate:
             "result": "Completed",
             "trace": [{"event": "message", "src": 0, "dst": 1, "payload": "float"}],
         }
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_each_distinct_event_is_rendered_once(self, capsys, write, monkeypatch, as_json):
+        n, program = 4, parse_process((PROGRAMS / "nbody.proc").read_text())
+        ctx = initial_context(n)
+        types = [extract_local_type(ctx, program, r, n) for r in range(n)]
+        files = [write(f"r{r}.ptype", print_protocol(t)) for r, t in enumerate(types)]
+        actions = [linearize(ctx, cap_loops(ctx, t, n), r) for r, t in enumerate(types)]
+        result = simulate(actions, n, ctx)
+        distinct = set(result.trace)
+        assert len(result.trace) > 2 * len(distinct)
+        render, rendered = cli_module.print_datatype, []
+
+        def counting(d):
+            rendered.append(d)
+            return render(d)
+
+        monkeypatch.setattr(cli_module, "print_datatype", counting)
+        code, out, _ = run(capsys, "simulate", *files, "--size", str(n), "--unroll", str(n),
+                           *(["--json"] if as_json else []))
+        assert code == 0
+        assert len(rendered) == len(distinct)
+        lines = json.loads(out)["trace"] if as_json else out.splitlines()[1:]
+        assert len(lines) == len(result.trace)
 
     def test_loops_are_capped_by_unroll(self, capsys, write):
         a = write("a.ptype", "foreach i: 1..5000000 { message 0 1 float }")

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import protomerge
+import protomerge.logic as logic_module
 import protomerge.merge as merge_module
 from protomerge import (
     Allreduce,
@@ -692,15 +693,15 @@ class TestPremisesAndRendering:
 
         def counting_decide(engine, ctx, p, *rest):
             # decide holds the premise as parts; entails sees the proposition.
-            decided.append((id(ctx), p.proposition()))
+            decided.append((ctx, p.proposition()))
             return decide(engine, ctx, p, *rest)
 
         def counting_entails(ctx, p, *rest):
-            reached.append((id(ctx), p))
+            reached.append((ctx, p))
             return entails(ctx, p, *rest)
 
         def counting_dtype_equiv(ctx, d1, d2, *rest):
-            compared.append((id(ctx), (d1, d2)))
+            compared.append((ctx, (d1, d2)))
             return dtype_equiv(ctx, d1, d2, *rest)
 
         monkeypatch.setattr(merge_module._Engine, "__init__", recording_init)
@@ -723,6 +724,27 @@ class TestPremisesAndRendering:
             for seen in (entered, decided, reached, compared):
                 seen.clear()
         assert steps > 0
+
+    def test_each_distinct_context_is_resolved_once(self, monkeypatch):
+        # A fresh table: every context these merges query is resolved here,
+        # none by an earlier test.
+        monkeypatch.setattr(logic_module, "_RESOLUTIONS", {})
+        resolution, built = logic_module._Resolution, []
+
+        def counting(*args):
+            built.append(args)
+            return resolution(*args)
+
+        monkeypatch.setattr(logic_module, "_Resolution", counting)
+        types = list(enumerate(self.nbody_types(4)))
+        merge_all(4, types)
+        resolved = dict(logic_module._RESOLUTIONS)
+        assert len(built) == len(resolved)
+        # Contexts the loop and allreduce rules extend are resolved too.
+        assert any(len(ctx.entries) > 2 for ctx in resolved)
+        merge_all(4, types)
+        assert len(built) == len(resolved)
+        assert logic_module._RESOLUTIONS == resolved
 
     def test_accepting_merge_renders_nothing_until_read(self, monkeypatch):
         def refuse(*args):
@@ -782,12 +804,12 @@ class TestMembershipPremises:
     enumerate, the values decide it, with entails' verdicts."""
 
     @staticmethod
-    def contexts(engine, ctx, n):
+    def contexts(ctx, n):
         """ctx, ctx under a loop binder i in 0..n-1, and ctx under a binder
         that rebinds rank to the whole world."""
         world = And(Cmp("<=", IntLit(0), Var("y")), Cmp("<=", Var("y"), IntLit(n - 1)))
         loop = Refined("y", Integer(), world)
-        return [ctx, engine.extend(ctx, "i", loop), engine.extend(ctx, "rank", loop)]
+        return [ctx, ctx.extend("i", loop), ctx.extend("rank", loop)]
 
     @staticmethod
     def endpoints(rng, n):
@@ -834,7 +856,7 @@ class TestMembershipPremises:
                 k = rng.choice([r for r in range(n) if r not in merged])
                 root = merged_context(n, merged)
                 engine = merge_module._Engine(k, enum_cap)
-                for ctx in self.contexts(engine, root, n):
+                for ctx in self.contexts(root, n):
                     ends = self.endpoints(rng, n)
                     lm = Message(rng.choice(ends), rng.choice(ends), D)
                     rm = Message(rng.choice(ends), rng.choice(ends), D)
@@ -868,7 +890,7 @@ class TestMembershipPremises:
         monkeypatch.setattr(merge_module, "_values", self.refusing(merge_module._values))
         root = merged_context(4, [0, 1])
         engine = merge_module._Engine(2, DEFAULT_ENUM_CAP)
-        rebound = self.contexts(engine, root, 4)[2]
+        rebound = self.contexts(root, 4)[2]
         ok, check, _ = engine.messages(rebound, msg(2, 3), msg(2, 3), ("left-skip-like",))[0]
         assert (ok, check.verdict) == (False, "Invalid")
         self.agree(engine, rebound, msg(0, 1), msg(3, 2), 2, DEFAULT_ENUM_CAP)
