@@ -5,13 +5,14 @@ Everything here is an immutable tree. The nodes of index terms, propositions,
 datatypes, protocol types, processes, finite sets and typing contexts are
 hash-consed: building a node looks its class and fields up in one table, so
 structurally equal nodes are one object, and == and hash are identity, O(1)
-at any depth.
+at any depth. Diagnostics are records: built positionally like nodes, and
+equal when their class and fields are. The other modules' value classes sit
+on the same two bases, `_Node` and `_Record`.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Callable, Mapping, Union
 
 
@@ -106,7 +107,71 @@ def deeper(depth: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Hash-consing (Filliatre & Conchon, "Type-safe modular hash-consing", 2006)
+# Records and hash-consing (Filliatre & Conchon, "Type-safe modular
+# hash-consing", 2006)
+
+
+class _NodeType(type):
+    """The fields of a record class are its annotations, in order: they are
+    its slots and its match args.
+
+    An isinstance test or class pattern that fails against a class whose
+    metaclass is not `type` takes the interpreter's slow path, about three
+    times the cost of a plain class. The walks that run on every node
+    (spine, normalize_seq, subst_datatype, extraction, the oracle's
+    simulate) test `type(x) is C` instead."""
+
+    def __new__(mcs, name, bases, namespace):
+        fields = tuple(namespace.get("__annotations__", ()))
+        namespace["__slots__"] = namespace["__match_args__"] = fields
+        return super().__new__(mcs, name, bases, namespace)
+
+
+class _Record(metaclass=_NodeType):
+    """Base of the immutable value classes. A record is built positionally,
+    one argument per field, and never changes; two records are equal when
+    they are of one class with equal fields, and its repr is the one a
+    dataclass would give it."""
+
+    def __new__(cls, *args):
+        names = cls.__slots__
+        if len(args) != len(names):
+            raise TypeError(f"{cls.__name__} takes {len(names)} positional arguments, got {len(args)}")
+        record = object.__new__(cls)
+        for name, value in zip(names, args):
+            object.__setattr__(record, name, value)
+        if hasattr(record, "__post_init__"):
+            record.__post_init__()
+        return record
+
+    # dataclasses is imported on these error paths only: importing it costs
+    # more than the rest of the package's imports together.
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor (for a node, the table).
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.__reduce__() == other.__reduce__()
+
+    def __hash__(self):
+        return hash(self.__reduce__())
+
 
 # Every node built, keyed by (class, *fields). Its fields are strings, ints,
 # enum members, nodes that are already interned and tuples of these (a set's
@@ -115,55 +180,20 @@ def deeper(depth: int) -> int:
 _TABLE: dict[tuple, "_Node"] = {}
 
 
-class _NodeType(type):
-    """The fields of a node class are its annotations, in order: they are
-    its slots and its match args.
-
-    An isinstance test or class pattern that fails against a class whose
-    metaclass is not `type` takes the interpreter's slow path, about three
-    times the cost of a plain class. The walks that run on every node
-    (spine, normalize_seq, subst_datatype, extraction) test `type(x) is C`
-    instead."""
-
-    def __new__(mcs, name, bases, namespace):
-        fields = tuple(namespace.get("__annotations__", ()))
-        namespace["__slots__"] = namespace["__match_args__"] = fields
-        return super().__new__(mcs, name, bases, namespace)
-
-
-class _Node(metaclass=_NodeType):
-    """Base of the interned node classes. A node is built positionally, one
-    argument per field, and never changes; == and hash are identity, and
-    its repr is the one a dataclass would give it."""
+class _Node(_Record):
+    """Base of the interned node classes: a record whose construction looks
+    its class and fields up in one table, so structurally equal nodes are one
+    object, and == and hash are identity."""
 
     def __new__(cls, *args):
         key = (cls, *args)
         node = _TABLE.get(key)
         if node is None:
-            names = cls.__slots__
-            if len(args) != len(names):
-                raise TypeError(f"{cls.__name__} takes {len(names)} positional arguments, got {len(args)}")
-            node = object.__new__(cls)
-            for name, value in zip(names, args):
-                object.__setattr__(node, name, value)
-            if hasattr(node, "__post_init__"):
-                node.__post_init__()
-            _TABLE[key] = node
+            node = _TABLE[key] = _Record.__new__(cls, *args)
         return node
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__qualname__}({fields})"
-
-    def __reduce__(self):
-        # copy and pickle rebuild through the table.
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +551,7 @@ class DiagnosticKind(enum.Enum):
     ENTAILMENT_UNDECIDABLE = "EntailmentUndecidable"
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
-class RuleAttempt:
+class RuleAttempt(_Record):
     """A rule refused at a diagnostic's node, and why: the text, or a function
     that renders it when `failed_premise` is read. Equality, hash and repr go
     by the rule and that text."""
@@ -535,7 +564,7 @@ class RuleAttempt:
         return self.reason if isinstance(self.reason, str) else self.reason()
 
     def __eq__(self, other):
-        if not isinstance(other, RuleAttempt):
+        if type(other) is not RuleAttempt:
             return NotImplemented
         return (self.rule, self.failed_premise) == (other.rule, other.failed_premise)
 
@@ -546,11 +575,10 @@ class RuleAttempt:
         return f"RuleAttempt(rule={self.rule!r}, failed_premise={self.failed_premise!r})"
 
 
-@dataclass(frozen=True, slots=True)
-class Diagnostic:
+class Diagnostic(_Record):
     kind: DiagnosticKind
     location: str
-    rule_trace: tuple[RuleAttempt, ...] = field(default=())
+    rule_trace: tuple[RuleAttempt, ...]
 
     def __post_init__(self) -> None:
         if not self.rule_trace:
@@ -655,7 +683,7 @@ def prop_vars(p: Proposition) -> frozenset[str]:
 def datatype_vars(d: Datatype) -> frozenset[str]:
     names: frozenset[str] = frozenset()
     # Array dimensions are walked in a loop, not one call deep each.
-    while isinstance(d, Array):
+    while type(d) is Array:
         names |= index_vars(d.length)
         d = d.elem
     match d:

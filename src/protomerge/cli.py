@@ -7,7 +7,7 @@ Subcommands:
   simulate  run per-rank protocol files together under rendezvous semantics
 
 Exit codes: 0 success; 1 protocol rejected (deadlock, mismatch,
-rank-dependent control flow); 2 parse error; 3 undecidable (entailment,
+rank-dependent control flow, a message no run can perform); 2 parse error; 3 undecidable (entailment,
 datatype equivalence, or loop unfolding budget); 4 bad invocation, or a
 stdout closed before the output was written.
 """

@@ -10,7 +10,6 @@ Invalid means some assignment falsifies the proposition.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -36,6 +35,7 @@ from .ast import (
     TypingContext,
     UnboundVariable,
     Var,
+    _Node,
     eval_index,
     eval_prop,
     index_vars,
@@ -87,8 +87,7 @@ class InvalidRankSet(ProtomergeError):
 # Domains
 
 
-@dataclass(frozen=True, slots=True)
-class Interval:
+class Interval(_Node):
     lo: int
     hi: int
 
@@ -97,8 +96,7 @@ class Interval:
             raise ValueError(f"empty interval {self.lo}..{self.hi}")
 
 
-@dataclass(frozen=True, slots=True)
-class Unbounded:
+class Unbounded(_Node):
     pass
 
 
@@ -114,29 +112,27 @@ Domain = FiniteSet | Interval | Unbounded
 
 
 def _flatten(p: Proposition, kind: type) -> list[Proposition]:
-    if isinstance(p, kind):
+    if type(p) is kind:
         return _flatten(p.left, kind) + _flatten(p.right, kind)
     return [p]
 
 
-@dataclass(frozen=True, slots=True)
-class _EqShape:
+class _EqShape(NamedTuple):
     terms: tuple[IndexTerm, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class _BoundShape:
+class _BoundShape(NamedTuple):
     los: tuple[IndexTerm, ...]
     his: tuple[IndexTerm, ...]
     residual: tuple[Proposition, ...]
 
 
 def _plus_one(t: IndexTerm) -> IndexTerm:
-    return IntLit(t.value + 1) if isinstance(t, IntLit) else BinOp("+", t, IntLit(1))
+    return IntLit(t.value + 1) if type(t) is IntLit else BinOp("+", t, IntLit(1))
 
 
 def _minus_one(t: IndexTerm) -> IndexTerm:
-    return IntLit(t.value - 1) if isinstance(t, IntLit) else BinOp("-", t, IntLit(1))
+    return IntLit(t.value - 1) if type(t) is IntLit else BinOp("-", t, IntLit(1))
 
 
 def recognize_eq(pred: Proposition, binder: str) -> _EqShape | None:
@@ -365,7 +361,6 @@ def _shape_hull(shape: _EqShape | _BoundShape, hulls: Mapping[str, Hull]) -> Hul
 # first query. Entailment, domains and datatype equivalence all read it.
 
 
-# NamedTuples, not dataclasses: they cost far less to define at import.
 class _Entry(NamedTuple):
     """A context entry, resolved against the entries before it."""
 
@@ -411,18 +406,18 @@ def _resolution_of(ctx: TypingContext) -> _Resolution:
     for name, d in ctx.entries:
         binder = shape = points = domain = None
         deps: frozenset[str] = frozenset()
-        if isinstance(d, Refined):
+        if type(d) is Refined:
             binder = d.binder
             direct = prop_vars(d.pred) - {binder}
             deps = direct.union(*(resolved[v].deps for v in direct if v in resolved))
-        if isinstance(d, FiniteSet):
+        if type(d) is FiniteSet:
             # A set of ranks: its own domain, with nothing to resolve.
             domain, hulls[name] = d, (d.values[0], d.values[-1])
             if len(d.values) == 1:
                 env[name] = d.values[0]
-        elif isinstance(d, Integer):
+        elif type(d) is Integer:
             domain = Unbounded()
-        elif isinstance(d, Refined) and isinstance(d.base, Integer):
+        elif type(d) is Refined and type(d.base) is Integer:
             shape = _recognize(d.pred, d.binder)
             hulls[name] = _shape_hull(shape, hulls)
             try:
@@ -430,9 +425,9 @@ def _resolution_of(ctx: TypingContext) -> _Resolution:
             except (UnboundVariable, DivisionByZero):
                 pass
             domain = _domain(shape, points)
-            if isinstance(domain, FiniteSet) and len(domain.values) == 1:
+            if type(domain) is FiniteSet and len(domain.values) == 1:
                 env[name] = domain.values[0]
-            elif isinstance(domain, Interval) and domain.lo == domain.hi:
+            elif type(domain) is Interval and domain.lo == domain.hi:
                 env[name] = domain.lo
         # Other entries get no hull; lookups default to unbounded.
         resolved[name] = _Entry(binder, shape, points, domain, deps)
@@ -449,7 +444,7 @@ class _Inconclusive(Exception):
 
 
 def _candidates(entry: _Entry, env: dict[str, int], enum_cap: int) -> Sequence[int]:
-    if isinstance(entry.domain, FiniteSet):
+    if type(entry.domain) is FiniteSet:
         return entry.domain.values
     shape = entry.shape
     if shape is None or isinstance(shape, _BoundShape) and not (shape.los and shape.his):
@@ -496,7 +491,7 @@ def entails(ctx: TypingContext, p: Proposition, enum_cap: int = DEFAULT_ENUM_CAP
     # assignment when every needed domain is a (never empty) FiniteSet or
     # Interval and p divides by nothing; else only enumeration answers Invalid.
     if abstract is False:
-        known = all(isinstance(e.domain, (FiniteSet, Interval)) for _, e in entries)
+        known = all(type(e.domain) is FiniteSet or type(e.domain) is Interval for _, e in entries)
         if known and all(_division_free(t) for t in _cmp_terms(p)):
             return Verdict.INVALID
 
@@ -646,12 +641,12 @@ def _element_equiv(ctx: TypingContext, a: Datatype, b: Datatype) -> bool:
                 return False
             if _alpha(p1, b1) == _alpha(p2, b2):
                 return True
-            if isinstance(base1, Float):
+            if type(base1) is Float:
                 raise UndecidableEquivalence("float refinements compare only syntactically")
             return _same_set(_satisfying(ctx, a), _satisfying(ctx, b))
         case (Refined(_, base, _), other) | (other, Refined(_, base, _)) if type(other) is type(base):
-            refined = a if isinstance(a, Refined) else b
-            if isinstance(base, Float):
+            refined = a if type(a) is Refined else b
+            if type(base) is Float:
                 raise UndecidableEquivalence("float refinements compare only syntactically")
             # Equivalent to the bare base only when entirely unconstrained.
             return _satisfying(ctx, refined) == (False, (None, None))

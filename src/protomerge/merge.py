@@ -11,7 +11,6 @@ every applicable rule's premise broke.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from .ast import (
@@ -37,11 +36,15 @@ from .ast import (
     TypingContext,
     UnboundVariable,
     Var,
+    _Node,
+    _Record,
     build_seq,
     concat,
+    deeper,
     eval_index,
     index_vars,
     normalize_seq,
+    spine,
     subst_type,
 )
 from .logic import (
@@ -60,6 +63,7 @@ from .syntax import compact_protocol, print_datatype, print_proposition
 
 __all__ = [
     "DEFAULT_UNROLL",
+    "IllFormedMessage",
     "MergeFailure",
     "MergeStep",
     "MergeTrace",
@@ -79,6 +83,11 @@ class NonConstantBounds(ProtomergeError):
     """A foreach's bounds do not evaluate to constants under the context."""
 
 
+class IllFormedMessage(ProtomergeError):
+    """A local type holds a message no run can perform: its literal
+    endpoints are equal, or one lies outside the ranks 0..n-1."""
+
+
 # ---------------------------------------------------------------------------
 # Constant-bound loop unfolding
 
@@ -87,7 +96,7 @@ def unfold_foreach(ctx: TypingContext, t: ProtocolType) -> ProtocolType:
     """Replace a constant-bound foreach by its instantiated body sequence.
     The body sits one block deep: a nest deeper than MAX_BLOCK_DEPTH raises
     NestingTooDeep."""
-    if not isinstance(t, Foreach):
+    if type(t) is not Foreach:
         raise ValueError(f"unfold_foreach expects a foreach type, got {type(t).__name__}")
     lo, hi = _constant_bounds(ctx, t)
     instances = [subst_type(t.body, {t.binder: IntLit(v)}, 1) for v in range(lo, hi + 1)]
@@ -120,8 +129,7 @@ class _Both(NamedTuple):
         return And(Cmp(self.op, self.a, self.b), Cmp(self.op, self.c, self.d))
 
 
-@dataclass(frozen=True, slots=True)
-class PremiseCheck:
+class PremiseCheck(_Node):
     """One premise a rule checked. `claim` is the proposition or the payload
     pair it decided (or the formula text itself); `formula` renders it. The
     engine states its propositions as `_Both` parts, built when read."""
@@ -145,8 +153,7 @@ class PremiseCheck:
         return print_proposition(claim)
 
 
-@dataclass(frozen=True, slots=True)
-class MergeStep:
+class MergeStep(_Record):
     """One rule application; the operands are rendered when read."""
 
     rule: str
@@ -163,8 +170,7 @@ class MergeStep:
         return compact_protocol(self.right_type)
 
 
-@dataclass(frozen=True, slots=True)
-class MergeTrace:
+class MergeTrace(_Record):
     steps: tuple[MergeStep, ...]
 
     def rule_names(self) -> tuple[str, ...]:
@@ -189,14 +195,12 @@ class MergeFailure(ProtomergeError):
 _RANK = Var("rank")
 
 
-@dataclass(frozen=True, slots=True)
-class _Applied:
+class _Applied(NamedTuple):
     result: ProtocolType
     steps: tuple[MergeStep, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class _Refused:
+class _Refused(NamedTuple):
     failed: PremiseCheck | str  # the failing premise, or why a subgoal failed
     # What the refusal suspects. A failed structural premise or sub-merge
     # suspects a deadlock.
@@ -234,7 +238,7 @@ _NON_INTERFERENCE = ("left-real", "left-avoids-k", "right-real", "right-avoids-m
 
 
 def _seq_parts(t: ProtocolType) -> tuple[ProtocolType, ProtocolType]:
-    if isinstance(t, Seq):
+    if type(t) is Seq:
         return t.first, t.second
     return t, Skip()
 
@@ -489,13 +493,13 @@ class _Engine:
             attempts: list[tuple[str, _Refused]] = []
             for name, rule in _offered(left, right):
                 outcome = self.apply(name, rule, ctx, left, right, path)
-                if isinstance(outcome, _Applied):
+                if type(outcome) is _Applied:
                     break
                 attempts.append((name, outcome))
             else:
                 outcome = tuple(attempts)
             self.memo[key] = outcome
-        if isinstance(outcome, _Applied):
+        if type(outcome) is _Applied:
             return outcome
         # The diagnostic reports the deepest subproblem every rule refused.
         if len(path) > self.deepest_depth:
@@ -625,7 +629,7 @@ def _validate_merge_inputs(ctx: TypingContext, k: int) -> None:
     if size is not None and not 0 <= k < size:
         raise InvalidRankSet(f"rank {k} out of range for size {size}")
     domain = domain_of(ctx, "rank")
-    if isinstance(domain, FiniteSet) and k in domain.values:
+    if type(domain) is FiniteSet and k in domain.values:
         raise InvalidRankSet(f"rank {k} is already part of the merged set {domain.values}")
 
 
@@ -677,7 +681,7 @@ def attempt_rule(
     if not fits(_shape(left), _shape(right)):
         return None
     outcome = _Engine(k, enum_cap).apply(rule, fn, ctx, left, right, ())
-    return outcome.result if isinstance(outcome, _Applied) else None
+    return outcome.result if type(outcome) is _Applied else None
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +690,7 @@ def attempt_rule(
 
 def _head_unfoldable(ctx: TypingContext, t: ProtocolType, unroll: int) -> bool:
     head, _ = _seq_parts(t)
-    if not isinstance(head, Foreach):
+    if type(head) is not Foreach:
         return False
     try:
         lo, hi = _constant_bounds(ctx, head)
@@ -725,6 +729,8 @@ def merge_all(
     sequence = list(order) if order is not None else list(range(n))
     if sorted(sequence) != list(range(n)):
         raise ValueError(f"order {sequence} is not a permutation of 0..{n - 1}")
+    for rank, t in local_types:
+        _check_messages(t, n, rank, 0)
 
     merged = [sequence[0]]
     # Engine output is normal, so only the local types need normalizing.
@@ -743,6 +749,27 @@ def merge_all(
         traces.append(trace)
         merged.append(k)
     return accumulated, traces
+
+
+def _check_messages(t: ProtocolType, n: int, rank: int, depth: int) -> None:
+    """Raise IllFormedMessage for a message in rank's local type t, which
+    sits depth blocks deep, whose literal endpoints are equal or outside
+    0..n-1. An endpoint that is not a literal, such as a loop binder, passes."""
+    for node in spine(t):
+        kind = type(node)
+        if kind is Message:
+            src, dst = node.src, node.dst
+            if (
+                type(src) is IntLit and (src is dst or not 0 <= src.value < n)
+                or type(dst) is IntLit and not 0 <= dst.value < n
+            ):
+                raise IllFormedMessage(
+                    f"rank {rank}: `{compact_protocol(node)}` does not join two ranks of 0..{n - 1}"
+                )
+        elif kind is Foreach:
+            _check_messages(node.body, n, rank, deeper(depth))
+        elif kind is Allreduce and type(node.cont) is not Skip:  # a bare one opens no block
+            _check_messages(node.cont, n, rank, deeper(depth))
 
 
 def _merge_step(

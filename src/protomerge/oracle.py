@@ -14,7 +14,6 @@ same state. One run therefore decides completion, mismatch and deadlock.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
 
@@ -32,6 +31,8 @@ from .ast import (
     Skip,
     TypingContext,
     UnboundVariable,
+    _Node,
+    _Record,
     datatype_vars,
     deeper,
     drop_binder,
@@ -81,20 +82,17 @@ class UnfoldBudgetExceeded(ProtomergeError):
 # -- per-rank actions
 
 
-@dataclass(frozen=True, slots=True)
-class SendTo:
+class SendTo(_Node):
     peer: int
     payload: Datatype
 
 
-@dataclass(frozen=True, slots=True)
-class RecvFrom:
+class RecvFrom(_Node):
     peer: int
     payload: Datatype
 
 
-@dataclass(frozen=True, slots=True)
-class Collective:
+class Collective(_Node):
     op: ReduceOp
     payload: Datatype
 
@@ -105,15 +103,13 @@ Action = SendTo | RecvFrom | Collective
 # -- simulation events and results
 
 
-@dataclass(frozen=True, slots=True)
-class MessageEvent:
+class MessageEvent(_Node):
     src: int
     dst: int
     payload: Datatype
 
 
-@dataclass(frozen=True, slots=True)
-class CollectiveEvent:
+class CollectiveEvent(_Node):
     op: ReduceOp
     payload: Datatype
 
@@ -121,18 +117,15 @@ class CollectiveEvent:
 SimEvent = MessageEvent | CollectiveEvent
 
 
-@dataclass(frozen=True, slots=True)
-class Completed:
+class Completed(_Record):
     trace: tuple[SimEvent, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class Deadlocked:
+class Deadlocked(_Record):
     stuck: str
 
 
-@dataclass(frozen=True, slots=True)
-class Mismatch:
+class Mismatch(_Record):
     detail: str
 
 
@@ -361,9 +354,9 @@ def simulate(
             eq = equiv_cache[d1, d2] = dtype_equiv(ctx, d1, d2)
         return eq
 
-    # Under (src, dst, payload), the one event built per distinct message;
-    # under (src, dst, payload, received payload), the same event for each
-    # pair that has fired, whose payloads need no comparison again.
+    # Under (src, dst, payload, received payload), the event of each pair
+    # that has fired, whose payloads need no comparison again. Events are
+    # interned, so equal ones are one object.
     events: dict[tuple, MessageEvent] = {}
     # Senders of facing pairs, possibly queued twice or gone stale; each is
     # checked again when popped. Every facing pair has an entry.
@@ -408,7 +401,7 @@ def simulate(
                         f"rank {i} sends {print_datatype(payload)} but rank {j} "
                         f"expects {print_datatype(b.payload)}"
                     )
-                event = events[key] = events.setdefault((i, j, payload), MessageEvent(i, j, payload))
+                event = events[key] = MessageEvent(i, j, payload)
             pos[i] += 1
             pos[j] += 1
             trace.append(event)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 
 from .ast import (
     Allreduce,
@@ -48,6 +47,7 @@ from .ast import (
     Skip,
     TrueProp,
     Var,
+    _Record,
     spine,
 )
 
@@ -68,8 +68,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class SourceSpan:
+class SourceSpan(_Record):
     file: str
     line: int
     col: int
@@ -316,12 +315,12 @@ class _Parser:
         return self.as_prop(self.expr(), at)
 
     def as_index(self, node: IndexTerm | Proposition, at: int) -> IndexTerm:
-        if isinstance(node, (IntLit, Var, BinOp, Cond)):
+        if type(node) in (IntLit, Var, BinOp, Cond):
             return node
         raise self.fail("expected an index term, found a proposition", at)
 
     def as_prop(self, node: IndexTerm | Proposition, at: int) -> Proposition:
-        if isinstance(node, (TrueProp, Cmp, And, Or, Not)):
+        if type(node) in (TrueProp, Cmp, And, Or, Not):
             return node
         raise self.fail("expected a proposition, found an index term", at)
 
@@ -560,7 +559,7 @@ def print_proposition(p: Proposition, level: int = 0) -> str:
 
 def print_datatype(d: Datatype) -> str:
     dims = []
-    while isinstance(d, Array):
+    while type(d) is Array:
         dims.append(f"[{print_index(d.length)}]")
         d = d.elem
     match d:
@@ -576,7 +575,7 @@ def print_datatype(d: Datatype) -> str:
 
 
 def _endpoint_text(t: IndexTerm) -> str:
-    if isinstance(t, Var) or (isinstance(t, IntLit) and t.value >= 0):
+    if type(t) is Var or (type(t) is IntLit and t.value >= 0):
         return print_index(t)
     return f"({print_index(t)})"
 

@@ -3,6 +3,8 @@ diagnostics."""
 
 import copy
 import pickle
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError
 from pathlib import Path
 
@@ -233,20 +235,100 @@ NODES = [
         ("entries",),
         "TypingContext(entries=(('n', Integer()),))",
     ),
+    (logic.Interval(0, 2), ("lo", "hi"), "Interval(lo=0, hi=2)"),
+    (logic.Unbounded(), (), "Unbounded()"),
+    (oracle.SendTo(1, F), ("peer", "payload"), "SendTo(peer=1, payload=Float())"),
+    (oracle.RecvFrom(1, F), ("peer", "payload"), "RecvFrom(peer=1, payload=Float())"),
+    (
+        oracle.Collective(ReduceOp.SUM, F),
+        ("op", "payload"),
+        "Collective(op=<ReduceOp.SUM: 'sum'>, payload=Float())",
+    ),
+    (
+        oracle.MessageEvent(0, 1, F),
+        ("src", "dst", "payload"),
+        "MessageEvent(src=0, dst=1, payload=Float())",
+    ),
+    (
+        oracle.CollectiveEvent(ReduceOp.SUM, F),
+        ("op", "payload"),
+        "CollectiveEvent(op=<ReduceOp.SUM: 'sum'>, payload=Float())",
+    ),
+    (
+        merge.PremiseCheck("op-equal", "sum = sum", "equal"),
+        ("name", "stated", "verdict"),
+        "PremiseCheck(name='op-equal', stated='sum = sum', verdict='equal')",
+    ),
 ]
+
+# One value of each record class (equal by class and fields, not interned),
+# in the same form. Deadlocked and Mismatch share their field's value, as
+# SendTo and RecvFrom do above, so that equality is seen to go by class.
+STEP = merge.MergeStep("skip-skip", Skip(), Skip(), (merge.PremiseCheck("op-equal", "sum = sum", "equal"),))
+RECORDS = [
+    (
+        STEP,
+        ("rule", "left_type", "right_type", "premises"),
+        "MergeStep(rule='skip-skip', left_type=Skip(), right_type=Skip(), premises="
+        "(PremiseCheck(name='op-equal', stated='sum = sum', verdict='equal'),))",
+    ),
+    (merge.MergeTrace((STEP,)), ("steps",), f"MergeTrace(steps=({STEP!r},))"),
+    (
+        oracle.Completed((oracle.MessageEvent(0, 1, F),)),
+        ("trace",),
+        "Completed(trace=(MessageEvent(src=0, dst=1, payload=Float()),))",
+    ),
+    (oracle.Deadlocked("x"), ("stuck",), "Deadlocked(stuck='x')"),
+    (oracle.Mismatch("x"), ("detail",), "Mismatch(detail='x')"),
+    (
+        RuleAttempt("msg-msg-eq", "payloads differ"),
+        ("rule", "reason"),
+        "RuleAttempt(rule='msg-msg-eq', failed_premise='payloads differ')",
+    ),
+    (
+        Diagnostic(DiagnosticKind.DATATYPE_MISMATCH, "root", (RuleAttempt("msg-msg-eq", "payloads differ"),)),
+        ("kind", "location", "rule_trace"),
+        "Diagnostic(kind=<DiagnosticKind.DATATYPE_MISMATCH: 'DatatypeMismatch'>, location='root', "
+        "rule_trace=(RuleAttempt(rule='msg-msg-eq', failed_premise='payloads differ'),))",
+    ),
+    (syntax.SourceSpan("a.proc", 1, 2), ("file", "line", "col"), "SourceSpan(file='a.proc', line=1, col=2)"),
+]
+
+
+def _value_classes() -> set[type]:
+    """Every class below ast._Record, other than the base _Node."""
+    found, todo = set(), [ast._Record]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            found.add(cls)
+            todo.append(cls)
+    return found - {ast._Node}
 
 
 class TestNodeProtocol:
     def test_every_node_class_is_covered(self):
-        assert {type(node) for node, _, _ in NODES} == set(ast._Node.__subclasses__())
+        tabled = [type(value) for value, _, _ in NODES + RECORDS]
+        assert len(tabled) == len(set(tabled))
+        assert set(tabled) == _value_classes()
+        assert {type(node) for node, _, _ in NODES} == {c for c in tabled if issubclass(c, ast._Node)}
 
-    @pytest.mark.parametrize("node, fields, text", NODES, ids=[type(n).__name__ for n, _, _ in NODES])
+    @pytest.mark.parametrize(
+        "node, fields, text", NODES + RECORDS, ids=[type(n).__name__ for n, _, _ in NODES + RECORDS]
+    )
     def test_slots_match_args_immutability_and_repr(self, node, fields, text):
+        cls = type(node)
         assert not hasattr(node, "__dict__")
-        assert copy.copy(node) is node
-        assert copy.deepcopy(node) is node
-        assert pickle.loads(pickle.dumps(node)) is node
-        assert type(node).__match_args__ == fields
+        assert cls.__match_args__ == fields
+        values = tuple(getattr(node, name) for name in fields)
+        rebuilt = [cls(*values), copy.copy(node), copy.deepcopy(node), pickle.loads(pickle.dumps(node))]
+        for other in rebuilt:
+            assert type(other) is cls and other == node and hash(other) == hash(node)
+            if isinstance(node, ast._Node):
+                assert other is node
+        # Equality goes by class: no value of another class, nor the tuple
+        # of the same field values, equals this one.
+        assert all(node != other for other, _, _ in NODES + RECORDS if type(other) is not cls)
+        assert node != values
         assert repr(node) == text
         with pytest.raises(FrozenInstanceError, match="cannot assign to field 'extra'"):
             node.extra = 1
@@ -256,6 +338,17 @@ class TestNodeProtocol:
             with pytest.raises(FrozenInstanceError, match=f"cannot delete field '{name}'"):
                 delattr(node, name)
         assert repr(node) == text
+
+
+def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
+    # Importing dataclasses (and through it inspect, dis and tokenize) took
+    # about a quarter of a fresh `import protomerge`.
+    src = str(Path(protomerge.__file__).parents[1])
+    script = "import sys, protomerge; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env={"PYTHONPATH": src}, timeout=60
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 def test_the_package_exports_every_module_s_public_names():

@@ -144,6 +144,37 @@ class TestInfer:
         assert doc["location"].startswith("merging rank 1 into ranks [0]")
         assert all(set(a) == {"rule", "failed_premise"} for a in doc["rule_trace"])
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "if rank = 0 { send to 5 float } else { skip }",
+                "rank 0: `message 0 5 float` does not join two ranks of 0..1",
+            ),
+            (
+                "if rank = 0 { send to 0 float } else { skip }",
+                "rank 0: `message 0 0 float` does not join two ranks of 0..1",
+            ),
+            (
+                "for i: 1 .. 2 { if rank = 1 { recv from (0 - 1) float } else { skip } }",
+                "rank 1: `message (-1) 1 float` does not join two ranks of 0..1",
+            ),
+        ],
+        ids=["outside", "itself", "nested"],
+    )
+    def test_a_message_no_run_can_perform_is_rejected(self, capsys, write, text, message):
+        # The oracle finds the extracted ranks deadlocked.
+        ctx = initial_context(2)
+        program = parse_process(text)
+        actions = [linearize(ctx, extract_local_type(ctx, program, r, 2), r) for r in range(2)]
+        assert type(simulate(actions, 2)).__name__ == "Deadlocked"
+        f = write("bad.proc", text)
+        assert run(capsys, "infer", f, "--size", "2") == (1, "", f"error: IllFormedMessage: {message}\n")
+        code, out, err = run(capsys, "infer", f, "--size", "2", "--json")
+        assert (code, json.loads(out), err) == (
+            1, {"status": "error", "kind": "IllFormedMessage", "message": message}, ""
+        )
+
     def test_order_flag(self, capsys, write):
         files = [write(f"r{r}.proc", "allreduce min float") for r in range(3)]
         code, out, _ = run(capsys, "infer", *files, "--size", "3", "--order", "2,0,1")
