@@ -124,7 +124,13 @@ class _NodeType(type):
     def __new__(mcs, name, bases, namespace):
         fields = tuple(namespace.get("__annotations__", ()))
         namespace["__slots__"] = namespace["__match_args__"] = fields
-        return super().__new__(mcs, name, bases, namespace)
+        cls = super().__new__(mcs, name, bases, namespace)
+        # The check a record runs once its fields are set, and the slots'
+        # setters, looked up once per class: per record, a failed hasattr and
+        # setting fields by name cost more than the rest of building it.
+        cls._post_init = getattr(cls, "__post_init__", None)
+        cls._setters = tuple(vars(cls)[field].__set__ for field in fields)
+        return cls
 
 
 class _Record(metaclass=_NodeType):
@@ -134,14 +140,14 @@ class _Record(metaclass=_NodeType):
     dataclass would give it."""
 
     def __new__(cls, *args):
-        names = cls.__slots__
-        if len(args) != len(names):
-            raise TypeError(f"{cls.__name__} takes {len(names)} positional arguments, got {len(args)}")
+        setters = cls._setters
+        if len(args) != len(setters):
+            raise TypeError(f"{cls.__name__} takes {len(setters)} positional arguments, got {len(args)}")
         record = object.__new__(cls)
-        for name, value in zip(names, args):
-            object.__setattr__(record, name, value)
-        if hasattr(record, "__post_init__"):
-            record.__post_init__()
+        for set_field, value in zip(setters, args):
+            set_field(record, value)
+        if cls._post_init is not None:
+            cls._post_init(record)
         return record
 
     # dataclasses is imported on these error paths only: importing it costs
@@ -157,8 +163,19 @@ class _Record(metaclass=_NodeType):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__qualname__}({fields})"
+        # A chain of records of one class nested through their last field (a
+        # right-nested sequence) is walked in a loop: its length costs no depth.
+        cls = type(self)
+        if not cls.__slots__:
+            return f"{cls.__qualname__}()"
+        *init, last = cls.__slots__
+        node, opened = self, []
+        while True:
+            fields = "".join(f"{name}={getattr(node, name)!r}, " for name in init)
+            opened.append(f"{cls.__qualname__}({fields}{last}=")
+            node = getattr(node, last)
+            if type(node) is not cls:
+                return "".join(opened) + repr(node) + ")" * len(opened)
 
     def __reduce__(self):
         # copy and pickle rebuild through the constructor (for a node, the table).

@@ -201,34 +201,49 @@ class _Applied(NamedTuple):
 
 
 class _Refused(NamedTuple):
-    failed: PremiseCheck | str  # the failing premise, or why a subgoal failed
+    # The failing premise as a rule states it (its check is built when the
+    # refusal is read), or why a subgoal failed.
+    failed: tuple | str
     # What the refusal suspects. A failed structural premise or sub-merge
     # suspects a deadlock.
     kind: DiagnosticKind
 
     def text(self) -> str:
-        f = self.failed
-        return f if isinstance(f, str) else f"{f.name}: {f.formula} is {f.verdict}"
+        if isinstance(self.failed, str):
+            return self.failed
+        check = PremiseCheck(*self.failed[2:])
+        return f"{check.name}: {check.formula} is {check.verdict}"
 
 
-# Message premises: name -> (the operand whose message it judges, the side
-# it judges it against, the verdict it wants of "the message avoids that
-# side"). Skip-likeness of the left operand is judged against the merged
-# ranks, of the right operand against k; "real" is the refutation.
-_AVOIDS = {
-    "left-skip-like": ("left", "merged", Verdict.VALID),
-    "left-real": ("left", "merged", Verdict.INVALID),
-    "left-avoids-k": ("left", "k", Verdict.VALID),
-    "right-skip-like": ("right", "k", Verdict.VALID),
-    "right-real": ("right", "k", Verdict.INVALID),
-    "right-avoids-merged": ("right", "merged", Verdict.VALID),
-}
+class _Unmerged(NamedTuple):
+    """Two single messages every rule refused (see `_Engine.diagnostic`)."""
 
-# The avoidance premises judged against each side. One verdict of "the
-# message avoids that side" decides all three.
-_SIDE_PREMISES = {
-    side: tuple(name for name, (_, judged, _) in _AVOIDS.items() if judged == side)
-    for side in ("merged", "k")
+    ctx: TypingContext
+    left: Message
+    right: Message
+
+
+_TEXT = {v: v.value for v in Verdict}  # as a trace spells them
+_VALID, _INVALID, _UNDECIDABLE = Verdict.VALID.value, Verdict.INVALID.value, Verdict.UNDECIDABLE.value
+_EQUIVALENT, _DIFFERENT = "equivalent", "different"
+_DEADLOCK = DiagnosticKind.DEADLOCK_SUSPECTED
+_ENDPOINTS, _PAYLOADS = "endpoints", "payloads"
+
+# Premises on a left and a right message: name -> (what it judges, the
+# verdict it wants, what its failure suspects). It judges that one operand's
+# message avoids one side (neither endpoint lies in it), that the endpoints
+# are equal, or that the payloads are equivalent. Skip-likeness of the left
+# operand is judged against the merged ranks, of the right operand against
+# k; "real" is the refutation.
+_PAIR_PREMISES = {
+    "left-skip-like": (("left", "merged"), _VALID, _DEADLOCK),
+    "left-real": (("left", "merged"), _INVALID, _DEADLOCK),
+    "left-avoids-k": (("left", "k"), _VALID, _DEADLOCK),
+    "right-skip-like": (("right", "k"), _VALID, _DEADLOCK),
+    "right-real": (("right", "k"), _INVALID, _DEADLOCK),
+    "right-avoids-merged": (("right", "merged"), _VALID, _DEADLOCK),
+    "endpoints-equal": (_ENDPOINTS, _VALID, _DEADLOCK),
+    "payload-equivalent": (_PAYLOADS, _EQUIVALENT, DiagnosticKind.DATATYPE_MISMATCH),
 }
 
 # Non-interference: the left message never touches rank k, the right message
@@ -305,10 +320,11 @@ def _headed_pair(l: str, r: str) -> bool:
 # ---------------------------------------------------------------------------
 # The rules
 #
-# A rule is a shape test and a function (engine, ctx, left, right). The
+# A rule is a shape test, a function (engine, ctx, left, right) and, for a
+# rule on two single operands, the names of the premises it checks. The
 # shape test takes the operands' shape classes; the function is called only
 # on operands it accepts. The function returns (premises, subgoals,
-# conclude): the premises as (ok, PremiseCheck, kind) triples in the order
+# conclude): the premises as (ok, kind, name, claim, verdict) in the order
 # checked, all evaluated; the sub-merges as (ctx, left, right, path label,
 # refusal text), merged in order; and `conclude`, from the sub-merges'
 # results to the rule's conclusion.
@@ -319,29 +335,17 @@ def _message_rule(lshape, rshape, names, conclude):
     the named message premises only."""
 
     def rule(engine, ctx, left, right):
-        return engine.messages(ctx, left, right, names), (), lambda: conclude(left, right)
+        return engine.premises(ctx, left, right, names), (), lambda: conclude(left, right)
 
-    return _pair(lshape, rshape), rule
-
-
-def _msg_msg_eq(engine, ctx, left, right):
-    ends = _Both("=", left.src, right.src, left.dst, right.dst)
-    premises = engine.messages(ctx, left, right, ("left-real", "right-real")) + [
-        engine.entail(ctx, "endpoints-equal", ends, DiagnosticKind.DEADLOCK_SUSPECTED),
-        engine.payload_equiv(ctx, left.payload, right.payload),
-    ]
-    return premises, (), lambda: left
+    return _pair(lshape, rshape), rule, names
 
 
 def _allred_allred(engine, ctx, left, right):
     same_op = left.op is right.op
-    op_check = PremiseCheck(
-        "op-equal", f"{left.op.value} = {right.op.value}", "equal" if same_op else "different"
-    )
     premises = [
-        (same_op, op_check, DiagnosticKind.ENTAILMENT_FAILED),
-        engine.payload_equiv(ctx, left.payload, right.payload),
-    ]
+        (same_op, DiagnosticKind.ENTAILMENT_FAILED, "op-equal",
+         f"{left.op.value} = {right.op.value}", "equal" if same_op else "different"),
+    ] + engine.premises(ctx, left, right, ("payload-equivalent",))
     binder, rbinder = left.binder, right.binder
     rcont = right.cont if rbinder == binder else subst_type(right.cont, {rbinder: Var(binder)})
     cont = (ctx.extend(binder, left.payload), left.cont, rcont)
@@ -350,8 +354,10 @@ def _allred_allred(engine, ctx, left, right):
 
 
 def _foreach_foreach(engine, ctx, left, right):
-    bounds = _Both("=", left.lo, right.lo, left.hi, right.hi)
-    premises = [engine.entail(ctx, "bounds-equal", bounds, DiagnosticKind.ENTAILMENT_FAILED)]
+    bounds, verdict = engine.judge(ctx, (ctx, "bounds-equal", "=", left.lo, right.lo, left.hi, right.hi))
+    premises = [
+        (verdict == _VALID, DiagnosticKind.ENTAILMENT_FAILED, "bounds-equal", bounds, verdict)
+    ]
     binder, rbinder = left.binder, right.binder
     rbody = right.body if rbinder == binder else subst_type(right.body, {rbinder: Var(binder)})
     y = _fresh("y", index_vars(left.lo) | index_vars(left.hi) | {binder})
@@ -382,7 +388,7 @@ def _skip_vs_seq(flip: bool):
         head = goal(seq.first, "seq.head", "head does not merge against skip")
         return (), (head, goal(seq.second, "seq.tail", "tail does not merge against skip")), concat
 
-    return (_pair(_MSG_SEQ, _SKIP) if flip else _pair(_SKIP, _MSG_SEQ)), rule
+    return (_pair(_MSG_SEQ, _SKIP) if flip else _pair(_SKIP, _MSG_SEQ)), rule, None
 
 
 def _msgT_msgT(emit_right: bool):
@@ -400,13 +406,14 @@ def _msgT_msgT(emit_right: bool):
         lh, lt = _seq_parts(left)
         rh, rt = _seq_parts(right)
         head, rest = (rh, (ctx, left, rt)) if emit_right else (lh, (ctx, lt, right))
-        premises = engine.messages(ctx, lh, rh, names)
+        premises = engine.premises(ctx, lh, rh, names)
         return premises, (rest + labels,), lambda r: concat(head, r)
 
-    return _headed_pair, rule
+    return _headed_pair, rule, None
 
 
-# The rules in the order the engine tries them: name -> (shape test, rule).
+# The rules in the order the engine tries them: name -> (shape test, rule,
+# the premise names of a rule on two single operands, or None).
 _RULES = {
     "skip-skip": _message_rule(_SKIP, _SKIP, (), lambda l, r: Skip()),
     "skip-msgS": _message_rule(_SKIP, _MSG, ("right-skip-like",), lambda l, r: Skip()),
@@ -422,10 +429,13 @@ _RULES = {
     "msgS-msg": _message_rule(
         _MSG, _MSG, ("left-skip-like", "right-real", "right-avoids-merged"), lambda l, r: r
     ),
-    "msg-msg-eq": (_pair(_MSG, _MSG), _msg_msg_eq),
-    "allred-allred": (_pair(_ALLRED, _ALLRED), _allred_allred),
-    "foreach-foreach": (_pair(_FOREACH, _FOREACH), _foreach_foreach),
-    "seq-seq": (_seq_pair, _seq_seq),
+    "msg-msg-eq": _message_rule(
+        _MSG, _MSG, ("left-real", "right-real", "endpoints-equal", "payload-equivalent"),
+        lambda l, r: l,
+    ),
+    "allred-allred": (_pair(_ALLRED, _ALLRED), _allred_allred, None),
+    "foreach-foreach": (_pair(_FOREACH, _FOREACH), _foreach_foreach, None),
+    "seq-seq": (_seq_pair, _seq_seq, None),
     "skip-msgT": _skip_vs_seq(flip=False),
     "msgT-skipT": _skip_vs_seq(flip=True),
     "msg-msg-right": _message_rule(_MSG, _MSG, _NON_INTERFERENCE, lambda l, r: Seq(r, l)),
@@ -438,23 +448,63 @@ RULE_NAMES = tuple(_RULES)
 # (left shape, right shape) -> the (name, rule) pairs whose shape test
 # accepts it, in table order.
 _INDEX = {
-    (l, r): tuple((name, rule) for name, (fits, rule) in _RULES.items() if fits(l, r))
+    (l, r): tuple((name, rule) for name, (fits, rule, _) in _RULES.items() if fits(l, r))
     for l in _SHAPES
     for r in _SHAPES
 }
+
+# ---------------------------------------------------------------------------
+# Two single messages, decided from their premise verdicts
+#
+# The rules offered two single messages have no sub-merges, so which applies
+# first is a function of what their premises judge. A stage is what the
+# next rule judges that no earlier rule did, in its premise order: deciding
+# stage by stage decides what offering the rules in turn would, in the same
+# order. After each stage the table maps the verdicts so far to the first
+# rule up to that stage whose premises they all satisfy.
+
+_PAIR_RULES = _INDEX[(_MSG, _MSG)]
+
+
+def _pair_stages() -> tuple[list[tuple], list[tuple]]:
+    """The stages, and per rule offered two single messages: its name, what
+    its premises judge and want, and how many verdicts the stages up to its
+    own decide."""
+    stages: list[tuple] = []
+    rules = []
+    for name, _ in _PAIR_RULES:
+        wants = tuple(_PAIR_PREMISES[p][:2] for p in _RULES[name][2])
+        judged = [j for stage in stages for j in stage]
+        new = tuple(dict.fromkeys(j for j, _ in wants if j not in judged))
+        stages += [new] if new else []
+        rules.append((name, wants, len(judged) + len(new)))
+    return stages, rules
+
+
+_PAIR_STAGES, _PAIR_WANTS = _pair_stages()
+_PAIR_JUDGED = [j for stage in _PAIR_STAGES for j in stage]
+
+
+class _PairTable(dict):
+    """The verdicts of the first stages -> the first rule up to them whose
+    premises they all satisfy, or None. An entry is worked out the first
+    time it is asked for, so importing the module builds none."""
+
+    def __missing__(self, verdicts: tuple[str, ...]) -> str | None:
+        got = dict(zip(_PAIR_JUDGED, verdicts))
+        self[verdicts] = name = next((
+            name for name, wants, decided in _PAIR_WANTS
+            if decided <= len(verdicts) and all(got[j] == want for j, want in wants)
+        ), None)
+        return name
+
+
+_PAIR_TABLE = _PairTable()
 
 
 def _offered(left: ProtocolType, right: ProtocolType):
     """The rules whose shape test accepts left and right, in table order."""
     return _INDEX.get((_shape(left), _shape(right)), ())
-
-
-def _cached(table: dict, key, compute):
-    """table[key], entered as compute() the first time it is asked for."""
-    value = table.get(key)
-    if value is None:
-        value = table[key] = compute()
-    return value
 
 
 class _Engine:
@@ -465,16 +515,16 @@ class _Engine:
     def __init__(self, k: int, enum_cap: int):
         self.k = IntLit(k)
         self.enum_cap = enum_cap
-        # (context, left, right) -> _Applied, or the refused attempts
-        # (() while the subproblem is open)
+        # (context, left, right) -> _Applied, or the refused attempts, or
+        # _Unmerged (() while the subproblem is open)
         self.memo: dict = {}
-        # (context, premise name, operands...) -> (ok, PremiseCheck, kind):
-        # every premise, decided once.
-        self.premises: dict = {}
+        # (context, what is judged, claim parts) -> (claim, verdict): every
+        # premise, decided once.
+        self.verdicts: dict = {}
         self.undecidable = False
         self.deepest_depth = -1
         self.deepest_path: tuple[str, ...] = ()
-        self.deepest_attempts: tuple[tuple[str, _Refused], ...] = ()
+        self.deepest_attempts: tuple[tuple[str, _Refused], ...] | _Unmerged = ()
 
     # -- derivation
 
@@ -488,16 +538,19 @@ class _Engine:
         key = (ctx, left, right)
         outcome = self.memo.get(key)
         if outcome is None:
-            # Guard against re-entering the same subproblem while it is open.
-            self.memo[key] = ()
-            attempts: list[tuple[str, _Refused]] = []
-            for name, rule in _offered(left, right):
-                outcome = self.apply(name, rule, ctx, left, right, path)
-                if type(outcome) is _Applied:
-                    break
-                attempts.append((name, outcome))
+            if type(left) is Message and type(right) is Message:
+                outcome = self.pair(ctx, left, right)
             else:
-                outcome = tuple(attempts)
+                # Guard against re-entering the same subproblem while it is open.
+                self.memo[key] = ()
+                attempts: list[tuple[str, _Refused]] = []
+                for name, rule in _offered(left, right):
+                    outcome = self.apply(name, rule, ctx, left, right, path)
+                    if type(outcome) is _Applied:
+                        break
+                    attempts.append((name, outcome))
+                else:
+                    outcome = tuple(attempts)
             self.memo[key] = outcome
         if type(outcome) is _Applied:
             return outcome
@@ -508,17 +561,30 @@ class _Engine:
             self.deepest_attempts = outcome
         return None
 
+    def pair(self, ctx: TypingContext, left: Message, right: Message) -> _Applied | _Unmerged:
+        """Two single messages: decide the stages of _PAIR_STAGES until
+        _PAIR_TABLE picks a rule for their verdicts, and apply it."""
+        verdicts: tuple[str, ...] = ()
+        for stage in _PAIR_STAGES:
+            for judged in stage:
+                verdicts += (self.premise(ctx, judged, left, right)[1],)
+            name = _PAIR_TABLE[verdicts]
+            if name is not None:
+                # The rule's premises all hold and it has no sub-merges.
+                checks, _, conclude = _RULES[name][1](self, ctx, left, right)
+                step = MergeStep(name, left, right, tuple(PremiseCheck(*p[2:]) for p in checks))
+                return _Applied(conclude(), (step,))
+        return _Unmerged(ctx, left, right)
+
     def apply(self, name, rule, ctx, left, right, path) -> _Applied | _Refused:
         """One rule at one node whose shapes it accepts: its derivation or why
         it was refused. The rule evaluates every premise before any is
         judged, so an undecidable one marks the engine even after an earlier
         failure."""
         checks, subgoals, conclude = rule(self, ctx, left, right)
-        premises: list[PremiseCheck] = []
-        for ok, check, kind in checks:
-            premises.append(check)
-            if not ok:
-                return _Refused(check, kind)
+        for premise in checks:
+            if not premise[0]:
+                return _Refused(premise, premise[1])
         results = []
         substeps: tuple[MergeStep, ...] = ()
         for sub_ctx, sub_left, sub_right, label, refusal in subgoals:
@@ -527,12 +593,19 @@ class _Engine:
                 return _Refused(refusal, DiagnosticKind.DEADLOCK_SUSPECTED)
             results.append(sub.result)
             substeps += sub.steps
-        step = MergeStep(name, left, right, tuple(premises))
+        step = MergeStep(name, left, right, tuple(PremiseCheck(*p[2:]) for p in checks))
         return _Applied(conclude(*results), (step,) + substeps)
 
     def diagnostic(self, left: ProtocolType, right: ProtocolType) -> Diagnostic:
         location = "/".join(self.deepest_path) or "root"
-        kinds = {r.kind for _, r in self.deepest_attempts}
+        attempts = self.deepest_attempts
+        if type(attempts) is _Unmerged:
+            # Every premise of every rule was decided, so offering each rule
+            # again decides nothing new.
+            attempts = tuple(
+                (name, self.apply(name, rule, *attempts, ())) for name, rule in _PAIR_RULES
+            )
+        kinds = {r.kind for _, r in attempts}
         if self.undecidable:
             kind = DiagnosticKind.ENTAILMENT_UNDECIDABLE
         elif DiagnosticKind.DATATYPE_MISMATCH in kinds:
@@ -542,7 +615,7 @@ class _Engine:
         else:
             kind = DiagnosticKind.DEADLOCK_SUSPECTED
         # The refusals are rendered when they are read.
-        trace = tuple(RuleAttempt(name, r.text) for name, r in self.deepest_attempts)
+        trace = tuple(RuleAttempt(name, r.text) for name, r in attempts)
         if not trace:
             trace = (
                 RuleAttempt(
@@ -571,58 +644,57 @@ class _Engine:
             ok = ok and (values == (lit.value,) if p.op == "=" else lit.value not in values)
         return Verdict.VALID if ok else Verdict.INVALID
 
-    def messages(
-        self, ctx: TypingContext, lm: ProtocolType, rm: ProtocolType, names: Sequence[str]
-    ) -> list:
-        """The named message premises on left message lm and right message
-        rm. One verdict of "the message avoids that side" enters all three
-        premises judged against a side, once per context and endpoints."""
-        table = self.premises
-        premises = []
-        for name in names:
-            operand, side, _ = _AVOIDS[name]
+    def judge(self, ctx: TypingContext, key: tuple) -> tuple[_Both | tuple, str]:
+        """The claim a verdict table key states and its verdict under ctx,
+        decided once. A key is (ctx, what is judged, claim parts): a
+        _Both's fields, decided by `decide`, or a payload pair, equivalent
+        or different (or Undecidable)."""
+        found = self.verdicts.get(key)
+        if found is None:
+            if key[1] is _PAYLOADS:
+                claim = key[2:]
+                try:
+                    verdict = _EQUIVALENT if dtype_equiv(ctx, *claim, self.enum_cap) else _DIFFERENT
+                except UndecidableEquivalence:
+                    self.undecidable = True
+                    verdict = _UNDECIDABLE
+            else:
+                claim = _Both(*key[2:])
+                verdict = _TEXT[self.decide(ctx, claim)]
+            found = self.verdicts[key] = claim, verdict
+        return found
+
+    def premise(self, ctx: TypingContext, judged, lm, rm) -> tuple[_Both | tuple, str]:
+        """The claim of what a message premise judges (see _PAIR_PREMISES)
+        on left message lm and right message rm, and its verdict. A side's
+        verdict is one per context and endpoints, whichever operand asks."""
+        if judged is _ENDPOINTS:
+            key = (ctx, judged, "=", lm.src, rm.src, lm.dst, rm.dst)
+        elif judged is _PAYLOADS:
+            key = (ctx, judged, lm.payload, rm.payload)
+        else:
+            operand, side = judged
             m = lm if operand == "left" else rm
-            key = (ctx, name, m.src, m.dst)
-            if key not in table:
-                term = _RANK if side == "merged" else self.k
-                p = _Both("!=", m.src, term, m.dst, term)
-                verdict = self.decide(ctx, p)
-                value = verdict.value
-                for other in _SIDE_PREMISES[side]:
-                    check = PremiseCheck(other, p, value)
-                    table[(ctx, other, m.src, m.dst)] = (
-                        verdict is _AVOIDS[other][2], check, DiagnosticKind.DEADLOCK_SUSPECTED
-                    )
-            premises.append(table[key])
-        return premises
+            term = _RANK if side == "merged" else self.k
+            key = (ctx, "avoids", "!=", m.src, term, m.dst, term)
+        return self.verdicts.get(key) or self.judge(ctx, key)
 
-    def entail(self, ctx: TypingContext, name: str, p: _Both, kind: DiagnosticKind):
-        """The named premise that ctx entails p, decided once by `decide`."""
-
-        def judge():
-            verdict = self.decide(ctx, p)
-            return verdict is Verdict.VALID, PremiseCheck(name, p, verdict.value), kind
-
-        return _cached(self.premises, (ctx, name, p), judge)
-
-    def payload_equiv(self, ctx: TypingContext, d1: Datatype, d2: Datatype):
-        """The premise that d1 and d2 are equivalent under ctx, decided once."""
-
-        def judge():
-            try:
-                ok = dtype_equiv(ctx, d1, d2, self.enum_cap)
-                verdict = "equivalent" if ok else "different"
-            except UndecidableEquivalence:
-                self.undecidable = True
-                ok, verdict = False, "Undecidable"
-            check = PremiseCheck("payload-equivalent", (d1, d2), verdict)
-            return ok, check, DiagnosticKind.DATATYPE_MISMATCH
-
-        return _cached(self.premises, (ctx, "payload-equivalent", d1, d2), judge)
+    def premises(self, ctx: TypingContext, lm, rm, names: Sequence[str]) -> list:
+        """The named premises (see _PAIR_PREMISES) on left message lm and
+        right message rm, as (ok, kind, name, claim, verdict). Only the
+        payloads are read for payload-equivalent, so lm and rm may be two
+        allreduces."""
+        checked = []
+        for name in names:
+            judged, want, kind = _PAIR_PREMISES[name]
+            claim, verdict = self.premise(ctx, judged, lm, rm)
+            checked.append((verdict == want, kind, name, claim, verdict))
+        return checked
 
 
-def _validate_merge_inputs(ctx: TypingContext, k: int) -> None:
-    """Check ctx and k as merge_types requires."""
+def _validate_merge_inputs(ctx: TypingContext, k: int) -> int | None:
+    """Check ctx and k as merge_types requires; returns size when ctx binds
+    it to a constant."""
     if ctx.lookup("size") is None or ctx.lookup("rank") is None:
         raise InvalidRankSet("merge context must bind both size and rank")
     size = singleton_env(ctx).get("size")
@@ -631,6 +703,7 @@ def _validate_merge_inputs(ctx: TypingContext, k: int) -> None:
     domain = domain_of(ctx, "rank")
     if type(domain) is FiniteSet and k in domain.values:
         raise InvalidRankSet(f"rank {k} is already part of the merged set {domain.values}")
+    return size
 
 
 def merge_types(
@@ -642,9 +715,15 @@ def merge_types(
 ) -> tuple[ProtocolType, MergeTrace]:
     """Merge the accumulated type with rank k's local type under ctx.
 
-    Raises MergeFailure (with a Diagnostic) when no derivation exists.
+    Raises MergeFailure (with a Diagnostic) when no derivation exists, and
+    IllFormedMessage as merge_all does when ctx binds size to a constant.
     """
-    return _merge_normal(ctx, normalize_seq(left), normalize_seq(right), k, enum_cap)
+    left, right = normalize_seq(left), normalize_seq(right)
+    size = _validate_merge_inputs(ctx, k)
+    if size is not None:
+        _check_messages(left, size, "the merged ranks", 0)
+        _check_messages(right, size, f"rank {k}", 0)
+    return _merge_normal(ctx, left, right, k, enum_cap)
 
 
 def _merge_normal(
@@ -676,7 +755,7 @@ def attempt_rule(
     if rule not in _RULES:
         raise ValueError(f"unknown merge rule {rule!r}; expected one of {', '.join(RULE_NAMES)}")
     _validate_merge_inputs(ctx, k)
-    fits, fn = _RULES[rule]
+    fits, fn, _ = _RULES[rule]
     left, right = normalize_seq(left), normalize_seq(right)
     if not fits(_shape(left), _shape(right)):
         return None
@@ -730,7 +809,7 @@ def merge_all(
     if sorted(sequence) != list(range(n)):
         raise ValueError(f"order {sequence} is not a permutation of 0..{n - 1}")
     for rank, t in local_types:
-        _check_messages(t, n, rank, 0)
+        _check_messages(t, n, f"rank {rank}", 0)
 
     merged = [sequence[0]]
     # Engine output is normal, so only the local types need normalizing.
@@ -751,10 +830,11 @@ def merge_all(
     return accumulated, traces
 
 
-def _check_messages(t: ProtocolType, n: int, rank: int, depth: int) -> None:
-    """Raise IllFormedMessage for a message in rank's local type t, which
-    sits depth blocks deep, whose literal endpoints are equal or outside
-    0..n-1. An endpoint that is not a literal, such as a loop binder, passes."""
+def _check_messages(t: ProtocolType, n: int, owner: str, depth: int) -> None:
+    """Raise IllFormedMessage for a message in owner's type t (owner is
+    `rank 2`, say), which sits depth blocks deep, whose literal endpoints
+    are equal or outside 0..n-1. An endpoint that is not a literal, such as
+    a loop binder, passes."""
     for node in spine(t):
         kind = type(node)
         if kind is Message:
@@ -764,12 +844,12 @@ def _check_messages(t: ProtocolType, n: int, rank: int, depth: int) -> None:
                 or type(dst) is IntLit and not 0 <= dst.value < n
             ):
                 raise IllFormedMessage(
-                    f"rank {rank}: `{compact_protocol(node)}` does not join two ranks of 0..{n - 1}"
+                    f"{owner}: `{compact_protocol(node)}` does not join two ranks of 0..{n - 1}"
                 )
         elif kind is Foreach:
-            _check_messages(node.body, n, rank, deeper(depth))
+            _check_messages(node.body, n, owner, deeper(depth))
         elif kind is Allreduce and type(node.cont) is not Skip:  # a bare one opens no block
-            _check_messages(node.cont, n, rank, deeper(depth))
+            _check_messages(node.cont, n, owner, deeper(depth))
 
 
 def _merge_step(

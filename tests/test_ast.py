@@ -340,6 +340,37 @@ class TestNodeProtocol:
         assert repr(node) == text
 
 
+def _recursive_repr(value):
+    """A record's repr as a recursive walk gives it; any other value's repr."""
+    if not isinstance(value, ast._Record) or type(value) is RuleAttempt:
+        return repr(value)
+    fields = ", ".join(f"{name}={_recursive_repr(getattr(value, name))}" for name in value.__slots__)
+    return f"{type(value).__qualname__}({fields})"
+
+
+class TestRepr:
+    """A record's repr walks a chain of its own class through its last field
+    (a right-nested sequence) in a loop, with the text a recursive walk
+    gives."""
+
+    def test_short_trees_repr_as_a_recursive_walk_does(self):
+        values = [value for value, _, _ in NODES + RECORDS] + [
+            parse_protocol("message 0 1 float; message 1 0 integer[3]; foreach i: 0..2 { message 0 i float }"),
+            Seq(Seq(Skip(), Message(IntLit(0), IntLit(1), Float())), Skip()),
+            parse_process("skip; if rank = 0 { send to 1 float; recv from 1 float } else { skip }; skip"),
+            And(Cmp("=", Var("a"), IntLit(1)), And(TrueProp(), Not(TrueProp()))),
+            subst_type(parse_protocol("message 0 1 float; message 1 0 float"), {}),
+        ]
+        for value in values:
+            assert repr(value) == _recursive_repr(value), value
+
+    def test_a_long_sequence_reprs_without_recursion(self):
+        message = Message(IntLit(0), IntLit(1), Float())
+        text = repr(build_seq([message] * 5000))
+        assert text == "Seq(first=" + ("Message(src=IntLit(value=0), dst=IntLit(value=1), payload=Float()), "
+                                      "second=Seq(first=") * 4998 + repr(message) + ", second=" + repr(message) + ")" * 4999
+
+
 def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
     # Importing dataclasses (and through it inspect, dis and tokenize) took
     # about a quarter of a fresh `import protomerge`.

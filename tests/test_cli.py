@@ -336,6 +336,26 @@ class TestMerge:
         code, out, _ = run(capsys, "simulate", interval, points, "--size", "2")
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "left_text, right_text, message",
+        [
+            ("message 0 5 float", "skip",
+             "the merged ranks: `message 0 5 float` does not join two ranks of 0..1"),
+            ("skip", "message 1 1 float", "rank 1: `message 1 1 float` does not join two ranks of 0..1"),
+        ],
+        ids=["left", "right"],
+    )
+    def test_a_message_no_run_can_perform_is_rejected(
+        self, capsys, write, left_text, right_text, message
+    ):
+        left, right = write("left.ptype", left_text), write("right.ptype", right_text)
+        argv = ("merge", left, right, "--size", "2", "--merged", "0", "--k", "1")
+        assert run(capsys, *argv) == (1, "", f"error: IllFormedMessage: {message}\n")
+        code, out, err = run(capsys, *argv, "--json")
+        assert (code, json.loads(out), err) == (
+            1, {"status": "error", "kind": "IllFormedMessage", "message": message}, ""
+        )
+
     @pytest.mark.parametrize("k", ["-1", "3"])
     def test_k_outside_the_world_rejected(self, capsys, write, k):
         left = write("left.ptype", "message 0 1 float")

@@ -1,5 +1,6 @@
 """Merge engine: normal forms, unfolding, rules, diagnostics, rank folding."""
 
+import collections
 import itertools
 import random
 from pathlib import Path
@@ -434,7 +435,7 @@ REFERENCE_SHAPES = {
 def all_rules_offered(left, right):
     """Every rule in table order, each behind its reference shape test."""
     return tuple(
-        (name, rule) for name, (_, rule) in merge_module._RULES.items()
+        (name, rule) for name, (_, rule, _) in merge_module._RULES.items()
         if REFERENCE_SHAPES[name](left, right)
     )
 
@@ -528,7 +529,7 @@ class TestShapeDispatch:
         for left, right in itertools.product(SHAPE_REPS.values(), repeat=2):
             shapes = merge_module._shape(left), merge_module._shape(right)
             offered = [name for name, _ in merge_module._offered(left, right)]
-            own = [name for name, (fits, _) in merge_module._RULES.items() if fits(*shapes)]
+            own = [name for name, (fits, _, _) in merge_module._RULES.items() if fits(*shapes)]
             reference = [name for name, _ in all_rules_offered(left, right)]
             assert offered == own == reference, (left, right)
 
@@ -557,10 +558,11 @@ class TestShapeDispatch:
 
     @staticmethod
     def inputs():
-        rng = random.Random(2024)
-        for _ in range(2000):
-            instance = gen_exchange(rng)
-            yield instance.n, instance.local_types()
+        for seed in (2024, 2025):
+            rng = random.Random(seed)
+            for _ in range(1000):
+                instance = gen_exchange(rng)
+                yield instance.n, instance.local_types()
         for program in ("nbody", "one_to_all", "symmetric_ring"):
             source = (PROGRAMS / f"{program}.proc").read_text()
             for n in range(2, 9):
@@ -568,14 +570,137 @@ class TestShapeDispatch:
                 parsed = parse_process(source, program)
                 yield n, [(r, extract_local_type(ctx, parsed, r, n)) for r in range(n)]
 
+    @classmethod
+    def judged(cls, monkeypatch, cases):
+        """Per case: outcome, and the multisets of premises decided and of
+        payload pairs compared while merging and reading it."""
+        decide, dtype_equiv = merge_module._Engine.decide, merge_module.dtype_equiv
+        decided, compared = collections.Counter(), collections.Counter()
+
+        def counting_decide(engine, ctx, p):
+            decided[ctx, p.proposition()] += 1
+            return decide(engine, ctx, p)
+
+        def counting_dtype_equiv(ctx, d1, d2, *rest):
+            compared[ctx, d1, d2] += 1
+            return dtype_equiv(ctx, d1, d2, *rest)
+
+        monkeypatch.setattr(merge_module._Engine, "decide", counting_decide)
+        monkeypatch.setattr(merge_module, "dtype_equiv", counting_dtype_equiv)
+        out = []
+        for n, types in cases:
+            decided.clear()
+            compared.clear()
+            out.append((cls.outcome(n, types), dict(decided), dict(compared)))
+        return out
+
     def test_same_outcomes_as_offering_every_rule(self, monkeypatch):
+        """Against an engine that offers every node, message pairs too,
+        every rule one by one."""
         cases = list(self.inputs())
-        indexed = [self.outcome(n, types) for n, types in cases]
+        decided = self.judged(monkeypatch, cases)
+        monkeypatch.setattr(merge_module._Engine, "merge", rule_by_rule_merge)
         monkeypatch.setattr(merge_module, "_offered", all_rules_offered)
-        every_rule = [self.outcome(n, types) for n, types in cases]
-        assert indexed == every_rule
-        rejected = sum(isinstance(o[0], DiagnosticKind) for o in indexed)
-        assert 0 < rejected < len(indexed)
+        every_rule = self.judged(monkeypatch, cases)
+        assert decided == every_rule
+        outcomes = [o for o, _, _ in decided]
+        rejected = sum(isinstance(o[0], DiagnosticKind) for o in outcomes)
+        assert 0 < rejected < len(outcomes)
+        # Message pairs were applied, and refused pairs reported.
+        applied = {name for o in outcomes if not isinstance(o[0], DiagnosticKind)
+                   for trace in o[1] for name, _ in trace}
+        assert {"msg-msg-eq", "msg-msg-right"} <= applied
+        pairs = [name for name, _ in merge_module._PAIR_RULES]
+        assert any([rule for rule, _ in o[2]] == pairs
+                   for o in outcomes if isinstance(o[0], DiagnosticKind))
+
+
+def rule_by_rule_merge(engine, ctx, left, right, path):
+    """_Engine.merge as it was before a message pair was decided from its
+    premise verdicts: every node goes through `_offered` and `apply`."""
+    key = (ctx, left, right)
+    outcome = engine.memo.get(key)
+    if outcome is None:
+        engine.memo[key] = ()
+        attempts = []
+        for name, rule in merge_module._offered(left, right):
+            outcome = engine.apply(name, rule, ctx, left, right, path)
+            if type(outcome) is merge_module._Applied:
+                break
+            attempts.append((name, outcome))
+        else:
+            outcome = tuple(attempts)
+        engine.memo[key] = outcome
+    if type(outcome) is merge_module._Applied:
+        return outcome
+    if len(path) > engine.deepest_depth:
+        engine.deepest_depth = len(path)
+        engine.deepest_path = path
+        engine.deepest_attempts = outcome
+    return None
+
+
+class TestPairTable:
+    """A node of two single messages is decided from what its rules'
+    premises judge: the table picks the first rule offered them whose
+    premises all hold, after deciding what the rule-by-rule loop would."""
+
+    LEFT_MERGED, LEFT_K = ("left", "merged"), ("left", "k")
+    RIGHT_K, RIGHT_MERGED = ("right", "k"), ("right", "merged")
+    # Premise -> (what it judges, the verdict on which it holds).
+    HOLDS = {
+        "left-skip-like": (LEFT_MERGED, "Valid"),
+        "left-real": (LEFT_MERGED, "Invalid"),
+        "left-avoids-k": (LEFT_K, "Valid"),
+        "right-skip-like": (RIGHT_K, "Valid"),
+        "right-real": (RIGHT_K, "Invalid"),
+        "right-avoids-merged": (RIGHT_MERGED, "Valid"),
+        "endpoints-equal": ("endpoints", "Valid"),
+        "payload-equivalent": ("payloads", "equivalent"),
+    }
+    LOGICAL = ("Valid", "Invalid", "Undecidable")
+    OUTCOMES = {
+        LEFT_MERGED: LOGICAL, RIGHT_K: LOGICAL, LEFT_K: LOGICAL, RIGHT_MERGED: LOGICAL,
+        "endpoints": LOGICAL, "payloads": ("equivalent", "different", "Undecidable"),
+    }
+
+    def test_the_table_picks_the_first_rule_whose_premises_hold(self):
+        rules = [(name, merge_module._RULES[name][2])
+                 for name, _ in merge_module._INDEX[merge_module._MSG, merge_module._MSG]]
+        assert [name for name, _ in rules] == [
+            "msgS-msgS", "msg-msgS", "msgS-msg", "msg-msg-eq", "msg-msg-right", "msg-msg-left"
+        ]
+        ctx, left, right = merged_context(3, [0]), msg(0, 1), msg(1, 2)
+        picked = collections.Counter()
+        for verdicts in itertools.product(*self.OUTCOMES.values()):
+            verdict_of = dict(zip(self.OUTCOMES, verdicts))
+            asked = []
+
+            def premise(ctx, judged, lm, rm):
+                if judged not in asked:
+                    asked.append(judged)
+                return None, verdict_of[judged]
+
+            engine = merge_module._Engine(1, DEFAULT_ENUM_CAP)
+            engine.premise = premise
+            outcome = engine.pair(ctx, left, right)
+            want, needed = None, []
+            for name, premises in rules:
+                for judged, _ in map(self.HOLDS.get, premises):
+                    if judged not in needed:
+                        needed.append(judged)
+                if all(verdict_of[judged] == holds for judged, holds in map(self.HOLDS.get, premises)):
+                    want = name
+                    break
+            if want is None:
+                assert outcome == merge_module._Unmerged(ctx, left, right), verdict_of
+            else:
+                assert [step.rule for step in outcome.steps] == [want], verdict_of
+            # Decided: what every rule up to the one applied judges, in the
+            # order the rules first ask for it.
+            assert asked == needed, verdict_of
+            picked[want] += 1
+        assert set(picked) == {name for name, _ in rules[:-1]} | {None}
 
 
 class TestMergeAll:
@@ -684,12 +809,13 @@ class TestPremisesAndRendering:
 
             def __setitem__(self, key, premise):
                 assert key not in self, f"{key[1:]} entered twice"
-                entered.append((key[0], premise[1].claim))
+                claim = premise[0]
+                entered.append((key[0], claim.proposition() if hasattr(claim, "proposition") else claim))
                 super().__setitem__(key, premise)
 
         def recording_init(engine, *args):
             init(engine, *args)
-            engine.premises = Table()
+            engine.verdicts = Table()
 
         def counting_decide(engine, ctx, p, *rest):
             # decide holds the premise as parts; entails sees the proposition.
@@ -824,19 +950,22 @@ class TestMembershipPremises:
     def agree(engine, ctx, lm, rm, k, enum_cap):
         """Every message premise and endpoints-equal on lm and rm under ctx
         has the verdict entails gives its proposition."""
-        for name, (operand, side, want) in merge_module._AVOIDS.items():
+        for name, (judged, want, _) in merge_module._PAIR_PREMISES.items():
+            if type(judged) is not tuple:  # not an avoidance premise
+                continue
+            operand, side = judged
             m = lm if operand == "left" else rm
             term = Var("rank") if side == "merged" else IntLit(k)
             p = And(Cmp("!=", m.src, term), Cmp("!=", m.dst, term))
             verdict = entails(ctx, p, enum_cap)
-            ok, check, _ = engine.messages(ctx, m, m, (name,))[0]
-            assert (ok, check.claim, check.verdict) == (
-                verdict is want, p, verdict.value
+            ok, _, _, claim, got = engine.premises(ctx, m, m, (name,))[0]
+            assert (ok, claim.proposition(), got) == (
+                verdict.value == want, p, verdict.value
             ), (enum_cap, ctx.names(), name, m)
-        ok, check, _ = merge_module._msg_msg_eq(engine, ctx, lm, rm)[0][2]
+        ok, _, _, claim, got = engine.premises(ctx, lm, rm, ("endpoints-equal",))[0]
         p = And(Cmp("=", lm.src, rm.src), Cmp("=", lm.dst, rm.dst))
         verdict = entails(ctx, p, enum_cap)
-        assert (ok, check.claim, check.verdict) == (verdict is Verdict.VALID, p, verdict.value)
+        assert (ok, claim.proposition(), got) == (verdict is Verdict.VALID, p, verdict.value)
 
     def test_membership_agrees_with_entails(self, monkeypatch):
         values = merge_module._values
@@ -891,8 +1020,8 @@ class TestMembershipPremises:
         root = merged_context(4, [0, 1])
         engine = merge_module._Engine(2, DEFAULT_ENUM_CAP)
         rebound = self.contexts(root, 4)[2]
-        ok, check, _ = engine.messages(rebound, msg(2, 3), msg(2, 3), ("left-skip-like",))[0]
-        assert (ok, check.verdict) == (False, "Invalid")
+        ok, _, _, _, verdict = engine.premises(rebound, msg(2, 3), msg(2, 3), ("left-skip-like",))[0]
+        assert (ok, verdict) == (False, "Invalid")
         self.agree(engine, rebound, msg(0, 1), msg(3, 2), 2, DEFAULT_ENUM_CAP)
 
     def test_rank_bound_by_a_refinement_reaches_entails(self, monkeypatch):
@@ -901,11 +1030,12 @@ class TestMembershipPremises:
         pairs = [(msg(2, 3), msg(0, 1)), (msg(0, 3), msg(3, 2)), (msg(3, 1), msg(2, 1))]
         entry, chain = merged_context(4, [0, 1]), or_chain_context(4, [0, 1])
         engine = merge_module._Engine(2, DEFAULT_ENUM_CAP)
-        want = [merge_module._msg_msg_eq(engine, entry, lm, rm)[0] for lm, rm in pairs]
+        names = merge_module._RULES["msg-msg-eq"][2]
+        want = [engine.premises(entry, lm, rm, names) for lm, rm in pairs]
         monkeypatch.setattr(merge_module, "_values", self.refusing(merge_module._values))
         for lm, rm in pairs:
             self.agree(engine, chain, lm, rm, 2, DEFAULT_ENUM_CAP)
-        assert [merge_module._msg_msg_eq(engine, chain, lm, rm)[0] for lm, rm in pairs] == want
+        assert [engine.premises(chain, lm, rm, names) for lm, rm in pairs] == want
 
     @staticmethod
     def fold(instance, enum_cap=DEFAULT_ENUM_CAP, context=merged_context):
