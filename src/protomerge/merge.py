@@ -354,7 +354,7 @@ def _allred_allred(engine, ctx, left, right):
 
 
 def _foreach_foreach(engine, ctx, left, right):
-    bounds, verdict = engine.judge(ctx, (ctx, "bounds-equal", "=", left.lo, right.lo, left.hi, right.hi))
+    bounds, verdict = engine.judge((ctx, "bounds-equal", "=", left.lo, right.lo, left.hi, right.hi))
     premises = [
         (verdict == _VALID, DiagnosticKind.ENTAILMENT_FAILED, "bounds-equal", bounds, verdict)
     ]
@@ -454,52 +454,16 @@ _INDEX = {
 }
 
 # ---------------------------------------------------------------------------
-# Two single messages, decided from their premise verdicts
+# Two single messages
 #
-# The rules offered two single messages have no sub-merges, so which applies
-# first is a function of what their premises judge. A stage is what the
-# next rule judges that no earlier rule did, in its premise order: deciding
-# stage by stage decides what offering the rules in turn would, in the same
-# order. After each stage the table maps the verdicts so far to the first
-# rule up to that stage whose premises they all satisfy.
+# The rules offered two single messages have no sub-merges, so the first
+# that applies is the first whose premises all hold. Per rule, in table order:
+# its name, function, and what each premise judges and the verdict it wants.
 
-_PAIR_RULES = _INDEX[(_MSG, _MSG)]
-
-
-def _pair_stages() -> tuple[list[tuple], list[tuple]]:
-    """The stages, and per rule offered two single messages: its name, what
-    its premises judge and want, and how many verdicts the stages up to its
-    own decide."""
-    stages: list[tuple] = []
-    rules = []
-    for name, _ in _PAIR_RULES:
-        wants = tuple(_PAIR_PREMISES[p][:2] for p in _RULES[name][2])
-        judged = [j for stage in stages for j in stage]
-        new = tuple(dict.fromkeys(j for j, _ in wants if j not in judged))
-        stages += [new] if new else []
-        rules.append((name, wants, len(judged) + len(new)))
-    return stages, rules
-
-
-_PAIR_STAGES, _PAIR_WANTS = _pair_stages()
-_PAIR_JUDGED = [j for stage in _PAIR_STAGES for j in stage]
-
-
-class _PairTable(dict):
-    """The verdicts of the first stages -> the first rule up to them whose
-    premises they all satisfy, or None. An entry is worked out the first
-    time it is asked for, so importing the module builds none."""
-
-    def __missing__(self, verdicts: tuple[str, ...]) -> str | None:
-        got = dict(zip(_PAIR_JUDGED, verdicts))
-        self[verdicts] = name = next((
-            name for name, wants, decided in _PAIR_WANTS
-            if decided <= len(verdicts) and all(got[j] == want for j, want in wants)
-        ), None)
-        return name
-
-
-_PAIR_TABLE = _PairTable()
+_PAIR_RULES = tuple(
+    (name, rule, tuple(_PAIR_PREMISES[p][:2] for p in _RULES[name][2]))
+    for name, rule in _INDEX[(_MSG, _MSG)]
+)
 
 
 def _offered(left: ProtocolType, right: ProtocolType):
@@ -562,16 +526,21 @@ class _Engine:
         return None
 
     def pair(self, ctx: TypingContext, left: Message, right: Message) -> _Applied | _Unmerged:
-        """Two single messages: decide the stages of _PAIR_STAGES until
-        _PAIR_TABLE picks a rule for their verdicts, and apply it."""
-        verdicts: tuple[str, ...] = ()
-        for stage in _PAIR_STAGES:
-            for judged in stage:
-                verdicts += (self.premise(ctx, judged, left, right)[1],)
-            name = _PAIR_TABLE[verdicts]
-            if name is not None:
-                # The rule's premises all hold and it has no sub-merges.
-                checks, _, conclude = _RULES[name][1](self, ctx, left, right)
+        """Two single messages: apply the first rule offered them whose
+        premises all hold. Rule by rule, what a rule judges that no earlier
+        rule did is decided in its premise order, so the same premises are
+        decided, in the same order, as offering the rules one by one would."""
+        verdicts: dict = {}
+        for name, rule, wants in _PAIR_RULES:
+            holds = True
+            for judged, want in wants:
+                verdict = verdicts.get(judged)
+                if verdict is None:
+                    verdict = verdicts[judged] = self.premise(ctx, judged, left, right)[1]
+                holds = holds and verdict == want
+            if holds:
+                # The rule has no sub-merges.
+                checks, _, conclude = rule(self, ctx, left, right)
                 step = MergeStep(name, left, right, tuple(PremiseCheck(*p[2:]) for p in checks))
                 return _Applied(conclude(), (step,))
         return _Unmerged(ctx, left, right)
@@ -603,7 +572,7 @@ class _Engine:
             # Every premise of every rule was decided, so offering each rule
             # again decides nothing new.
             attempts = tuple(
-                (name, self.apply(name, rule, *attempts, ())) for name, rule in _PAIR_RULES
+                (name, self.apply(name, rule, *attempts, ())) for name, rule, _ in _PAIR_RULES
             )
         kinds = {r.kind for _, r in attempts}
         if self.undecidable:
@@ -644,13 +613,14 @@ class _Engine:
             ok = ok and (values == (lit.value,) if p.op == "=" else lit.value not in values)
         return Verdict.VALID if ok else Verdict.INVALID
 
-    def judge(self, ctx: TypingContext, key: tuple) -> tuple[_Both | tuple, str]:
-        """The claim a verdict table key states and its verdict under ctx,
-        decided once. A key is (ctx, what is judged, claim parts): a
-        _Both's fields, decided by `decide`, or a payload pair, equivalent
-        or different (or Undecidable)."""
+    def judge(self, key: tuple) -> tuple[_Both | tuple, str]:
+        """The claim a verdict table key states and its verdict, decided
+        once. A key is (ctx, what is judged, claim parts): a _Both's fields,
+        decided by `decide` under ctx, or a payload pair, equivalent or
+        different (or Undecidable)."""
         found = self.verdicts.get(key)
         if found is None:
+            ctx = key[0]
             if key[1] is _PAYLOADS:
                 claim = key[2:]
                 try:
@@ -677,7 +647,7 @@ class _Engine:
             m = lm if operand == "left" else rm
             term = _RANK if side == "merged" else self.k
             key = (ctx, "avoids", "!=", m.src, term, m.dst, term)
-        return self.verdicts.get(key) or self.judge(ctx, key)
+        return self.verdicts.get(key) or self.judge(key)
 
     def premises(self, ctx: TypingContext, lm, rm, names: Sequence[str]) -> list:
         """The named premises (see _PAIR_PREMISES) on left message lm and

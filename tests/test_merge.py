@@ -569,6 +569,21 @@ class TestShapeDispatch:
                 ctx = initial_context(n)
                 parsed = parse_process(source, program)
                 yield n, [(r, extract_local_type(ctx, parsed, r, n)) for r in range(n)]
+        # Inputs that reach an Undecidable verdict: an open endpoint, and
+        # float-refined payloads, which compare only syntactically.
+        open_end = Message(Var("w"), IntLit(1), D)
+        yield 2, [(0, open_end), (1, open_end)]
+        yield 2, [(0, msg(0, 1)), (1, open_end)]
+        below = Refined("x", Float(), Cmp("<", Var("x"), IntLit(1)))
+        above = Refined("y", Float(), Cmp(">", Var("y"), IntLit(2)))
+        # Equal endpoints: msg-msg-eq is refused on payload-equivalent.
+        yield 2, [(0, msg(0, 1, below)), (1, msg(0, 1, above))]
+        # Different endpoints: msg-msg-eq marks the engine and msg-msg-right
+        # still applies. In the second, the same step then fails, and only
+        # that mark makes its diagnostic EntailmentUndecidable.
+        pair = [(0, msg(0, 1, below)), (1, msg(0, 1, below)), (3, msg(2, 3, above))]
+        yield 4, pair + [(2, msg(2, 3, above))]
+        yield 4, pair + [(2, Seq(msg(2, 3, above), msg(2, 0, below)))]
 
     @classmethod
     def judged(cls, monkeypatch, cases):
@@ -610,9 +625,10 @@ class TestShapeDispatch:
         applied = {name for o in outcomes if not isinstance(o[0], DiagnosticKind)
                    for trace in o[1] for name, _ in trace}
         assert {"msg-msg-eq", "msg-msg-right"} <= applied
-        pairs = [name for name, _ in merge_module._PAIR_RULES]
+        pairs = [name for name, _, _ in merge_module._PAIR_RULES]
         assert any([rule for rule, _ in o[2]] == pairs
                    for o in outcomes if isinstance(o[0], DiagnosticKind))
+        assert DiagnosticKind.ENTAILMENT_UNDECIDABLE in {o[0] for o in outcomes}
 
 
 def rule_by_rule_merge(engine, ctx, left, right, path):
@@ -640,10 +656,10 @@ def rule_by_rule_merge(engine, ctx, left, right, path):
     return None
 
 
-class TestPairTable:
-    """A node of two single messages is decided from what its rules'
-    premises judge: the table picks the first rule offered them whose
-    premises all hold, after deciding what the rule-by-rule loop would."""
+class TestFirstRuleWhosePremisesHold:
+    """A node of two single messages applies the first rule offered them
+    whose premises all hold, after deciding what the rule-by-rule loop
+    would."""
 
     LEFT_MERGED, LEFT_K = ("left", "merged"), ("left", "k")
     RIGHT_K, RIGHT_MERGED = ("right", "k"), ("right", "merged")
@@ -664,7 +680,7 @@ class TestPairTable:
         "endpoints": LOGICAL, "payloads": ("equivalent", "different", "Undecidable"),
     }
 
-    def test_the_table_picks_the_first_rule_whose_premises_hold(self):
+    def test_pair_applies_the_first_rule_offered_whose_premises_hold(self):
         rules = [(name, merge_module._RULES[name][2])
                  for name, _ in merge_module._INDEX[merge_module._MSG, merge_module._MSG]]
         assert [name for name, _ in rules] == [
