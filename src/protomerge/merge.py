@@ -11,6 +11,7 @@ every applicable rule's premise broke.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterable, NamedTuple, Sequence
 
 from .ast import (
@@ -200,42 +201,21 @@ class _Applied(NamedTuple):
     steps: tuple[MergeStep, ...]
 
 
-class _Refused(NamedTuple):
-    # The failing premise as a rule states it (its check is built when the
-    # refusal is read), or why a subgoal failed.
-    failed: tuple | str
-    # What the refusal suspects. A failed structural premise or sub-merge
-    # suspects a deadlock.
-    kind: DiagnosticKind
-
-    def text(self) -> str:
-        if isinstance(self.failed, str):
-            return self.failed
-        check = PremiseCheck(*self.failed[2:])
-        return f"{check.name}: {check.formula} is {check.verdict}"
-
-
-class _Unmerged(NamedTuple):
-    """Two single messages every rule refused (see `_Engine.diagnostic`)."""
-
-    ctx: TypingContext
-    left: Message
-    right: Message
-
-
 _TEXT = {v: v.value for v in Verdict}  # as a trace spells them
 _VALID, _INVALID, _UNDECIDABLE = Verdict.VALID.value, Verdict.INVALID.value, Verdict.UNDECIDABLE.value
-_EQUIVALENT, _DIFFERENT = "equivalent", "different"
-_DEADLOCK = DiagnosticKind.DEADLOCK_SUSPECTED
-_ENDPOINTS, _PAYLOADS = "endpoints", "payloads"
+_EQUAL, _EQUIVALENT, _DIFFERENT = "equal", "equivalent", "different"
+_DEADLOCK, _FAILED = DiagnosticKind.DEADLOCK_SUSPECTED, DiagnosticKind.ENTAILMENT_FAILED
+_ENDPOINTS, _PAYLOADS, _OPS, _BOUNDS = "endpoints", "payloads", "ops", "bounds"
 
-# Premises on a left and a right message: name -> (what it judges, the
-# verdict it wants, what its failure suspects). It judges that one operand's
-# message avoids one side (neither endpoint lies in it), that the endpoints
-# are equal, or that the payloads are equivalent. Skip-likeness of the left
-# operand is judged against the merged ranks, of the right operand against
+# Every premise a rule checks: name -> (what it judges, the verdict it wants,
+# what its failure suspects). A premise is judged on the heads of a node's
+# two operands (a sequence's head is its first item). It judges that one
+# head's message avoids one side (neither endpoint lies in it), that the
+# endpoints are equal, that the payloads are equivalent, or that two
+# allreduces' operators or two loops' bounds are equal. Skip-likeness of the
+# left head is judged against the merged ranks, of the right head against
 # k; "real" is the refutation.
-_PAIR_PREMISES = {
+_PREMISES = {
     "left-skip-like": (("left", "merged"), _VALID, _DEADLOCK),
     "left-real": (("left", "merged"), _INVALID, _DEADLOCK),
     "left-avoids-k": (("left", "k"), _VALID, _DEADLOCK),
@@ -244,6 +224,8 @@ _PAIR_PREMISES = {
     "right-avoids-merged": (("right", "merged"), _VALID, _DEADLOCK),
     "endpoints-equal": (_ENDPOINTS, _VALID, _DEADLOCK),
     "payload-equivalent": (_PAYLOADS, _EQUIVALENT, DiagnosticKind.DATATYPE_MISMATCH),
+    "op-equal": (_OPS, _EQUAL, _FAILED),
+    "bounds-equal": (_BOUNDS, _VALID, _FAILED),
 }
 
 # Non-interference: the left message never touches rank k, the right message
@@ -320,44 +302,29 @@ def _headed_pair(l: str, r: str) -> bool:
 # ---------------------------------------------------------------------------
 # The rules
 #
-# A rule is a shape test, a function (engine, ctx, left, right) and, for a
-# rule on two single operands, the names of the premises it checks. The
+# A rule is a shape test, the names of the premises it checks (rows of
+# _PREMISES, in the order checked) and a function (ctx, left, right). The
 # shape test takes the operands' shape classes; the function is called only
-# on operands it accepts. The function returns (premises, subgoals,
-# conclude): the premises as (ok, kind, name, claim, verdict) in the order
-# checked, all evaluated; the sub-merges as (ctx, left, right, path label,
-# refusal text), merged in order; and `conclude`, from the sub-merges'
+# on operands it accepts whose premises all hold. The function returns
+# (subgoals, conclude): the sub-merges as (ctx, left, right, path label,
+# refusal text), merged in order, and `conclude`, from the sub-merges'
 # results to the rule's conclusion.
 
 
 def _message_rule(lshape, rshape, names, conclude):
-    """A rule on two single operands, each a message or skip, that checks
-    the named message premises only."""
-
-    def rule(engine, ctx, left, right):
-        return engine.premises(ctx, left, right, names), (), lambda: conclude(left, right)
-
-    return _pair(lshape, rshape), rule, names
+    """A rule on two single operands, each a message or skip: no sub-merges."""
+    return _pair(lshape, rshape), names, lambda ctx, l, r: ((), lambda: conclude(l, r))
 
 
-def _allred_allred(engine, ctx, left, right):
-    same_op = left.op is right.op
-    premises = [
-        (same_op, DiagnosticKind.ENTAILMENT_FAILED, "op-equal",
-         f"{left.op.value} = {right.op.value}", "equal" if same_op else "different"),
-    ] + engine.premises(ctx, left, right, ("payload-equivalent",))
+def _allred_allred(ctx, left, right):
     binder, rbinder = left.binder, right.binder
     rcont = right.cont if rbinder == binder else subst_type(right.cont, {rbinder: Var(binder)})
     cont = (ctx.extend(binder, left.payload), left.cont, rcont)
     subgoal = cont + ("allreduce.cont", "continuations do not merge")
-    return premises, (subgoal,), lambda c: Allreduce(left.op, binder, left.payload, c)
+    return (subgoal,), lambda c: Allreduce(left.op, binder, left.payload, c)
 
 
-def _foreach_foreach(engine, ctx, left, right):
-    bounds, verdict = engine.judge((ctx, "bounds-equal", "=", left.lo, right.lo, left.hi, right.hi))
-    premises = [
-        (verdict == _VALID, DiagnosticKind.ENTAILMENT_FAILED, "bounds-equal", bounds, verdict)
-    ]
+def _foreach_foreach(ctx, left, right):
     binder, rbinder = left.binder, right.binder
     rbody = right.body if rbinder == binder else subst_type(right.body, {rbinder: Var(binder)})
     y = _fresh("y", index_vars(left.lo) | index_vars(left.hi) | {binder})
@@ -366,29 +333,29 @@ def _foreach_foreach(engine, ctx, left, right):
     )
     body = (ctx.extend(binder, entry), left.body, rbody)
     subgoal = body + (f"foreach[{binder}].body", "loop bodies do not merge")
-    return premises, (subgoal,), lambda b: Foreach(binder, left.lo, left.hi, b)
+    return (subgoal,), lambda b: Foreach(binder, left.lo, left.hi, b)
 
 
-def _seq_seq(engine, ctx, left, right):
+def _seq_seq(ctx, left, right):
     (lh, lt), (rh, rt) = _seq_parts(left), _seq_parts(right)
     first = (ctx, lh, rh, "seq.first", "first components do not merge")
-    return (), (first, (ctx, lt, rt, "seq.second", "second components do not merge")), concat
+    return (first, (ctx, lt, rt, "seq.second", "second components do not merge")), concat
 
 
 def _skip_vs_seq(flip: bool):
     """skip-msgT: skip against a sequence headed by a message merges the head
     and the tail against skip. With flip, msgT-skipT: the sequence is left."""
 
-    def rule(engine, ctx, left, right):
+    def rule(ctx, left, right):
         skip, seq = (right, left) if flip else (left, right)
 
         def goal(part, label, text):
             return (ctx, part, skip, label, text) if flip else (ctx, skip, part, label, text)
 
         head = goal(seq.first, "seq.head", "head does not merge against skip")
-        return (), (head, goal(seq.second, "seq.tail", "tail does not merge against skip")), concat
+        return (head, goal(seq.second, "seq.tail", "tail does not merge against skip")), concat
 
-    return (_pair(_MSG_SEQ, _SKIP) if flip else _pair(_SKIP, _MSG_SEQ)), rule, None
+    return (_pair(_MSG_SEQ, _SKIP) if flip else _pair(_SKIP, _MSG_SEQ)), (), rule
 
 
 def _msgT_msgT(emit_right: bool):
@@ -402,18 +369,17 @@ def _msgT_msgT(emit_right: bool):
         names = ("left-real", "left-avoids-k", "right-real")
         labels = ("seq.tail-vs-right", "left tail does not merge against the right type")
 
-    def rule(engine, ctx, left, right):
+    def rule(ctx, left, right):
         lh, lt = _seq_parts(left)
         rh, rt = _seq_parts(right)
         head, rest = (rh, (ctx, left, rt)) if emit_right else (lh, (ctx, lt, right))
-        premises = engine.premises(ctx, lh, rh, names)
-        return premises, (rest + labels,), lambda r: concat(head, r)
+        return (rest + labels,), lambda r: concat(head, r)
 
-    return _headed_pair, rule, None
+    return _headed_pair, names, rule
 
 
-# The rules in the order the engine tries them: name -> (shape test, rule,
-# the premise names of a rule on two single operands, or None).
+# The rules in the order the engine tries them: name -> (shape test,
+# premise names, rule).
 _RULES = {
     "skip-skip": _message_rule(_SKIP, _SKIP, (), lambda l, r: Skip()),
     "skip-msgS": _message_rule(_SKIP, _MSG, ("right-skip-like",), lambda l, r: Skip()),
@@ -433,9 +399,9 @@ _RULES = {
         _MSG, _MSG, ("left-real", "right-real", "endpoints-equal", "payload-equivalent"),
         lambda l, r: l,
     ),
-    "allred-allred": (_pair(_ALLRED, _ALLRED), _allred_allred, None),
-    "foreach-foreach": (_pair(_FOREACH, _FOREACH), _foreach_foreach, None),
-    "seq-seq": (_seq_pair, _seq_seq, None),
+    "allred-allred": (_pair(_ALLRED, _ALLRED), ("op-equal", "payload-equivalent"), _allred_allred),
+    "foreach-foreach": (_pair(_FOREACH, _FOREACH), ("bounds-equal",), _foreach_foreach),
+    "seq-seq": (_seq_pair, (), _seq_seq),
     "skip-msgT": _skip_vs_seq(flip=False),
     "msgT-skipT": _skip_vs_seq(flip=True),
     "msg-msg-right": _message_rule(_MSG, _MSG, _NON_INTERFERENCE, lambda l, r: Seq(r, l)),
@@ -445,30 +411,35 @@ _RULES = {
 }
 RULE_NAMES = tuple(_RULES)
 
-# (left shape, right shape) -> the (name, rule) pairs whose shape test
-# accepts it, in table order.
+
+def _offer(name: str):
+    """Rule `name` as `_Engine.derive` takes it: (name, premises, rule), each
+    premise as (name, what it judges, the verdict it wants, what its
+    failure suspects)."""
+    _, names, rule = _RULES[name]
+    return name, tuple((p,) + _PREMISES[p] for p in names), rule
+
+
+# (left shape, right shape) -> the rules whose shape test accepts it, in
+# table order, as offered.
 _INDEX = {
-    (l, r): tuple((name, rule) for name, (fits, rule, _) in _RULES.items() if fits(l, r))
+    (l, r): tuple(_offer(name) for name, (fits, _, _) in _RULES.items() if fits(l, r))
     for l in _SHAPES
     for r in _SHAPES
 }
-
-# ---------------------------------------------------------------------------
-# Two single messages
-#
-# The rules offered two single messages have no sub-merges, so the first
-# that applies is the first whose premises all hold. Per rule, in table order:
-# its name, function, and what each premise judges and the verdict it wants.
-
-_PAIR_RULES = tuple(
-    (name, rule, tuple(_PAIR_PREMISES[p][:2] for p in _RULES[name][2]))
-    for name, rule in _INDEX[(_MSG, _MSG)]
-)
 
 
 def _offered(left: ProtocolType, right: ProtocolType):
     """The rules whose shape test accepts left and right, in table order."""
     return _INDEX.get((_shape(left), _shape(right)), ())
+
+
+def _reason(refusal: tuple) -> str:
+    """A refusal's text: why a sub-merge failed, or the failing premise."""
+    if len(refusal) == 3:
+        return refusal[2]
+    check = PremiseCheck(*refusal[2:])
+    return f"{check.name}: {check.formula} is {check.verdict}"
 
 
 class _Engine:
@@ -479,8 +450,8 @@ class _Engine:
     def __init__(self, k: int, enum_cap: int):
         self.k = IntLit(k)
         self.enum_cap = enum_cap
-        # (context, left, right) -> _Applied, or the refused attempts, or
-        # _Unmerged (() while the subproblem is open)
+        # (context, left, right) -> _Applied or the refusals (() while the
+        # subproblem is open)
         self.memo: dict = {}
         # (context, what is judged, claim parts) -> (claim, verdict): every
         # premise, decided once.
@@ -488,7 +459,8 @@ class _Engine:
         self.undecidable = False
         self.deepest_depth = -1
         self.deepest_path: tuple[str, ...] = ()
-        self.deepest_attempts: tuple[tuple[str, _Refused], ...] | _Unmerged = ()
+        # The deepest node every rule refused: (left, right, refusals).
+        self.deepest: tuple = ()
 
     # -- derivation
 
@@ -502,89 +474,70 @@ class _Engine:
         key = (ctx, left, right)
         outcome = self.memo.get(key)
         if outcome is None:
-            if type(left) is Message and type(right) is Message:
-                outcome = self.pair(ctx, left, right)
-            else:
-                # Guard against re-entering the same subproblem while it is open.
-                self.memo[key] = ()
-                attempts: list[tuple[str, _Refused]] = []
-                for name, rule in _offered(left, right):
-                    outcome = self.apply(name, rule, ctx, left, right, path)
-                    if type(outcome) is _Applied:
-                        break
-                    attempts.append((name, outcome))
-                else:
-                    outcome = tuple(attempts)
-            self.memo[key] = outcome
+            # Guard against re-entering the same subproblem while it is open.
+            self.memo[key] = ()
+            outcome = self.memo[key] = self.derive(ctx, left, right, path, _offered(left, right))
         if type(outcome) is _Applied:
             return outcome
         # The diagnostic reports the deepest subproblem every rule refused.
         if len(path) > self.deepest_depth:
             self.deepest_depth = len(path)
             self.deepest_path = path
-            self.deepest_attempts = outcome
+            self.deepest = left, right, outcome
         return None
 
-    def pair(self, ctx: TypingContext, left: Message, right: Message) -> _Applied | _Unmerged:
-        """Two single messages: apply the first rule offered them whose
-        premises all hold. Rule by rule, what a rule judges that no earlier
-        rule did is decided in its premise order, so the same premises are
-        decided, in the same order, as offering the rules one by one would."""
-        verdicts: dict = {}
-        for name, rule, wants in _PAIR_RULES:
-            holds = True
-            for judged, want in wants:
-                verdict = verdicts.get(judged)
-                if verdict is None:
-                    verdict = verdicts[judged] = self.premise(ctx, judged, left, right)[1]
-                holds = holds and verdict == want
-            if holds:
-                # The rule has no sub-merges.
-                checks, _, conclude = rule(self, ctx, left, right)
-                step = MergeStep(name, left, right, tuple(PremiseCheck(*p[2:]) for p in checks))
-                return _Applied(conclude(), (step,))
-        return _Unmerged(ctx, left, right)
+    def derive(self, ctx, left, right, path, rules) -> _Applied | tuple[tuple, ...]:
+        """Apply the first of `rules` (as _INDEX offers them) whose premises
+        all hold and whose sub-merges all succeed, or give back each rule's
+        refusal: (rule, kind, premise name, claim, verdict) for a failed
+        premise, (rule, kind, text) for a failed sub-merge. A rule decides
+        each of its premises that no earlier rule at this node decided, in
+        its premise order and all of them, so an undecidable one marks the
+        engine even after an earlier failure."""
+        lh = left.first if type(left) is Seq else left
+        rh = right.first if type(right) is Seq else right
+        verdicts: dict = {}  # what is judged -> (claim, verdict), at this node
+        refused = []
+        for name, premises, rule in rules:
+            failed = None
+            for premise, judged, want, kind in premises:
+                found = verdicts.get(judged)
+                if found is None:
+                    found = verdicts[judged] = self.premise(ctx, judged, lh, rh)
+                if failed is None and found[1] != want:
+                    failed = (name, kind, premise) + found
+            if failed is not None:
+                refused.append(failed)
+                continue
+            subgoals, conclude = rule(ctx, left, right)
+            results = []
+            substeps: tuple[MergeStep, ...] = ()
+            for sub_ctx, sub_left, sub_right, label, why in subgoals:
+                sub = self.merge(sub_ctx, sub_left, sub_right, path + (label,))
+                if sub is None:
+                    refused.append((name, _DEADLOCK, why))
+                    break
+                results.append(sub.result)
+                substeps += sub.steps
+            else:
+                checks = tuple(PremiseCheck(p, *verdicts[judged]) for p, judged, _, _ in premises)
+                return _Applied(conclude(*results), (MergeStep(name, left, right, checks),) + substeps)
+        return tuple(refused)
 
-    def apply(self, name, rule, ctx, left, right, path) -> _Applied | _Refused:
-        """One rule at one node whose shapes it accepts: its derivation or why
-        it was refused. The rule evaluates every premise before any is
-        judged, so an undecidable one marks the engine even after an earlier
-        failure."""
-        checks, subgoals, conclude = rule(self, ctx, left, right)
-        for premise in checks:
-            if not premise[0]:
-                return _Refused(premise, premise[1])
-        results = []
-        substeps: tuple[MergeStep, ...] = ()
-        for sub_ctx, sub_left, sub_right, label, refusal in subgoals:
-            sub = self.merge(sub_ctx, sub_left, sub_right, path + (label,))
-            if sub is None:
-                return _Refused(refusal, DiagnosticKind.DEADLOCK_SUSPECTED)
-            results.append(sub.result)
-            substeps += sub.steps
-        step = MergeStep(name, left, right, tuple(PremiseCheck(*p[2:]) for p in checks))
-        return _Applied(conclude(*results), (step,) + substeps)
-
-    def diagnostic(self, left: ProtocolType, right: ProtocolType) -> Diagnostic:
+    def diagnostic(self) -> Diagnostic:
         location = "/".join(self.deepest_path) or "root"
-        attempts = self.deepest_attempts
-        if type(attempts) is _Unmerged:
-            # Every premise of every rule was decided, so offering each rule
-            # again decides nothing new.
-            attempts = tuple(
-                (name, self.apply(name, rule, *attempts, ())) for name, rule, _ in _PAIR_RULES
-            )
-        kinds = {r.kind for _, r in attempts}
+        left, right, refused = self.deepest
+        kinds = {r[1] for r in refused}
         if self.undecidable:
             kind = DiagnosticKind.ENTAILMENT_UNDECIDABLE
         elif DiagnosticKind.DATATYPE_MISMATCH in kinds:
             kind = DiagnosticKind.DATATYPE_MISMATCH
-        elif DiagnosticKind.ENTAILMENT_FAILED in kinds:
-            kind = DiagnosticKind.ENTAILMENT_FAILED
+        elif _FAILED in kinds:
+            kind = _FAILED
         else:
-            kind = DiagnosticKind.DEADLOCK_SUSPECTED
+            kind = _DEADLOCK
         # The refusals are rendered when they are read.
-        trace = tuple(RuleAttempt(name, r.text) for name, r in attempts)
+        trace = tuple(RuleAttempt(r[0], partial(_reason, r)) for r in refused)
         if not trace:
             trace = (
                 RuleAttempt(
@@ -595,7 +548,7 @@ class _Engine:
             )
         return Diagnostic(kind, location, trace)
 
-    # -- premises, for the rules
+    # -- premises
 
     def decide(self, ctx: TypingContext, p: _Both) -> Verdict:
         """The verdict of premise p (an equality or a disequality) under
@@ -613,11 +566,11 @@ class _Engine:
             ok = ok and (values == (lit.value,) if p.op == "=" else lit.value not in values)
         return Verdict.VALID if ok else Verdict.INVALID
 
-    def judge(self, key: tuple) -> tuple[_Both | tuple, str]:
+    def judge(self, key: tuple) -> tuple[_Both | tuple | str, str]:
         """The claim a verdict table key states and its verdict, decided
-        once. A key is (ctx, what is judged, claim parts): a _Both's fields,
-        decided by `decide` under ctx, or a payload pair, equivalent or
-        different (or Undecidable)."""
+        once. A key is (ctx, what is judged, claim parts): a payload pair,
+        equivalent or different (or Undecidable); two operators, equal or
+        different; or a _Both's fields, decided by `decide` under ctx."""
         found = self.verdicts.get(key)
         if found is None:
             ctx = key[0]
@@ -628,38 +581,33 @@ class _Engine:
                 except UndecidableEquivalence:
                     self.undecidable = True
                     verdict = _UNDECIDABLE
+            elif key[1] is _OPS:
+                claim = f"{key[2].value} = {key[3].value}"
+                verdict = _EQUAL if key[2] is key[3] else _DIFFERENT
             else:
                 claim = _Both(*key[2:])
                 verdict = _TEXT[self.decide(ctx, claim)]
             found = self.verdicts[key] = claim, verdict
         return found
 
-    def premise(self, ctx: TypingContext, judged, lm, rm) -> tuple[_Both | tuple, str]:
-        """The claim of what a message premise judges (see _PAIR_PREMISES)
-        on left message lm and right message rm, and its verdict. A side's
-        verdict is one per context and endpoints, whichever operand asks."""
+    def premise(self, ctx: TypingContext, judged, lh, rh) -> tuple[_Both | tuple | str, str]:
+        """The claim of what a premise judges (see _PREMISES) on left head
+        lh and right head rh, and its verdict. A side's verdict is one per
+        context and endpoints, whichever operand asks."""
         if judged is _ENDPOINTS:
-            key = (ctx, judged, "=", lm.src, rm.src, lm.dst, rm.dst)
+            key = (ctx, judged, "=", lh.src, rh.src, lh.dst, rh.dst)
         elif judged is _PAYLOADS:
-            key = (ctx, judged, lm.payload, rm.payload)
+            key = (ctx, judged, lh.payload, rh.payload)
+        elif judged is _BOUNDS:
+            key = (ctx, judged, "=", lh.lo, rh.lo, lh.hi, rh.hi)
+        elif judged is _OPS:
+            key = (ctx, judged, lh.op, rh.op)
         else:
             operand, side = judged
-            m = lm if operand == "left" else rm
+            m = lh if operand == "left" else rh
             term = _RANK if side == "merged" else self.k
             key = (ctx, "avoids", "!=", m.src, term, m.dst, term)
         return self.verdicts.get(key) or self.judge(key)
-
-    def premises(self, ctx: TypingContext, lm, rm, names: Sequence[str]) -> list:
-        """The named premises (see _PAIR_PREMISES) on left message lm and
-        right message rm, as (ok, kind, name, claim, verdict). Only the
-        payloads are read for payload-equivalent, so lm and rm may be two
-        allreduces."""
-        checked = []
-        for name in names:
-            judged, want, kind = _PAIR_PREMISES[name]
-            claim, verdict = self.premise(ctx, judged, lm, rm)
-            checked.append((verdict == want, kind, name, claim, verdict))
-        return checked
 
 
 def _validate_merge_inputs(ctx: TypingContext, k: int) -> int | None:
@@ -704,7 +652,7 @@ def _merge_normal(
     engine = _Engine(k, enum_cap)
     outcome = engine.merge(ctx, left, right, ())
     if outcome is None:
-        raise MergeFailure(engine.diagnostic(left, right))
+        raise MergeFailure(engine.diagnostic())
     return outcome.result, MergeTrace(outcome.steps)
 
 
@@ -725,11 +673,11 @@ def attempt_rule(
     if rule not in _RULES:
         raise ValueError(f"unknown merge rule {rule!r}; expected one of {', '.join(RULE_NAMES)}")
     _validate_merge_inputs(ctx, k)
-    fits, fn, _ = _RULES[rule]
+    fits = _RULES[rule][0]
     left, right = normalize_seq(left), normalize_seq(right)
     if not fits(_shape(left), _shape(right)):
         return None
-    outcome = _Engine(k, enum_cap).apply(rule, fn, ctx, left, right, ())
+    outcome = _Engine(k, enum_cap).derive(ctx, left, right, (), (_offer(rule),))
     return outcome.result if type(outcome) is _Applied else None
 
 

@@ -47,7 +47,7 @@ from protomerge import (
 )
 from protomerge.ast import FRESH_BINDER, MAX_BLOCK_DEPTH, subst_type
 from protomerge.logic import DEFAULT_ENUM_CAP
-from protomerge.syntax import parse_process
+from protomerge.syntax import parse_process, parse_protocol
 
 from generators import gen_exchange, or_chain_context
 
@@ -268,7 +268,39 @@ class TestMergeFailureDiagnostics:
         ctx = merged_context(2, [0])
         with pytest.raises(MergeFailure) as err:
             merge_types(ctx, allred(ReduceOp.MIN), allred(ReduceOp.MAX), k=1)
-        assert err.value.diagnostic.kind is DiagnosticKind.ENTAILMENT_FAILED
+        d = err.value.diagnostic
+        assert (d.kind, d.location) == (DiagnosticKind.ENTAILMENT_FAILED, "root")
+        assert [(a.rule, a.failed_premise) for a in d.rule_trace] == [
+            ("allred-allred", "op-equal: min = max is different")
+        ]
+
+    @pytest.mark.parametrize("left, right, kind, trace", [
+        ("foreach i: 1..2 { message 0 1 float }", "foreach i: 1..3 { message 0 1 float }",
+         DiagnosticKind.ENTAILMENT_FAILED,
+         [("foreach-foreach", "bounds-equal: 1 = 1 and 2 = 3 is Invalid")]),
+        ("allreduce min float", "allreduce min integer", DiagnosticKind.DATATYPE_MISMATCH,
+         [("allred-allred", "payload-equivalent: float == integer is different")]),
+    ])
+    def test_loop_bounds_and_collective_payloads(self, left, right, kind, trace):
+        with pytest.raises(MergeFailure) as err:
+            merge_types(merged_context(2, [0]), parse_protocol(left), parse_protocol(right), k=1)
+        d = err.value.diagnostic
+        assert (d.kind, d.location) == (kind, "root")
+        assert [(a.rule, a.failed_premise) for a in d.rule_trace] == trace
+
+    def test_no_rule_matches_names_the_refused_node(self):
+        """A node below the root that no rule accepts is named by its own
+        operands, not the root's."""
+        left = parse_protocol("message 0 1 float; message 1 0 float")
+        right = parse_protocol("foreach i: 1..2 { message 0 1 float }; message 1 0 float")
+        with pytest.raises(MergeFailure) as err:
+            merge_types(merged_context(2, [0]), left, right, k=1)
+        d = err.value.diagnostic
+        assert d.location == "seq.first"
+        assert [(a.rule, a.failed_premise) for a in d.rule_trace] == [
+            ("none", "no rule matches message 0 1 float against "
+                     "foreach i: 1..2 { message 0 1 float }")
+        ]
 
     def test_open_endpoint_is_undecidable(self):
         ctx = merged_context(8, [0])
@@ -433,9 +465,10 @@ REFERENCE_SHAPES = {
 
 
 def all_rules_offered(left, right):
-    """Every rule in table order, each behind its reference shape test."""
+    """Every rule in table order, each behind its reference shape test, as a
+    node is offered it."""
     return tuple(
-        (name, rule) for name, (_, rule, _) in merge_module._RULES.items()
+        merge_module._offer(name) for name in merge_module._RULES
         if REFERENCE_SHAPES[name](left, right)
     )
 
@@ -528,9 +561,9 @@ class TestShapeDispatch:
     def test_index_is_exact(self):
         for left, right in itertools.product(SHAPE_REPS.values(), repeat=2):
             shapes = merge_module._shape(left), merge_module._shape(right)
-            offered = [name for name, _ in merge_module._offered(left, right)]
+            offered = [name for name, _, _ in merge_module._offered(left, right)]
             own = [name for name, (fits, _, _) in merge_module._RULES.items() if fits(*shapes)]
-            reference = [name for name, _ in all_rules_offered(left, right)]
+            reference = [name for name, _, _ in all_rules_offered(left, right)]
             assert offered == own == reference, (left, right)
 
     def test_attempt_rule_matches_the_reference(self):
@@ -611,7 +644,7 @@ class TestShapeDispatch:
 
     def test_same_outcomes_as_offering_every_rule(self, monkeypatch):
         """Against an engine that offers every node, message pairs too,
-        every rule one by one."""
+        every rule one by one, each in a node of its own."""
         cases = list(self.inputs())
         decided = self.judged(monkeypatch, cases)
         monkeypatch.setattr(merge_module._Engine, "merge", rule_by_rule_merge)
@@ -625,34 +658,35 @@ class TestShapeDispatch:
         applied = {name for o in outcomes if not isinstance(o[0], DiagnosticKind)
                    for trace in o[1] for name, _ in trace}
         assert {"msg-msg-eq", "msg-msg-right"} <= applied
-        pairs = [name for name, _, _ in merge_module._PAIR_RULES]
+        pairs = [name for name, _, _ in merge_module._INDEX[merge_module._MSG, merge_module._MSG]]
         assert any([rule for rule, _ in o[2]] == pairs
                    for o in outcomes if isinstance(o[0], DiagnosticKind))
         assert DiagnosticKind.ENTAILMENT_UNDECIDABLE in {o[0] for o in outcomes}
 
 
 def rule_by_rule_merge(engine, ctx, left, right, path):
-    """_Engine.merge as it was before a message pair was decided from its
-    premise verdicts: every node goes through `_offered` and `apply`."""
+    """_Engine.merge offering a node its rules one at a time, each in a
+    `derive` call of its own, so no rule reads a verdict from the node's dict
+    that another rule decided."""
     key = (ctx, left, right)
     outcome = engine.memo.get(key)
     if outcome is None:
         engine.memo[key] = ()
-        attempts = []
-        for name, rule in merge_module._offered(left, right):
-            outcome = engine.apply(name, rule, ctx, left, right, path)
+        refused = ()
+        for offered in merge_module._offered(left, right):
+            outcome = engine.derive(ctx, left, right, path, (offered,))
             if type(outcome) is merge_module._Applied:
                 break
-            attempts.append((name, outcome))
+            refused += outcome
         else:
-            outcome = tuple(attempts)
+            outcome = refused
         engine.memo[key] = outcome
     if type(outcome) is merge_module._Applied:
         return outcome
     if len(path) > engine.deepest_depth:
         engine.deepest_depth = len(path)
         engine.deepest_path = path
-        engine.deepest_attempts = outcome
+        engine.deepest = left, right, outcome
     return None
 
 
@@ -681,8 +715,8 @@ class TestFirstRuleWhosePremisesHold:
     }
 
     def test_pair_applies_the_first_rule_offered_whose_premises_hold(self):
-        rules = [(name, merge_module._RULES[name][2])
-                 for name, _ in merge_module._INDEX[merge_module._MSG, merge_module._MSG]]
+        offered = merge_module._INDEX[merge_module._MSG, merge_module._MSG]
+        rules = [(name, merge_module._RULES[name][1]) for name, _, _ in offered]
         assert [name for name, _ in rules] == [
             "msgS-msgS", "msg-msgS", "msgS-msg", "msg-msg-eq", "msg-msg-right", "msg-msg-left"
         ]
@@ -699,7 +733,7 @@ class TestFirstRuleWhosePremisesHold:
 
             engine = merge_module._Engine(1, DEFAULT_ENUM_CAP)
             engine.premise = premise
-            outcome = engine.pair(ctx, left, right)
+            outcome = engine.derive(ctx, left, right, (), offered)
             want, needed = None, []
             for name, premises in rules:
                 for judged, _ in map(self.HOLDS.get, premises):
@@ -709,7 +743,7 @@ class TestFirstRuleWhosePremisesHold:
                     want = name
                     break
             if want is None:
-                assert outcome == merge_module._Unmerged(ctx, left, right), verdict_of
+                assert [refusal[0] for refusal in outcome] == [name for name, _ in rules], verdict_of
             else:
                 assert [step.rule for step in outcome.steps] == [want], verdict_of
             # Decided: what every rule up to the one applied judges, in the
@@ -963,10 +997,21 @@ class TestMembershipPremises:
         ]
 
     @staticmethod
-    def agree(engine, ctx, lm, rm, k, enum_cap):
+    def premises(engine, ctx, lm, rm, names):
+        """The named premises on left head lm and right head rm, as
+        (ok, kind, name, claim, verdict)."""
+        rows = []
+        for name in names:
+            judged, want, kind = merge_module._PREMISES[name]
+            claim, verdict = engine.premise(ctx, judged, lm, rm)
+            rows.append((verdict == want, kind, name, claim, verdict))
+        return rows
+
+    @classmethod
+    def agree(cls, engine, ctx, lm, rm, k, enum_cap):
         """Every message premise and endpoints-equal on lm and rm under ctx
         has the verdict entails gives its proposition."""
-        for name, (judged, want, _) in merge_module._PAIR_PREMISES.items():
+        for name, (judged, want, _) in merge_module._PREMISES.items():
             if type(judged) is not tuple:  # not an avoidance premise
                 continue
             operand, side = judged
@@ -974,11 +1019,11 @@ class TestMembershipPremises:
             term = Var("rank") if side == "merged" else IntLit(k)
             p = And(Cmp("!=", m.src, term), Cmp("!=", m.dst, term))
             verdict = entails(ctx, p, enum_cap)
-            ok, _, _, claim, got = engine.premises(ctx, m, m, (name,))[0]
+            ok, _, _, claim, got = cls.premises(engine, ctx, m, m, (name,))[0]
             assert (ok, claim.proposition(), got) == (
                 verdict.value == want, p, verdict.value
             ), (enum_cap, ctx.names(), name, m)
-        ok, _, _, claim, got = engine.premises(ctx, lm, rm, ("endpoints-equal",))[0]
+        ok, _, _, claim, got = cls.premises(engine, ctx, lm, rm, ("endpoints-equal",))[0]
         p = And(Cmp("=", lm.src, rm.src), Cmp("=", lm.dst, rm.dst))
         verdict = entails(ctx, p, enum_cap)
         assert (ok, claim.proposition(), got) == (verdict is Verdict.VALID, p, verdict.value)
@@ -1036,7 +1081,7 @@ class TestMembershipPremises:
         root = merged_context(4, [0, 1])
         engine = merge_module._Engine(2, DEFAULT_ENUM_CAP)
         rebound = self.contexts(root, 4)[2]
-        ok, _, _, _, verdict = engine.premises(rebound, msg(2, 3), msg(2, 3), ("left-skip-like",))[0]
+        ok, _, _, _, verdict = self.premises(engine, rebound, msg(2, 3), msg(2, 3), ("left-skip-like",))[0]
         assert (ok, verdict) == (False, "Invalid")
         self.agree(engine, rebound, msg(0, 1), msg(3, 2), 2, DEFAULT_ENUM_CAP)
 
@@ -1046,12 +1091,12 @@ class TestMembershipPremises:
         pairs = [(msg(2, 3), msg(0, 1)), (msg(0, 3), msg(3, 2)), (msg(3, 1), msg(2, 1))]
         entry, chain = merged_context(4, [0, 1]), or_chain_context(4, [0, 1])
         engine = merge_module._Engine(2, DEFAULT_ENUM_CAP)
-        names = merge_module._RULES["msg-msg-eq"][2]
-        want = [engine.premises(entry, lm, rm, names) for lm, rm in pairs]
+        names = merge_module._RULES["msg-msg-eq"][1]
+        want = [self.premises(engine, entry, lm, rm, names) for lm, rm in pairs]
         monkeypatch.setattr(merge_module, "_values", self.refusing(merge_module._values))
         for lm, rm in pairs:
             self.agree(engine, chain, lm, rm, 2, DEFAULT_ENUM_CAP)
-        assert [engine.premises(chain, lm, rm, names) for lm, rm in pairs] == want
+        assert [self.premises(engine, chain, lm, rm, names) for lm, rm in pairs] == want
 
     @staticmethod
     def fold(instance, enum_cap=DEFAULT_ENUM_CAP, context=merged_context):
