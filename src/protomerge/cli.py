@@ -7,9 +7,11 @@ Subcommands:
   simulate  run per-rank protocol files together under rendezvous semantics
 
 Exit codes: 0 success; 1 protocol rejected (deadlock, mismatch,
-rank-dependent control flow, a message no run can perform); 2 parse error; 3 undecidable (entailment,
-datatype equivalence, or loop unfolding budget); 4 bad invocation, or a
-stdout closed before the output was written.
+rank-dependent control flow, a message no run can perform); 2 parse error;
+3 undecidable (entailment, datatype equivalence, the loop unfolding budget,
+or a merge too deep for the stack); 4 bad invocation (also a closed endpoint
+or loop bound that divides by zero or has too many digits), or a stdout
+closed before the output was written. `_ERRORS` maps each error to its code.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .ast import Diagnostic, DiagnosticKind, IntLit, ProtocolType, ProtomergeError, subst_type
+from .ast import DiagnosticKind, IntLit, ProtocolType, ProtomergeError, subst_type
 from .extract import extract_local_type
 from .logic import (
     DEFAULT_ENUM_CAP,
@@ -34,6 +36,8 @@ from .logic import (
 from .merge import (
     DEFAULT_UNROLL,
     MergeFailure,
+    MergeStep,
+    MergeTooDeep,
     MergeTrace,
     NonConstantBounds,
     merge_all,
@@ -73,7 +77,7 @@ class _Parser(argparse.ArgumentParser):
     exits with code 4, not 2."""
 
     def error(self, message):
-        raise _UsageError(message, f"{self.format_usage()}{self.prog}: error: {message}\n")
+        raise _UsageError(message, f"{self.format_usage()}{self.prog}: error: {message}")
 
 
 def _rank_list(text: str) -> list[int]:
@@ -151,46 +155,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # ---------------------------------------------------------------------------
-# Serialization helpers
+# Output
 
 
-def _trace_doc(trace: MergeTrace) -> list[dict]:
-    return [
-        {
-            "rule": step.rule,
-            "left": step.left,
-            "right": step.right,
-            "premises": [
-                {"name": p.name, "formula": p.formula, "verdict": p.verdict}
-                for p in step.premises
-            ],
-        }
-        for step in trace.steps
-    ]
-
-
-def _diagnostic_doc(d: Diagnostic) -> dict:
-    return {
-        "status": "error",
-        "kind": d.kind.value,
-        "location": d.location,
-        "rule_trace": [
-            {"rule": a.rule, "failed_premise": a.failed_premise} for a in d.rule_trace
-        ],
-    }
-
-
-def _print_trace(trace: MergeTrace, index: int, stream) -> None:
-    for step in trace.steps:
-        print(f"merge #{index} rule={step.rule} left={step.left} right={step.right}", file=stream)
-        for p in step.premises:
-            print(f"  premise {p.name}: {p.formula} -> {p.verdict}", file=stream)
-
-
-def _print_diagnostic(d: Diagnostic) -> None:
-    print(f"error: {d.kind.value} at {d.location}", file=sys.stderr)
-    for attempt in d.rule_trace:
-        print(f"  {attempt.rule}: {attempt.failed_premise}", file=sys.stderr)
+def _report(wants_json: bool, doc: dict | None, text: str | None, code: int) -> int:
+    """Print one outcome and return its exit code: the document as JSON on
+    stdout under --json, otherwise the plain text, on stdout for a success
+    and on stderr for an error. The form not printed may be None."""
+    if wants_json:
+        print(json.dumps(doc, indent=2))
+    else:
+        print(text, file=sys.stdout if code == EXIT_OK else sys.stderr)
+    return code
 
 
 def _event_doc(event) -> dict:
@@ -207,22 +183,24 @@ def _event_line(doc: dict) -> str:
     return f"  allreduce {doc['op']}: {doc['payload']}"
 
 
+def _step_doc(step: MergeStep) -> dict:
+    premises = [{"name": p.name, "formula": p.formula, "verdict": p.verdict} for p in step.premises]
+    return {"rule": step.rule, "left": step.left, "right": step.right, "premises": premises}
+
+
 def _emit_result(
     args, result: ProtocolType, traces: list[MergeTrace]
 ) -> int:
+    protocol = print_protocol(result)
     if args.json:
-        doc = {
-            "status": "ok",
-            "protocol": print_protocol(result),
-            "traces": [_trace_doc(t) for t in traces],
-        }
-        print(json.dumps(doc, indent=2))
-    else:
-        if args.trace:
-            for i, trace in enumerate(traces):
-                _print_trace(trace, i, sys.stderr)
-        print(print_protocol(result))
-    return EXIT_OK
+        steps = [[_step_doc(step) for step in trace.steps] for trace in traces]
+        return _report(True, {"status": "ok", "protocol": protocol, "traces": steps}, None, EXIT_OK)
+    for i, trace in enumerate(traces if args.trace else ()):
+        for step in trace.steps:
+            print(f"merge #{i} rule={step.rule} left={step.left} right={step.right}", file=sys.stderr)
+            for p in step.premises:
+                print(f"  premise {p.name}: {p.formula} -> {p.verdict}", file=sys.stderr)
+    return _report(False, None, protocol, EXIT_OK)
 
 
 # ---------------------------------------------------------------------------
@@ -259,11 +237,8 @@ def _cmd_extract(args) -> int:
     ctx = initial_context(args.size)
     program = parse_process(_read(args.file), args.file)
     local = extract_local_type(ctx, program, args.rank, args.size)
-    if args.json:
-        print(json.dumps({"status": "ok", "local_type": print_protocol(local)}, indent=2))
-    else:
-        print(print_protocol(local))
-    return EXIT_OK
+    text = print_protocol(local)
+    return _report(args.json, {"status": "ok", "local_type": text}, text, EXIT_OK)
 
 
 def _cmd_merge(args) -> int:
@@ -290,27 +265,20 @@ def _cmd_simulate(args) -> int:
 def _report_simulation(args, result: SimResult) -> int:
     match result:
         case Completed(trace):
-            # A trace repeats few distinct events: each is rendered once.
+            # A trace repeats few distinct events: each is rendered once, in
+            # the form that is printed.
             docs = {e: _event_doc(e) for e in dict.fromkeys(trace)}
             if args.json:
                 doc = {"status": "ok", "result": "Completed", "trace": [docs[e] for e in trace]}
-                print(json.dumps(doc, indent=2))
-            else:
-                lines = {e: _event_line(d) for e, d in docs.items()}
-                print("\n".join(["Completed"] + [lines[e] for e in trace]))
-            return EXIT_OK
+                return _report(True, doc, None, EXIT_OK)
+            lines = {e: _event_line(d) for e, d in docs.items()}
+            return _report(False, None, "\n".join(["Completed"] + [lines[e] for e in trace]), EXIT_OK)
         case Deadlocked(stuck):
-            if args.json:
-                print(json.dumps({"status": "error", "result": "Deadlocked", "stuck": stuck}, indent=2))
-            else:
-                print(f"Deadlocked: {stuck}", file=sys.stderr)
-            return EXIT_REJECTED
+            doc = {"status": "error", "result": "Deadlocked", "stuck": stuck}
+            return _report(args.json, doc, f"Deadlocked: {stuck}", EXIT_REJECTED)
         case Mismatch(detail):
-            if args.json:
-                print(json.dumps({"status": "error", "result": "Mismatch", "detail": detail}, indent=2))
-            else:
-                print(f"Mismatch: {detail}", file=sys.stderr)
-            return EXIT_REJECTED
+            doc = {"status": "error", "result": "Mismatch", "detail": detail}
+            return _report(args.json, doc, f"Mismatch: {detail}", EXIT_REJECTED)
     raise TypeError(f"unexpected simulation result {result!r}")
 
 
@@ -343,6 +311,19 @@ def _drop_stdout() -> None:
         os.close(devnull)
 
 
+# Every error without a document of its own, in order: the first row whose
+# classes match gives the exit code and the plain line.
+_KIND_LINE = "error: {kind}: {message}"
+_USAGE_LINE = "protomerge: error: {message}"
+_ERRORS = (
+    ((UndecidableEquivalence, UnfoldBudgetExceeded, MergeTooDeep), EXIT_UNDECIDABLE, _KIND_LINE),
+    ((InvalidRankSet, NonConstantBounds, NotIntegerRefined, OpenIndexTerm), EXIT_USAGE, _USAGE_LINE),
+    ((ValueError, OSError), EXIT_USAGE, _USAGE_LINE),
+    ((ProtomergeError,), EXIT_REJECTED, _KIND_LINE),
+)
+_CAUGHT = tuple(cls for classes, _, _ in _ERRORS for cls in classes)
+
+
 def _run(argv: Sequence[str] | None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
@@ -350,61 +331,45 @@ def _run(argv: Sequence[str] | None) -> int:
         args = parser.parse_args(argv)
     except _UsageError as exc:
         message, text = exc.args
-        if _asks_for_json(argv):
-            _print_error(True, "UsageError", message)
-        else:
-            sys.stderr.write(text)
-        return EXIT_USAGE
+        doc = {"status": "error", "kind": "UsageError", "message": message}
+        return _report(_asks_for_json(argv), doc, text, EXIT_USAGE)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE
 
-    wants_json = getattr(args, "json", False)
     try:
         return args.run(args)
-    except ParseError as exc:
-        if wants_json:
-            doc = {
-                "status": "error",
-                "kind": "ParseError",
-                "message": exc.message,
-                "file": exc.span.file,
-                "line": exc.span.line,
-                "col": exc.span.col,
-            }
-            print(json.dumps(doc, indent=2))
-        else:
-            print(f"parse error at {exc.span}: {exc.message}", file=sys.stderr)
-        return EXIT_PARSE
-    except MergeFailure as exc:
-        if wants_json:
-            print(json.dumps(_diagnostic_doc(exc.diagnostic), indent=2))
-        else:
-            _print_diagnostic(exc.diagnostic)
-        if exc.diagnostic.kind is DiagnosticKind.ENTAILMENT_UNDECIDABLE:
-            return EXIT_UNDECIDABLE
-        return EXIT_REJECTED
-    except (UndecidableEquivalence, UnfoldBudgetExceeded) as exc:
-        _print_error(wants_json, type(exc).__name__, str(exc))
-        return EXIT_UNDECIDABLE
     except BrokenPipeError:
         raise  # an OSError, but of stdout: main handles it
-    except (
-        InvalidRankSet,
-        NonConstantBounds,
-        NotIntegerRefined,
-        OpenIndexTerm,
-        ValueError,
-        OSError,
-    ) as exc:
-        if wants_json:
-            _print_error(True, type(exc).__name__, str(exc))
-        else:
-            print(f"protomerge: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ProtomergeError as exc:
-        _print_error(wants_json, type(exc).__name__, str(exc))
-        return EXIT_REJECTED
+    except ParseError as exc:
+        doc = {
+            "status": "error",
+            "kind": "ParseError",
+            "message": exc.message,
+            "file": exc.span.file,
+            "line": exc.span.line,
+            "col": exc.span.col,
+        }
+        text = "parse error at {file}:{line}:{col}: {message}".format(**doc)
+        return _report(args.json, doc, text, EXIT_PARSE)
+    except MergeFailure as exc:
+        d = exc.diagnostic
+        doc = {
+            "status": "error",
+            "kind": d.kind.value,
+            "location": d.location,
+            "rule_trace": [
+                {"rule": a.rule, "failed_premise": a.failed_premise} for a in d.rule_trace
+            ],
+        }
+        lines = [f"error: {doc['kind']} at {doc['location']}"]
+        lines += [f"  {a['rule']}: {a['failed_premise']}" for a in doc["rule_trace"]]
+        code = EXIT_UNDECIDABLE if d.kind is DiagnosticKind.ENTAILMENT_UNDECIDABLE else EXIT_REJECTED
+        return _report(args.json, doc, "\n".join(lines), code)
+    except _CAUGHT as exc:
+        _, code, line = next(row for row in _ERRORS if isinstance(exc, row[0]))
+        doc = {"status": "error", "kind": type(exc).__name__, "message": str(exc)}
+        return _report(args.json, doc, line.format(**doc), code)
 
 
 def _asks_for_json(argv: list[str]) -> bool:
@@ -416,13 +381,6 @@ def _asks_for_json(argv: list[str]) -> bool:
         return probe.parse_known_args(argv)[0].json
     except _UsageError:  # `--json=...`
         return False
-
-
-def _print_error(wants_json: bool, kind: str, message: str) -> None:
-    if wants_json:
-        print(json.dumps({"status": "error", "kind": kind, "message": message}, indent=2))
-    else:
-        print(f"error: {kind}: {message}", file=sys.stderr)
 
 
 if __name__ == "__main__":

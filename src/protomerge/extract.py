@@ -14,6 +14,7 @@ import sys
 from .ast import (
     Allreduce,
     AllreduceStmt,
+    DivisionByZero,
     For,
     Foreach,
     FRESH_BINDER,
@@ -56,12 +57,15 @@ class ResidualConditional(ProtomergeError):
 
 def _fold(t: IndexTerm, control: Sub) -> IndexTerm:
     """t with control substituted, folded to a literal when that closes it.
-    A literal with more digits than the interpreter prints (the int-to-text
-    limit; 0 or an interpreter before 3.10.7 sets none) is refused."""
+    A division by zero, or a literal with more digits than the interpreter
+    prints (its int-to-text limit, where one is set), raises ValueError."""
     t = subst_index(t, control)
     if type(t) is IntLit or not is_closed(t):
         return t
-    value = eval_index({}, t)
+    try:
+        value = eval_index({}, t)
+    except DivisionByZero as exc:
+        raise ValueError(f"an endpoint or loop bound divides by zero: {exc}") from None
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     # 2**(3 * limit) < 10**limit, so a shorter value is never too long.
     if limit and value.bit_length() > 3 * limit and abs(value) >= 10**limit:

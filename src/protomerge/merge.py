@@ -67,6 +67,7 @@ __all__ = [
     "IllFormedMessage",
     "MergeFailure",
     "MergeStep",
+    "MergeTooDeep",
     "MergeTrace",
     "NonConstantBounds",
     "PremiseCheck",
@@ -82,6 +83,10 @@ DEFAULT_UNROLL = 2
 
 class NonConstantBounds(ProtomergeError):
     """A foreach's bounds do not evaluate to constants under the context."""
+
+
+class MergeTooDeep(ProtomergeError):
+    """A derivation nests deeper than the interpreter's stack allows."""
 
 
 class IllFormedMessage(ProtomergeError):
@@ -650,7 +655,10 @@ def _merge_normal(
     """merge_types on operands already in sequence normal form."""
     _validate_merge_inputs(ctx, k)
     engine = _Engine(k, enum_cap)
-    outcome = engine.merge(ctx, left, right, ())
+    try:
+        outcome = engine.merge(ctx, left, right, ())
+    except RecursionError:
+        raise MergeTooDeep("the derivation nests deeper than the stack allows") from None
     if outcome is None:
         raise MergeFailure(engine.diagnostic())
     return outcome.result, MergeTrace(outcome.steps)
@@ -677,7 +685,10 @@ def attempt_rule(
     left, right = normalize_seq(left), normalize_seq(right)
     if not fits(_shape(left), _shape(right)):
         return None
-    outcome = _Engine(k, enum_cap).derive(ctx, left, right, (), (_offer(rule),))
+    try:
+        outcome = _Engine(k, enum_cap).derive(ctx, left, right, (), (_offer(rule),))
+    except RecursionError:
+        raise MergeTooDeep("the derivation nests deeper than the stack allows") from None
     return outcome.result if type(outcome) is _Applied else None
 
 
@@ -743,6 +754,8 @@ def merge_all(
             raise failure.annotated(
                 f"merging rank {k} into ranks {sorted(merged)}"
             ) from None
+        except MergeTooDeep as exc:
+            raise MergeTooDeep(f"merging rank {k} into ranks {sorted(merged)}: {exc}") from None
         traces.append(trace)
         merged.append(k)
     return accumulated, traces

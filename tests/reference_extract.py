@@ -12,8 +12,9 @@ survived. It is the reference the one walk is checked against.
 The one walk stops at the first open conditional in program order, where
 this path first specializes everything, so the two can raise different
 errors for one program: where a division by zero lies after an open
-conditional, or inside its branches, this path raises DivisionByZero and
-the one walk ResidualConditional.
+conditional, or inside its branches, this path raises DivisionByZero (in a
+conditional's test) or ValueError (in an endpoint or loop bound) and the
+one walk ResidualConditional.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 from protomerge import (
     Allreduce,
     AllreduceStmt,
+    DivisionByZero,
     For,
     Foreach,
     If,
@@ -57,7 +59,12 @@ def specialize(p: Process, rank: int, size: int) -> Process:
 def _specialize(p: Process, everywhere: Sub, control: Sub) -> Process:
     def fold(t):
         t = subst_index(t, control)
-        return t if isinstance(t, IntLit) or not is_closed(t) else IntLit(eval_index({}, t))
+        if isinstance(t, IntLit) or not is_closed(t):
+            return t
+        try:
+            return IntLit(eval_index({}, t))
+        except DivisionByZero as exc:
+            raise ValueError(f"an endpoint or loop bound divides by zero: {exc}") from None
 
     kind = type(p)
     if kind is PSeq:

@@ -888,3 +888,110 @@ class TestClosedStdout:
         sys.stdout.close()
         assert code == 4
         assert capsys.readouterr().err == ""
+
+
+def ping_pong(exchanges):
+    """A two-rank program of `exchanges` round trips, rank 0 sending first."""
+    zero = ";\n".join(["send to 1 float; recv from 1 float"] * exchanges)
+    one = ";\n".join(["recv from 0 float; send to 0 float"] * exchanges)
+    return f"if rank = 0 {{\n{zero}\n}} else {{\n{one}\n}}"
+
+
+class TestErrorContract:
+    """Every command line ends in a documented exit code: under --json with
+    exactly one document on stdout, and never with a traceback."""
+
+    @staticmethod
+    def inputs(write):
+        """(argv, exit code) pairs; each runs plain and under --json."""
+        term = "(" * MAX_TERM_DEPTH + "4" + ")" * MAX_TERM_DEPTH
+        deeper_term = "(" + term + ")"
+
+        def nested(blocks):
+            text = "message 0 1 float"
+            for i in range(blocks):
+                text = f"foreach i{i}: 1..1 {{ {text} }}"
+            return text
+
+        def exchange(payload):
+            return f"if rank = 0 {{ send to 1 {payload} }} else {{ recv from 0 {payload} }}"
+
+        long = ";\n".join(["message 0 1 float", "message 1 0 float"] * 5000)
+        dims = "message 0 1 float" + "[1]" * 3000
+        files = {
+            "term": write("term.ptype", f"message 0 1 float[{term}]"),
+            "deeper-term": write("deeper-term.ptype", f"message 0 1 float[{deeper_term}]"),
+            "blocks": write("blocks.ptype", nested(MAX_BLOCK_DEPTH)),
+            "deeper-blocks": write("deeper-blocks.ptype", nested(MAX_BLOCK_DEPTH + 1)),
+            "digits": write("digits.proc", exchange("float[" + "9" * 4300 + "]")),
+            "more-digits": write("more-digits.proc", exchange("float[" + "9" * 4301 + "]")),
+            "long": write("long.ptype", long),
+            "dims": write("dims.ptype", dims),
+            "ping-pong": write("ping-pong.proc", ping_pong(600)),
+            "send-div": write("send-div.proc", "send to (1 / 0) float"),
+            "for-div": write("for-div.proc", "for i: 1 .. (1/0) { send to 1 float }"),
+            "message-div": write("message-div.ptype", "message 0 (1 / 0) float"),
+            "foreach-div": write("foreach-div.ptype", "foreach i: 1 .. (1/0) { message 0 1 float }"),
+        }
+        pair = ["--size", "2", "--merged", "0", "--k", "1"]
+        cases = []
+        for name, code in [("term", 0), ("deeper-term", 2), ("blocks", 0), ("deeper-blocks", 2)]:
+            cases.append((["simulate", files[name], files[name], "--size", "2"], code))
+        for name, code in [("digits", 0), ("more-digits", 2), ("ping-pong", 3)]:
+            cases.append((["infer", files[name], "--size", "2"], code))
+        cases += [
+            (["simulate", files["long"], files["long"], "--size", "2"], 0),
+            (["merge", files["long"], files["long"], *pair], 3),
+            (["merge", files["dims"], files["dims"], *pair], 0),
+            (["simulate", files["dims"], files["dims"], "--size", "2"], 0),
+        ]
+        for program, codes in [("nbody", (0, 0, 0)), ("one_to_all", (0, 1, 1)), ("symmetric_ring", (1, 1, 1))]:
+            for n, code in zip((2, 16, 64), codes):
+                cases.append((["infer", str(PROGRAMS / f"{program}.proc"), "--size", str(n)], code))
+        for name in ("send-div", "for-div"):
+            cases.append((["infer", files[name], "--size", "2"], 4))
+            cases.append((["extract", files[name], "--rank", "0", "--size", "2"], 4))
+        for name in ("message-div", "foreach-div"):
+            cases.append((["simulate", files[name], files[name], "--size", "2"], 4))
+        cases += [
+            (["infer", files["send-div"], "--size", "two"], 4),
+            (["infer", files["send-div"], "--size", "2", "--bogus"], 4),
+            (["infer", files["send-div"]], 4),
+            (["infer", "/nonexistent/x.proc", "--size", "2"], 4),
+        ]
+        return cases
+
+    def test_every_input_exits_with_a_documented_code(self, capsys, write):
+        for argv, expected in self.inputs(write):
+            code, out, err = run(capsys, *argv)
+            assert code == expected, (argv, err[-300:])
+            assert "Traceback" not in err, argv
+            if code != 0:
+                assert out == "" and err != "", argv
+            code, out, err = run(capsys, *argv, "--json")
+            assert (code, err) == (expected, ""), (argv, err[-300:])
+            doc = json.loads(out)
+            assert doc["status"] == ("ok" if code == 0 else "error"), argv
+
+    def test_a_merge_past_the_stack_is_merge_too_deep(self, capsys, write):
+        f = write("ping-pong.proc", ping_pong(600))
+        code, out, err = run(capsys, "infer", f, "--size", "2")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: MergeTooDeep: merging rank 1 into ranks [0]: ")
+        code, out, err = run(capsys, "infer", f, "--size", "2", "--json")
+        assert (code, err) == (3, "")
+        assert json.loads(out)["kind"] == "MergeTooDeep"
+
+    @pytest.mark.parametrize(
+        "text", ["send to (1 / 0) float", "for i: 1 .. (1/0) { send to 1 float }"], ids=["endpoint", "bound"]
+    )
+    @pytest.mark.parametrize("command", ["extract", "infer"])
+    def test_a_division_by_zero_in_a_closed_endpoint_exits_4(self, capsys, write, command, text):
+        f = write("div.proc", text)
+        argv = [command, f, "--size", "2"] + (["--rank", "0"] if command == "extract" else [])
+        message = "an endpoint or loop bound divides by zero: 1 / 0"
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (4, "", f"protomerge: error: {message}\n")
+        code, out, err = run(capsys, *argv, "--json")
+        assert (code, err) == (4, "")
+        assert json.loads(out) == {"status": "error", "kind": "ValueError", "message": message}

@@ -45,7 +45,7 @@ from protomerge import (
     normalize_seq,
     unfold_foreach,
 )
-from protomerge.ast import FRESH_BINDER, MAX_BLOCK_DEPTH, subst_type
+from protomerge.ast import FRESH_BINDER, MAX_BLOCK_DEPTH, build_seq, subst_type
 from protomerge.logic import DEFAULT_ENUM_CAP
 from protomerge.syntax import parse_process, parse_protocol
 
@@ -808,6 +808,16 @@ class TestMergeAll:
     def test_empty_world_rejected(self, n):
         with pytest.raises(InvalidRankSet, match=f"world size must be positive, got {n}"):
             merge_all(n, [])
+
+    def test_a_derivation_past_the_stack_is_merge_too_deep(self):
+        long = build_seq([msg(0, 1), msg(1, 0)] * 5000)
+        ctx = merged_context(2, [0])
+        with pytest.raises(protomerge.MergeTooDeep):
+            merge_types(ctx, long, long, 1)
+        with pytest.raises(protomerge.MergeTooDeep):
+            attempt_rule(ctx, "seq-seq", long, long, 1)
+        with pytest.raises(protomerge.MergeTooDeep, match=r"^merging rank 1 into ranks \[0\]: "):
+            merge_all(2, [(0, long), (1, long)])
 
 
 class TestPremisesAndRendering:
