@@ -100,7 +100,10 @@ def _walk(p: Process, me: IntLit, everywhere: Sub, control: Sub, depth: int, ite
             test = subst_prop(node.test, control)
             if prop_vars(test):
                 raise ResidualConditional("conditional whose test is still open after specialization")
-            taken = node.then if eval_prop({}, test) else node.orelse
+            try:
+                taken = node.then if eval_prop({}, test) else node.orelse
+            except DivisionByZero as exc:
+                raise ValueError(f"a conditional test divides by zero: {exc}") from None
             _walk(taken, me, everywhere, control, deeper(depth), items)
         else:
             raise TypeError(f"not a process: {node!r}")

@@ -203,7 +203,8 @@ _RANK = Var("rank")
 
 class _Applied(NamedTuple):
     result: ProtocolType
-    steps: tuple[MergeStep, ...]
+    step: MergeStep
+    subs: tuple["_Applied", ...]
 
 
 _TEXT = {v: v.value for v in Verdict}  # as a trace spells them
@@ -455,43 +456,35 @@ class _Engine:
     def __init__(self, k: int, enum_cap: int):
         self.k = IntLit(k)
         self.enum_cap = enum_cap
-        # (context, left, right) -> _Applied or the refusals (() while the
-        # subproblem is open)
+        # (context, left, right) -> its derivation tree (an _Applied: result,
+        # step, the sub-merges' trees) or the refusals (() while it is open)
         self.memo: dict = {}
         # (context, what is judged, claim parts) -> (claim, verdict): every
         # premise, decided once.
         self.verdicts: dict = {}
         self.undecidable = False
-        self.deepest_depth = -1
-        self.deepest_path: tuple[str, ...] = ()
-        # The deepest node every rule refused: (left, right, refusals).
-        self.deepest: tuple = ()
+        # The labels of the sub-merges open from the root to the current node.
+        self.labels: list[str] = []
+        # The deepest node every rule refused: (path, left, right, refusals).
+        self.deepest: tuple | None = None
 
     # -- derivation
 
-    def merge(
-        self,
-        ctx: TypingContext,
-        left: ProtocolType,
-        right: ProtocolType,
-        path: tuple[str, ...],
-    ) -> _Applied | None:
+    def merge(self, ctx: TypingContext, left: ProtocolType, right: ProtocolType) -> _Applied | None:
         key = (ctx, left, right)
         outcome = self.memo.get(key)
         if outcome is None:
             # Guard against re-entering the same subproblem while it is open.
             self.memo[key] = ()
-            outcome = self.memo[key] = self.derive(ctx, left, right, path, _offered(left, right))
+            outcome = self.memo[key] = self.derive(ctx, left, right, _offered(left, right))
         if type(outcome) is _Applied:
             return outcome
-        # The diagnostic reports the deepest subproblem every rule refused.
-        if len(path) > self.deepest_depth:
-            self.deepest_depth = len(path)
-            self.deepest_path = path
-            self.deepest = left, right, outcome
+        # The diagnostic reports the first deepest subproblem every rule refused.
+        if self.deepest is None or len(self.labels) > len(self.deepest[0]):
+            self.deepest = tuple(self.labels), left, right, outcome
         return None
 
-    def derive(self, ctx, left, right, path, rules) -> _Applied | tuple[tuple, ...]:
+    def derive(self, ctx, left, right, rules) -> _Applied | tuple[tuple, ...]:
         """Apply the first of `rules` (as _INDEX offers them) whose premises
         all hold and whose sub-merges all succeed, or give back each rule's
         refusal: (rule, kind, premise name, claim, verdict) for a failed
@@ -515,23 +508,24 @@ class _Engine:
                 refused.append(failed)
                 continue
             subgoals, conclude = rule(ctx, left, right)
-            results = []
-            substeps: tuple[MergeStep, ...] = ()
+            subs, labels = [], self.labels
             for sub_ctx, sub_left, sub_right, label, why in subgoals:
-                sub = self.merge(sub_ctx, sub_left, sub_right, path + (label,))
+                labels.append(label)
+                sub = self.merge(sub_ctx, sub_left, sub_right)
+                labels.pop()
                 if sub is None:
                     refused.append((name, _DEADLOCK, why))
                     break
-                results.append(sub.result)
-                substeps += sub.steps
+                subs.append(sub)
             else:
                 checks = tuple(PremiseCheck(p, *verdicts[judged]) for p, judged, _, _ in premises)
-                return _Applied(conclude(*results), (MergeStep(name, left, right, checks),) + substeps)
+                step = MergeStep(name, left, right, checks)
+                return _Applied(conclude(*[sub.result for sub in subs]), step, tuple(subs))
         return tuple(refused)
 
     def diagnostic(self) -> Diagnostic:
-        location = "/".join(self.deepest_path) or "root"
-        left, right, refused = self.deepest
+        path, left, right, refused = self.deepest
+        location = "/".join(path) or "root"
         kinds = {r[1] for r in refused}
         if self.undecidable:
             kind = DiagnosticKind.ENTAILMENT_UNDECIDABLE
@@ -656,12 +650,17 @@ def _merge_normal(
     _validate_merge_inputs(ctx, k)
     engine = _Engine(k, enum_cap)
     try:
-        outcome = engine.merge(ctx, left, right, ())
+        outcome = engine.merge(ctx, left, right)
     except RecursionError:
         raise MergeTooDeep("the derivation nests deeper than the stack allows") from None
     if outcome is None:
         raise MergeFailure(engine.diagnostic())
-    return outcome.result, MergeTrace(outcome.steps)
+    steps, stack = [], [outcome]
+    while stack:  # pre-order: a node's step before its subs' steps
+        _, step, subs = stack.pop()
+        steps.append(step)
+        stack += subs[::-1]
+    return outcome.result, MergeTrace(tuple(steps))
 
 
 def attempt_rule(
@@ -681,12 +680,10 @@ def attempt_rule(
     if rule not in _RULES:
         raise ValueError(f"unknown merge rule {rule!r}; expected one of {', '.join(RULE_NAMES)}")
     _validate_merge_inputs(ctx, k)
-    fits = _RULES[rule][0]
     left, right = normalize_seq(left), normalize_seq(right)
-    if not fits(_shape(left), _shape(right)):
-        return None
+    offered = tuple(o for o in _offered(left, right) if o[0] == rule)
     try:
-        outcome = _Engine(k, enum_cap).derive(ctx, left, right, (), (_offer(rule),))
+        outcome = _Engine(k, enum_cap).derive(ctx, left, right, offered)
     except RecursionError:
         raise MergeTooDeep("the derivation nests deeper than the stack allows") from None
     return outcome.result if type(outcome) is _Applied else None

@@ -11,10 +11,10 @@ survived. It is the reference the one walk is checked against.
 
 The one walk stops at the first open conditional in program order, where
 this path first specializes everything, so the two can raise different
-errors for one program: where a division by zero lies after an open
-conditional, or inside its branches, this path raises DivisionByZero (in a
-conditional's test) or ValueError (in an endpoint or loop bound) and the
-one walk ResidualConditional.
+errors for one program: where a division by zero (in a closed conditional's
+test, an endpoint or a loop bound) lies after an open conditional, or inside
+its branches, this path raises ValueError and the one walk
+ResidualConditional.
 """
 
 from __future__ import annotations
@@ -87,7 +87,11 @@ def _specialize(p: Process, everywhere: Sub, control: Sub) -> Process:
     if kind is If:
         test = subst_prop(p.test, control)
         if not prop_vars(test):
-            return _specialize(p.then if eval_prop({}, test) else p.orelse, everywhere, control)
+            try:
+                taken = p.then if eval_prop({}, test) else p.orelse
+            except DivisionByZero as exc:
+                raise ValueError(f"a conditional test divides by zero: {exc}") from None
+            return _specialize(taken, everywhere, control)
         return If(test, _specialize(p.then, everywhere, control), _specialize(p.orelse, everywhere, control))
     raise TypeError(f"not a process: {p!r}")
 

@@ -930,6 +930,7 @@ class TestErrorContract:
             "ping-pong": write("ping-pong.proc", ping_pong(600)),
             "send-div": write("send-div.proc", "send to (1 / 0) float"),
             "for-div": write("for-div.proc", "for i: 1 .. (1/0) { send to 1 float }"),
+            "if-div": write("if-div.proc", "if 1 / 0 = 0 { send to 1 float } else { skip }"),
             "message-div": write("message-div.ptype", "message 0 (1 / 0) float"),
             "foreach-div": write("foreach-div.ptype", "foreach i: 1 .. (1/0) { message 0 1 float }"),
         }
@@ -948,7 +949,7 @@ class TestErrorContract:
         for program, codes in [("nbody", (0, 0, 0)), ("one_to_all", (0, 1, 1)), ("symmetric_ring", (1, 1, 1))]:
             for n, code in zip((2, 16, 64), codes):
                 cases.append((["infer", str(PROGRAMS / f"{program}.proc"), "--size", str(n)], code))
-        for name in ("send-div", "for-div"):
+        for name in ("send-div", "for-div", "if-div"):
             cases.append((["infer", files[name], "--size", "2"], 4))
             cases.append((["extract", files[name], "--rank", "0", "--size", "2"], 4))
         for name in ("message-div", "foreach-div"):

@@ -11,7 +11,6 @@ from protomerge import (
     Allreduce,
     Array,
     BinOp,
-    DivisionByZero,
     Float,
     For,
     Foreach,
@@ -164,7 +163,7 @@ class TestAgainstReference:
                 # before a division by zero that specializing all of the
                 # program reached, in a test or in an endpoint or bound.
                 assert got[0] is ResidualConditional, (p, got, want)
-                assert want[0] in (DivisionByZero, ValueError), (p, got, want)
+                assert want[0] is ValueError, (p, got, want)
                 declared += 1
         assert declared < 100
 
@@ -211,6 +210,12 @@ class TestFoldLimit:
         for text in ("send to (size / 0) float", "for i: 1 .. (size / (rank - 2)) { skip }"):
             with pytest.raises(ValueError, match=r"^an endpoint or loop bound divides by zero: 3 / 0$"):
                 extract(text, 2, 3)
+
+    def test_division_by_zero_in_a_closed_test_is_refused(self):
+        text = "if size / (rank - 2) = 0 { send to 1 float } else { skip }"
+        with pytest.raises(ValueError, match=r"^a conditional test divides by zero: 3 / 0$"):
+            extract(text, 2, 3)
+        assert extract(text, 0, 3) is Skip()
 
 
 class TestNestingLimit:

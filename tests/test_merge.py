@@ -3,6 +3,8 @@
 import collections
 import itertools
 import random
+import threading
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -240,6 +242,43 @@ class TestMergeTypes:
         result, trace = merge_types(ctx, left, right, k=1)
         assert result == Foreach("i", IntLit(1), IntLit(2), msg(0, 1))
         assert trace.rule_names() == ("foreach-foreach", "msg-msg-eq")
+
+
+class TestMergeMemory:
+    """The engine keeps each derivation once, as a tree, so a merge's
+    memory grows linearly with the protocol's length."""
+
+    @staticmethod
+    def peak(length):
+        """tracemalloc's peak, in bytes, while two ranks' ping-pong of
+        `length` messages merges a second time. The first merge interns the
+        result's nodes, so the peak counts what the engine itself keeps.
+        Each merge runs on a thread of its own, so the test runner's frames
+        leave it the whole default recursion limit."""
+        t = build_seq([msg(0, 1) if i % 2 == 0 else msg(1, 0) for i in range(length)])
+        ctx = merged_context(2, [0])
+        merged = []
+
+        def merge():
+            thread = threading.Thread(target=lambda: merged.append(merge_types(ctx, t, t, k=1)))
+            thread.start()
+            thread.join(60)
+            assert not thread.is_alive()
+
+        merge()
+        tracemalloc.start()
+        try:
+            merge()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        [_, (_, trace)] = merged
+        assert len(trace.steps) == 2 * length - 1
+        return peak
+
+    def test_peak_grows_linearly_with_length(self):
+        small, large = self.peak(240), self.peak(480)
+        assert large < 3 * small, (small, large)
 
 
 class TestMergeFailureDiagnostics:
@@ -647,7 +686,7 @@ class TestShapeDispatch:
         every rule one by one, each in a node of its own."""
         cases = list(self.inputs())
         decided = self.judged(monkeypatch, cases)
-        monkeypatch.setattr(merge_module._Engine, "merge", rule_by_rule_merge)
+        monkeypatch.setattr(merge_module._Engine, "derive", rule_by_rule(merge_module._Engine.derive))
         monkeypatch.setattr(merge_module, "_offered", all_rules_offered)
         every_rule = self.judged(monkeypatch, cases)
         assert decided == every_rule
@@ -664,30 +703,21 @@ class TestShapeDispatch:
         assert DiagnosticKind.ENTAILMENT_UNDECIDABLE in {o[0] for o in outcomes}
 
 
-def rule_by_rule_merge(engine, ctx, left, right, path):
-    """_Engine.merge offering a node its rules one at a time, each in a
+def rule_by_rule(derive):
+    """_Engine.derive offering a node its rules one at a time, each in a
     `derive` call of its own, so no rule reads a verdict from the node's dict
     that another rule decided."""
-    key = (ctx, left, right)
-    outcome = engine.memo.get(key)
-    if outcome is None:
-        engine.memo[key] = ()
+
+    def derive_each(engine, ctx, left, right, rules):
         refused = ()
-        for offered in merge_module._offered(left, right):
-            outcome = engine.derive(ctx, left, right, path, (offered,))
+        for offered in rules:
+            outcome = derive(engine, ctx, left, right, (offered,))
             if type(outcome) is merge_module._Applied:
-                break
+                return outcome
             refused += outcome
-        else:
-            outcome = refused
-        engine.memo[key] = outcome
-    if type(outcome) is merge_module._Applied:
-        return outcome
-    if len(path) > engine.deepest_depth:
-        engine.deepest_depth = len(path)
-        engine.deepest_path = path
-        engine.deepest = left, right, outcome
-    return None
+        return refused
+
+    return derive_each
 
 
 class TestFirstRuleWhosePremisesHold:
@@ -733,7 +763,7 @@ class TestFirstRuleWhosePremisesHold:
 
             engine = merge_module._Engine(1, DEFAULT_ENUM_CAP)
             engine.premise = premise
-            outcome = engine.derive(ctx, left, right, (), offered)
+            outcome = engine.derive(ctx, left, right, offered)
             want, needed = None, []
             for name, premises in rules:
                 for judged, _ in map(self.HOLDS.get, premises):
@@ -745,7 +775,7 @@ class TestFirstRuleWhosePremisesHold:
             if want is None:
                 assert [refusal[0] for refusal in outcome] == [name for name, _ in rules], verdict_of
             else:
-                assert [step.rule for step in outcome.steps] == [want], verdict_of
+                assert (outcome.step.rule, outcome.subs) == (want, ()), verdict_of
             # Decided: what every rule up to the one applied judges, in the
             # order the rules first ask for it.
             assert asked == needed, verdict_of
