@@ -232,6 +232,8 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_extract(args) -> int:
+    if args.size < 1:
+        raise ValueError(f"--size must be at least 1, got {args.size}")
     if not (0 <= args.rank < args.size):
         raise ValueError(f"--rank must lie in 0..{args.size - 1}, got {args.rank}")
     ctx = initial_context(args.size)

@@ -121,33 +121,14 @@ def _constant_bounds(ctx: TypingContext, t: Foreach) -> tuple[int, int]:
 # Traces and failure
 
 
-class _Both(NamedTuple):
-    """The proposition `a op b and c op d`, kept as its parts and built when
-    it is read."""
-
-    op: str
-    a: IndexTerm
-    b: IndexTerm
-    c: IndexTerm
-    d: IndexTerm
-
-    def proposition(self) -> Proposition:
-        return And(Cmp(self.op, self.a, self.b), Cmp(self.op, self.c, self.d))
-
-
 class PremiseCheck(_Node):
-    """One premise a rule checked. `claim` is the proposition or the payload
-    pair it decided (or the formula text itself); `formula` renders it. The
-    engine states its propositions as `_Both` parts, built when read."""
+    """One premise a rule checked: its name, the proposition or the payload
+    pair it decided (or the formula text itself), and its verdict. `formula`
+    renders the claim."""
 
     name: str
-    stated: Proposition | _Both | tuple[Datatype, Datatype] | str
+    claim: Proposition | tuple[Datatype, Datatype] | str
     verdict: str
-
-    @property
-    def claim(self) -> Proposition | tuple[Datatype, Datatype] | str:
-        stated = self.stated
-        return stated.proposition() if type(stated) is _Both else stated
 
     @property
     def formula(self) -> str:
@@ -176,11 +157,67 @@ class MergeStep(_Record):
         return compact_protocol(self.right_type)
 
 
+class _Applied(NamedTuple):
+    """An applied rule, with the node it applied at and its sub-merges'."""
+
+    result: ProtocolType
+    rule: str
+    ctx: TypingContext
+    left: ProtocolType
+    right: ProtocolType
+    subs: tuple["_Applied", ...]
+
+
 class MergeTrace(_Record):
-    steps: tuple[MergeStep, ...]
+    """A merge's derivation tree, merging rank k. `steps` builds a step per
+    node in pre-order (a subtree the memo shares, again at each use), each
+    premise with the verdict its rule wants, the only one it applies on.
+    Equality, hash and repr go by the steps."""
+
+    tree: _Applied
+    k: int
+
+    def _nodes(self):
+        stack = [self.tree]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack += node.subs[::-1]
+
+    @property
+    def steps(self) -> tuple[MergeStep, ...]:
+        k, steps = IntLit(self.k), []
+        for _, rule, ctx, left, right, _ in self._nodes():
+            lh, rh = _seq_parts(left)[0], _seq_parts(right)[0]
+            premises = tuple(
+                PremiseCheck(p, _claim(_key(ctx, judged, lh, rh, k)), want)
+                for p, judged, want, _ in _offer(rule)[1]
+            )
+            steps.append(MergeStep(rule, left, right, premises))
+        return tuple(steps)
 
     def rule_names(self) -> tuple[str, ...]:
-        return tuple(s.rule for s in self.steps)
+        return tuple(node.rule for node in self._nodes())
+
+    def __eq__(self, other):
+        return self.steps == other.steps if type(other) is MergeTrace else NotImplemented
+
+    def __hash__(self):
+        return hash(self.steps)
+
+    def __repr__(self):
+        return f"MergeTrace(steps={self.steps!r})"
+
+    def __reduce__(self):
+        # Flat, in pre-order: copy and pickle recurse no deeper than a node's operands.
+        return _unflatten, (self.k, tuple(n[:5] + (len(n.subs),) for n in self._nodes()))
+
+
+def _unflatten(k: int, nodes: tuple) -> MergeTrace:
+    built = []  # subtrees read from the last node back; a node's first sub on top
+    for *fields, count in reversed(nodes):
+        built.append(_Applied(*fields, tuple(built.pop() for _ in range(count))))
+    return MergeTrace(built.pop(), k)
 
 
 class MergeFailure(ProtomergeError):
@@ -199,15 +236,6 @@ class MergeFailure(ProtomergeError):
 # The rule engine
 
 _RANK = Var("rank")
-
-
-class _Applied(NamedTuple):
-    result: ProtocolType
-    step: MergeStep
-    subs: tuple["_Applied", ...]
-
-
-_TEXT = {v: v.value for v in Verdict}  # as a trace spells them
 _VALID, _INVALID, _UNDECIDABLE = Verdict.VALID.value, Verdict.INVALID.value, Verdict.UNDECIDABLE.value
 _EQUAL, _EQUIVALENT, _DIFFERENT = "equal", "equivalent", "different"
 _DEADLOCK, _FAILED = DiagnosticKind.DEADLOCK_SUSPECTED, DiagnosticKind.ENTAILMENT_FAILED
@@ -440,12 +468,41 @@ def _offered(left: ProtocolType, right: ProtocolType):
     return _INDEX.get((_shape(left), _shape(right)), ())
 
 
+def _key(ctx: TypingContext, judged, lh, rh, k: IntLit) -> tuple:
+    """The verdict table's key, (ctx, what is judged, the claim's parts), for
+    what a premise judges (see _PREMISES) on heads lh and rh, merging rank k.
+    A side's key is one per context and endpoints, whichever operand asks."""
+    if judged is _ENDPOINTS:
+        return ctx, judged, "=", lh.src, rh.src, lh.dst, rh.dst
+    if judged is _PAYLOADS:
+        return ctx, judged, lh.payload, rh.payload
+    if judged is _BOUNDS:
+        return ctx, judged, "=", lh.lo, rh.lo, lh.hi, rh.hi
+    if judged is _OPS:
+        return ctx, judged, lh.op, rh.op
+    operand, side = judged
+    m = lh if operand == "left" else rh
+    term = _RANK if side == "merged" else k
+    return ctx, "avoids", "!=", m.src, term, m.dst, term
+
+
+def _claim(key: tuple) -> Proposition | tuple[Datatype, Datatype] | str:
+    """The claim a verdict table key states: a payload pair, the operators'
+    equation as text, or the proposition `a op b and c op d`."""
+    if key[1] is _PAYLOADS:
+        return key[2:]
+    if key[1] is _OPS:
+        return f"{key[2].value} = {key[3].value}"
+    _, _, op, a, b, c, d = key
+    return And(Cmp(op, a, b), Cmp(op, c, d))
+
+
 def _reason(refusal: tuple) -> str:
     """A refusal's text: why a sub-merge failed, or the failing premise."""
     if len(refusal) == 3:
         return refusal[2]
-    check = PremiseCheck(*refusal[2:])
-    return f"{check.name}: {check.formula} is {check.verdict}"
+    _, _, name, key, verdict = refusal
+    return f"{name}: {PremiseCheck(name, _claim(key), verdict).formula} is {verdict}"
 
 
 class _Engine:
@@ -456,11 +513,10 @@ class _Engine:
     def __init__(self, k: int, enum_cap: int):
         self.k = IntLit(k)
         self.enum_cap = enum_cap
-        # (context, left, right) -> its derivation tree (an _Applied: result,
-        # step, the sub-merges' trees) or the refusals (() while it is open)
+        # (context, left, right) -> its derivation tree (an _Applied) or the
+        # refusals (() while it is open)
         self.memo: dict = {}
-        # (context, what is judged, claim parts) -> (claim, verdict): every
-        # premise, decided once.
+        # _key -> verdict: every premise, decided once.
         self.verdicts: dict = {}
         self.undecidable = False
         # The labels of the sub-merges open from the root to the current node.
@@ -487,14 +543,14 @@ class _Engine:
     def derive(self, ctx, left, right, rules) -> _Applied | tuple[tuple, ...]:
         """Apply the first of `rules` (as _INDEX offers them) whose premises
         all hold and whose sub-merges all succeed, or give back each rule's
-        refusal: (rule, kind, premise name, claim, verdict) for a failed
+        refusal: (rule, kind, premise name, _key, verdict) for a failed
         premise, (rule, kind, text) for a failed sub-merge. A rule decides
         each of its premises that no earlier rule at this node decided, in
         its premise order and all of them, so an undecidable one marks the
         engine even after an earlier failure."""
         lh = left.first if type(left) is Seq else left
         rh = right.first if type(right) is Seq else right
-        verdicts: dict = {}  # what is judged -> (claim, verdict), at this node
+        verdicts: dict = {}  # what is judged -> (_key, verdict), at this node
         refused = []
         for name, premises, rule in rules:
             failed = None
@@ -518,9 +574,7 @@ class _Engine:
                     break
                 subs.append(sub)
             else:
-                checks = tuple(PremiseCheck(p, *verdicts[judged]) for p, judged, _, _ in premises)
-                step = MergeStep(name, left, right, checks)
-                return _Applied(conclude(*[sub.result for sub in subs]), step, tuple(subs))
+                return _Applied(conclude(*[s.result for s in subs]), name, ctx, left, right, tuple(subs))
         return tuple(refused)
 
     def diagnostic(self) -> Diagnostic:
@@ -536,82 +590,52 @@ class _Engine:
         else:
             kind = _DEADLOCK
         # The refusals are rendered when they are read.
-        trace = tuple(RuleAttempt(r[0], partial(_reason, r)) for r in refused)
-        if not trace:
-            trace = (
-                RuleAttempt(
-                    "none",
-                    lambda: f"no rule matches {compact_protocol(left)} against "
-                    f"{compact_protocol(right)}",
-                ),
-            )
+        trace = tuple(RuleAttempt(r[0], partial(_reason, r)) for r in refused) or (
+            RuleAttempt("none", lambda: f"no rule matches {compact_protocol(left)} against "
+                                        f"{compact_protocol(right)}"),
+        )
         return Diagnostic(kind, location, trace)
 
     # -- premises
 
-    def decide(self, ctx: TypingContext, p: _Both) -> Verdict:
-        """The verdict of premise p (an equality or a disequality) under
-        ctx. Where each of its comparisons sets an integer literal against a
-        term whose values `_values` reads off ctx, it holds when it holds for
-        every such value, as entails would find; elsewhere entails decides."""
+    def premise(self, ctx: TypingContext, judged, lh, rh) -> tuple[tuple, str]:
+        """The _key of what a premise judges on lh and rh, and its verdict, decided once."""
+        key = _key(ctx, judged, lh, rh, self.k)
+        verdict = self.verdicts.get(key)
+        if verdict is None:
+            verdict = self.verdicts[key] = self.decide(key)
+        return key, verdict
+
+    def decide(self, key: tuple) -> str:
+        """The verdict of the claim `key` states under its context. Where each
+        comparison of a proposition sets an integer literal against a term
+        whose values `_values` reads off the context, it holds when it holds
+        for every such value, as entails would find; elsewhere entails decides."""
+        ctx, judged = key[0], key[1]
+        if judged is _PAYLOADS:
+            try:
+                return _EQUIVALENT if dtype_equiv(ctx, key[2], key[3], self.enum_cap) else _DIFFERENT
+            except UndecidableEquivalence:
+                self.undecidable = True
+                return _UNDECIDABLE
+        if judged is _OPS:
+            return _EQUAL if key[2] is key[3] else _DIFFERENT
+        _, _, op, a, b, c, d = key
         ok = True
-        for lit, term in ((p.a, p.b), (p.c, p.d)):
+        for lit, term in ((a, b), (c, d)):
             values = _values(ctx, term, self.enum_cap) if type(lit) is IntLit else None
             if values is None:
-                verdict = entails(ctx, p.proposition(), self.enum_cap)
+                verdict = entails(ctx, _claim(key), self.enum_cap)
                 if verdict is Verdict.UNDECIDABLE:
                     self.undecidable = True
-                return verdict
-            ok = ok and (values == (lit.value,) if p.op == "=" else lit.value not in values)
-        return Verdict.VALID if ok else Verdict.INVALID
-
-    def judge(self, key: tuple) -> tuple[_Both | tuple | str, str]:
-        """The claim a verdict table key states and its verdict, decided
-        once. A key is (ctx, what is judged, claim parts): a payload pair,
-        equivalent or different (or Undecidable); two operators, equal or
-        different; or a _Both's fields, decided by `decide` under ctx."""
-        found = self.verdicts.get(key)
-        if found is None:
-            ctx = key[0]
-            if key[1] is _PAYLOADS:
-                claim = key[2:]
-                try:
-                    verdict = _EQUIVALENT if dtype_equiv(ctx, *claim, self.enum_cap) else _DIFFERENT
-                except UndecidableEquivalence:
-                    self.undecidable = True
-                    verdict = _UNDECIDABLE
-            elif key[1] is _OPS:
-                claim = f"{key[2].value} = {key[3].value}"
-                verdict = _EQUAL if key[2] is key[3] else _DIFFERENT
-            else:
-                claim = _Both(*key[2:])
-                verdict = _TEXT[self.decide(ctx, claim)]
-            found = self.verdicts[key] = claim, verdict
-        return found
-
-    def premise(self, ctx: TypingContext, judged, lh, rh) -> tuple[_Both | tuple | str, str]:
-        """The claim of what a premise judges (see _PREMISES) on left head
-        lh and right head rh, and its verdict. A side's verdict is one per
-        context and endpoints, whichever operand asks."""
-        if judged is _ENDPOINTS:
-            key = (ctx, judged, "=", lh.src, rh.src, lh.dst, rh.dst)
-        elif judged is _PAYLOADS:
-            key = (ctx, judged, lh.payload, rh.payload)
-        elif judged is _BOUNDS:
-            key = (ctx, judged, "=", lh.lo, rh.lo, lh.hi, rh.hi)
-        elif judged is _OPS:
-            key = (ctx, judged, lh.op, rh.op)
-        else:
-            operand, side = judged
-            m = lh if operand == "left" else rh
-            term = _RANK if side == "merged" else self.k
-            key = (ctx, "avoids", "!=", m.src, term, m.dst, term)
-        return self.verdicts.get(key) or self.judge(key)
+                return verdict.value
+            ok = ok and (values == (lit.value,) if op == "=" else lit.value not in values)
+        return _VALID if ok else _INVALID
 
 
-def _validate_merge_inputs(ctx: TypingContext, k: int) -> int | None:
-    """Check ctx and k as merge_types requires; returns size when ctx binds
-    it to a constant."""
+def _validate_merge_inputs(ctx: TypingContext, k: int, *operands: ProtocolType) -> tuple:
+    """Check ctx and k as merge_types requires, and where ctx binds size to a
+    constant the messages of the operands (merged ranks', k's); returns them."""
     if ctx.lookup("size") is None or ctx.lookup("rank") is None:
         raise InvalidRankSet("merge context must bind both size and rank")
     size = singleton_env(ctx).get("size")
@@ -620,26 +644,21 @@ def _validate_merge_inputs(ctx: TypingContext, k: int) -> int | None:
     domain = domain_of(ctx, "rank")
     if type(domain) is FiniteSet and k in domain.values:
         raise InvalidRankSet(f"rank {k} is already part of the merged set {domain.values}")
-    return size
+    if size is not None:
+        for t, owner in zip(operands, ("the merged ranks", f"rank {k}")):
+            _check_messages(t, size, owner, 0)
+    return operands
 
 
 def merge_types(
-    ctx: TypingContext,
-    left: ProtocolType,
-    right: ProtocolType,
-    k: int,
-    enum_cap: int = DEFAULT_ENUM_CAP,
+    ctx: TypingContext, left: ProtocolType, right: ProtocolType, k: int, enum_cap: int = DEFAULT_ENUM_CAP
 ) -> tuple[ProtocolType, MergeTrace]:
     """Merge the accumulated type with rank k's local type under ctx.
 
     Raises MergeFailure (with a Diagnostic) when no derivation exists, and
     IllFormedMessage as merge_all does when ctx binds size to a constant.
     """
-    left, right = normalize_seq(left), normalize_seq(right)
-    size = _validate_merge_inputs(ctx, k)
-    if size is not None:
-        _check_messages(left, size, "the merged ranks", 0)
-        _check_messages(right, size, f"rank {k}", 0)
+    left, right = _validate_merge_inputs(ctx, k, normalize_seq(left), normalize_seq(right))
     return _merge_normal(ctx, left, right, k, enum_cap)
 
 
@@ -655,32 +674,23 @@ def _merge_normal(
         raise MergeTooDeep("the derivation nests deeper than the stack allows") from None
     if outcome is None:
         raise MergeFailure(engine.diagnostic())
-    steps, stack = [], [outcome]
-    while stack:  # pre-order: a node's step before its subs' steps
-        _, step, subs = stack.pop()
-        steps.append(step)
-        stack += subs[::-1]
-    return outcome.result, MergeTrace(tuple(steps))
+    return outcome.result, MergeTrace(outcome, k)
 
 
 def attempt_rule(
-    ctx: TypingContext,
-    rule: str,
-    left: ProtocolType,
-    right: ProtocolType,
-    k: int,
+    ctx: TypingContext, rule: str, left: ProtocolType, right: ProtocolType, k: int,
     enum_cap: int = DEFAULT_ENUM_CAP,
 ) -> ProtocolType | None:
     """Apply exactly one named rule at the root (subgoals use the full engine).
 
     Returns the rule's conclusion, or None when the rule is inapplicable,
     whether because the operand shapes do not match or a premise fails.
-    Raises InvalidRankSet on the inputs merge_types refuses.
+    Its inputs are checked as merge_types checks them: it raises
+    InvalidRankSet, and IllFormedMessage where ctx binds size to a constant.
     """
     if rule not in _RULES:
         raise ValueError(f"unknown merge rule {rule!r}; expected one of {', '.join(RULE_NAMES)}")
-    _validate_merge_inputs(ctx, k)
-    left, right = normalize_seq(left), normalize_seq(right)
+    left, right = _validate_merge_inputs(ctx, k, normalize_seq(left), normalize_seq(right))
     offered = tuple(o for o in _offered(left, right) if o[0] == rule)
     try:
         outcome = _Engine(k, enum_cap).derive(ctx, left, right, offered)
@@ -744,13 +754,9 @@ def merge_all(
     for k in sequence[1:]:
         ctx = merged_context(n, merged)
         try:
-            accumulated, trace = _merge_step(
-                ctx, accumulated, normalize_seq(types[k]), k, enum_cap, unroll
-            )
+            accumulated, trace = _merge_step(ctx, accumulated, normalize_seq(types[k]), k, enum_cap, unroll)
         except MergeFailure as failure:
-            raise failure.annotated(
-                f"merging rank {k} into ranks {sorted(merged)}"
-            ) from None
+            raise failure.annotated(f"merging rank {k} into ranks {sorted(merged)}") from None
         except MergeTooDeep as exc:
             raise MergeTooDeep(f"merging rank {k} into ranks {sorted(merged)}: {exc}") from None
         traces.append(trace)
@@ -781,23 +787,15 @@ def _check_messages(t: ProtocolType, n: int, owner: str, depth: int) -> None:
 
 
 def _merge_step(
-    ctx: TypingContext,
-    left: ProtocolType,
-    right: ProtocolType,
-    k: int,
-    enum_cap: int,
-    unroll: int,
+    ctx: TypingContext, left: ProtocolType, right: ProtocolType, k: int, enum_cap: int, unroll: int
 ) -> tuple[ProtocolType, MergeTrace]:
     """One fold step on normal forms, retried once with a loop head unfolded."""
     try:
         return _merge_normal(ctx, left, right, k, enum_cap)
     except MergeFailure:
         left_unfoldable = _head_unfoldable(ctx, left, unroll)
-        right_unfoldable = _head_unfoldable(ctx, right, unroll)
-        if left_unfoldable == right_unfoldable:
+        if left_unfoldable == _head_unfoldable(ctx, right, unroll):
             raise
         if left_unfoldable:
-            left = _unfold_head(ctx, left)
-        else:
-            right = _unfold_head(ctx, right)
-        return _merge_normal(ctx, left, right, k, enum_cap)
+            return _merge_normal(ctx, _unfold_head(ctx, left), right, k, enum_cap)
+        return _merge_normal(ctx, left, _unfold_head(ctx, right), k, enum_cap)

@@ -256,8 +256,8 @@ NODES = [
     ),
     (
         merge.PremiseCheck("op-equal", "sum = sum", "equal"),
-        ("name", "stated", "verdict"),
-        "PremiseCheck(name='op-equal', stated='sum = sum', verdict='equal')",
+        ("name", "claim", "verdict"),
+        "PremiseCheck(name='op-equal', claim='sum = sum', verdict='equal')",
     ),
 ]
 
@@ -265,14 +265,24 @@ NODES = [
 # in the same form. Deadlocked and Mismatch share their field's value, as
 # SendTo and RecvFrom do above, so that equality is seen to go by class.
 STEP = merge.MergeStep("skip-skip", Skip(), Skip(), (merge.PremiseCheck("op-equal", "sum = sum", "equal"),))
+# A trace holds its derivation tree and goes by the steps it reads off it.
+SUM = Allreduce(ReduceOp.SUM, "_", F, Skip())
+TRACE = merge.merge_types(merged_context(2, [0]), SUM, SUM, 1)[1]
 RECORDS = [
     (
         STEP,
         ("rule", "left_type", "right_type", "premises"),
         "MergeStep(rule='skip-skip', left_type=Skip(), right_type=Skip(), premises="
-        "(PremiseCheck(name='op-equal', stated='sum = sum', verdict='equal'),))",
+        "(PremiseCheck(name='op-equal', claim='sum = sum', verdict='equal'),))",
     ),
-    (merge.MergeTrace((STEP,)), ("steps",), f"MergeTrace(steps=({STEP!r},))"),
+    (
+        TRACE,
+        ("tree", "k"),
+        f"MergeTrace(steps=(MergeStep(rule='allred-allred', left_type={SUM!r}, right_type={SUM!r}, "
+        "premises=(PremiseCheck(name='op-equal', claim='sum = sum', verdict='equal'), "
+        "PremiseCheck(name='payload-equivalent', claim=(Float(), Float()), verdict='equivalent'))), "
+        "MergeStep(rule='skip-skip', left_type=Skip(), right_type=Skip(), premises=())))",
+    ),
     (
         oracle.Completed((oracle.MessageEvent(0, 1, F),)),
         ("trace",),
@@ -341,7 +351,12 @@ class TestNodeProtocol:
 
 
 def _recursive_repr(value):
-    """A record's repr as a recursive walk gives it; any other value's repr."""
+    """A record's or a tuple's repr as a recursive walk gives it (a trace's
+    over its steps); any other value's repr."""
+    if type(value) is tuple:
+        return "(" + ", ".join(map(_recursive_repr, value)) + ("," if len(value) == 1 else "") + ")"
+    if type(value) is merge.MergeTrace:
+        return f"MergeTrace(steps={_recursive_repr(value.steps)})"
     if not isinstance(value, ast._Record) or type(value) is RuleAttempt:
         return repr(value)
     fields = ", ".join(f"{name}={_recursive_repr(getattr(value, name))}" for name in value.__slots__)

@@ -265,6 +265,17 @@ class TestExtract:
         assert code == 4
         assert "--rank must lie in 0..2" in err
 
+    @pytest.mark.parametrize("size", ["0", "-2"])
+    def test_a_size_below_one_is_named(self, capsys, size):
+        """The size is refused by name before the rank is checked against it."""
+        argv = ["extract", str(PROGRAMS / "one_to_all.proc"), "--rank", "0", "--size", size]
+        message = f"--size must be at least 1, got {size}"
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (4, "", f"protomerge: error: {message}\n")
+        code, out, err = run(capsys, *argv, "--json")
+        assert (code, err) == (4, "")
+        assert json.loads(out) == {"status": "error", "kind": "ValueError", "message": message}
+
     def test_long_program_without_recursion_error(self, capsys, write):
         f = write("long.proc", ";\n".join(["send to 1 float", "recv from 1 integer"] * 2500))
         code, out, err = run(capsys, "extract", f, "--rank", "0", "--size", "2")

@@ -1,7 +1,9 @@
 """Merge engine: normal forms, unfolding, rules, diagnostics, rank folding."""
 
 import collections
+import copy
 import itertools
+import pickle
 import random
 import threading
 import tracemalloc
@@ -281,6 +283,57 @@ class TestMergeMemory:
         assert large < 3 * small, (small, large)
 
 
+class TestTraceReadPath:
+    """A trace keeps its derivation tree and reads its steps off it: in
+    pre-order, a shared subtree again at each use, with value semantics."""
+
+    def test_a_shared_subtree_is_read_at_each_use(self):
+        both = Seq(allred(), allred())
+        _, trace = merge_types(merged_context(2, [0]), both, both, k=1)
+        assert trace.rule_names() == (
+            "seq-seq", "allred-allred", "skip-skip", "allred-allred", "skip-skip"
+        )
+        assert [s.rule for s in trace.steps] == list(trace.rule_names())
+        first, second = trace.tree.subs
+        assert first is second
+        assert trace.steps[1:3] == trace.steps[3:]
+
+    @staticmethod
+    def on_thread(fn):
+        """fn's result, called on a thread of its own, so the test runner's
+        frames leave it the whole default recursion limit."""
+        out = []
+        thread = threading.Thread(target=lambda: out.append(fn()))
+        thread.start()
+        thread.join(60)
+        assert not thread.is_alive()
+        return out[0]
+
+    def test_independent_deep_traces_are_equal_values(self):
+        """Two merges of a 480-message ping-pong, each on a thread of its
+        own, give traces equal by == and hash; none of ==, hash and repr
+        recurses with the derivation's depth, and pickle no deeper than the
+        operands."""
+        t = build_seq([msg(0, 1) if i % 2 == 0 else msg(1, 0) for i in range(480)])
+        ctx = merged_context(2, [0])
+        first, second = (self.on_thread(lambda: merge_types(ctx, t, t, k=1))[1] for _ in range(2))
+        assert first.tree is not second.tree
+        assert first == second and hash(first) == hash(second)
+        assert len(first.steps) == 959
+        assert self.on_thread(lambda: pickle.loads(pickle.dumps(first))) == second
+        text = repr(first)
+        assert text.startswith("MergeTrace(steps=(MergeStep(rule='seq-seq', ")
+        assert text.count("MergeStep(") == 959
+
+    def test_pickle_and_deepcopy_give_an_equal_trace(self):
+        _, traces = merge_all(4, list(enumerate(TestPremisesAndRendering.nbody_types(4))))
+        for trace in traces:
+            for other in (pickle.loads(pickle.dumps(trace)), copy.deepcopy(trace)):
+                assert type(other) is merge_module.MergeTrace
+                assert other == trace and hash(other) == hash(trace)
+                assert other.steps == trace.steps and other.rule_names() == trace.rule_names()
+
+
 class TestMergeFailureDiagnostics:
     def test_symmetric_ring_is_deadlock_suspected(self):
         ctx = merged_context(2, [0])
@@ -409,6 +462,14 @@ class TestAttemptRule:
             merge_types(ctx, Skip(), Skip(), k)
         with pytest.raises(InvalidRankSet):
             attempt_rule(ctx, "skip-skip", Skip(), Skip(), k)
+
+    def test_ill_formed_messages_refused_as_merge_types_does(self):
+        ctx, bad = merged_context(2, [0]), Message(IntLit(0), IntLit(5), Float())
+        for rule, left, right in (("msg-skip", bad, Skip()), ("skip-msg", Skip(), bad)):
+            with pytest.raises(protomerge.IllFormedMessage, match="does not join two ranks of 0..1"):
+                merge_types(ctx, left, right, 1)
+            with pytest.raises(protomerge.IllFormedMessage, match="does not join two ranks of 0..1"):
+                attempt_rule(ctx, rule, left, right, 1)
 
 
 # Each rule's mirror: the rule that derives the same judgment with the
@@ -664,9 +725,9 @@ class TestShapeDispatch:
         decide, dtype_equiv = merge_module._Engine.decide, merge_module.dtype_equiv
         decided, compared = collections.Counter(), collections.Counter()
 
-        def counting_decide(engine, ctx, p):
-            decided[ctx, p.proposition()] += 1
-            return decide(engine, ctx, p)
+        def counting_decide(engine, key):
+            decided[key[0], merge_module._claim(key)] += 1
+            return decide(engine, key)
 
         def counting_dtype_equiv(ctx, d1, d2, *rest):
             compared[ctx, d1, d2] += 1
@@ -775,7 +836,7 @@ class TestFirstRuleWhosePremisesHold:
             if want is None:
                 assert [refusal[0] for refusal in outcome] == [name for name, _ in rules], verdict_of
             else:
-                assert (outcome.step.rule, outcome.subs) == (want, ()), verdict_of
+                assert (outcome.rule, outcome.subs) == (want, ()), verdict_of
             # Decided: what every rule up to the one applied judges, in the
             # order the rules first ask for it.
             assert asked == needed, verdict_of
@@ -897,20 +958,19 @@ class TestPremisesAndRendering:
             """The engine's premise table, recording each premise as it is
             entered."""
 
-            def __setitem__(self, key, premise):
+            def __setitem__(self, key, verdict):
                 assert key not in self, f"{key[1:]} entered twice"
-                claim = premise[0]
-                entered.append((key[0], claim.proposition() if hasattr(claim, "proposition") else claim))
-                super().__setitem__(key, premise)
+                entered.append((key[0], merge_module._claim(key)))
+                super().__setitem__(key, verdict)
 
         def recording_init(engine, *args):
             init(engine, *args)
             engine.verdicts = Table()
 
-        def counting_decide(engine, ctx, p, *rest):
-            # decide holds the premise as parts; entails sees the proposition.
-            decided.append((ctx, p.proposition()))
-            return decide(engine, ctx, p, *rest)
+        def counting_decide(engine, key):
+            # decide takes the premise's key; entails sees the claim it states.
+            decided.append((key[0], merge_module._claim(key)))
+            return decide(engine, key)
 
         def counting_entails(ctx, p, *rest):
             reached.append((ctx, p))
@@ -962,37 +1022,59 @@ class TestPremisesAndRendering:
         assert len(built) == len(resolved)
         assert logic_module._RESOLUTIONS == resolved
 
+    @staticmethod
+    def ring_step():
+        """The trace of the ring's first merge_types call; it reads RING_ROWS."""
+        ctx = merged_context(3, [0])
+        return merge_types(ctx, Seq(msg(0, 1), msg(2, 0)), Seq(msg(0, 1), msg(1, 2)), k=1)[1]
+
+    @staticmethod
+    def rendered(trace):
+        return [
+            (s.rule, s.left, s.right, [(p.name, p.formula, p.verdict) for p in s.premises])
+            for s in trace.steps
+        ]
+
+    RING_ROWS = [
+        ("seq-seq", "message 0 1 float; message 2 0 float",
+         "message 0 1 float; message 1 2 float", []),
+        ("msg-msg-eq", "message 0 1 float", "message 0 1 float", [
+            ("left-real", "0 != rank and 1 != rank", "Invalid"),
+            ("right-real", "0 != 1 and 1 != 1", "Invalid"),
+            ("endpoints-equal", "0 = 0 and 1 = 1", "Valid"),
+            ("payload-equivalent", "float == float", "equivalent"),
+        ]),
+        ("msg-msg-right", "message 2 0 float", "message 1 2 float", [
+            ("left-real", "2 != rank and 0 != rank", "Invalid"),
+            ("left-avoids-k", "2 != 1 and 0 != 1", "Valid"),
+            ("right-real", "1 != 1 and 2 != 1", "Invalid"),
+            ("right-avoids-merged", "1 != rank and 2 != rank", "Valid"),
+        ]),
+    ]
+
     def test_accepting_merge_renders_nothing_until_read(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("rendered while merging")
 
         for name in ("compact_protocol", "print_proposition", "print_datatype"):
             monkeypatch.setattr(merge_module, name, refuse)
-        ctx = merged_context(3, [0])
-        left = Seq(msg(0, 1), msg(2, 0))
-        right = Seq(msg(0, 1), msg(1, 2))
-        _, trace = merge_types(ctx, left, right, k=1)
+        trace = self.ring_step()
         monkeypatch.undo()
-        rendered = [
-            (s.rule, s.left, s.right, [(p.name, p.formula, p.verdict) for p in s.premises])
-            for s in trace.steps
-        ]
-        assert rendered == [
-            ("seq-seq", "message 0 1 float; message 2 0 float",
-             "message 0 1 float; message 1 2 float", []),
-            ("msg-msg-eq", "message 0 1 float", "message 0 1 float", [
-                ("left-real", "0 != rank and 1 != rank", "Invalid"),
-                ("right-real", "0 != 1 and 1 != 1", "Invalid"),
-                ("endpoints-equal", "0 = 0 and 1 = 1", "Valid"),
-                ("payload-equivalent", "float == float", "equivalent"),
-            ]),
-            ("msg-msg-right", "message 2 0 float", "message 1 2 float", [
-                ("left-real", "2 != rank and 0 != rank", "Invalid"),
-                ("left-avoids-k", "2 != 1 and 0 != 1", "Valid"),
-                ("right-real", "1 != 1 and 2 != 1", "Invalid"),
-                ("right-avoids-merged", "1 != rank and 2 != rank", "Valid"),
-            ]),
-        ]
+        assert self.rendered(trace) == self.RING_ROWS
+
+    @pytest.mark.parametrize("case", ["nbody-4", "exchange-3"])
+    def test_accepting_merge_builds_no_step_until_read(self, monkeypatch, case):
+        n, types = (4, self.nbody_types(4)) if case == "nbody-4" else (3, self.exchange_types())
+        built = collections.Counter()
+        for name in ("MergeStep", "PremiseCheck"):
+            cls = getattr(merge_module, name)
+            monkeypatch.setattr(merge_module, name, lambda *a, cls=cls: built.update([cls]) or cls(*a))
+        _, traces = merge_all(n, list(enumerate(types)))
+        trace = self.ring_step()
+        assert built == {}
+        monkeypatch.undo()
+        assert all(t.steps for t in traces)
+        assert self.rendered(trace) == self.RING_ROWS
 
     @pytest.mark.parametrize("program, n", [("symmetric_ring", 3), ("one_to_all", 4)])
     def test_rejecting_merge_renders_nothing_until_read(self, monkeypatch, program, n):
@@ -1043,8 +1125,8 @@ class TestMembershipPremises:
         rows = []
         for name in names:
             judged, want, kind = merge_module._PREMISES[name]
-            claim, verdict = engine.premise(ctx, judged, lm, rm)
-            rows.append((verdict == want, kind, name, claim, verdict))
+            key, verdict = engine.premise(ctx, judged, lm, rm)
+            rows.append((verdict == want, kind, name, merge_module._claim(key), verdict))
         return rows
 
     @classmethod
@@ -1060,13 +1142,13 @@ class TestMembershipPremises:
             p = And(Cmp("!=", m.src, term), Cmp("!=", m.dst, term))
             verdict = entails(ctx, p, enum_cap)
             ok, _, _, claim, got = cls.premises(engine, ctx, m, m, (name,))[0]
-            assert (ok, claim.proposition(), got) == (
+            assert (ok, claim, got) == (
                 verdict.value == want, p, verdict.value
             ), (enum_cap, ctx.names(), name, m)
         ok, _, _, claim, got = cls.premises(engine, ctx, lm, rm, ("endpoints-equal",))[0]
         p = And(Cmp("=", lm.src, rm.src), Cmp("=", lm.dst, rm.dst))
         verdict = entails(ctx, p, enum_cap)
-        assert (ok, claim.proposition(), got) == (verdict is Verdict.VALID, p, verdict.value)
+        assert (ok, claim, got) == (verdict is Verdict.VALID, p, verdict.value)
 
     def test_membership_agrees_with_entails(self, monkeypatch):
         values = merge_module._values
