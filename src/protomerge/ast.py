@@ -178,8 +178,16 @@ class _Record(metaclass=_NodeType):
                 return "".join(opened) + repr(node) + ")" * len(opened)
 
     def __reduce__(self):
-        # copy and pickle rebuild through the constructor (for a node, the table).
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+        # copy and pickle rebuild through the constructor (for a node, the
+        # table). A chain of one class nested through its last field is
+        # taken flat, as __repr__ walks it: its length costs no depth.
+        cls, links, node = type(self), [], self
+        if not cls.__slots__:
+            return cls, ()
+        while type(node) is cls:
+            *init, node = (getattr(node, name) for name in cls.__slots__)
+            links.append(tuple(init))
+        return _rebuild_chain, (cls, tuple(links), node)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -188,6 +196,14 @@ class _Record(metaclass=_NodeType):
 
     def __hash__(self):
         return hash(self.__reduce__())
+
+
+def _rebuild_chain(cls: type, links: tuple, last):
+    """A record from what _Record.__reduce__ takes: each link's fields but
+    the last, outermost first, and the innermost link's last field."""
+    for init in reversed(links):
+        last = cls(*init, last)
+    return last
 
 
 # Every node built, keyed by (class, *fields). Its fields are strings, ints,
@@ -211,6 +227,9 @@ class _Node(_Record):
 
     __eq__ = object.__eq__
     __hash__ = object.__hash__
+
+    def __deepcopy__(self, memo):
+        return self  # immutable and interned: the copy is the node itself
 
 
 # ---------------------------------------------------------------------------

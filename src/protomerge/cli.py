@@ -26,7 +26,6 @@ from typing import Sequence
 from .ast import DiagnosticKind, IntLit, ProtocolType, ProtomergeError, subst_type
 from .extract import extract_local_type
 from .logic import (
-    DEFAULT_ENUM_CAP,
     InvalidRankSet,
     NotIntegerRefined,
     UndecidableEquivalence,
@@ -40,6 +39,7 @@ from .merge import (
     MergeTooDeep,
     MergeTrace,
     NonConstantBounds,
+    _check_messages,
     merge_all,
     merge_types,
 )
@@ -120,7 +120,6 @@ def _build_parser() -> argparse.ArgumentParser:
     infer.add_argument("files", nargs="+", help="one process file for every rank, or one per rank")
     infer.add_argument("--size", type=int, required=True, help="number of ranks (at least 2)")
     infer.add_argument("--order", type=_rank_list, default=None, help="merge order, e.g. 0,2,1")
-    infer.add_argument("--enum-cap", type=_non_negative, default=DEFAULT_ENUM_CAP)
     infer.add_argument("--unroll", type=_non_negative, default=DEFAULT_UNROLL)
     infer.add_argument("--trace", action="store_true", help="log merge rule applications")
     infer.add_argument("--json", action="store_true")
@@ -139,7 +138,6 @@ def _build_parser() -> argparse.ArgumentParser:
     merge.add_argument("--size", type=int, required=True)
     merge.add_argument("--merged", type=_rank_list, required=True, help="already-merged ranks, e.g. 0,1")
     merge.add_argument("--k", type=int, required=True, help="rank being merged in")
-    merge.add_argument("--enum-cap", type=_non_negative, default=DEFAULT_ENUM_CAP)
     merge.add_argument("--trace", action="store_true")
     merge.add_argument("--json", action="store_true")
     merge.set_defaults(run=_cmd_merge)
@@ -222,9 +220,7 @@ def _cmd_infer(args) -> int:
     for rank in range(args.size):
         program = programs[args.files[0] if len(args.files) == 1 else args.files[rank]]
         locals_.append((rank, extract_local_type(ctx, program, rank, args.size)))
-    result, traces = merge_all(
-        args.size, locals_, order=args.order, enum_cap=args.enum_cap, unroll=args.unroll
-    )
+    result, traces = merge_all(args.size, locals_, order=args.order, unroll=args.unroll)
     # Local types stay parametric in size; the inferred protocol describes
     # one fixed world, so it closes over the size literal.
     result = subst_type(result, {"size": IntLit(args.size)})
@@ -247,7 +243,7 @@ def _cmd_merge(args) -> int:
     ctx = merged_context(args.size, args.merged)
     left = parse_protocol(_read(args.left), args.left)
     right = parse_protocol(_read(args.right), args.right)
-    result, trace = merge_types(ctx, left, right, args.k, enum_cap=args.enum_cap)
+    result, trace = merge_types(ctx, left, right, args.k)
     return _emit_result(args, result, [trace])
 
 
@@ -258,6 +254,7 @@ def _cmd_simulate(args) -> int:
     actions = []
     for rank, path in enumerate(args.files):
         local = parse_protocol(_read(path), path)
+        _check_messages(local, args.size, f"rank {rank}", 0)
         capped = cap_loops(ctx, local, args.unroll)
         actions.append(linearize(ctx, capped, rank))
     result = simulate(actions, args.size, ctx=ctx)

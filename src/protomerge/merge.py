@@ -49,7 +49,6 @@ from .ast import (
     subst_type,
 )
 from .logic import (
-    DEFAULT_ENUM_CAP,
     FiniteSet,
     InvalidRankSet,
     UndecidableEquivalence,
@@ -274,16 +273,15 @@ def _seq_parts(t: ProtocolType) -> tuple[ProtocolType, ProtocolType]:
     return t, Skip()
 
 
-def _values(ctx: TypingContext, t: IndexTerm, enum_cap: int) -> tuple[int, ...] | None:
+def _values(ctx: TypingContext, t: IndexTerm) -> tuple[int, ...] | None:
     """The values index term t takes under ctx, where they can be read off
     without entails: an integer literal's value, or the merged ranks when t
-    is `rank` and ctx binds it to a FiniteSet of at most enum_cap ranks (so
-    entails would enumerate them). None elsewhere."""
+    is `rank` and ctx binds it to a FiniteSet. None elsewhere."""
     if type(t) is IntLit:
         return (t.value,)
     if t is _RANK:
         ranks = ctx.lookup("rank")
-        if type(ranks) is FiniteSet and len(ranks.values) <= enum_cap:
+        if type(ranks) is FiniteSet:
             return ranks.values
     return None
 
@@ -510,13 +508,12 @@ class _Engine:
     entry stands for. Contexts, types and index terms are interned, so its
     tables key them by identity: a context built twice is one key."""
 
-    def __init__(self, k: int, enum_cap: int):
+    def __init__(self, k: int):
         self.k = IntLit(k)
-        self.enum_cap = enum_cap
         # (context, left, right) -> its derivation tree (an _Applied) or the
         # refusals (() while it is open)
         self.memo: dict = {}
-        # _key -> verdict: every premise, decided once.
+        # _key -> verdict: each premise a rule reached, decided once.
         self.verdicts: dict = {}
         self.undecidable = False
         # The labels of the sub-merges open from the root to the current node.
@@ -543,38 +540,35 @@ class _Engine:
     def derive(self, ctx, left, right, rules) -> _Applied | tuple[tuple, ...]:
         """Apply the first of `rules` (as _INDEX offers them) whose premises
         all hold and whose sub-merges all succeed, or give back each rule's
-        refusal: (rule, kind, premise name, _key, verdict) for a failed
-        premise, (rule, kind, text) for a failed sub-merge. A rule decides
-        each of its premises that no earlier rule at this node decided, in
-        its premise order and all of them, so an undecidable one marks the
-        engine even after an earlier failure."""
+        refusal: (rule, kind, premise name, _key, verdict) for its first
+        failed premise, (rule, kind, text) for a failed sub-merge. A rule
+        decides its premises in order, each when it reaches it and once per
+        node, and stops at the first that fails."""
         lh = left.first if type(left) is Seq else left
         rh = right.first if type(right) is Seq else right
         verdicts: dict = {}  # what is judged -> (_key, verdict), at this node
         refused = []
         for name, premises, rule in rules:
-            failed = None
             for premise, judged, want, kind in premises:
                 found = verdicts.get(judged)
                 if found is None:
                     found = verdicts[judged] = self.premise(ctx, judged, lh, rh)
-                if failed is None and found[1] != want:
-                    failed = (name, kind, premise) + found
-            if failed is not None:
-                refused.append(failed)
-                continue
-            subgoals, conclude = rule(ctx, left, right)
-            subs, labels = [], self.labels
-            for sub_ctx, sub_left, sub_right, label, why in subgoals:
-                labels.append(label)
-                sub = self.merge(sub_ctx, sub_left, sub_right)
-                labels.pop()
-                if sub is None:
-                    refused.append((name, _DEADLOCK, why))
+                if found[1] != want:
+                    refused.append((name, kind, premise) + found)
                     break
-                subs.append(sub)
             else:
-                return _Applied(conclude(*[s.result for s in subs]), name, ctx, left, right, tuple(subs))
+                subgoals, conclude = rule(ctx, left, right)
+                subs, labels = [], self.labels
+                for sub_ctx, sub_left, sub_right, label, why in subgoals:
+                    labels.append(label)
+                    sub = self.merge(sub_ctx, sub_left, sub_right)
+                    labels.pop()
+                    if sub is None:
+                        refused.append((name, _DEADLOCK, why))
+                        break
+                    subs.append(sub)
+                else:
+                    return _Applied(conclude(*[s.result for s in subs]), name, ctx, left, right, tuple(subs))
         return tuple(refused)
 
     def diagnostic(self) -> Diagnostic:
@@ -614,7 +608,7 @@ class _Engine:
         ctx, judged = key[0], key[1]
         if judged is _PAYLOADS:
             try:
-                return _EQUIVALENT if dtype_equiv(ctx, key[2], key[3], self.enum_cap) else _DIFFERENT
+                return _EQUIVALENT if dtype_equiv(ctx, key[2], key[3]) else _DIFFERENT
             except UndecidableEquivalence:
                 self.undecidable = True
                 return _UNDECIDABLE
@@ -623,9 +617,9 @@ class _Engine:
         _, _, op, a, b, c, d = key
         ok = True
         for lit, term in ((a, b), (c, d)):
-            values = _values(ctx, term, self.enum_cap) if type(lit) is IntLit else None
+            values = _values(ctx, term) if type(lit) is IntLit else None
             if values is None:
-                verdict = entails(ctx, _claim(key), self.enum_cap)
+                verdict = entails(ctx, _claim(key))
                 if verdict is Verdict.UNDECIDABLE:
                     self.undecidable = True
                 return verdict.value
@@ -651,7 +645,7 @@ def _validate_merge_inputs(ctx: TypingContext, k: int, *operands: ProtocolType) 
 
 
 def merge_types(
-    ctx: TypingContext, left: ProtocolType, right: ProtocolType, k: int, enum_cap: int = DEFAULT_ENUM_CAP
+    ctx: TypingContext, left: ProtocolType, right: ProtocolType, k: int
 ) -> tuple[ProtocolType, MergeTrace]:
     """Merge the accumulated type with rank k's local type under ctx.
 
@@ -659,15 +653,15 @@ def merge_types(
     IllFormedMessage as merge_all does when ctx binds size to a constant.
     """
     left, right = _validate_merge_inputs(ctx, k, normalize_seq(left), normalize_seq(right))
-    return _merge_normal(ctx, left, right, k, enum_cap)
+    return _merge_normal(ctx, left, right, k)
 
 
 def _merge_normal(
-    ctx: TypingContext, left: ProtocolType, right: ProtocolType, k: int, enum_cap: int
+    ctx: TypingContext, left: ProtocolType, right: ProtocolType, k: int
 ) -> tuple[ProtocolType, MergeTrace]:
     """merge_types on operands already in sequence normal form."""
     _validate_merge_inputs(ctx, k)
-    engine = _Engine(k, enum_cap)
+    engine = _Engine(k)
     try:
         outcome = engine.merge(ctx, left, right)
     except RecursionError:
@@ -678,8 +672,7 @@ def _merge_normal(
 
 
 def attempt_rule(
-    ctx: TypingContext, rule: str, left: ProtocolType, right: ProtocolType, k: int,
-    enum_cap: int = DEFAULT_ENUM_CAP,
+    ctx: TypingContext, rule: str, left: ProtocolType, right: ProtocolType, k: int
 ) -> ProtocolType | None:
     """Apply exactly one named rule at the root (subgoals use the full engine).
 
@@ -693,7 +686,7 @@ def attempt_rule(
     left, right = _validate_merge_inputs(ctx, k, normalize_seq(left), normalize_seq(right))
     offered = tuple(o for o in _offered(left, right) if o[0] == rule)
     try:
-        outcome = _Engine(k, enum_cap).derive(ctx, left, right, offered)
+        outcome = _Engine(k).derive(ctx, left, right, offered)
     except RecursionError:
         raise MergeTooDeep("the derivation nests deeper than the stack allows") from None
     return outcome.result if type(outcome) is _Applied else None
@@ -723,7 +716,6 @@ def merge_all(
     n: int,
     local_types: Sequence[tuple[int, ProtocolType]],
     order: Sequence[int] | None = None,
-    enum_cap: int = DEFAULT_ENUM_CAP,
     unroll: int = DEFAULT_UNROLL,
 ) -> tuple[ProtocolType, list[MergeTrace]]:
     """Fold merge_types over all ranks in the given order (default 0..n-1).
@@ -754,7 +746,7 @@ def merge_all(
     for k in sequence[1:]:
         ctx = merged_context(n, merged)
         try:
-            accumulated, trace = _merge_step(ctx, accumulated, normalize_seq(types[k]), k, enum_cap, unroll)
+            accumulated, trace = _merge_step(ctx, accumulated, normalize_seq(types[k]), k, unroll)
         except MergeFailure as failure:
             raise failure.annotated(f"merging rank {k} into ranks {sorted(merged)}") from None
         except MergeTooDeep as exc:
@@ -787,15 +779,15 @@ def _check_messages(t: ProtocolType, n: int, owner: str, depth: int) -> None:
 
 
 def _merge_step(
-    ctx: TypingContext, left: ProtocolType, right: ProtocolType, k: int, enum_cap: int, unroll: int
+    ctx: TypingContext, left: ProtocolType, right: ProtocolType, k: int, unroll: int
 ) -> tuple[ProtocolType, MergeTrace]:
     """One fold step on normal forms, retried once with a loop head unfolded."""
     try:
-        return _merge_normal(ctx, left, right, k, enum_cap)
+        return _merge_normal(ctx, left, right, k)
     except MergeFailure:
         left_unfoldable = _head_unfoldable(ctx, left, unroll)
         if left_unfoldable == _head_unfoldable(ctx, right, unroll):
             raise
         if left_unfoldable:
-            return _merge_normal(ctx, _unfold_head(ctx, left), right, k, enum_cap)
-        return _merge_normal(ctx, left, _unfold_head(ctx, right), k, enum_cap)
+            return _merge_normal(ctx, _unfold_head(ctx, left), right, k)
+        return _merge_normal(ctx, left, _unfold_head(ctx, right), k)

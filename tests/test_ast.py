@@ -137,6 +137,21 @@ class TestInterning:
         assert copy.deepcopy(t) is t
         assert pickle.loads(pickle.dumps(t)) is t
 
+    def test_long_chains_copy_and_pickle_without_recursion(self):
+        # A chain nested through its last field is taken flat, as repr walks it.
+        seq = build_seq([Message(IntLit(i % 2), IntLit(1 - i % 2), Float()) for i in range(5000)])
+        pseq = parse_process(";\n".join(["send to 1 float; recv from 1 float"] * 2500))
+        for chain in (seq, pseq):
+            assert copy.deepcopy(chain) is chain
+            assert pickle.loads(pickle.dumps(chain)) is chain
+        step = protomerge.MergeStep("seq-seq", seq, seq, ())
+        assert copy.deepcopy(step) == step == pickle.loads(pickle.dumps(step))
+        # A node deep-copies as itself, however deep it nests elsewhere.
+        payload = Float()
+        for _ in range(3000):
+            payload = Array(payload, IntLit(1))
+        assert copy.deepcopy(payload) is payload
+
     def test_second_pass_over_the_same_inputs_adds_no_entries(self):
         source = (Path(protomerge.__file__).parent / "programs" / "nbody.proc").read_text()
 

@@ -163,17 +163,21 @@ class TestInfer:
         ids=["outside", "itself", "nested"],
     )
     def test_a_message_no_run_can_perform_is_rejected(self, capsys, write, text, message):
-        # The oracle finds the extracted ranks deadlocked.
+        # The library's oracle finds the extracted ranks deadlocked; `simulate`
+        # refuses their local types as `infer` refuses the program.
         ctx = initial_context(2)
         program = parse_process(text)
-        actions = [linearize(ctx, extract_local_type(ctx, program, r, 2), r) for r in range(2)]
+        locals_ = [extract_local_type(ctx, program, r, 2) for r in range(2)]
+        actions = [linearize(ctx, t, r) for r, t in enumerate(locals_)]
         assert type(simulate(actions, 2)).__name__ == "Deadlocked"
         f = write("bad.proc", text)
-        assert run(capsys, "infer", f, "--size", "2") == (1, "", f"error: IllFormedMessage: {message}\n")
-        code, out, err = run(capsys, "infer", f, "--size", "2", "--json")
-        assert (code, json.loads(out), err) == (
-            1, {"status": "error", "kind": "IllFormedMessage", "message": message}, ""
-        )
+        files = [write(f"r{r}.ptype", print_protocol(t)) for r, t in enumerate(locals_)]
+        for argv in (("infer", f, "--size", "2"), ("simulate", *files, "--size", "2")):
+            assert run(capsys, *argv) == (1, "", f"error: IllFormedMessage: {message}\n")
+            code, out, err = run(capsys, *argv, "--json")
+            assert (code, json.loads(out), err) == (
+                1, {"status": "error", "kind": "IllFormedMessage", "message": message}, ""
+            )
 
     def test_order_flag(self, capsys, write):
         files = [write(f"r{r}.proc", "allreduce min float") for r in range(3)]
@@ -197,13 +201,12 @@ class TestInfer:
         assert code == 4
         assert "expected 1 process file or 3 per-rank files" in err
 
-    def test_negative_enum_cap_is_a_usage_error(self, capsys):
+    def test_enum_cap_is_not_an_option(self, capsys):
         code, out, err = run(
-            capsys, "infer", str(PROGRAMS / "nbody.proc"), "--size", "3", "--enum-cap", "-1"
+            capsys, "infer", str(PROGRAMS / "nbody.proc"), "--size", "3", "--enum-cap", "5"
         )
-        assert code == 4
-        assert out == ""
-        assert err.endswith("error: argument --enum-cap: must not be negative, got -1\n")
+        assert (code, out) == (4, "")
+        assert err.endswith("error: unrecognized arguments: --enum-cap 5\n")
 
     def test_negative_unroll_is_a_usage_error(self, capsys):
         code, out, err = run(
@@ -314,6 +317,33 @@ class TestMerge:
         assert code == 3
         assert err.startswith("error: EntailmentUndecidable at root")
 
+    @pytest.mark.parametrize(
+        "left_text, right_text, code, kind",
+        [
+            # Every rule is refused by a definite verdict; the undecidable
+            # payload premise of msg-msg-eq is never reached.
+            ("message 1 2 {x: float | x > 0}", "message 1 0 {x: float | x > 1}", 1, "DeadlockSuspected"),
+            # msg-msg-eq's first failed premise is the undecidable payload one.
+            ("message 0 1 {x: float | x > 0}", "message 0 1 {x: float | x > 1}", 3, "EntailmentUndecidable"),
+        ],
+        ids=["unreached", "reached"],
+    )
+    def test_undecidable_only_where_a_rule_reaches_it(
+        self, capsys, write, left_text, right_text, code, kind
+    ):
+        left, right = write("left.ptype", left_text), write("right.ptype", right_text)
+        argv = ("merge", left, right, "--size", "3", "--merged", "0", "--k", "1")
+        got, out, err = run(capsys, *argv)
+        assert (got, out) == (code, "")
+        assert err.startswith(f"error: {kind} at root\n")
+        rules = [line.split(":")[0].strip() for line in err.splitlines()[1:]]
+        assert rules == ["msgS-msgS", "msg-msgS", "msgS-msg", "msg-msg-eq", "msg-msg-right", "msg-msg-left"]
+        got, out, err = run(capsys, *argv, "--json")
+        doc = json.loads(out)
+        assert (got, doc["kind"], doc["location"], err) == (code, kind, "root", "")
+        undecidable = [a for a in doc["rule_trace"] if a["failed_premise"].endswith(" is Undecidable")]
+        assert [a["rule"] for a in undecidable] == ([] if code == 1 else ["msg-msg-eq"])
+
     def test_k_inside_merged_set_rejected(self, capsys, write):
         left = write("left.ptype", "skip")
         right = write("right.ptype", "skip")
@@ -323,25 +353,22 @@ class TestMerge:
         assert code == 4
         assert err.startswith("protomerge: error: rank 0 is already part of the merged set")
 
-    def test_negative_enum_cap_is_a_usage_error(self, capsys, write):
+    def test_enum_cap_is_not_an_option(self, capsys, write):
         left = write("left.ptype", "message 0 1 float")
         right = write("right.ptype", "message 0 1 float")
         code, out, err = run(
             capsys, "merge", left, right, "--size", "3", "--merged", "0", "--k", "1",
-            "--enum-cap", "-5",
+            "--enum-cap", "5",
         )
-        assert code == 4
-        assert out == ""
-        assert err.endswith("error: argument --enum-cap: must not be negative, got -5\n")
+        assert (code, out) == (4, "")
+        assert err.endswith("error: unrecognized arguments: --enum-cap 5\n")
 
-    @pytest.mark.parametrize("enum_cap", ["0", "1", None])
-    def test_payload_verdict_ignores_enum_cap(self, capsys, write, enum_cap):
+    def test_interval_and_equalities_are_one_payload(self, capsys, write):
         # The interval and the equalities describe the same two values.
         interval = write("p1.ptype", "message 0 1 {x: integer | 0 <= x and x < 2}")
         points = write("p2.ptype", "message 0 1 {x: integer | x = 0 or x = 1}")
-        cap = [] if enum_cap is None else ["--enum-cap", enum_cap]
         code, out, err = run(
-            capsys, "merge", interval, points, "--size", "2", "--merged", "0", "--k", "1", *cap
+            capsys, "merge", interval, points, "--size", "2", "--merged", "0", "--k", "1"
         )
         assert (code, out, err) == (0, "message 0 1 {x: integer | 0 <= x and x < 2}\n", "")
         code, out, _ = run(capsys, "simulate", interval, points, "--size", "2")
