@@ -12,6 +12,7 @@ import protomerge
 import protomerge.cli as cli_module
 from protomerge import (
     cap_loops,
+    dtype_equiv,
     extract_local_type,
     initial_context,
     linearize,
@@ -23,6 +24,7 @@ from protomerge.syntax import (
     MAX_BLOCK_DEPTH,
     MAX_TERM_DEPTH,
     ParseError,
+    parse_datatype,
     parse_protocol,
     print_protocol,
 )
@@ -363,8 +365,16 @@ class TestMerge:
         assert (code, out) == (4, "")
         assert err.endswith("error: unrecognized arguments: --enum-cap 5\n")
 
-    def test_interval_and_equalities_are_one_payload(self, capsys, write):
-        # The interval and the equalities describe the same two values.
+    @pytest.mark.parametrize("enum_cap", [0, 1, None])
+    def test_payload_verdict_ignores_enum_cap(self, capsys, write, enum_cap):
+        # The interval and the equalities describe the same two values; the
+        # library agrees at every enumeration budget with the merge, which
+        # takes none.
+        ctx = initial_context(2)
+        a = parse_datatype("{x: integer | 0 <= x and x < 2}")
+        b = parse_datatype("{x: integer | x = 0 or x = 1}")
+        cap = () if enum_cap is None else (enum_cap,)
+        assert dtype_equiv(ctx, a, b, *cap) and dtype_equiv(ctx, b, a, *cap)
         interval = write("p1.ptype", "message 0 1 {x: integer | 0 <= x and x < 2}")
         points = write("p2.ptype", "message 0 1 {x: integer | x = 0 or x = 1}")
         code, out, err = run(
