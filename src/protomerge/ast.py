@@ -20,6 +20,7 @@ __all__ = [
     "ProtomergeError",
     "DivisionByZero",
     "UnboundVariable",
+    "NonConstantBounds",
     "NestingTooDeep",
     "IntLit",
     "Var",
@@ -61,6 +62,7 @@ __all__ = [
     "trunc_div",
     "eval_index",
     "eval_prop",
+    "loop_bounds",
     "index_vars",
     "prop_vars",
     "datatype_vars",
@@ -82,6 +84,10 @@ class DivisionByZero(ProtomergeError):
 
 class UnboundVariable(ProtomergeError):
     """Raised when evaluation meets a variable missing from its environment."""
+
+
+class NonConstantBounds(ProtomergeError):
+    """A foreach's bounds do not evaluate to constants under the context."""
 
 
 class NestingTooDeep(ProtomergeError):
@@ -162,32 +168,35 @@ class _Record(metaclass=_NodeType):
 
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
-    def __repr__(self):
-        # A chain of records of one class nested through their last field (a
-        # right-nested sequence) is walked in a loop: its length costs no depth.
-        cls = type(self)
-        if not cls.__slots__:
-            return f"{cls.__qualname__}()"
-        *init, last = cls.__slots__
-        node, opened = self, []
+    def _chain(self) -> list[tuple[tuple, int | None]]:
+        # A chain of records of one class, each held in the last field of that
+        # class of the one before (a Seq's `second`, an Array's `elem`, a
+        # left-nested BinOp's `left`), walked in a loop: its length costs no
+        # depth. Each link's fields, and the index of the one followed or None.
+        cls, node, links = type(self), self, []
         while True:
-            fields = "".join(f"{name}={getattr(node, name)!r}, " for name in init)
-            opened.append(f"{cls.__qualname__}({fields}{last}=")
-            node = getattr(node, last)
-            if type(node) is not cls:
-                return "".join(opened) + repr(node) + ")" * len(opened)
+            fields = tuple(getattr(node, name) for name in cls.__slots__)
+            at = next((i for i in reversed(range(len(fields))) if type(fields[i]) is cls), None)
+            links.append((fields, at))
+            if at is None:
+                return links
+            node = fields[at]
+
+    def __repr__(self):
+        cls = type(self)
+        opened, closing = [], []
+        for fields, at in self._chain():
+            shown = [f"{name}=" if i == at else f"{name}={fields[i]!r}" for i, name in enumerate(cls.__slots__)]
+            cut = len(shown) if at is None else at + 1
+            opened.append(f"{cls.__qualname__}({', '.join(shown[:cut])}")
+            closing.append("".join(", " + part for part in shown[cut:]) + ")")
+        return "".join(opened) + "".join(reversed(closing))
 
     def __reduce__(self):
         # copy and pickle rebuild through the constructor (for a node, the
-        # table). A chain of one class nested through its last field is
-        # taken flat, as __repr__ walks it: its length costs no depth.
-        cls, links, node = type(self), [], self
-        if not cls.__slots__:
-            return cls, ()
-        while type(node) is cls:
-            *init, node = (getattr(node, name) for name in cls.__slots__)
-            links.append(tuple(init))
-        return _rebuild_chain, (cls, tuple(links), node)
+        # table), and take a chain flat, as __repr__ walks it.
+        *links, (last, _) = self._chain()
+        return _rebuild_chain, (type(self), tuple((at, f[:at] + f[at + 1 :]) for f, at in links), last)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -198,12 +207,14 @@ class _Record(metaclass=_NodeType):
         return hash(self.__reduce__())
 
 
-def _rebuild_chain(cls: type, links: tuple, last):
-    """A record from what _Record.__reduce__ takes: each link's fields but
-    the last, outermost first, and the innermost link's last field."""
-    for init in reversed(links):
-        last = cls(*init, last)
-    return last
+def _rebuild_chain(cls: type, links: tuple, last: tuple):
+    """A record from what _Record.__reduce__ takes: each link's followed
+    field's index and its other fields, outermost first, and the innermost
+    record's fields."""
+    node = cls(*last)
+    for at, fields in reversed(links):
+        node = cls(*fields[:at], node, *fields[at:])
+    return node
 
 
 # Every node built, keyed by (class, *fields). Its fields are strings, ints,
@@ -658,6 +669,15 @@ def eval_index(env: Mapping[str, int], t: IndexTerm) -> int:
         case Cond(test, then, orelse):
             return eval_index(env, then if eval_prop(env, test) else orelse)
     raise TypeError(f"not an index term: {t!r}")
+
+
+def loop_bounds(env: Mapping[str, int], loop: Foreach) -> tuple[int, int]:
+    """A foreach's (lo, hi) under env; NonConstantBounds when either bound
+    mentions a name env lacks or divides by zero."""
+    try:
+        return eval_index(env, loop.lo), eval_index(env, loop.hi)
+    except (UnboundVariable, DivisionByZero) as exc:
+        raise NonConstantBounds(f"foreach bounds are not constant: {exc}") from None
 
 
 _CMP = {

@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .ast import DiagnosticKind, IntLit, ProtocolType, ProtomergeError, subst_type
+from .ast import DiagnosticKind, IntLit, NonConstantBounds, ProtocolType, ProtomergeError, subst_type
 from .extract import extract_local_type
 from .logic import (
     InvalidRankSet,
@@ -38,7 +38,6 @@ from .merge import (
     MergeStep,
     MergeTooDeep,
     MergeTrace,
-    NonConstantBounds,
     _check_messages,
     merge_all,
     merge_types,

@@ -53,7 +53,7 @@ __all__ = [
     "NotIntegerRefined",
     "UndecidableEquivalence",
     "InvalidRankSet",
-    "DEFAULT_ENUM_CAP",
+    "ENUM_BUDGET",
     "entails",
     "domain_of",
     "dtype_equiv",
@@ -62,7 +62,9 @@ __all__ = [
     "singleton_env",
 ]
 
-DEFAULT_ENUM_CAP = 100_000
+# Where the interval abstraction leaves a query open: the assignments one
+# entails call may enumerate, and the widest interval it lists a variable over.
+ENUM_BUDGET = 100_000
 
 
 class Verdict(enum.Enum):
@@ -440,10 +442,10 @@ def _resolution_of(ctx: TypingContext) -> _Resolution:
 
 
 class _Inconclusive(Exception):
-    """Internal: enumeration infeasible (unbounded domain, cap, or eval error)."""
+    """Internal: enumeration infeasible (unbounded domain, budget, or eval error)."""
 
 
-def _candidates(entry: _Entry, env: dict[str, int], enum_cap: int) -> Sequence[int]:
+def _candidates(entry: _Entry, env: dict[str, int]) -> Sequence[int]:
     if type(entry.domain) is FiniteSet:
         return entry.domain.values
     shape = entry.shape
@@ -458,7 +460,7 @@ def _candidates(entry: _Entry, env: dict[str, int], enum_cap: int) -> Sequence[i
         lo, hi = points
         if hi < lo:
             return ()
-        if hi - lo + 1 > enum_cap:
+        if hi - lo + 1 > ENUM_BUDGET:
             raise _Inconclusive
         vals: Sequence[int] = range(lo, hi + 1)
         for extra in shape.residual:
@@ -468,12 +470,12 @@ def _candidates(entry: _Entry, env: dict[str, int], enum_cap: int) -> Sequence[i
         raise _Inconclusive from None
 
 
-def entails(ctx: TypingContext, p: Proposition, enum_cap: int = DEFAULT_ENUM_CAP) -> Verdict:
+def entails(ctx: TypingContext, p: Proposition) -> Verdict:
     """Decide whether ctx entails p.
 
     Valid: p holds under every assignment of the context variables' domains.
     Invalid: some assignment falsifies p. Undecidable: neither the interval
-    abstraction nor enumeration within `enum_cap` assignments could settle it.
+    abstraction nor enumeration within ENUM_BUDGET assignments could settle it.
     """
     resolution = _resolution_of(ctx)
     abstract = _abs_prop(p, resolution.hulls)
@@ -496,7 +498,7 @@ def entails(ctx: TypingContext, p: Proposition, enum_cap: int = DEFAULT_ENUM_CAP
             return Verdict.INVALID
 
     # Enumerate the free variables of p and what their refinements depend on.
-    budget = enum_cap
+    budget = ENUM_BUDGET
 
     def explore(i: int, env: dict[str, int]) -> bool:
         nonlocal budget
@@ -509,7 +511,7 @@ def entails(ctx: TypingContext, p: Proposition, enum_cap: int = DEFAULT_ENUM_CAP
             except (DivisionByZero, UnboundVariable):
                 raise _Inconclusive from None
         name, entry = entries[i]
-        for v in _candidates(entry, env, enum_cap):
+        for v in _candidates(entry, env):
             if not explore(i + 1, {**env, name: v}):
                 return False
         return True
@@ -605,9 +607,7 @@ def _empty(bounds: tuple) -> bool:
     return lo is not None and hi is not None and lo > hi
 
 
-def dtype_equiv(
-    ctx: TypingContext, d1: Datatype, d2: Datatype, enum_cap: int = DEFAULT_ENUM_CAP
-) -> bool:
+def dtype_equiv(ctx: TypingContext, d1: Datatype, d2: Datatype) -> bool:
     """Semantic equivalence of two datatypes under a context.
 
     Array lengths compare through entailment; refinements compare through
@@ -623,7 +623,7 @@ def dtype_equiv(
     if not _element_equiv(ctx, a, b):
         return False
     for l1, l2 in reversed(lengths):
-        verdict = entails(ctx, Cmp("=", l1, l2), enum_cap)
+        verdict = entails(ctx, Cmp("=", l1, l2))
         if verdict is Verdict.UNDECIDABLE:
             raise UndecidableEquivalence(f"array lengths {l1!r} and {l2!r} are not comparable")
         if verdict is not Verdict.VALID:

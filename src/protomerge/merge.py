@@ -21,12 +21,12 @@ from .ast import (
     Datatype,
     Diagnostic,
     DiagnosticKind,
-    DivisionByZero,
     Foreach,
     IndexTerm,
     IntLit,
     Integer,
     Message,
+    NonConstantBounds,
     Proposition,
     ProtocolType,
     ProtomergeError,
@@ -35,15 +35,14 @@ from .ast import (
     Seq,
     Skip,
     TypingContext,
-    UnboundVariable,
     Var,
     _Node,
     _Record,
     build_seq,
     concat,
     deeper,
-    eval_index,
     index_vars,
+    loop_bounds,
     normalize_seq,
     spine,
     subst_type,
@@ -68,7 +67,6 @@ __all__ = [
     "MergeStep",
     "MergeTooDeep",
     "MergeTrace",
-    "NonConstantBounds",
     "PremiseCheck",
     "RULE_NAMES",
     "attempt_rule",
@@ -78,10 +76,6 @@ __all__ = [
 ]
 
 DEFAULT_UNROLL = 2
-
-
-class NonConstantBounds(ProtomergeError):
-    """A foreach's bounds do not evaluate to constants under the context."""
 
 
 class MergeTooDeep(ProtomergeError):
@@ -103,17 +97,9 @@ def unfold_foreach(ctx: TypingContext, t: ProtocolType) -> ProtocolType:
     NestingTooDeep."""
     if type(t) is not Foreach:
         raise ValueError(f"unfold_foreach expects a foreach type, got {type(t).__name__}")
-    lo, hi = _constant_bounds(ctx, t)
+    lo, hi = loop_bounds(singleton_env(ctx), t)
     instances = [subst_type(t.body, {t.binder: IntLit(v)}, 1) for v in range(lo, hi + 1)]
     return normalize_seq(build_seq(instances))
-
-
-def _constant_bounds(ctx: TypingContext, t: Foreach) -> tuple[int, int]:
-    env = singleton_env(ctx)
-    try:
-        return eval_index(env, t.lo), eval_index(env, t.hi)
-    except (UnboundVariable, DivisionByZero) as exc:
-        raise NonConstantBounds(f"foreach bounds are not constant: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -696,20 +682,17 @@ def attempt_rule(
 # Folding all ranks
 
 
-def _head_unfoldable(ctx: TypingContext, t: ProtocolType, unroll: int) -> bool:
-    head, _ = _seq_parts(t)
-    if type(head) is not Foreach:
-        return False
-    try:
-        lo, hi = _constant_bounds(ctx, head)
-    except NonConstantBounds:
-        return False
-    return hi - lo + 1 <= unroll
-
-
-def _unfold_head(ctx: TypingContext, t: ProtocolType) -> ProtocolType:
+def _unfolded(ctx: TypingContext, t: ProtocolType, unroll: int) -> ProtocolType | None:
+    """t with its head foreach unfolded, when that loop has constant bounds
+    and at most `unroll` iterations; None otherwise."""
     head, rest = _seq_parts(t)
-    return concat(unfold_foreach(ctx, head), rest)
+    if type(head) is not Foreach:
+        return None
+    try:
+        lo, hi = loop_bounds(singleton_env(ctx), head)
+    except NonConstantBounds:
+        return None
+    return concat(unfold_foreach(ctx, head), rest) if hi - lo + 1 <= unroll else None
 
 
 def merge_all(
@@ -785,9 +768,7 @@ def _merge_step(
     try:
         return _merge_normal(ctx, left, right, k)
     except MergeFailure:
-        left_unfoldable = _head_unfoldable(ctx, left, unroll)
-        if left_unfoldable == _head_unfoldable(ctx, right, unroll):
+        left_unfolded, right_unfolded = _unfolded(ctx, left, unroll), _unfolded(ctx, right, unroll)
+        if (left_unfolded is None) == (right_unfolded is None):
             raise
-        if left_unfoldable:
-            return _merge_normal(ctx, _unfold_head(ctx, left), right, k)
-        return _merge_normal(ctx, left, _unfold_head(ctx, right), k)
+        return _merge_normal(ctx, left_unfolded or left, right_unfolded or right, k)

@@ -25,6 +25,7 @@ from .ast import (
     IndexTerm,
     IntLit,
     Message,
+    NonConstantBounds,
     ProtocolType,
     ProtomergeError,
     ReduceOp,
@@ -38,6 +39,7 @@ from .ast import (
     drop_binder,
     eval_index,
     index_vars,
+    loop_bounds,
     map_spine,
     spine,
     subst_datatype,
@@ -45,7 +47,7 @@ from .ast import (
 from .logic import dtype_equiv, initial_context, singleton_env
 # unfold_foreach is no longer called here; the name stays importable from
 # this module because perfbench/spans.py rebinds it.
-from .merge import NonConstantBounds, unfold_foreach  # noqa: F401
+from .merge import unfold_foreach  # noqa: F401
 from .syntax import print_datatype
 
 __all__ = [
@@ -235,11 +237,8 @@ def linearize(ctx: TypingContext, t: ProtocolType, self_rank: int) -> list[Actio
                         walk(spine(cont), cont_env, drop_binder(live, binder), deeper(depth))
                     else:
                         walk(spine(cont), env, live, deeper(depth))
-                case Foreach(binder, lo, hi, body):
-                    try:
-                        lo_v, hi_v = eval_index(env, lo), eval_index(env, hi)
-                    except (UnboundVariable, DivisionByZero) as exc:
-                        raise NonConstantBounds(f"foreach bounds are not constant: {exc}") from None
+                case Foreach(binder, _, _, body):
+                    lo_v, hi_v = loop_bounds(env, node)
                     if hi_v < lo_v:
                         continue
                     unfolded += hi_v - lo_v + 1
@@ -292,9 +291,8 @@ def cap_loops(ctx: TypingContext, t: ProtocolType, bound: int) -> ProtocolType:
             case Foreach(binder, lo, hi, body):
                 capped = map_spine(body, partial(cap, depth=deeper(depth)))
                 try:
-                    lo_v = eval_index(env, lo)
-                    hi_v = eval_index(env, hi)
-                except (UnboundVariable, DivisionByZero):
+                    lo_v, hi_v = loop_bounds(env, node)
+                except NonConstantBounds:
                     return Foreach(binder, lo, hi, capped)
                 if hi_v - lo_v + 1 > bound:
                     return Foreach(binder, lo, IntLit(lo_v + bound - 1), capped)

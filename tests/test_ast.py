@@ -138,19 +138,24 @@ class TestInterning:
         assert pickle.loads(pickle.dumps(t)) is t
 
     def test_long_chains_copy_and_pickle_without_recursion(self):
-        # A chain nested through its last field is taken flat, as repr walks it.
+        # A chain nested through any one field of its own class (a sequence's
+        # second, an array's element, a left-nested sum's left operand) is
+        # taken flat, as repr walks it.
         seq = build_seq([Message(IntLit(i % 2), IntLit(1 - i % 2), Float()) for i in range(5000)])
         pseq = parse_process(";\n".join(["send to 1 float; recv from 1 float"] * 2500))
-        for chain in (seq, pseq):
+        payload = syntax.parse_datatype("float" + "[1]" * 3000)
+        total = IntLit(0)
+        for i in range(3000):
+            total = BinOp("+", total, IntLit(i))
+        assert repr(payload) == "Array(elem=" * 3000 + "Float()" + ", length=IntLit(value=1))" * 3000
+        assert repr(total) == "BinOp(op='+', left=" * 3000 + "IntLit(value=0)" + "".join(
+            f", right=IntLit(value={i}))" for i in range(3000)
+        )
+        for chain in (seq, pseq, payload, total):
             assert copy.deepcopy(chain) is chain
             assert pickle.loads(pickle.dumps(chain)) is chain
         step = protomerge.MergeStep("seq-seq", seq, seq, ())
         assert copy.deepcopy(step) == step == pickle.loads(pickle.dumps(step))
-        # A node deep-copies as itself, however deep it nests elsewhere.
-        payload = Float()
-        for _ in range(3000):
-            payload = Array(payload, IntLit(1))
-        assert copy.deepcopy(payload) is payload
 
     def test_second_pass_over_the_same_inputs_adds_no_entries(self):
         source = (Path(protomerge.__file__).parent / "programs" / "nbody.proc").read_text()

@@ -34,7 +34,7 @@ from protomerge import (
     merged_context,
     singleton_env,
 )
-from protomerge.logic import DEFAULT_ENUM_CAP
+from protomerge.logic import ENUM_BUDGET
 from protomerge.syntax import parse_datatype
 
 from generators import _gen_query, brute_force_entails, gen_entail_case, or_chain_context
@@ -42,6 +42,13 @@ from generators import _gen_query, brute_force_entails, gen_entail_case, or_chai
 
 def ctx_with_rank(n, *ranks):
     return merged_context(n, ranks)
+
+
+@pytest.fixture
+def budget(request, monkeypatch):
+    """Run a test with logic.ENUM_BUDGET set to the parameter."""
+    monkeypatch.setattr(logic_module, "ENUM_BUDGET", request.param)
+    return request.param
 
 
 class TestEntails:
@@ -87,7 +94,7 @@ class TestEntails:
         p = Cmp("=", BinOp("/", IntLit(4), Var("n")), IntLit(4))
         assert entails(ctx, p) is Verdict.UNDECIDABLE
 
-    def test_budget_exhaustion_is_undecidable(self):
+    def test_budget_exhaustion_is_undecidable(self, monkeypatch):
         bounds = And(Cmp("<=", IntLit(0), Var("x")), Cmp("<=", Var("x"), IntLit(999)))
         ctx = (
             TypingContext(())
@@ -95,7 +102,16 @@ class TestEntails:
             .extend("b", Refined("x", Integer(), bounds))
         )
         p = Cmp("=", BinOp("/", Var("a"), IntLit(7)), BinOp("/", Var("b"), IntLit(7)))
-        assert entails(ctx, p, enum_cap=50) is Verdict.UNDECIDABLE
+        monkeypatch.setattr(logic_module, "ENUM_BUDGET", 50)
+        assert entails(ctx, p) is Verdict.UNDECIDABLE
+
+    def test_budget_is_not_a_parameter(self):
+        ctx = merged_context(2, [0])
+        a = parse_datatype("{x: integer | 0 <= x and x < 2}")
+        with pytest.raises(TypeError):
+            entails(ctx, Cmp("<", Var("rank"), Var("size")), 5)
+        with pytest.raises(TypeError):
+            dtype_equiv(ctx, a, a, enum_cap=5)
 
     def test_empty_domain_entails_anything(self):
         bounds = And(Cmp("<=", IntLit(5), Var("x")), Cmp("<=", Var("x"), IntLit(4)))
@@ -127,28 +143,30 @@ class TestEntails:
         assert entails(ctx, p) is Verdict.VALID
         assert domain_of(ctx, "d") == Unbounded()
 
-    @pytest.mark.parametrize("enum_cap", [0, 1, DEFAULT_ENUM_CAP])
-    def test_refutation_over_known_domains_is_invalid(self, enum_cap):
+    @pytest.mark.parametrize("budget", [0, 1, ENUM_BUDGET], indirect=True)
+    def test_refutation_over_known_domains_is_invalid(self, budget):
         # Every needed domain is a non-empty FiniteSet or Interval and p
         # divides by nothing, so a refuted hull box holds a falsifying
         # assignment even without the budget to enumerate one.
         ctx = merged_context(2, [0])
         closed = And(Cmp("=", IntLit(0), IntLit(0)), Cmp("=", IntLit(1), IntLit(2)))
-        assert entails(ctx, closed, enum_cap) is Verdict.INVALID
-        assert entails(ctx, Cmp("!=", IntLit(3), IntLit(3)), enum_cap) is Verdict.INVALID
-        assert entails(ctx, Cmp("=", IntLit(3), IntLit(3)), enum_cap) is Verdict.VALID
+        assert entails(ctx, closed) is Verdict.INVALID
+        assert entails(ctx, Cmp("!=", IntLit(3), IntLit(3))) is Verdict.INVALID
+        assert entails(ctx, Cmp("=", IntLit(3), IntLit(3))) is Verdict.VALID
         member = And(Cmp("!=", IntLit(0), Var("rank")), Cmp("!=", IntLit(1), Var("rank")))
-        assert entails(ctx, member, enum_cap) is Verdict.INVALID
-        assert entails(ctx, Cmp("<", Var("rank"), Var("size")), enum_cap) is Verdict.VALID
+        assert entails(ctx, member) is Verdict.INVALID
+        assert entails(ctx, Cmp("<", Var("rank"), Var("size"))) is Verdict.VALID
         window = And(Cmp("<=", IntLit(2), Var("x")), Cmp("<=", Var("x"), IntLit(9)))
         bounded = ctx.extend("i", Refined("x", Integer(), window))
-        assert entails(bounded, Cmp("<", Var("i"), Var("rank")), enum_cap) is Verdict.INVALID
+        assert entails(bounded, Cmp("<", Var("i"), Var("rank"))) is Verdict.INVALID
 
-    def test_refutation_through_a_division_needs_enumeration(self):
+    def test_refutation_through_a_division_needs_enumeration(self, monkeypatch):
+        monkeypatch.setattr(logic_module, "ENUM_BUDGET", 0)
         ctx = merged_context(2, [0])
         halved = Cmp("=", BinOp("/", IntLit(7), Var("size")), IntLit(9))
-        assert entails(ctx, halved, 0) is Verdict.UNDECIDABLE
-        assert entails(ctx, halved, 1) is Verdict.INVALID
+        assert entails(ctx, halved) is Verdict.UNDECIDABLE
+        monkeypatch.setattr(logic_module, "ENUM_BUDGET", 1)
+        assert entails(ctx, halved) is Verdict.INVALID
 
     def test_corpus_tallies(self):
         # Criterion 8's 1000 cases, including the ones it skips for lack of
@@ -266,36 +284,36 @@ class TestDtypeEquiv:
 
 class TestRefinementSets:
     """Integer refinements compare by their satisfying sets, whatever the
-    enumeration cap."""
+    enumeration budget."""
 
-    @pytest.mark.parametrize("enum_cap", [0, 1, DEFAULT_ENUM_CAP])
-    def test_equalities_match_the_interval_they_fill(self, enum_cap):
+    @pytest.mark.parametrize("budget", [0, 1, ENUM_BUDGET], indirect=True)
+    def test_equalities_match_the_interval_they_fill(self, budget):
         interval = parse_datatype("{x: integer | 0 <= x and x < 2}")
         points = parse_datatype("{x: integer | x = 0 or x = 1}")
         for ctx in (TypingContext(()), merged_context(2, [0])):
-            assert dtype_equiv(ctx, interval, points, enum_cap)
-            assert dtype_equiv(ctx, points, interval, enum_cap)
+            assert dtype_equiv(ctx, interval, points)
+            assert dtype_equiv(ctx, points, interval)
 
-    @pytest.mark.parametrize("enum_cap", [0, 1, DEFAULT_ENUM_CAP])
-    def test_gaps_and_wide_intervals(self, enum_cap):
+    @pytest.mark.parametrize("budget", [0, 1, ENUM_BUDGET], indirect=True)
+    def test_gaps_and_wide_intervals(self, budget):
         ctx = TypingContext(())
         gap = parse_datatype("{x: integer | x = 0 or x = 2}")
-        assert not dtype_equiv(ctx, gap, parse_datatype("{x: integer | 0 <= x and x <= 2}"), enum_cap)
+        assert not dtype_equiv(ctx, gap, parse_datatype("{x: integer | 0 <= x and x <= 2}"))
         wide = parse_datatype("{x: integer | 0 <= x and x <= 1000000}")
         same = parse_datatype("{y: integer | y < 1000001 and -1 < y}")
-        assert dtype_equiv(ctx, wide, same, enum_cap)
-        assert not dtype_equiv(ctx, wide, parse_datatype("{x: integer | 0 <= x and x <= 999999}"), enum_cap)
+        assert dtype_equiv(ctx, wide, same)
+        assert not dtype_equiv(ctx, wide, parse_datatype("{x: integer | 0 <= x and x <= 999999}"))
 
-    @pytest.mark.parametrize("enum_cap", [0, 1, DEFAULT_ENUM_CAP])
-    def test_empty_intervals_are_equal(self, enum_cap):
+    @pytest.mark.parametrize("budget", [0, 1, ENUM_BUDGET], indirect=True)
+    def test_empty_intervals_are_equal(self, budget):
         ctx = TypingContext(())
         empty = parse_datatype("{x: integer | 3 <= x and x <= 1}")
         other = parse_datatype("{y: integer | y > 5 and y < 5}")
-        assert dtype_equiv(ctx, empty, other, enum_cap)
-        assert not dtype_equiv(ctx, empty, parse_datatype("{x: integer | x = 2}"), enum_cap)
+        assert dtype_equiv(ctx, empty, other)
+        assert not dtype_equiv(ctx, empty, parse_datatype("{x: integer | x = 2}"))
 
-    @pytest.mark.parametrize("enum_cap", [0, 1, DEFAULT_ENUM_CAP])
-    def test_open_bounds_compare_as_bounds(self, enum_cap):
+    @pytest.mark.parametrize("budget", [0, 1, ENUM_BUDGET], indirect=True)
+    def test_open_bounds_compare_as_bounds(self, budget):
         ctx = TypingContext(())
         at_least = [
             parse_datatype(t)
@@ -303,10 +321,10 @@ class TestRefinementSets:
         ]
         for a in at_least:
             for b in at_least:
-                assert dtype_equiv(ctx, a, b, enum_cap)
-        assert not dtype_equiv(ctx, at_least[0], parse_datatype("{x: integer | x <= 5}"), enum_cap)
-        assert not dtype_equiv(ctx, at_least[0], Integer(), enum_cap)
-        assert not dtype_equiv(ctx, Integer(), at_least[0], enum_cap)
+                assert dtype_equiv(ctx, a, b)
+        assert not dtype_equiv(ctx, at_least[0], parse_datatype("{x: integer | x <= 5}"))
+        assert not dtype_equiv(ctx, at_least[0], Integer())
+        assert not dtype_equiv(ctx, Integer(), at_least[0])
 
 
 class TestRankSetEntry:
@@ -331,7 +349,7 @@ class TestRankSetEntry:
         after = Counter(type(node).__name__ for node in ast_module._TABLE.values())
         assert (after["Or"], after["Cmp"]) == (before["Or"], before["Cmp"])
 
-    def test_matches_the_or_chain(self):
+    def test_matches_the_or_chain(self, monkeypatch):
         rng = random.Random(12)
         checked = Counter()
         for _ in range(300):
@@ -345,10 +363,11 @@ class TestRankSetEntry:
                 And(Cmp("!=", IntLit(a), Var("rank")), Cmp("!=", IntLit(b), Var("rank"))),
                 *(_gen_query(rng, 2, ("rank", "size")) for _ in range(6)),
             ]
-            for enum_cap in (0, len(ranks) - 1, DEFAULT_ENUM_CAP):
+            for budget in (0, len(ranks) - 1, ENUM_BUDGET):
+                monkeypatch.setattr(logic_module, "ENUM_BUDGET", budget)
                 for q in queries:
-                    verdict = entails(entry, q, enum_cap)
-                    assert verdict is entails(chain, q, enum_cap), (n, ranks, q, enum_cap)
+                    verdict = entails(entry, q)
+                    assert verdict is entails(chain, q), (n, ranks, q, budget)
                     checked[verdict] += 1
         assert set(checked) == set(Verdict)
 

@@ -33,6 +33,7 @@ from protomerge import (
     RULE_NAMES,
     ReduceOp,
     Refined,
+    RuleAttempt,
     Seq,
     Skip,
     TypingContext,
@@ -846,22 +847,45 @@ class TestFirstRuleWhosePremisesHold:
 
 
 class TestMergeAll:
-    def one_to_all_types(self):
-        fan = Foreach("i", IntLit(1), IntLit(2), Message(IntLit(0), Var("i"), D))
-        return [(0, fan), (1, msg(0, 1)), (2, msg(0, 2))]
+    FAN_OUT = Foreach("i", IntLit(1), IntLit(2), Message(IntLit(0), Var("i"), D))
+    ONE_TO_ALL = [(0, FAN_OUT), (1, msg(0, 1)), (2, msg(0, 2))]
+    # Rank 0 sends twice and rank 1 receives once: both heads are small
+    # constant loops, and the step fails whichever one is unfolded.
+    UNEVEN = [
+        (0, Foreach("i", IntLit(1), IntLit(2), msg(0, 1))),
+        (1, Foreach("i", IntLit(1), IntLit(1), msg(0, 1))),
+    ]
 
     def test_folds_ranks_in_default_order(self):
-        result, traces = merge_all(3, self.one_to_all_types())
+        result, traces = merge_all(3, self.ONE_TO_ALL)
         assert result == Seq(msg(0, 1), msg(0, 2))
         assert len(traces) == 2
 
-    def test_retry_unfolds_small_constant_loop_head(self):
-        _, traces = merge_all(3, self.one_to_all_types())
-        assert traces[0].rule_names() == ("seq-seq", "msg-msg-eq", "msg-skip")
+    @pytest.mark.parametrize(
+        "types, order, first_step",
+        [
+            (ONE_TO_ALL, None, ("seq-seq", "msg-msg-eq", "msg-skip")),
+            (ONE_TO_ALL, [1, 0, 2], ("seq-seq", "msg-msg-eq", "skip-msg")),
+            (UNEVEN, None, None),
+        ],
+        ids=["left", "right", "both"],
+    )
+    def test_retry_unfolds_small_constant_loop_head(self, types, order, first_step):
+        # The step is retried only when exactly one head unfolds; otherwise
+        # the first attempt's failure, at the two loops, is raised.
+        if first_step is None:
+            with pytest.raises(MergeFailure) as err:
+                merge_all(len(types), types, order)
+            assert err.value.diagnostic.rule_trace == (
+                RuleAttempt("foreach-foreach", "bounds-equal: 1 = 1 and 2 = 1 is Invalid"),
+            )
+            return
+        _, traces = merge_all(len(types), types, order)
+        assert traces[0].rule_names() == first_step
 
     def test_unroll_budget_limits_retry(self):
         with pytest.raises(MergeFailure) as err:
-            merge_all(3, self.one_to_all_types(), unroll=1)
+            merge_all(3, self.ONE_TO_ALL, unroll=1)
         assert err.value.diagnostic.location.startswith("merging rank 1 into ranks [0]")
 
     def test_local_types_enter_in_normal_form(self):
