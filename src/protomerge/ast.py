@@ -95,6 +95,15 @@ class NestingTooDeep(ProtomergeError):
     continuations nested deeper than MAX_BLOCK_DEPTH."""
 
 
+class UnfoldBudgetExceeded(ProtomergeError):
+    """Unfolding loops would build more than LINEARIZE_BUDGET items."""
+
+
+# The most loop iterations, actions or items one unfolding (oracle.linearize,
+# merge.unfold_foreach) may build; input size does not bound these.
+LINEARIZE_BUDGET = 10**6
+
+
 # The most `{ ... }` blocks (loop bodies, branches, allreduce continuations)
 # open at once. The parser refuses the `{` of a deeper one. Extraction and
 # merging walk blocks recursively, and the parser spends four frames per

@@ -25,6 +25,7 @@ from .ast import (
     IndexTerm,
     IntLit,
     Integer,
+    LINEARIZE_BUDGET,
     Message,
     NonConstantBounds,
     Proposition,
@@ -35,6 +36,7 @@ from .ast import (
     Seq,
     Skip,
     TypingContext,
+    UnfoldBudgetExceeded,
     Var,
     _Node,
     _Record,
@@ -94,10 +96,13 @@ class IllFormedMessage(ProtomergeError):
 def unfold_foreach(ctx: TypingContext, t: ProtocolType) -> ProtocolType:
     """Replace a constant-bound foreach by its instantiated body sequence.
     The body sits one block deep: a nest deeper than MAX_BLOCK_DEPTH raises
-    NestingTooDeep."""
+    NestingTooDeep. Raises UnfoldBudgetExceeded, before building anything,
+    when the trip count times the body's length exceeds LINEARIZE_BUDGET."""
     if type(t) is not Foreach:
         raise ValueError(f"unfold_foreach expects a foreach type, got {type(t).__name__}")
     lo, hi = loop_bounds(singleton_env(ctx), t)
+    if (hi - lo + 1) * len(spine(t.body)) > LINEARIZE_BUDGET:
+        raise UnfoldBudgetExceeded(f"unfolding foreach {t.binder} would build more than {LINEARIZE_BUDGET} items")
     instances = [subst_type(t.body, {t.binder: IntLit(v)}, 1) for v in range(lo, hi + 1)]
     return normalize_seq(build_seq(instances))
 
@@ -324,9 +329,9 @@ def _headed_pair(l: str, r: str) -> bool:
 # _PREMISES, in the order checked) and a function (ctx, left, right). The
 # shape test takes the operands' shape classes; the function is called only
 # on operands it accepts whose premises all hold. The function returns
-# (subgoals, conclude): the sub-merges as (ctx, left, right, path label,
-# refusal text), merged in order, and `conclude`, from the sub-merges'
-# results to the rule's conclusion.
+# (subgoals, conclude): the sub-merges as (ctx, left, right, path label),
+# merged in order, and `conclude`, from the sub-merges' results to the
+# rule's conclusion.
 
 
 def _message_rule(lshape, rshape, names, conclude):
@@ -337,8 +342,7 @@ def _message_rule(lshape, rshape, names, conclude):
 def _allred_allred(ctx, left, right):
     binder, rbinder = left.binder, right.binder
     rcont = right.cont if rbinder == binder else subst_type(right.cont, {rbinder: Var(binder)})
-    cont = (ctx.extend(binder, left.payload), left.cont, rcont)
-    subgoal = cont + ("allreduce.cont", "continuations do not merge")
+    subgoal = ctx.extend(binder, left.payload), left.cont, rcont, "allreduce.cont"
     return (subgoal,), lambda c: Allreduce(left.op, binder, left.payload, c)
 
 
@@ -349,15 +353,13 @@ def _foreach_foreach(ctx, left, right):
     entry = Refined(
         y, Integer(), And(Cmp("<=", left.lo, Var(y)), Cmp("<=", Var(y), left.hi))
     )
-    body = (ctx.extend(binder, entry), left.body, rbody)
-    subgoal = body + (f"foreach[{binder}].body", "loop bodies do not merge")
+    subgoal = ctx.extend(binder, entry), left.body, rbody, f"foreach[{binder}].body"
     return (subgoal,), lambda b: Foreach(binder, left.lo, left.hi, b)
 
 
 def _seq_seq(ctx, left, right):
     (lh, lt), (rh, rt) = _seq_parts(left), _seq_parts(right)
-    first = (ctx, lh, rh, "seq.first", "first components do not merge")
-    return (first, (ctx, lt, rt, "seq.second", "second components do not merge")), concat
+    return ((ctx, lh, rh, "seq.first"), (ctx, lt, rt, "seq.second")), concat
 
 
 def _skip_vs_seq(flip: bool):
@@ -365,13 +367,9 @@ def _skip_vs_seq(flip: bool):
     and the tail against skip. With flip, msgT-skipT: the sequence is left."""
 
     def rule(ctx, left, right):
-        skip, seq = (right, left) if flip else (left, right)
-
-        def goal(part, label, text):
-            return (ctx, part, skip, label, text) if flip else (ctx, skip, part, label, text)
-
-        head = goal(seq.first, "seq.head", "head does not merge against skip")
-        return (head, goal(seq.second, "seq.tail", "tail does not merge against skip")), concat
+        if flip:
+            return ((ctx, left.first, right, "seq.head"), (ctx, left.second, right, "seq.tail")), concat
+        return ((ctx, left, right.first, "seq.head"), (ctx, left, right.second, "seq.tail")), concat
 
     return (_pair(_MSG_SEQ, _SKIP) if flip else _pair(_SKIP, _MSG_SEQ)), (), rule
 
@@ -381,17 +379,14 @@ def _msgT_msgT(emit_right: bool):
     rank k, whose own first action is the right head. With emit_right,
     msgT-msgT-right: the right head goes first, invisible to the merged ranks."""
     if emit_right:
-        names = ("right-real", "right-avoids-merged", "left-real")
-        labels = ("left-vs-seq.tail", "left type does not merge against the right tail")
+        names, label = ("right-real", "right-avoids-merged", "left-real"), "left-vs-seq.tail"
     else:
-        names = ("left-real", "left-avoids-k", "right-real")
-        labels = ("seq.tail-vs-right", "left tail does not merge against the right type")
+        names, label = ("left-real", "left-avoids-k", "right-real"), "seq.tail-vs-right"
 
     def rule(ctx, left, right):
-        lh, lt = _seq_parts(left)
-        rh, rt = _seq_parts(right)
-        head, rest = (rh, (ctx, left, rt)) if emit_right else (lh, (ctx, lt, right))
-        return (rest + labels,), lambda r: concat(head, r)
+        (lh, lt), (rh, rt) = _seq_parts(left), _seq_parts(right)
+        head, sub = (rh, (ctx, left, rt, label)) if emit_right else (lh, (ctx, lt, right, label))
+        return (sub,), lambda r: concat(head, r)
 
     return _headed_pair, names, rule
 
@@ -482,9 +477,7 @@ def _claim(key: tuple) -> Proposition | tuple[Datatype, Datatype] | str:
 
 
 def _reason(refusal: tuple) -> str:
-    """A refusal's text: why a sub-merge failed, or the failing premise."""
-    if len(refusal) == 3:
-        return refusal[2]
+    """A refusal's text: its failed premise, the claim and the verdict."""
     _, _, name, key, verdict = refusal
     return f"{name}: {PremiseCheck(name, _claim(key), verdict).formula} is {verdict}"
 
@@ -525,11 +518,17 @@ class _Engine:
 
     def derive(self, ctx, left, right, rules) -> _Applied | tuple[tuple, ...]:
         """Apply the first of `rules` (as _INDEX offers them) whose premises
-        all hold and whose sub-merges all succeed, or give back each rule's
-        refusal: (rule, kind, premise name, _key, verdict) for its first
-        failed premise, (rule, kind, text) for a failed sub-merge. A rule
-        decides its premises in order, each when it reaches it and once per
-        node, and stops at the first that fails."""
+        all hold and whose sub-merges all succeed, or give back the refusals:
+        (rule, kind, premise name, _key, verdict) for each first failed
+        premise. A rule decides its premises in order, each when it reaches
+        it and once per node, and stops at the first that fails.
+
+        A failed sub-merge leaves no refusal, as none would be read: it ran
+        one label deeper and left `deepest` at least that deep, `deepest`
+        moves only to a strictly deeper node, so the diagnostic never reports
+        this node as derived here, and attempt_rule drops refusals. (A node
+        the memo meets again deeper keeps its first refusals; no search has
+        found one so reported that a sub-merge refused.)"""
         lh = left.first if type(left) is Seq else left
         rh = right.first if type(right) is Seq else right
         verdicts: dict = {}  # what is judged -> (_key, verdict), at this node
@@ -545,12 +544,11 @@ class _Engine:
             else:
                 subgoals, conclude = rule(ctx, left, right)
                 subs, labels = [], self.labels
-                for sub_ctx, sub_left, sub_right, label, why in subgoals:
+                for sub_ctx, sub_left, sub_right, label in subgoals:
                     labels.append(label)
                     sub = self.merge(sub_ctx, sub_left, sub_right)
                     labels.pop()
                     if sub is None:
-                        refused.append((name, _DEADLOCK, why))
                         break
                     subs.append(sub)
                 else:
@@ -638,15 +636,16 @@ def merge_types(
     Raises MergeFailure (with a Diagnostic) when no derivation exists, and
     IllFormedMessage as merge_all does when ctx binds size to a constant.
     """
-    left, right = _validate_merge_inputs(ctx, k, normalize_seq(left), normalize_seq(right))
-    return _merge_normal(ctx, left, right, k)
+    return _merge_normal(ctx, normalize_seq(left), normalize_seq(right), k, check=True)
 
 
 def _merge_normal(
-    ctx: TypingContext, left: ProtocolType, right: ProtocolType, k: int
+    ctx: TypingContext, left: ProtocolType, right: ProtocolType, k: int, check: bool = False
 ) -> tuple[ProtocolType, MergeTrace]:
-    """merge_types on operands already in sequence normal form."""
-    _validate_merge_inputs(ctx, k)
+    """merge_types on operands in sequence normal form: ctx and k checked
+    once, the operands' messages too with `check` (merge_all checks them
+    once, as they enter the fold)."""
+    _validate_merge_inputs(ctx, k, *((left, right) if check else ()))
     engine = _Engine(k)
     try:
         outcome = engine.merge(ctx, left, right)

@@ -24,6 +24,7 @@ from .ast import (
     Foreach,
     IndexTerm,
     IntLit,
+    LINEARIZE_BUDGET,
     Message,
     NonConstantBounds,
     ProtocolType,
@@ -32,6 +33,7 @@ from .ast import (
     Skip,
     TypingContext,
     UnboundVariable,
+    UnfoldBudgetExceeded,
     _Node,
     _Record,
     datatype_vars,
@@ -67,18 +69,8 @@ __all__ = [
     "simulate",
 ]
 
-# Loop iterations one linearize call may unfold, and actions it may build.
-# Loop bounds are numbers in the input, so this is the oracle's only cost
-# not bounded by input size.
-LINEARIZE_BUDGET = 10**6
-
-
 class OpenIndexTerm(ProtomergeError):
     """A message endpoint does not evaluate to a constant rank."""
-
-
-class UnfoldBudgetExceeded(ProtomergeError):
-    """Linearizing a protocol would unfold more loop iterations or actions than allowed."""
 
 
 # -- per-rank actions

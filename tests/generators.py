@@ -6,8 +6,11 @@ and the corpora are reproducible run to run.
 
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 from protomerge import (
     FRESH_BINDER,
@@ -47,6 +50,24 @@ from protomerge import (
     initial_context,
 )
 from protomerge.ast import DivisionByZero, eval_index
+from protomerge.syntax import parse_datatype
+
+
+def _load_workloads():
+    """perfbench/workloads.py, the benchmark's instance sets, loaded from its
+    file under a private module name: it imports nothing from protomerge, and
+    no search path changes."""
+    name = "_protomerge_bench_workloads"
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up while they are built.
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _load_workloads()
 
 CMP_OPS = ("=", "!=", "<", "<=", ">", ">=")
 BIN_OPS = ("+", "-", "*", "/")
@@ -319,14 +340,6 @@ def _eval_closed(t: IndexTerm, env: dict[str, int]) -> int:
 # Loop-free message exchange instances (merge soundness corpus)
 
 
-PAYLOADS = (
-    Float(),
-    Integer(),
-    Array(Float(), IntLit(4)),
-    Array(Integer(), IntLit(2)),
-)
-
-
 def or_chain_context(n: int, ranks) -> TypingContext:
     """Reference for merged_context: the merged ranks spelled as a
     refinement, a disjunction of equalities {x: integer | x = r0 or ...}."""
@@ -354,36 +367,13 @@ class ExchangeInstance:
 
 
 def gen_exchange(rng: random.Random) -> ExchangeInstance:
-    n = rng.choice((2, 3, 4))
-    if rng.random() < 0.5:
-        # Projection of one global message order: coherent by construction,
-        # so merges frequently succeed.
-        count = rng.randint(0, 6)
-        global_msgs = []
-        for _ in range(count):
-            src = rng.randrange(n)
-            dst = rng.randrange(n - 1)
-            dst = dst if dst < src else dst + 1
-            global_msgs.append((src, dst, rng.choice(PAYLOADS)))
-        per_rank = tuple(
-            tuple(m for m in global_msgs if rank in (m[0], m[1])) for rank in range(n)
-        )
-    else:
-        # Independent per-rank behaviour: mostly incoherent, exercising the
-        # failure paths.
-        ranks = []
-        for rank in range(n):
-            triples = []
-            for _ in range(rng.randint(0, 6)):
-                peer = rng.randrange(n - 1)
-                peer = peer if peer < rank else peer + 1
-                if rng.random() < 0.5:
-                    triples.append((rank, peer, rng.choice(PAYLOADS)))
-                else:
-                    triples.append((peer, rank, rng.choice(PAYLOADS)))
-            ranks.append(tuple(triples))
-        per_rank = tuple(ranks)
-    return ExchangeInstance(n, per_rank)
+    """The benchmark's next exchange-corpus instance from rng, as nodes: one
+    generator, so a seed gives the tests and the benchmark one corpus."""
+    n, per_rank = workloads.gen_exchange(rng)
+    return ExchangeInstance(n, tuple(
+        tuple((src, dst, parse_datatype(payload)) for src, dst, payload in triples)
+        for triples in per_rank
+    ))
 
 
 # ---------------------------------------------------------------------------

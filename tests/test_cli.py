@@ -947,6 +947,11 @@ def ping_pong(exchanges):
     return f"if rank = 0 {{\n{zero}\n}} else {{\n{one}\n}}"
 
 
+# With --unroll 20000000, the fold retries the one step by unfolding rank 0's
+# loop, whose 10 000 001 iterations are past the unfolding budget.
+UNFOLD_PAST_BUDGET = "if rank = 0 { for i: 0 .. 10000000 { send to 1 float } } else { recv from 0 float }"
+
+
 class TestErrorContract:
     """Every command line ends in a documented exit code: under --json with
     exactly one document on stdout, and never with a traceback."""
@@ -983,6 +988,7 @@ class TestErrorContract:
             "if-div": write("if-div.proc", "if 1 / 0 = 0 { send to 1 float } else { skip }"),
             "message-div": write("message-div.ptype", "message 0 (1 / 0) float"),
             "foreach-div": write("foreach-div.ptype", "foreach i: 1 .. (1/0) { message 0 1 float }"),
+            "unfold": write("unfold.proc", UNFOLD_PAST_BUDGET),
         }
         pair = ["--size", "2", "--merged", "0", "--k", "1"]
         cases = []
@@ -990,6 +996,7 @@ class TestErrorContract:
             cases.append((["simulate", files[name], files[name], "--size", "2"], code))
         for name, code in [("digits", 0), ("more-digits", 2), ("ping-pong", 3)]:
             cases.append((["infer", files[name], "--size", "2"], code))
+        cases.append((["infer", files["unfold"], "--size", "2", "--unroll", "20000000"], 3))
         cases += [
             (["simulate", files["long"], files["long"], "--size", "2"], 0),
             (["merge", files["long"], files["long"], *pair], 3),
@@ -1032,6 +1039,18 @@ class TestErrorContract:
         code, out, err = run(capsys, "infer", f, "--size", "2", "--json")
         assert (code, err) == (3, "")
         assert json.loads(out)["kind"] == "MergeTooDeep"
+
+    def test_an_unfold_past_the_budget_exits_3(self, capsys, write):
+        """The fold's retry unfolds rank 0's loop of 10 000 001 sends: past
+        the unfolding budget, refused before any iteration is built."""
+        f = write("unfold.proc", UNFOLD_PAST_BUDGET)
+        argv = ("infer", f, "--size", "2", "--unroll", "20000000")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: UnfoldBudgetExceeded: ")
+        code, out, err = run(capsys, *argv, "--json")
+        assert (code, err) == (3, "")
+        assert json.loads(out)["kind"] == "UnfoldBudgetExceeded"
 
     @pytest.mark.parametrize(
         "text", ["send to (1 / 0) float", "for i: 1 .. (1/0) { send to 1 float }"], ids=["endpoint", "bound"]

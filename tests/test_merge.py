@@ -6,6 +6,7 @@ import itertools
 import pickle
 import random
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from protomerge import (
     Foreach,
     InvalidRankSet,
     IntLit,
+    LINEARIZE_BUDGET,
     Integer,
     Message,
     MergeFailure,
@@ -37,6 +39,7 @@ from protomerge import (
     Seq,
     Skip,
     TypingContext,
+    UnfoldBudgetExceeded,
     Var,
     Verdict,
 
@@ -57,6 +60,12 @@ from generators import gen_exchange, or_chain_context
 
 
 D = Float()
+
+# The premises a refusal can name.
+PREMISE_NAMES = (
+    "left-skip-like", "left-real", "left-avoids-k", "right-skip-like", "right-real",
+    "right-avoids-merged", "endpoints-equal", "payload-equivalent", "op-equal", "bounds-equal",
+)
 
 
 def msg(src, dst, payload=D):
@@ -186,6 +195,19 @@ class TestUnfoldForeach:
     def test_non_loop_rejected(self):
         with pytest.raises(ValueError):
             unfold_foreach(TypingContext(()), Skip())
+
+    def test_past_the_budget_refused_before_building(self):
+        t = parse_protocol("foreach i: 0..10000000 { message 0 1 float }")
+        start = time.perf_counter()
+        with pytest.raises(UnfoldBudgetExceeded, match=f"more than {LINEARIZE_BUDGET} items"):
+            unfold_foreach(initial_context(3), t)
+        assert time.perf_counter() - start < 1.0
+
+    def test_budget_counts_the_body_items(self):
+        """Half the budget's iterations, plus one, of a two-item body."""
+        t = parse_protocol(f"foreach i: 0..{LINEARIZE_BUDGET // 2} {{ message 0 1 float; message 1 0 float }}")
+        with pytest.raises(UnfoldBudgetExceeded):
+            unfold_foreach(initial_context(2), t)
 
 
 class TestMergeTypes:
@@ -401,6 +423,27 @@ class TestMergeFailureDiagnostics:
             merge_types(ctx, left, Skip(), k=1)
         assert err.value.diagnostic.kind is DiagnosticKind.ENTAILMENT_UNDECIDABLE
 
+    @pytest.mark.parametrize("left, right, n, merged, location", [
+        ("allreduce min x: float { message 0 1 float }", "allreduce min x: float { message 1 0 float }",
+         2, [0], "allreduce.cont"),
+        ("foreach i: 1..2 { message 0 1 float }", "foreach i: 1..2 { message 1 0 float }",
+         2, [0], "foreach[i].body"),
+        ("message 0 1 float; message 0 1 float", "message 0 1 float; message 1 0 float",
+         2, [0], "seq.second"),
+        ("message 1 0 float", "message 1 2 float; message 0 2 float",
+         3, [0, 1], "seq.tail-vs-right/seq.head"),
+    ])
+    def test_sub_merge_locations(self, left, right, n, merged, location):
+        """A failure below a rule's sub-merge is reported where it happened,
+        and every refusal there names a failed premise."""
+        with pytest.raises(MergeFailure) as err:
+            merge_types(merged_context(n, merged), parse_protocol(left), parse_protocol(right), k=len(merged))
+        d = err.value.diagnostic
+        assert (d.kind, d.location) == (DiagnosticKind.DEADLOCK_SUSPECTED, location)
+        for attempt in d.rule_trace:
+            name, _, claim = attempt.failed_premise.partition(": ")
+            assert name in PREMISE_NAMES and claim.endswith(" is Invalid"), attempt
+
     def test_message_str_names_kind_and_location(self):
         ctx = merged_context(2, [0])
         left = Seq(msg(0, 1), msg(1, 0))
@@ -412,6 +455,24 @@ class TestMergeFailureDiagnostics:
 
 
 class TestMergeValidation:
+    def test_inputs_checked_once_per_merge(self, monkeypatch):
+        """domain_of, which reads the merged ranks, runs once per merge_types,
+        per attempt_rule and per merge at a merge_all step: a step the fold
+        retries with a loop unfolded makes two."""
+        calls = []
+        original = merge_module.domain_of
+        monkeypatch.setattr(merge_module, "domain_of", lambda *args: calls.append(args) or original(*args))
+        ctx = merged_context(3, [0])
+        merge_types(ctx, msg(0, 1), msg(0, 1), k=1)
+        assert len(calls) == 1
+        attempt_rule(ctx, "msg-msg-eq", msg(0, 1), msg(0, 1), k=1)
+        assert len(calls) == 2
+        merge_all(3, [(0, msg(0, 1)), (1, msg(0, 1)), (2, Skip())])
+        assert len(calls) == 4
+        looped = parse_protocol("foreach i: 1..2 { message 0 1 float }")
+        merge_all(2, [(0, looped), (1, parse_protocol("message 0 1 float; message 0 1 float"))])
+        assert len(calls) == 6
+
     def test_context_must_bind_rank(self):
         with pytest.raises(InvalidRankSet):
             merge_types(initial_context(2), Skip(), Skip(), k=1)
