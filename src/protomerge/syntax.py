@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 import sys
+from itertools import repeat
 
 from .ast import (
     Allreduce,
@@ -48,6 +49,7 @@ from .ast import (
     TrueProp,
     Var,
     _Record,
+    _TABLE,
     spine,
 )
 
@@ -89,26 +91,21 @@ class ParseError(ProtomergeError):
 #
 # A token is its text, and "" ends the list. Its kind follows from the text:
 # digits (`str.isdecimal`, the characters `\d` matches) are an integer, an
-# identifier is a keyword or a name, and anything else is an operator. Where
-# a token starts is worked out only for a ParseError, by scanning the text
-# again (`_scan`).
+# identifier is a keyword or a name, and anything else is an operator.
+# Whitespace and `#` comments are gaps; any other character is bad.
+#
+# One findall pass reads a text after its leading gap: each match is a token
+# or a bad character, then the gap after it. Only a token is captured, so a
+# text is valid when no "" comes back. Nothing follows the gap's repetition,
+# so a match never backtracks, and a long gap before a bad character costs
+# linear time. Where a token starts is worked out only for a ParseError, by
+# scanning the text again (`_scan`).
 
-# The token forms, tried in this order. Whitespace and `#` comments are gaps
-# between tokens; any other character is a bad character.
-_TOKEN = r"\d+|[A-Za-z_][A-Za-z0-9_]*|\.\.|==|!=|<=|>=|[+\-*/=<>{}\[\]():;|?]"
+_TOKEN = r"[A-Za-z_][A-Za-z0-9_]*|\d+|\.\.|==|!=|<=|>=|[+\-*/=<>{}\[\]():;|?]"
 _COMMENT = r"\#[^\n]*"
-_GAP = rf"(?:[ \t\r\n]+|{_COMMENT})*"
-
-# Each match is a token, or the end, and the gap after it. The gap comes
-# after the token so that nothing follows the repetition: with the gap in
-# front, a run of whitespace before a bad character backtracks through every
-# way of splitting the run, which is exponential in its length. findall
-# steps over a bad character; the search may then start at a `#`, whose
-# comment it returns whole, so that a comment's text never reads as tokens.
-_LEX_RE = re.compile(rf"({_TOKEN}|{_COMMENT}|\Z){_GAP}")
+_GAP = rf"[ \t\r\n]*(?:{_COMMENT}[ \t\r\n]*)*"
+_LEX_RE = re.compile(rf"(?:({_TOKEN})|.){_GAP}")
 _GAP_RE = re.compile(_GAP)
-_COMMENT_RE = re.compile(_COMMENT)
-_BLANKS = dict.fromkeys(map(ord, " \t\r\n"))
 _TOKEN_RE = re.compile(rf"(?P<gap>[ \t\r\n]+|{_COMMENT})|(?P<token>{_TOKEN})|(?P<bad>.)", re.DOTALL)
 
 KEYWORDS = frozenset(
@@ -132,12 +129,11 @@ def _lex(text: str, filename: str) -> list[str]:
     """The tokens of text, "" last, with `==` spelled `=`. Raises ParseError
     at the first bad character."""
     tokens = _LEX_RE.findall(text, _GAP_RE.match(text).end())
-    # Past a bad character, the tokens either lack it or hold a `#`, so
-    # they differ from the text's characters outside the gaps.
-    if "".join(tokens) != _COMMENT_RE.sub("", text).translate(_BLANKS):
-        tokens = _scan(text, filename)[0]
+    if "" in tokens:
+        _scan(text, filename)  # raises at the first bad character
     if "==" in text:
         tokens = ["=" if tok == "==" else tok for tok in tokens]
+    tokens.append("")
     return tokens
 
 
@@ -179,15 +175,20 @@ _CONNECTIVES = {"or": Or, "and": And}
 
 # ---------------------------------------------------------------------------
 # Parser
-
+#
+# A statement is read by the one production that its language's table names
+# for its head keyword. A leaf is one token test and one lookup in the node
+# table (`ast._TABLE`), or in _SCALARS for `integer` and `float`; a message,
+# send, recv or `;` node is looked up there before its constructor is called.
+#
 # The deepest index term or proposition the parser accepts: no more than
 # this many parentheses, `not`s and `?:` branches open at once, and no tree
 # taller than this (a chain 1 + 1 + ... grows one level per operator).
 # Deeper terms overflow the interpreter's stack, in the parser (three frames
 # per parenthesis) or in the passes that walk the tree.
 MAX_TERM_DEPTH = 100
-
-_SCALARS = {"integer": Integer, "float": Float}
+_TOO_DEEP = f"term nests deeper than {MAX_TERM_DEPTH} levels"
+_SCALARS = {"integer": Integer(), "float": Float()}
 
 
 class _Parser:
@@ -202,39 +203,25 @@ class _Parser:
 
     # -- token plumbing
 
-    def peek(self) -> str:
-        return self.tokens[self.pos]
-
-    def at(self, text: str) -> bool:
-        return self.tokens[self.pos] == text
-
     def fail(self, message: str, at: int | None = None) -> ParseError:
         """A ParseError at token index at, or at the next token."""
         offset = _scan(self.text, self.filename)[1][self.pos if at is None else at]
         return ParseError(message, _span(self.text, self.filename, offset))
 
     def unexpected(self, want: str) -> ParseError:
-        return self.fail(f"expected {want}, found {self.peek() or 'eof'!r}")
+        return self.fail(f"expected {want}, found {self.tokens[self.pos] or 'eof'!r}")
 
     def expect(self, text: str) -> None:
         if self.tokens[self.pos] != text:
             raise self.unexpected(repr(text))
         self.pos += 1
 
-    def keyword(self, words, want: str) -> str:
-        """Consume the next token, which must be one of words, and return it."""
-        word = self.tokens[self.pos]
-        if word not in words:
-            raise self.unexpected(want)
-        self.pos += 1
-        return word
-
     def expect_eof(self) -> None:
-        if self.peek():
-            raise self.fail(f"trailing input starting at {self.peek()!r}")
+        if self.tokens[self.pos]:
+            raise self.fail(f"trailing input starting at {self.tokens[self.pos]!r}")
 
     def binder(self, what: str) -> str:
-        name = self.peek()
+        name = self.tokens[self.pos]
         if not _is_name(name):
             raise self.unexpected(what)
         if name in RESERVED_BINDERS:
@@ -244,25 +231,34 @@ class _Parser:
 
     def block(self, body):
         """body() between `{` and `}`, refusing the `{` that opens a block too many."""
-        at = self.pos
-        self.expect("{")
+        if self.tokens[self.pos] != "{":
+            raise self.unexpected("'{'")
         if self.blocks == MAX_BLOCK_DEPTH:
-            raise self.fail(f"block nests deeper than {MAX_BLOCK_DEPTH} levels", at)
+            raise self.fail(f"block nests deeper than {MAX_BLOCK_DEPTH} levels")
+        self.pos += 1
         self.blocks += 1
         node = body()
         self.blocks -= 1
         self.expect("}")
         return node
 
-    def sequence(self, item, join):
-        """item() once or more, separated by `;`, right-nested by join."""
-        items = [item()]
-        while self.at(";"):
+    def sequence(self, forms: dict, want: str, join):
+        """Statements separated by `;`, right-nested by join. forms names the
+        production for each head keyword; want names the statements in errors."""
+        tokens = self.tokens
+        items = []
+        while True:
+            form = forms.get(tokens[self.pos])
+            if form is None:
+                raise self.unexpected(want)
             self.pos += 1
-            items.append(item())
+            items.append(form(self))
+            if tokens[self.pos] != ";":
+                break
+            self.pos += 1
         node = items.pop()
         for first in reversed(items):
-            node = join(first, node)
+            node = _TABLE.get((join, first, node)) or join(first, node)
         return node
 
     def loop(self) -> tuple[str, IndexTerm, IndexTerm]:
@@ -275,26 +271,23 @@ class _Parser:
 
     # -- expressions (index terms and propositions share one grammar)
 
-    def too_deep(self, at: int) -> ParseError:
-        return self.fail(f"term nests deeper than {MAX_TERM_DEPTH} levels", at)
-
     def enter(self, at: int) -> None:
         """Open one more parenthesis, `not` or `?:` branch; `open -= 1` closes it."""
         if self.open == MAX_TERM_DEPTH:
-            raise self.too_deep(at)
+            raise self.fail(_TOO_DEEP, at)
         self.open += 1
 
     def tree(self, at: int, node, *children):
         """node, built on children, unless that makes a tree too tall."""
-        height = 1 + max(self.heights.get(c, 1) for c in children)
+        height = 1 + max(map(self.heights.get, children, repeat(1)))
         if height > MAX_TERM_DEPTH:
-            raise self.too_deep(at)
+            raise self.fail(_TOO_DEEP, at)
         self.heights[node] = height
         return node
 
     def expr(self) -> IndexTerm | Proposition:
         node = self.binary(_COND + 1)
-        if self.at("?"):
+        if self.tokens[self.pos] == "?":
             at = self.pos
             self.pos += 1
             test = self.as_prop(node, at)
@@ -327,18 +320,24 @@ class _Parser:
     def binary(self, level: int) -> IndexTerm | Proposition:
         """An expression whose operators bind at level or tighter (precedence
         climbing). Operand kinds are checked at the token where it starts."""
+        tokens = self.tokens
         start = self.pos
-        if level <= _NOT and self.at("not"):
+        if level <= _NOT and tokens[start] == "not":
             self.pos += 1
             self.enter(start)
             p = self.as_prop(self.binary(_NOT), start)
             self.open -= 1
             node = self.tree(start, Not(p), p)
+        elif tokens[start] == "(":
+            node = self.parens(self.expr)
+        elif tokens[start] == "true":
+            self.pos += 1
+            node = TrueProp()
         else:
-            node = self.atom()
+            node = self.leaf("an expression")
         chain = None  # the right operand of the comparison just read
         while True:
-            op = self.tokens[self.pos]
+            op = tokens[self.pos]
             mine = _LEVELS.get(op)
             if mine is None or mine < level:
                 return node
@@ -361,22 +360,6 @@ class _Parser:
                 lhs, rhs = self.as_index(node, start), self.as_index(rhs, start)
                 node = self.tree(at, BinOp(op, lhs, rhs), lhs, rhs)
 
-    def atom(self) -> IndexTerm | Proposition:
-        tok = self.tokens[self.pos]
-        if tok == "(":
-            return self.parens(self.expr)
-        if tok == "true":
-            self.pos += 1
-            return TrueProp()
-        return self.literal("an expression")
-
-    # Message endpoints and loop bounds: a bare literal or name, or any
-    # parenthesized expression.
-    def endpoint(self) -> IndexTerm:
-        if self.at("("):
-            return self.parens(self.index_expr)
-        return self.literal("a rank expression")
-
     def parens(self, inner):
         """inner() between `(` and `)`."""
         self.enter(self.pos)
@@ -386,46 +369,54 @@ class _Parser:
         self.open -= 1
         return node
 
-    def literal(self, want: str) -> IndexTerm:
-        """An integer, a negated integer or a name; want says what was expected."""
+    def leaf(self, want: str = "a rank expression") -> IndexTerm:
+        """An integer, a negated integer, a name or a parenthesized index term:
+        a message endpoint, or binary's operand when it is no `(` or `true`.
+        want says what was expected."""
         tok = self.tokens[self.pos]
-        if _is_name(tok):
+        sign = 1
+        if not tok.isdecimal():
+            if _is_name(tok):
+                self.pos += 1
+                return _TABLE.get((Var, tok)) or Var(tok)
+            if tok == "(":
+                return self.parens(self.index_expr)
+            if tok != "-":
+                raise self.unexpected(want)
             self.pos += 1
-            return Var(tok)
+            tok, sign = self.tokens[self.pos], -1
+            if not tok.isdecimal():
+                raise self.unexpected("'int'")
+        self.pos += 1
         try:
-            if tok.isdecimal():
-                self.pos += 1
-                return IntLit(int(tok))
-            if tok == "-":
-                self.pos += 1
-                tok = self.peek()
-                if not tok.isdecimal():
-                    raise self.unexpected("'int'")
-                self.pos += 1
-                return IntLit(-int(tok))
+            value = sign * int(tok)
         except ValueError:  # more digits than the interpreter converts
             limit = sys.get_int_max_str_digits()
             raise self.fail(f"integer literal has more than {limit} digits", self.pos - 1) from None
-        raise self.unexpected(want)
+        return _TABLE.get((IntLit, value)) or IntLit(value)
 
     # -- datatypes
 
     def datatype(self) -> Datatype:
-        word = self.keyword(("integer", "float", "{"), "a datatype")
-        if word == "{":
+        tokens = self.tokens
+        d = _SCALARS.get(tokens[self.pos])
+        if d is not None:
+            self.pos += 1
+        elif tokens[self.pos] == "{":
+            self.pos += 1
             binder = self.binder("refinement binder")
             self.expect(":")
-            base = self.peek()
-            if base not in _SCALARS:
+            base = _SCALARS.get(tokens[self.pos])
+            if base is None:
                 raise self.fail("refinement base must be 'integer' or 'float'")
             self.pos += 1
             self.expect("|")
             pred = self.prop_expr()
             self.expect("}")
-            d: Datatype = Refined(binder, _SCALARS[base](), pred)
+            d = Refined(binder, base, pred)
         else:
-            d = _SCALARS[word]()
-        while self.at("["):
+            raise self.unexpected("a datatype")
+        while tokens[self.pos] == "[":
             self.pos += 1
             length = self.index_expr()
             self.expect("]")
@@ -433,54 +424,63 @@ class _Parser:
         return d
 
     def reduce_op(self) -> ReduceOp:
-        return _REDUCE_OPS[self.keyword(_REDUCE_OPS, "a reduction op (min/max/sum/prod)")]
+        op = _REDUCE_OPS.get(self.tokens[self.pos])
+        if op is None:
+            raise self.unexpected("a reduction op (min/max/sum/prod)")
+        self.pos += 1
+        return op
 
-    # -- protocol types
+    # -- statements, each read by the production its head keyword picks
 
     def protocol(self) -> ProtocolType:
-        return self.sequence(self.protocol_item, Seq)
-
-    def protocol_item(self) -> ProtocolType:
-        match self.keyword(("skip", "message", "allreduce", "foreach"), "a protocol form"):
-            case "skip":
-                return Skip()
-            case "message":
-                return Message(self.endpoint(), self.endpoint(), self.datatype())
-            case "allreduce":
-                op = self.reduce_op()
-                if not _is_name(self.peek()):
-                    return Allreduce(op, FRESH_BINDER, self.datatype(), Skip())
-                binder = self.binder("allreduce binder")
-                self.expect(":")
-                payload = self.datatype()
-                return Allreduce(op, binder, payload, self.block(self.protocol))
-            case "foreach":
-                return Foreach(*self.loop(), self.block(self.protocol))
-
-    # -- processes
+        return self.sequence(_PROTOCOL_FORMS, "a protocol form", Seq)
 
     def process(self) -> Process:
-        return self.sequence(self.process_item, PSeq)
+        return self.sequence(_PROCESS_FORMS, "a process statement", PSeq)
 
-    def process_item(self) -> Process:
-        match self.keyword(("skip", "send", "recv", "allreduce", "for", "if"), "a process statement"):
-            case "skip":
-                return PSkip()
-            case "send":
-                self.expect("to")
-                return Send(self.endpoint(), self.datatype())
-            case "recv":
-                self.expect("from")
-                return Recv(self.endpoint(), self.datatype())
-            case "allreduce":
-                return AllreduceStmt(self.reduce_op(), self.datatype())
-            case "for":
-                return For(*self.loop(), self.block(self.process))
-            case "if":
-                test = self.prop_expr()
-                then = self.block(self.process)
-                self.expect("else")
-                return If(test, then, self.block(self.process))
+    def message(self) -> Message:
+        src, dst, payload = self.leaf(), self.leaf(), self.datatype()
+        return _TABLE.get((Message, src, dst, payload)) or Message(src, dst, payload)
+
+    def transfer(self) -> Send | Recv:
+        """`send to` or `recv from`, then an endpoint and a payload."""
+        node, word = (Send, "to") if self.tokens[self.pos - 1] == "send" else (Recv, "from")
+        if self.tokens[self.pos] != word:
+            raise self.unexpected(repr(word))
+        self.pos += 1
+        peer, payload = self.leaf(), self.datatype()
+        return _TABLE.get((node, peer, payload)) or node(peer, payload)
+
+    def allreduce(self) -> Allreduce:
+        op = self.reduce_op()
+        if not _is_name(self.tokens[self.pos]):
+            return Allreduce(op, FRESH_BINDER, self.datatype(), _SKIP)
+        binder = self.binder("allreduce binder")
+        self.expect(":")
+        payload = self.datatype()
+        return Allreduce(op, binder, payload, self.block(self.protocol))
+
+    def if_stmt(self) -> If:
+        test, then = self.prop_expr(), self.block(self.process)
+        self.expect("else")
+        return If(test, then, self.block(self.process))
+
+
+_PROTOCOL_FORMS = {
+    "skip": lambda p: _SKIP,
+    "message": _Parser.message,
+    "allreduce": _Parser.allreduce,
+    "foreach": lambda p: Foreach(*p.loop(), p.block(p.protocol)),
+}
+_PROCESS_FORMS = {
+    "skip": lambda p: _PSKIP,
+    "send": _Parser.transfer,
+    "recv": _Parser.transfer,
+    "allreduce": lambda p: AllreduceStmt(p.reduce_op(), p.datatype()),
+    "for": lambda p: For(*p.loop(), p.block(p.process)),
+    "if": _Parser.if_stmt,
+}
+_SKIP, _PSKIP = Skip(), PSkip()
 
 
 def _parse(rule, text: str, filename: str):

@@ -1,5 +1,6 @@
 """Parser and printer round trips, error spans, surface sugar."""
 
+import functools
 import random
 import time
 from pathlib import Path
@@ -44,6 +45,7 @@ from protomerge import (
     parse_proposition,
     parse_protocol,
     print_datatype,
+    print_index,
     print_process,
     print_proposition,
     print_protocol,
@@ -53,7 +55,8 @@ from protomerge.ast import FRESH_BINDER
 from protomerge.syntax import SourceSpan, _lex, _scan
 
 import reference_lexer
-from generators import gen_process, gen_protocol, mutate_text
+import reference_parser
+from generators import gen_datatype, gen_index, gen_process, gen_prop, gen_protocol, mutate_text, workloads
 
 PROGRAMS = Path(protomerge.__file__).parent / "programs"
 
@@ -379,16 +382,119 @@ class TestLexer:
         assert (err.value.message, err.value.span.line) == ("unexpected character '@'", 50_002)
         assert time.perf_counter() - start < 2.0
 
-    @pytest.mark.parametrize("path", sorted(PROGRAMS.glob("*.proc")), ids=lambda p: p.stem)
-    def test_a_parse_that_succeeds_works_out_no_offset(self, monkeypatch, path):
+    @pytest.mark.parametrize(
+        "source", [*sorted(p.stem for p in PROGRAMS.glob("*.proc")), "workloads", "commented-workloads"]
+    )
+    def test_a_parse_that_succeeds_works_out_no_offset(self, monkeypatch, source):
+        """A bundled program and its local types, or every source and oracle
+        text of the benchmark's workloads, plain or with comments."""
+
         def scan(text, filename):
             raise AssertionError("offsets worked out for a parse that succeeds")
 
         monkeypatch.setattr(syntax, "_scan", scan)
-        program = parse_process(path.read_text(encoding="utf-8"), str(path))
-        for rank in range(4):
-            local = extract_local_type(initial_context(4), program, rank, 4)
-            assert parse_protocol(print_protocol(local)) == local
+        if source == "commented-workloads":
+            assert all(PARSERS[rule](commented(text)) is node for rule, text, node in workload_texts())
+        elif source == "workloads":
+            assert all(PARSERS[rule](text) is node for rule, text, node in workload_texts())
+        else:
+            path = PROGRAMS / f"{source}.proc"
+            program = parse_process(path.read_text(encoding="utf-8"), str(path))
+            for rank in range(4):
+                local = extract_local_type(initial_context(4), program, rank, 4)
+                assert parse_protocol(print_protocol(local)) == local
+
+
+@functools.cache
+def workload_texts() -> tuple[tuple[str, str, object], ...]:
+    """(rule, text, tree) of each distinct source ("process") and oracle text
+    ("protocol") of the benchmark's four workloads, exchange-corpus at seeds
+    2024 and 2025. An oracle text is a rank's extracted local type as
+    `protomerge extract` prints it."""
+    texts = {}
+    for workload, seed in [(w, workloads.DEFAULT_SEED) for w in workloads.WORKLOADS] + [("exchange-corpus", 2025)]:
+        for inst in workloads.instances(workload, seed, PROGRAMS):
+            ctx = initial_context(inst.n)
+            for rank in range(inst.n):
+                source = ("process", inst.source(rank))
+                if source not in texts:
+                    texts[source] = parse_process(source[1])
+                local = extract_local_type(ctx, texts[source], rank, inst.n)
+                texts[("protocol", print_protocol(local))] = local
+    return tuple((rule, text, tree) for (rule, text), tree in texts.items())
+
+
+def commented(text: str) -> str:
+    """text with a comment line before it, a comment after each of its lines
+    and a last comment that ends the text."""
+    lines = text.split("\n")
+    return "# head: @ ; }\n" + "".join(f"{line}  # {i}: .. @ {{\n" for i, line in enumerate(lines)) + "#"
+
+
+class TestReferenceParser:
+    """The parser against tests/reference_parser.py: the same node, or a
+    ParseError with the same message and span."""
+
+    @staticmethod
+    def check(rule: str, text: str) -> None:
+        try:
+            want = reference_parser.parse(rule, text, "t")
+        except ParseError as bad:
+            with pytest.raises(ParseError) as err:
+                PARSERS[rule](text, "t")
+            assert (err.value.message, err.value.span) == (bad.message, bad.span), (rule, text)
+        else:
+            assert PARSERS[rule](text, "t") is want, (rule, text)
+
+    # Texts at and past each limit: parentheses, `not`s and `?:` branches open
+    # at once, term height, and blocks.
+    LIMITS = [
+        ("index", "(" * 100 + "1" + ")" * 100),
+        ("index", "(" * 101 + "1" + ")" * 101),
+        ("proposition", "not " * 100 + "true"),
+        ("proposition", "not " * 101 + "true"),
+        ("index", "x = 1 ? 1 : " * 50 + "2"),
+        ("index", "x = 1 ? 1 : " * 101 + "2"),
+        ("index", "+".join(["1"] * 100)),
+        ("index", "+".join(["1"] * 101)),
+        ("proposition", " < ".join(["1"] * 60)),
+        ("protocol", "foreach i: 0..1 { " * 64 + "skip" + " }" * 64),
+        ("protocol", "foreach i: 0..1 { " * 65 + "skip" + " }" * 65),
+        ("process", "if rank = 0 { " * 64 + "skip" + " } else { skip }" * 64),
+        ("datatype", "{v: float | v < " + "(" * 99 + "1" + ")" * 99 + "}[2][n]"),
+    ]
+
+    def test_generated_texts_and_their_mutants(self):
+        rng = random.Random(2027)
+        printers = {
+            "protocol": lambda: rng.choice((print_protocol, compact_protocol))(gen_protocol(rng, 3)),
+            "process": lambda: print_process(gen_process(rng, 3)),
+            "datatype": lambda: print_datatype(gen_datatype(rng, 3)),
+            "index": lambda: print_index(gen_index(rng, 4)),
+            "proposition": lambda: print_proposition(gen_prop(rng, 4)),
+        }
+        inputs = 0
+        for rule, make in printers.items():
+            for _ in range(200):
+                text = make()
+                self.check(rule, text)
+                for _ in range(10):
+                    self.check(rule, mutate_text(rng, text))
+                    inputs += 1
+        # The error tables' texts, then texts at and past each limit.
+        tables = [getattr(case, "values", case)[:2] for case in PARSE_ERRORS + LEXER_ERRORS]
+        for rule, text in tables + self.LIMITS:
+            for other in PARSERS:
+                self.check(other, text)
+            for _ in range(20):
+                self.check(rule, mutate_text(rng, text))
+                inputs += 1
+        assert inputs >= 10_000
+
+    def test_workload_texts(self):
+        for rule, text, _ in workload_texts():
+            self.check(rule, text)
+            self.check(rule, commented(text))
 
 
 class TestPrinters:
