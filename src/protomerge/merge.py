@@ -277,6 +277,14 @@ def _values(ctx: TypingContext, t: IndexTerm) -> tuple[int, ...] | None:
     return None
 
 
+def _literal(m: ProtocolType) -> bool:
+    return type(m) is Message and type(m.src) is IntLit is type(m.dst)
+
+
+def _touches(m: Message, values: tuple[int, ...]) -> bool:
+    return m.src.value in values or m.dst.value in values
+
+
 def _fresh(base: str, avoid: Iterable[str]) -> str:
     taken = set(avoid)
     name = base
@@ -424,6 +432,12 @@ _RULES = {
 }
 RULE_NAMES = tuple(_RULES)
 
+# The rules _Engine.passed applies: the test (head, merged ranks, (k,)) of each node its loop takes.
+_RUNS = {
+    "msgT-msgT-left": lambda m, ranks, k: _touches(m, ranks) and not _touches(m, k),
+    "msgT-skipT": lambda m, ranks, k: not (_touches(m, ranks) and _touches(m, k)),
+}
+
 
 def _offer(name: str):
     """Rule `name` as `_Engine.derive` takes it: (name, premises, rule), each
@@ -476,9 +490,10 @@ def _claim(key: tuple) -> Proposition | tuple[Datatype, Datatype] | str:
     return And(Cmp(op, a, b), Cmp(op, c, d))
 
 
-def _reason(refusal: tuple) -> str:
-    """A refusal's text: its failed premise, the claim and the verdict."""
-    _, _, name, key, verdict = refusal
+def _reason(refusal: tuple, ctx: TypingContext, left, right, k: IntLit) -> str:
+    """A refusal's text at node (ctx, left, right): its failed premise, the claim and the verdict."""
+    _, _, name, judged, verdict = refusal
+    key = _key(ctx, judged, _seq_parts(left)[0], _seq_parts(right)[0], k)
     return f"{name}: {PremiseCheck(name, _claim(key), verdict).formula} is {verdict}"
 
 
@@ -497,7 +512,7 @@ class _Engine:
         self.undecidable = False
         # The labels of the sub-merges open from the root to the current node.
         self.labels: list[str] = []
-        # The deepest node every rule refused: (path, left, right, refusals).
+        # The deepest node every rule refused: (path, ctx, left, right, refusals, or None to derive when read).
         self.deepest: tuple | None = None
 
     # -- derivation
@@ -513,15 +528,15 @@ class _Engine:
             return outcome
         # The diagnostic reports the first deepest subproblem every rule refused.
         if self.deepest is None or len(self.labels) > len(self.deepest[0]):
-            self.deepest = tuple(self.labels), left, right, outcome
+            self.deepest = tuple(self.labels), ctx, left, right, outcome
         return None
 
     def derive(self, ctx, left, right, rules) -> _Applied | tuple[tuple, ...]:
         """Apply the first of `rules` (as _INDEX offers them) whose premises
         all hold and whose sub-merges all succeed, or give back the refusals:
-        (rule, kind, premise name, _key, verdict) for each first failed
-        premise. A rule decides its premises in order, each when it reaches
-        it and once per node, and stops at the first that fails.
+        (rule, kind, premise name, what it judges, verdict) for each first
+        failed premise. A rule decides its premises in order, each when it
+        reaches it and once per node, and stops at the first that fails.
 
         A failed sub-merge leaves no refusal, as none would be read: it ran
         one label deeper and left `deepest` at least that deep, `deepest`
@@ -531,17 +546,21 @@ class _Engine:
         found one so reported that a sub-merge refused.)"""
         lh = left.first if type(left) is Seq else left
         rh = right.first if type(right) is Seq else right
-        verdicts: dict = {}  # what is judged -> (_key, verdict), at this node
+        verdicts: dict = {}  # what is judged -> verdict, at this node
         refused = []
         for name, premises, rule in rules:
             for premise, judged, want, kind in premises:
-                found = verdicts.get(judged)
-                if found is None:
-                    found = verdicts[judged] = self.premise(ctx, judged, lh, rh)
-                if found[1] != want:
-                    refused.append((name, kind, premise) + found)
+                verdict = verdicts.get(judged)
+                if verdict is None:
+                    verdict = verdicts[judged] = self.premise(ctx, judged, lh, rh)
+                if verdict != want:
+                    refused.append((name, kind, premise, judged, verdict))
                     break
             else:
+                # A run that fails leaves its memo entries, which the rule's sub-merges meet.
+                passed = name in _RUNS and type(left) is Seq and self.passed(name, ctx, left, right)
+                if passed:
+                    return passed
                 subgoals, conclude = rule(ctx, left, right)
                 subs, labels = [], self.labels
                 for sub_ctx, sub_left, sub_right, label in subgoals:
@@ -555,8 +574,44 @@ class _Engine:
                     return _Applied(conclude(*[s.result for s in subs]), name, ctx, left, right, tuple(subs))
         return tuple(refused)
 
+    def passed(self, name, ctx, left, right) -> _Applied | None:
+        """Rule `name` of _RUNS applied at (ctx, left, right), its premises
+        holding, with the run of left's next nodes whose literal heads pass
+        the rule's test taken in one loop, as merge would take each (README,
+        merge.py); None where the run fails or none starts here."""
+        memo, labels, k = self.memo, self.labels, (self.k.value,)
+        skip, rh, takes = name == "msgT-skipT", _seq_parts(right)[0], _RUNS[name]
+        ranks, m = _values(ctx, _RANK), left.first if skip else rh  # the head a run starts on
+        if ranks is None or not (_literal(m) and (takes(m, ranks, k) if skip else _touches(m, ranks))):
+            return None
+        run, t, label = [left], left.second, "seq.tail" if skip else "seq.tail-vs-right"
+        while type(t) is Seq and _literal(t.first) and takes(t.first, ranks, k) and (ctx, t, right) not in memo:
+            memo[ctx, t, right] = ()
+            run.append(t)
+            t = t.second
+        labels += [label] * len(run)
+        if len(run) > 1 and not skip and (self.deepest is None or len(labels) > len(self.deepest[0])):
+            self.deepest = (*labels[:-1], "seq.first"), ctx, run[-1].first, rh, None  # seq-seq's head pair
+        sub = self.merge(ctx, t, right)
+        del labels[-len(run):]
+        if sub is None:
+            if len(run) > 1 and not skip:  # msgT-msgT-right's refusal at each run node
+                refused = self.derive(ctx, run[1], right, (_offer("msgT-msgT-right"),))
+                memo.update(((ctx, s, right), refused) for s in run[1:])
+            return None
+        for s in reversed(run):
+            head, subs = s.first, (sub,)
+            if skip:  # msg-skip takes a real head, msgS-skip a skip-like one
+                real = _touches(head, ranks)
+                taken = _Applied(head if real else Skip(), ("msgS-skip", "msg-skip")[real], ctx, head, right, ())
+                head, subs = taken.result, (taken, sub)
+            sub = memo[ctx, s, right] = _Applied(concat(head, sub.result), name, ctx, s, right, subs)
+        return sub
+
     def diagnostic(self) -> Diagnostic:
-        path, left, right, refused = self.deepest
+        path, ctx, left, right, refused = self.deepest
+        if refused is None:  # noted by passed
+            refused = self.derive(ctx, left, right, _offered(left, right))
         location = "/".join(path) or "root"
         kinds = {r[1] for r in refused}
         if self.undecidable:
@@ -568,7 +623,7 @@ class _Engine:
         else:
             kind = _DEADLOCK
         # The refusals are rendered when they are read.
-        trace = tuple(RuleAttempt(r[0], partial(_reason, r)) for r in refused) or (
+        trace = tuple(RuleAttempt(r[0], partial(_reason, r, ctx, left, right, self.k)) for r in refused) or (
             RuleAttempt("none", lambda: f"no rule matches {compact_protocol(left)} against "
                                         f"{compact_protocol(right)}"),
         )
@@ -576,13 +631,18 @@ class _Engine:
 
     # -- premises
 
-    def premise(self, ctx: TypingContext, judged, lh, rh) -> tuple[tuple, str]:
-        """The _key of what a premise judges on lh and rh, and its verdict, decided once."""
+    def premise(self, ctx: TypingContext, judged, lh, rh) -> str:
+        """The verdict of what a premise judges on lh and rh. A literal message's side (the merged
+        ranks `_values` reads, or k) is one membership test; all else is decided once per _key."""
+        if type(judged) is tuple and _literal(m := lh if judged[0] == "left" else rh):
+            values = _values(ctx, _RANK) if judged[1] == "merged" else (self.k.value,)
+            if values is not None:
+                return _INVALID if _touches(m, values) else _VALID
         key = _key(ctx, judged, lh, rh, self.k)
         verdict = self.verdicts.get(key)
         if verdict is None:
             verdict = self.verdicts[key] = self.decide(key)
-        return key, verdict
+        return verdict
 
     def decide(self, key: tuple) -> str:
         """The verdict of the claim `key` states under its context. Where each

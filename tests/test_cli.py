@@ -1040,6 +1040,17 @@ class TestErrorContract:
         assert (code, err) == (3, "")
         assert json.loads(out)["kind"] == "MergeTooDeep"
 
+    def test_nbody_at_512_ranks_is_inferred_at_the_default_stack(self, capsys):
+        """Each fold step passes the ring messages rank k takes no part in as
+        one run, in a loop, so no step recurses once per message (this used
+        to exit 3, MergeTooDeep). Its hops follow the ring: 0 -> 1 -> ... ->
+        511 -> 0."""
+        assert sys.getrecursionlimit() == 1000
+        code, out, err = run(capsys, "infer", str(PROGRAMS / "nbody.proc"), "--size", "512")
+        assert (code, err) == (0, "")
+        hops = [line.split()[1:3] for line in out.splitlines() if line.lstrip().startswith("message ")]
+        assert hops == [[str(r), str((r + 1) % 512)] for r in range(512)]
+
     def test_an_unfold_past_the_budget_exits_3(self, capsys, write):
         """The fold's retry unfolds rank 0's loop of 10 000 001 sends: past
         the unfolding budget, refused before any iteration is built."""

@@ -881,7 +881,7 @@ class TestFirstRuleWhosePremisesHold:
             def premise(ctx, judged, lm, rm):
                 if judged not in asked:
                     asked.append(judged)
-                return None, verdict_of[judged]
+                return verdict_of[judged]
 
             engine = merge_module._Engine(1)
             engine.premise = premise
@@ -1211,8 +1211,9 @@ class TestMembershipPremises:
         rows = []
         for name in names:
             judged, want, kind = merge_module._PREMISES[name]
-            key, verdict = engine.premise(ctx, judged, lm, rm)
-            rows.append((verdict == want, kind, name, merge_module._claim(key), verdict))
+            verdict = engine.premise(ctx, judged, lm, rm)
+            claim = merge_module._claim(merge_module._key(ctx, judged, lm, rm, engine.k))
+            rows.append((verdict == want, kind, name, claim, verdict))
         return rows
 
     @classmethod
@@ -1277,13 +1278,28 @@ class TestMembershipPremises:
 
         return refusing
 
+    @staticmethod
+    def asking(monkeypatch):
+        """The (context, proposition) pairs the engine asks entails, from here on."""
+        asked = []
+
+        def recording(ctx, p, *rest):
+            asked.append((ctx, p))
+            return entails(ctx, p, *rest)
+
+        monkeypatch.setattr(merge_module, "entails", recording)
+        return asked
+
     def test_rebound_rank_reaches_entails(self, monkeypatch):
         monkeypatch.setattr(merge_module, "_values", self.refusing(merge_module._values))
+        asked = self.asking(monkeypatch)
         root = merged_context(4, [0, 1])
         engine = merge_module._Engine(2)
         rebound = self.contexts(root, 4)[2]
         ok, _, _, _, verdict = self.premises(engine, rebound, msg(2, 3), msg(2, 3), ("left-skip-like",))[0]
         assert (ok, verdict) == (False, "Invalid")
+        rank = Var("rank")
+        assert asked == [(rebound, And(Cmp("!=", IntLit(2), rank), Cmp("!=", IntLit(3), rank)))]
         self.agree(engine, rebound, msg(0, 1), msg(3, 2), 2)
 
     def test_rank_bound_by_a_refinement_reaches_entails(self, monkeypatch):
@@ -1295,9 +1311,14 @@ class TestMembershipPremises:
         names = merge_module._RULES["msg-msg-eq"][1]
         want = [self.premises(engine, entry, lm, rm, names) for lm, rm in pairs]
         monkeypatch.setattr(merge_module, "_values", self.refusing(merge_module._values))
+        asked = self.asking(monkeypatch)
         for lm, rm in pairs:
             self.agree(engine, chain, lm, rm, 2)
         assert [self.premises(engine, chain, lm, rm, names) for lm, rm in pairs] == want
+        # left-real on each pair's left head went to entails under the chain.
+        rank = Var("rank")
+        for lm, _ in pairs:
+            assert (chain, And(Cmp("!=", lm.src, rank), Cmp("!=", lm.dst, rank))) in asked
 
     @staticmethod
     def fold(instance, context=merged_context):
