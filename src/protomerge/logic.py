@@ -633,25 +633,24 @@ def dtype_equiv(ctx: TypingContext, d1: Datatype, d2: Datatype) -> bool:
 
 def _element_equiv(ctx: TypingContext, a: Datatype, b: Datatype) -> bool:
     """dtype_equiv of two stripped datatypes that are not both arrays."""
-    match (a, b):
-        case (Integer(), Integer()) | (Float(), Float()):
-            return True
-        case (Refined(b1, base1, p1), Refined(b2, base2, p2)):
-            if base1 != base2:
-                return False
-            if _alpha(p1, b1) == _alpha(p2, b2):
-                return True
-            if type(base1) is Float:
-                raise UndecidableEquivalence("float refinements compare only syntactically")
-            return _same_set(_satisfying(ctx, a), _satisfying(ctx, b))
-        case (Refined(_, base, _), other) | (other, Refined(_, base, _)) if type(other) is type(base):
-            refined = a if type(a) is Refined else b
-            if type(base) is Float:
-                raise UndecidableEquivalence("float refinements compare only syntactically")
-            # Equivalent to the bare base only when entirely unconstrained.
-            return _satisfying(ctx, refined) == (False, (None, None))
-        case _:
+    kind = type(a)
+    if kind is not Refined and type(b) is not Refined:
+        return kind is type(b) and (kind is Integer or kind is Float)
+    if kind is not type(b):
+        refined, other = (a, b) if kind is Refined else (b, a)
+        if type(other) is not type(refined.base):
             return False
+        if type(refined.base) is Float:
+            raise UndecidableEquivalence("float refinements compare only syntactically")
+        # Equivalent to the bare base only when entirely unconstrained.
+        return _satisfying(ctx, refined) == (False, (None, None))
+    if a.base != b.base:
+        return False
+    if _alpha(a.pred, a.binder) == _alpha(b.pred, b.binder):
+        return True
+    if type(a.base) is Float:
+        raise UndecidableEquivalence("float refinements compare only syntactically")
+    return _same_set(_satisfying(ctx, a), _satisfying(ctx, b))
 
 
 # ---------------------------------------------------------------------------

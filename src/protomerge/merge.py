@@ -12,7 +12,7 @@ every applicable rule's premise broke.
 from __future__ import annotations
 
 from functools import partial
-from typing import Iterable, NamedTuple, Sequence
+from typing import Container, Iterable, NamedTuple, Sequence
 
 from .ast import (
     Allreduce,
@@ -281,7 +281,7 @@ def _literal(m: ProtocolType) -> bool:
     return type(m) is Message and type(m.src) is IntLit is type(m.dst)
 
 
-def _touches(m: Message, values: tuple[int, ...]) -> bool:
+def _touches(m: Message, values: Container[int]) -> bool:
     return m.src.value in values or m.dst.value in values
 
 
@@ -514,6 +514,8 @@ class _Engine:
         self.labels: list[str] = []
         # The deepest node every rule refused: (path, ctx, left, right, refusals, or None to derive when read).
         self.deepest: tuple | None = None
+        # (context, index term) -> the values `_values` reads, as a set, or None.
+        self.value_sets: dict = {}
 
     # -- derivation
 
@@ -581,7 +583,7 @@ class _Engine:
         merge.py); None where the run fails or none starts here."""
         memo, labels, k = self.memo, self.labels, (self.k.value,)
         skip, rh, takes = name == "msgT-skipT", _seq_parts(right)[0], _RUNS[name]
-        ranks, m = _values(ctx, _RANK), left.first if skip else rh  # the head a run starts on
+        ranks, m = self.values(ctx, _RANK), left.first if skip else rh  # the head a run starts on
         if ranks is None or not (_literal(m) and (takes(m, ranks, k) if skip else _touches(m, ranks))):
             return None
         run, t, label = [left], left.second, "seq.tail" if skip else "seq.tail-vs-right"
@@ -635,7 +637,7 @@ class _Engine:
         """The verdict of what a premise judges on lh and rh. A literal message's side (the merged
         ranks `_values` reads, or k) is one membership test; all else is decided once per _key."""
         if type(judged) is tuple and _literal(m := lh if judged[0] == "left" else rh):
-            values = _values(ctx, _RANK) if judged[1] == "merged" else (self.k.value,)
+            values = self.values(ctx, _RANK) if judged[1] == "merged" else (self.k.value,)
             if values is not None:
                 return _INVALID if _touches(m, values) else _VALID
         key = _key(ctx, judged, lh, rh, self.k)
@@ -643,6 +645,15 @@ class _Engine:
         if verdict is None:
             verdict = self.verdicts[key] = self.decide(key)
         return verdict
+
+    def values(self, ctx: TypingContext, t: IndexTerm) -> frozenset[int] | None:
+        """The values `_values` reads off ctx for t, as a set built once per
+        context and term, so that each membership test costs O(1)."""
+        found = self.value_sets.get((ctx, t), False)
+        if found is False:
+            values = _values(ctx, t)
+            found = self.value_sets[ctx, t] = None if values is None else frozenset(values)
+        return found
 
     def decide(self, key: tuple) -> str:
         """The verdict of the claim `key` states under its context. Where each
@@ -661,13 +672,13 @@ class _Engine:
         _, _, op, a, b, c, d = key
         ok = True
         for lit, term in ((a, b), (c, d)):
-            values = _values(ctx, term) if type(lit) is IntLit else None
+            values = self.values(ctx, term) if type(lit) is IntLit else None
             if values is None:
                 verdict = entails(ctx, _claim(key))
                 if verdict is Verdict.UNDECIDABLE:
                     self.undecidable = True
                 return verdict.value
-            ok = ok and (values == (lit.value,) if op == "=" else lit.value not in values)
+            ok = ok and (values == {lit.value} if op == "=" else lit.value not in values)
         return _VALID if ok else _INVALID
 
 

@@ -161,15 +161,16 @@ def _free_names(t: ProtocolType, depth: int, free: dict) -> frozenset[str]:
         return names
     names = frozenset()
     for node in spine(t):
-        match node:
-            case Message(src, dst, payload):
-                names |= index_vars(src) | index_vars(dst) | datatype_vars(payload)
-            case Allreduce(_, binder, payload, cont):
-                names |= datatype_vars(payload)
-                if type(cont) is not Skip:
-                    names |= _free_names(cont, deeper(depth), free) - {binder}
-            case Foreach(binder, lo, hi, body):
-                names |= index_vars(lo) | index_vars(hi) | (_free_names(body, deeper(depth), free) - {binder})
+        kind = type(node)
+        if kind is Message:
+            names |= index_vars(node.src) | index_vars(node.dst) | datatype_vars(node.payload)
+        elif kind is Allreduce:
+            names |= datatype_vars(node.payload)
+            if type(node.cont) is not Skip:
+                names |= _free_names(node.cont, deeper(depth), free) - {node.binder}
+        elif kind is Foreach:
+            names |= index_vars(node.lo) | index_vars(node.hi)
+            names |= _free_names(node.body, deeper(depth), free) - {node.binder}
     free[t] = names
     return names
 
@@ -203,9 +204,8 @@ def linearize(ctx: TypingContext, t: ProtocolType, self_rank: int) -> list[Actio
     def walk(items: list[ProtocolType], env: dict[str, int], live: dict[str, int], depth: int) -> None:
         nonlocal unfolded
         for node in items:
-            # Most items are messages, and a class pattern that misses a
-            # node class is slow (ast._NodeType): test for them first.
-            if type(node) is Message:
+            kind = type(node)
+            if kind is Message:
                 s = _eval_endpoint(env, node.src)
                 d = _eval_endpoint(env, node.dst)
                 payload = node.payload
@@ -213,51 +213,47 @@ def linearize(ctx: TypingContext, t: ProtocolType, self_rank: int) -> list[Actio
                     actions.append(SendTo(d, _instance(payload, live, free) if live else payload))
                 elif d == self_rank:
                     actions.append(RecvFrom(s, _instance(payload, live, free) if live else payload))
-                continue
-            match node:
-                case Allreduce(op, binder, payload, cont):
-                    actions.append(Collective(op, _instance(payload, live, free) if live else payload))
-                    if type(cont) is Skip:
-                        continue
-                    if binder in live:
-                        # In the continuation `binder` names the reduction
-                        # result, which has no value here; the context's
-                        # single value, if it has one, is back in scope.
-                        cont_env = (
-                            {**env, binder: top[binder]} if binder in top else drop_binder(env, binder)
-                        )
-                        walk(spine(cont), cont_env, drop_binder(live, binder), deeper(depth))
-                    else:
-                        walk(spine(cont), env, live, deeper(depth))
-                case Foreach(binder, _, _, body):
-                    lo_v, hi_v = loop_bounds(env, node)
-                    if hi_v < lo_v:
-                        continue
-                    unfolded += hi_v - lo_v + 1
+            elif kind is Allreduce:
+                binder, payload, cont = node.binder, node.payload, node.cont
+                actions.append(Collective(node.op, _instance(payload, live, free) if live else payload))
+                if type(cont) is Skip:
+                    continue
+                if binder in live:
+                    # In the continuation `binder` names the reduction
+                    # result, which has no value here; the context's
+                    # single value, if it has one, is back in scope.
+                    cont_env = {**env, binder: top[binder]} if binder in top else drop_binder(env, binder)
+                    walk(spine(cont), cont_env, drop_binder(live, binder), deeper(depth))
+                else:
+                    walk(spine(cont), env, live, deeper(depth))
+            elif kind is Foreach:
+                binder = node.binder
+                lo_v, hi_v = loop_bounds(env, node)
+                if hi_v < lo_v:
+                    continue
+                unfolded += hi_v - lo_v + 1
+                if unfolded > LINEARIZE_BUDGET:
+                    raise _over_budget(self_rank)
+                inner = deeper(depth)
+                repeat = binder not in _free_names(node.body, inner, free)
+                body_items = spine(node.body)
+                inner_env, inner_live = dict(env), dict(live)
+                start, before = len(actions), unfolded
+                for value in range(lo_v, lo_v + 1 if repeat else hi_v + 1):
+                    inner_env[binder] = inner_live[binder] = value
+                    walk(body_items, inner_env, inner_live, inner)
+                    if len(actions) > LINEARIZE_BUDGET:
+                        raise _over_budget(self_rank, "build more than {} actions")
+                if repeat and hi_v > lo_v:
+                    # Each repeat runs the one walk's nested iterations.
+                    unfolded += (unfolded - before) * (hi_v - lo_v)
                     if unfolded > LINEARIZE_BUDGET:
                         raise _over_budget(self_rank)
-                    inner = deeper(depth)
-                    repeat = binder not in _free_names(body, inner, free)
-                    body_items = spine(body)
-                    inner_env, inner_live = dict(env), dict(live)
-                    start, before = len(actions), unfolded
-                    for value in range(lo_v, lo_v + 1 if repeat else hi_v + 1):
-                        inner_env[binder] = inner_live[binder] = value
-                        walk(body_items, inner_env, inner_live, inner)
-                        if len(actions) > LINEARIZE_BUDGET:
-                            raise _over_budget(self_rank, "build more than {} actions")
-                    if repeat and hi_v > lo_v:
-                        # Each repeat runs the one walk's nested iterations.
-                        unfolded += (unfolded - before) * (hi_v - lo_v)
-                        if unfolded > LINEARIZE_BUDGET:
-                            raise _over_budget(self_rank)
-                        if len(actions) + (len(actions) - start) * (hi_v - lo_v) > LINEARIZE_BUDGET:
-                            raise _over_budget(self_rank, "build more than {} actions")
-                        actions.extend(actions[start:] * (hi_v - lo_v))
-                case Skip():
-                    pass
-                case _:
-                    raise TypeError(f"unexpected protocol node {type(node).__name__}")
+                    if len(actions) + (len(actions) - start) * (hi_v - lo_v) > LINEARIZE_BUDGET:
+                        raise _over_budget(self_rank, "build more than {} actions")
+                    actions.extend(actions[start:] * (hi_v - lo_v))
+            elif kind is not Skip:
+                raise TypeError(f"unexpected protocol node {type(node).__name__}")
 
     walk(spine(t), top, {}, 0)
     return actions
@@ -275,22 +271,20 @@ def cap_loops(ctx: TypingContext, t: ProtocolType, bound: int) -> ProtocolType:
     env = singleton_env(ctx)
 
     def cap(node: ProtocolType, depth: int = 0) -> ProtocolType:
-        if type(node) is Message or type(node) is Skip:
+        kind = type(node)
+        if kind is Allreduce and type(node.cont) is not Skip:
+            cont = map_spine(node.cont, partial(cap, depth=deeper(depth)))
+            return Allreduce(node.op, node.binder, node.payload, cont)
+        if kind is not Foreach:
             return node
-        match node:
-            case Allreduce(op, binder, payload, cont) if type(cont) is not Skip:
-                return Allreduce(op, binder, payload, map_spine(cont, partial(cap, depth=deeper(depth))))
-            case Foreach(binder, lo, hi, body):
-                capped = map_spine(body, partial(cap, depth=deeper(depth)))
-                try:
-                    lo_v, hi_v = loop_bounds(env, node)
-                except NonConstantBounds:
-                    return Foreach(binder, lo, hi, capped)
-                if hi_v - lo_v + 1 > bound:
-                    return Foreach(binder, lo, IntLit(lo_v + bound - 1), capped)
-                return Foreach(binder, lo, hi, capped)
-            case _:
-                return node
+        capped = map_spine(node.body, partial(cap, depth=deeper(depth)))
+        try:
+            lo_v, hi_v = loop_bounds(env, node)
+        except NonConstantBounds:
+            return Foreach(node.binder, node.lo, node.hi, capped)
+        if hi_v - lo_v + 1 > bound:
+            return Foreach(node.binder, node.lo, IntLit(lo_v + bound - 1), capped)
+        return Foreach(node.binder, node.lo, node.hi, capped)
 
     return map_spine(t, cap)
 

@@ -522,38 +522,38 @@ def _infix(op: str, left, right, show) -> tuple[int, str]:
 
 
 def print_index(t: IndexTerm, level: int = 0) -> str:
-    match t:
-        case IntLit(v):
-            mine, text = _ATOM, str(v)
-        case Var(name):
-            mine, text = _ATOM, name
-        case BinOp(op, l, r):
-            mine, text = _infix(op, l, r, print_index)
-        case Cond(test, then, orelse):
-            mine = _COND
-            text = (
-                f"{print_proposition(test, _COND + 1)} ? {print_index(then, _COND + 1)}"
-                f" : {print_index(orelse, _COND)}"
-            )
-        case _:
-            raise TypeError(f"not an index term: {t!r}")
+    kind = type(t)
+    if kind is IntLit:
+        mine, text = _ATOM, str(t.value)
+    elif kind is Var:
+        mine, text = _ATOM, t.name
+    elif kind is BinOp:
+        mine, text = _infix(t.op, t.left, t.right, print_index)
+    elif kind is Cond:
+        mine = _COND
+        text = (
+            f"{print_proposition(t.test, _COND + 1)} ? {print_index(t.then, _COND + 1)}"
+            f" : {print_index(t.orelse, _COND)}"
+        )
+    else:
+        raise TypeError(f"not an index term: {t!r}")
     return f"({text})" if mine < level else text
 
 
 def print_proposition(p: Proposition, level: int = 0) -> str:
-    match p:
-        case TrueProp():
-            return "true"
-        case Cmp(op, l, r):
-            mine, text = _infix(op, l, r, print_index)
-        case And(l, r):
-            mine, text = _infix("and", l, r, print_proposition)
-        case Or(l, r):
-            mine, text = _infix("or", l, r, print_proposition)
-        case Not(q):
-            mine, text = _NOT, f"not {print_proposition(q, _NOT)}"
-        case _:
-            raise TypeError(f"not a proposition: {p!r}")
+    kind = type(p)
+    if kind is Cmp:
+        mine, text = _infix(p.op, p.left, p.right, print_index)
+    elif kind is TrueProp:
+        return "true"
+    elif kind is And:
+        mine, text = _infix("and", p.left, p.right, print_proposition)
+    elif kind is Or:
+        mine, text = _infix("or", p.left, p.right, print_proposition)
+    elif kind is Not:
+        mine, text = _NOT, f"not {print_proposition(p.prop, _NOT)}"
+    else:
+        raise TypeError(f"not a proposition: {p!r}")
     return f"({text})" if mine < level else text
 
 
@@ -562,15 +562,14 @@ def print_datatype(d: Datatype) -> str:
     while type(d) is Array:
         dims.append(f"[{print_index(d.length)}]")
         d = d.elem
-    match d:
-        case Integer():
-            text = "integer"
-        case Float():
-            text = "float"
-        case Refined(binder, base, pred):
-            text = f"{{{binder}: {print_datatype(base)} | {print_proposition(pred)}}}"
-        case _:
-            raise TypeError(f"not a datatype: {d!r}")
+    if type(d) is Integer:
+        text = "integer"
+    elif type(d) is Float:
+        text = "float"
+    elif type(d) is Refined:
+        text = f"{{{d.binder}: {print_datatype(d.base)} | {print_proposition(d.pred)}}}"
+    else:
+        raise TypeError(f"not a datatype: {d!r}")
     return text + "".join(reversed(dims))
 
 
@@ -593,21 +592,23 @@ _ONE_LINE = ("", " ")
 def _render_protocol(t: ProtocolType, layout: tuple[str, str], depth: int) -> str:
     step, newline = layout
     pad = step * depth
-    match t:
-        case Seq():
-            return f";{newline}".join(_render_protocol(item, layout, depth) for item in spine(t))
-        case Skip():
-            return f"{pad}skip"
-        case Message(src, dst, payload):
-            return f"{pad}message {_endpoint_text(src)} {_endpoint_text(dst)} {print_datatype(payload)}"
-        case Allreduce(op, binder, payload, body):
-            if binder == FRESH_BINDER and body == Skip():
-                return f"{pad}allreduce {op.value} {print_datatype(payload)}"
-            head = f"{pad}allreduce {op.value} {binder}: {print_datatype(payload)}"
-        case Foreach(binder, lo, hi, body):
-            head = f"{pad}foreach {binder}: {_bound_text(lo)}..{_bound_text(hi)}"
-        case _:
-            raise TypeError(f"not a protocol type: {t!r}")
+    kind = type(t)
+    if kind is Message:
+        return f"{pad}message {_endpoint_text(t.src)} {_endpoint_text(t.dst)} {print_datatype(t.payload)}"
+    if kind is Seq:
+        return f";{newline}".join(_render_protocol(item, layout, depth) for item in spine(t))
+    if kind is Skip:
+        return f"{pad}skip"
+    if kind is Allreduce:
+        body = t.cont
+        if t.binder == FRESH_BINDER and body == Skip():
+            return f"{pad}allreduce {t.op.value} {print_datatype(t.payload)}"
+        head = f"{pad}allreduce {t.op.value} {t.binder}: {print_datatype(t.payload)}"
+    elif kind is Foreach:
+        body = t.body
+        head = f"{pad}foreach {t.binder}: {_bound_text(t.lo)}..{_bound_text(t.hi)}"
+    else:
+        raise TypeError(f"not a protocol type: {t!r}")
     inner = _render_protocol(body, layout, depth + 1)
     return f"{head} {{{newline}{inner}{newline}{pad}}}"
 
@@ -623,22 +624,22 @@ def compact_protocol(t: ProtocolType) -> str:
 
 def print_process(p: Process, indent: int = 0) -> str:
     pad = "  " * indent
-    match p:
-        case PSeq():
-            return ";\n".join(print_process(item, indent) for item in spine(p))
-        case PSkip():
-            return f"{pad}skip"
-        case Send(to, payload):
-            return f"{pad}send to {_endpoint_text(to)} {print_datatype(payload)}"
-        case Recv(src, payload):
-            return f"{pad}recv from {_endpoint_text(src)} {print_datatype(payload)}"
-        case AllreduceStmt(op, payload):
-            return f"{pad}allreduce {op.value} {print_datatype(payload)}"
-        case For(binder, lo, hi, body):
-            inner = print_process(body, indent + 1)
-            return f"{pad}for {binder}: {_bound_text(lo)}..{_bound_text(hi)} {{\n{inner}\n{pad}}}"
-        case If(test, then, orelse):
-            t = print_process(then, indent + 1)
-            e = print_process(orelse, indent + 1)
-            return f"{pad}if {print_proposition(test)} {{\n{t}\n{pad}}} else {{\n{e}\n{pad}}}"
+    kind = type(p)
+    if kind is PSeq:
+        return ";\n".join(print_process(item, indent) for item in spine(p))
+    if kind is PSkip:
+        return f"{pad}skip"
+    if kind is Send:
+        return f"{pad}send to {_endpoint_text(p.to)} {print_datatype(p.payload)}"
+    if kind is Recv:
+        return f"{pad}recv from {_endpoint_text(p.src)} {print_datatype(p.payload)}"
+    if kind is AllreduceStmt:
+        return f"{pad}allreduce {p.op.value} {print_datatype(p.payload)}"
+    if kind is For:
+        inner = print_process(p.body, indent + 1)
+        return f"{pad}for {p.binder}: {_bound_text(p.lo)}..{_bound_text(p.hi)} {{\n{inner}\n{pad}}}"
+    if kind is If:
+        t = print_process(p.then, indent + 1)
+        e = print_process(p.orelse, indent + 1)
+        return f"{pad}if {print_proposition(p.test)} {{\n{t}\n{pad}}} else {{\n{e}\n{pad}}}"
     raise TypeError(f"not a process: {p!r}")

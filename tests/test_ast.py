@@ -342,6 +342,11 @@ class TestNodeProtocol:
         assert set(tabled) == _value_classes()
         assert {type(node) for node, _, _ in NODES} == {c for c in tabled if issubclass(c, ast._Node)}
 
+    def test_no_value_class_has_a_subclass(self):
+        """The walks test `type(x) is C` where they once matched `case C(...)`,
+        which also took C's subclasses: with none, the two accept the same nodes."""
+        assert {cls for cls in _value_classes() if cls.__subclasses__()} == set()
+
     @pytest.mark.parametrize(
         "node, fields, text", NODES + RECORDS, ids=[type(n).__name__ for n, _, _ in NODES + RECORDS]
     )
