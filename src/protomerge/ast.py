@@ -518,6 +518,8 @@ def concat(first: ProtocolType, second: ProtocolType) -> ProtocolType:
         return first
     if type(first) is Skip:
         return second
+    if type(first) is not Seq:
+        return Seq(first, second)
     return build_seq(spine(first), second)
 
 

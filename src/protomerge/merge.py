@@ -22,7 +22,6 @@ from .ast import (
     Diagnostic,
     DiagnosticKind,
     Foreach,
-    IndexTerm,
     IntLit,
     Integer,
     LINEARIZE_BUDGET,
@@ -264,19 +263,6 @@ def _seq_parts(t: ProtocolType) -> tuple[ProtocolType, ProtocolType]:
     return t, Skip()
 
 
-def _values(ctx: TypingContext, t: IndexTerm) -> tuple[int, ...] | None:
-    """The values index term t takes under ctx, where they can be read off
-    without entails: an integer literal's value, or the merged ranks when t
-    is `rank` and ctx binds it to a FiniteSet. None elsewhere."""
-    if type(t) is IntLit:
-        return (t.value,)
-    if t is _RANK:
-        ranks = ctx.lookup("rank")
-        if type(ranks) is FiniteSet:
-            return ranks.values
-    return None
-
-
 def _literal(m: ProtocolType) -> bool:
     return type(m) is Message and type(m.src) is IntLit is type(m.dst)
 
@@ -514,8 +500,8 @@ class _Engine:
         self.labels: list[str] = []
         # The deepest node every rule refused: (path, ctx, left, right, refusals, or None to derive when read).
         self.deepest: tuple | None = None
-        # (context, index term) -> the values `_values` reads, as a set, or None.
-        self.value_sets: dict = {}
+        # context -> the merged ranks its `rank` entry lists, as a set, or None.
+        self.rank_sets: dict = {}
 
     # -- derivation
 
@@ -583,7 +569,7 @@ class _Engine:
         merge.py); None where the run fails or none starts here."""
         memo, labels, k = self.memo, self.labels, (self.k.value,)
         skip, rh, takes = name == "msgT-skipT", _seq_parts(right)[0], _RUNS[name]
-        ranks, m = self.values(ctx, _RANK), left.first if skip else rh  # the head a run starts on
+        ranks, m = self.ranks(ctx), left.first if skip else rh  # the head a run starts on
         if ranks is None or not (_literal(m) and (takes(m, ranks, k) if skip else _touches(m, ranks))):
             return None
         run, t, label = [left], left.second, "seq.tail" if skip else "seq.tail-vs-right"
@@ -634,52 +620,54 @@ class _Engine:
     # -- premises
 
     def premise(self, ctx: TypingContext, judged, lh, rh) -> str:
-        """The verdict of what a premise judges on lh and rh. A literal message's side (the merged
-        ranks `_values` reads, or k) is one membership test; all else is decided once per _key."""
-        if type(judged) is tuple and _literal(m := lh if judged[0] == "left" else rh):
-            values = self.values(ctx, _RANK) if judged[1] == "merged" else (self.k.value,)
-            if values is not None:
-                return _INVALID if _touches(m, values) else _VALID
-        key = _key(ctx, judged, lh, rh, self.k)
-        verdict = self.verdicts.get(key)
+        """The verdict of what a premise judges on lh and rh: operators are equal when one
+        node, a claim on literals is `by_value`'s, and all else is decided once per _key."""
+        if judged is _OPS:
+            return _EQUAL if lh.op is rh.op else _DIFFERENT
+        verdict = self.by_value(ctx, judged, lh, rh)
         if verdict is None:
-            verdict = self.verdicts[key] = self.decide(key)
+            key = _key(ctx, judged, lh, rh, self.k)
+            verdict = self.verdicts.get(key)
+            if verdict is None:
+                verdict = self.verdicts[key] = self.decide(key)
         return verdict
 
-    def values(self, ctx: TypingContext, t: IndexTerm) -> frozenset[int] | None:
-        """The values `_values` reads off ctx for t, as a set built once per
-        context and term, so that each membership test costs O(1)."""
-        found = self.value_sets.get((ctx, t), False)
-        if found is False:
-            values = _values(ctx, t)
-            found = self.value_sets[ctx, t] = None if values is None else frozenset(values)
-        return found
+    def by_value(self, ctx: TypingContext, judged, lh, rh) -> str | None:
+        """The verdict of a claim on literals: a literal message's side is one
+        membership test, in k or in the merged ranks `ranks` lists, and four
+        literal endpoints or bounds are equal when they are one node each, as
+        nodes are interned. None for every other claim."""
+        if type(judged) is tuple:
+            m = lh if judged[0] == "left" else rh
+            values = self.ranks(ctx) if judged[1] == "merged" else (self.k.value,)
+            if values is not None and _literal(m):
+                return _INVALID if _touches(m, values) else _VALID
+        elif judged is not _PAYLOADS:
+            a, b, c, d = (lh.src, rh.src, lh.dst, rh.dst) if judged is _ENDPOINTS else (lh.lo, rh.lo, lh.hi, rh.hi)
+            if type(a) is type(b) is type(c) is type(d) is IntLit:
+                return _VALID if a is b and c is d else _INVALID
+        return None
+
+    def ranks(self, ctx: TypingContext) -> frozenset[int] | None:
+        """The merged ranks ctx's `rank` entry lists, as a set built once per
+        context; None when that entry is not a FiniteSet."""
+        if ctx not in self.rank_sets:
+            entry = ctx.lookup("rank")
+            self.rank_sets[ctx] = frozenset(entry.values) if type(entry) is FiniteSet else None
+        return self.rank_sets[ctx]
 
     def decide(self, key: tuple) -> str:
-        """The verdict of the claim `key` states under its context. Where each
-        comparison of a proposition sets an integer literal against a term
-        whose values `_values` reads off the context, it holds when it holds
-        for every such value, as entails would find; elsewhere entails decides."""
-        ctx, judged = key[0], key[1]
-        if judged is _PAYLOADS:
+        """The verdict of the claim `key` states under its context: a payload
+        pair's by dtype_equiv, every other claim's by entails."""
+        if key[1] is _PAYLOADS:
             try:
-                return _EQUIVALENT if dtype_equiv(ctx, key[2], key[3]) else _DIFFERENT
+                return _EQUIVALENT if dtype_equiv(key[0], key[2], key[3]) else _DIFFERENT
             except UndecidableEquivalence:
-                self.undecidable = True
-                return _UNDECIDABLE
-        if judged is _OPS:
-            return _EQUAL if key[2] is key[3] else _DIFFERENT
-        _, _, op, a, b, c, d = key
-        ok = True
-        for lit, term in ((a, b), (c, d)):
-            values = self.values(ctx, term) if type(lit) is IntLit else None
-            if values is None:
-                verdict = entails(ctx, _claim(key))
-                if verdict is Verdict.UNDECIDABLE:
-                    self.undecidable = True
-                return verdict.value
-            ok = ok and (values == {lit.value} if op == "=" else lit.value not in values)
-        return _VALID if ok else _INVALID
+                verdict = _UNDECIDABLE
+        else:
+            verdict = entails(key[0], _claim(key)).value
+        self.undecidable |= verdict == _UNDECIDABLE
+        return verdict
 
 
 def _validate_merge_inputs(ctx: TypingContext, k: int, *operands: ProtocolType) -> tuple:

@@ -3,6 +3,7 @@ diagnostics."""
 
 import copy
 import pickle
+import random
 import subprocess
 import sys
 from dataclasses import FrozenInstanceError
@@ -72,8 +73,11 @@ from protomerge.ast import (
     build_seq,
     concat,
     map_spine,
+    normalize_seq,
     spine,
 )
+
+from generators import gen_protocol
 
 
 class TestInterning:
@@ -554,6 +558,19 @@ class TestSequenceSpine:
         assert concat(Skip(), self.A) == self.A
         assert concat(self.A, Skip()) == self.A
         assert build_seq([]) == Skip()
+
+    def test_concat_is_the_node_a_rebuilt_spine_gives(self):
+        """On generated normal forms, a single item in front included, concat
+        gives the very node that re-nesting first's spine in front of second
+        does."""
+        rng = random.Random(7)
+        forms = [normalize_seq(gen_protocol(rng, 3)) for _ in range(600)]
+        singles = 0
+        for first, second in zip(forms, forms[1:]):
+            want = first if type(second) is Skip else second if type(first) is Skip else build_seq(spine(first), second)
+            assert concat(first, second) is want, (first, second)
+            singles += type(first) not in (Seq, Skip) and type(second) is not Skip
+        assert singles > 100
 
 
 class TestTypingContext:

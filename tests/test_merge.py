@@ -1183,9 +1183,12 @@ class TestPremisesAndRendering:
 
 
 class TestMembershipPremises:
-    """Where each comparison of a premise sets an integer literal against a
-    literal, or against `rank` bound to a FiniteSet of merged ranks, the
-    values decide it, with entails' verdicts."""
+    """`_Engine.by_value` decides each claim on literals by value: a literal
+    message's side by membership in k, or in the merged ranks where `rank`
+    is bound to a FiniteSet, and four literal endpoints or bounds by
+    identity. `premise` compares allreduce operators by identity. Every
+    other claim goes to entails, and each verdict is the one entails gives
+    the claim's proposition."""
 
     @staticmethod
     def contexts(ctx, n):
@@ -1196,7 +1199,9 @@ class TestMembershipPremises:
         return [ctx, ctx.extend("i", loop), ctx.extend("rank", loop)]
 
     @staticmethod
-    def endpoints(rng, n):
+    def terms(rng, n):
+        """An endpoint or loop bound of each kind: a literal, `size - c`, the
+        loop binder i and `rank`."""
         return [
             IntLit(rng.randrange(-1, n + 1)),
             BinOp("-", Var("size"), IntLit(rng.randrange(1, n + 1))),
@@ -1230,30 +1235,53 @@ class TestMembershipPremises:
             verdict = entails(ctx, p)
             ok, _, _, claim, got = cls.premises(engine, ctx, m, m, (name,))[0]
             assert (ok, claim, got) == (verdict.value == want, p, verdict.value), (ctx.names(), name, m)
-        ok, _, _, claim, got = cls.premises(engine, ctx, lm, rm, ("endpoints-equal",))[0]
-        p = And(Cmp("=", lm.src, rm.src), Cmp("=", lm.dst, rm.dst))
+        cls.agree_equal(engine, ctx, lm, rm, "endpoints-equal", ("src", "dst"))
+
+    @classmethod
+    def agree_equal(cls, engine, ctx, left, right, name, parts):
+        """Premise `name`, two equations over the heads' `parts`, has the
+        verdict entails gives its proposition."""
+        ok, _, _, claim, got = cls.premises(engine, ctx, left, right, (name,))[0]
+        p = And(*(Cmp("=", getattr(left, a), getattr(right, a)) for a in parts))
         verdict = entails(ctx, p)
-        assert (ok, claim, got) == (verdict is Verdict.VALID, p, verdict.value)
+        assert (ok, claim, got) == (verdict is Verdict.VALID, p, verdict.value), (ctx.names(), left, right)
 
-    def test_membership_agrees_with_entails(self, monkeypatch):
-        values = merge_module._values
-        read = []
+    @staticmethod
+    def recording(monkeypatch):
+        """From here on: (what is judged, the rank entry, the verdict) per
+        by_value call, and (the rank entry, the set) per ranks call."""
+        by_value, ranks = merge_module._Engine.by_value, merge_module._Engine.ranks
+        decided, listed = [], []
 
-        def counting(ctx, t):
-            found = values(ctx, t)
-            read.append((found, ctx.lookup("rank"), t))
+        def recording_by_value(engine, ctx, judged, lh, rh):
+            verdict = by_value(engine, ctx, judged, lh, rh)
+            decided.append((judged, ctx.lookup("rank"), verdict))
+            return verdict
+
+        def recording_ranks(engine, ctx):
+            found = ranks(engine, ctx)
+            listed.append((ctx.lookup("rank"), found))
             return found
 
-        monkeypatch.setattr(merge_module, "_values", counting)
+        monkeypatch.setattr(merge_module._Engine, "by_value", recording_by_value)
+        monkeypatch.setattr(merge_module._Engine, "ranks", recording_ranks)
+        return decided, listed
+
+    @staticmethod
+    def instance(rng):
+        """A world size, merged ranks and the rank k merged into them."""
+        n = rng.randint(2, 8)
+        merged = sorted(rng.sample(range(n), rng.randint(1, n - 1)))
+        return n, merged, rng.choice([r for r in range(n) if r not in merged])
+
+    def test_membership_agrees_with_entails(self, monkeypatch):
+        decided, listed = self.recording(monkeypatch)
         rng = random.Random(11)
         for _ in range(300):
-            n = rng.randint(2, 8)
-            merged = sorted(rng.sample(range(n), rng.randint(1, n - 1)))
-            k = rng.choice([r for r in range(n) if r not in merged])
-            root = merged_context(n, merged)
+            n, merged, k = self.instance(rng)
             engine = merge_module._Engine(k)
-            for ctx in self.contexts(root, n):
-                ends = self.endpoints(rng, n)
+            for ctx in self.contexts(merged_context(n, merged), n):
+                ends = self.terms(rng, n)
                 lm = Message(rng.choice(ends), rng.choice(ends), D)
                 rm = Message(rng.choice(ends), rng.choice(ends), D)
                 self.agree(engine, ctx, lm, rm, k)
@@ -1261,22 +1289,37 @@ class TestMembershipPremises:
                 # side compare literals.
                 lm, rm = (msg(rng.randrange(n), rng.randrange(n)) for _ in range(2))
                 self.agree(engine, ctx, lm, rm, k)
-        listed = [(entry, t) for found, entry, t in read if found is not None]
-        assert listed and len(listed) < len(read)
-        assert {type(t) for _, t in listed} == {IntLit, Var}
-        for entry, t in listed:
-            assert type(t) is IntLit or (t == Var("rank") and type(entry) is FiniteSet)
+        by_value = [(judged, entry) for judged, entry, verdict in decided if verdict is not None]
+        assert by_value and len(by_value) < len(decided)
+        sides = {judged[1] if type(judged) is tuple else judged for judged, _ in by_value}
+        assert sides == {"merged", "k", merge_module._ENDPOINTS}
+        # The merged side is read by value only where rank is a FiniteSet,
+        # and ranks lists a set exactly there.
+        merged_side = [entry for judged, entry in by_value if type(judged) is tuple and judged[1] == "merged"]
+        assert all(type(entry) is FiniteSet for entry in merged_side)
+        assert {type(entry) is FiniteSet for entry, _ in listed} == {True, False}
+        for entry, found in listed:
+            assert found == (frozenset(entry.values) if type(entry) is FiniteSet else None)
 
-    @staticmethod
-    def refusing(values):
-        """_values that fails the test when it lists `rank`'s values."""
-
-        def refusing(ctx, t):
-            found = values(ctx, t)
-            assert found is None or type(t) is IntLit, "rank read without entails"
-            return found
-
-        return refusing
+    @pytest.mark.parametrize("context", [merged_context, or_chain_context])
+    def test_bounds_agree_with_entails(self, monkeypatch, context):
+        """bounds-equal on literal, `size - c`, loop-binder and `rank`
+        bounds: four literals by value, the rest by entails, each with
+        entails' verdict."""
+        decided, _ = self.recording(monkeypatch)
+        rng = random.Random(13)
+        for _ in range(300):
+            n, merged, k = self.instance(rng)
+            engine = merge_module._Engine(k)
+            for ctx in self.contexts(context(n, merged), n):
+                bounds = self.terms(rng, n)
+                ll, rl = (Foreach("j", rng.choice(bounds), rng.choice(bounds), msg(0, 1)) for _ in range(2))
+                self.agree_equal(engine, ctx, ll, rl, "bounds-equal", ("lo", "hi"))
+                ll, rl = (Foreach("j", IntLit(rng.randrange(n)), IntLit(rng.randrange(n)), msg(0, 1))
+                          for _ in range(2))
+                self.agree_equal(engine, ctx, ll, rl, "bounds-equal", ("lo", "hi"))
+        verdicts = collections.Counter(v for judged, _, v in decided if judged is merge_module._BOUNDS)
+        assert min(verdicts[None], verdicts["Valid"], verdicts["Invalid"]) > 0, verdicts
 
     @staticmethod
     def asking(monkeypatch):
@@ -1290,8 +1333,31 @@ class TestMembershipPremises:
         monkeypatch.setattr(merge_module, "entails", recording)
         return asked
 
+    def test_op_equal_never_asks_entails(self, monkeypatch):
+        asked, decide, decided = self.asking(monkeypatch), merge_module._Engine.decide, []
+        monkeypatch.setattr(merge_module._Engine, "decide", lambda e, key: decided.append(key) or decide(e, key))
+        engine, ctx = merge_module._Engine(1), merged_context(2, [0])
+        rows = [self.premises(engine, ctx, allred(a), allred(b), ("op-equal",))[0]
+                for a, b in ((ReduceOp.MIN, ReduceOp.MIN), (ReduceOp.MIN, ReduceOp.MAX))]
+        assert [(ok, claim, verdict) for ok, _, _, claim, verdict in rows] == [
+            (True, "min = min", "equal"), (False, "min = max", "different")
+        ]
+        assert (asked, decided, engine.verdicts) == ([], [], {})
+
+    @staticmethod
+    def refusing(monkeypatch):
+        """From here on, fail the test when ranks lists the merged ranks."""
+        ranks = merge_module._Engine.ranks
+
+        def refusing(engine, ctx):
+            found = ranks(engine, ctx)
+            assert found is None, "rank read without entails"
+            return found
+
+        monkeypatch.setattr(merge_module._Engine, "ranks", refusing)
+
     def test_rebound_rank_reaches_entails(self, monkeypatch):
-        monkeypatch.setattr(merge_module, "_values", self.refusing(merge_module._values))
+        self.refusing(monkeypatch)
         asked = self.asking(monkeypatch)
         root = merged_context(4, [0, 1])
         engine = merge_module._Engine(2)
@@ -1304,21 +1370,23 @@ class TestMembershipPremises:
 
     def test_rank_bound_by_a_refinement_reaches_entails(self, monkeypatch):
         """The merged ranks spelled as a refinement go to entails, with the
-        verdicts the FiniteSet entry gets from the values."""
+        verdicts the FiniteSet entry gets by value."""
         pairs = [(msg(2, 3), msg(0, 1)), (msg(0, 3), msg(3, 2)), (msg(3, 1), msg(2, 1))]
         entry, chain = merged_context(4, [0, 1]), or_chain_context(4, [0, 1])
         engine = merge_module._Engine(2)
         names = merge_module._RULES["msg-msg-eq"][1]
         want = [self.premises(engine, entry, lm, rm, names) for lm, rm in pairs]
-        monkeypatch.setattr(merge_module, "_values", self.refusing(merge_module._values))
+        self.refusing(monkeypatch)
         asked = self.asking(monkeypatch)
         for lm, rm in pairs:
             self.agree(engine, chain, lm, rm, 2)
         assert [self.premises(engine, chain, lm, rm, names) for lm, rm in pairs] == want
-        # left-real on each pair's left head went to entails under the chain.
+        # Each head's merged side went to entails under the chain, once;
+        # the k side and endpoints-equal were read by value.
         rank = Var("rank")
-        for lm, _ in pairs:
-            assert (chain, And(Cmp("!=", lm.src, rank), Cmp("!=", lm.dst, rank))) in asked
+        assert asked == [
+            (chain, And(Cmp("!=", m.src, rank), Cmp("!=", m.dst, rank))) for pair in pairs for m in pair
+        ]
 
     @staticmethod
     def fold(instance, context=merged_context):
@@ -1348,11 +1416,17 @@ class TestMembershipPremises:
     def test_traces_match_entails_only_merges(self, monkeypatch):
         rng = random.Random(5)
         instances = [gen_exchange(rng) for _ in range(2000)]
-        with_membership = [self.fold(instance) for instance in instances]
-        monkeypatch.setattr(merge_module, "_values", lambda ctx, t: None)
+        asked = self.asking(monkeypatch)
+        with_values = [self.fold(instance) for instance in instances]
+        assert asked == []  # every endpoint of an exchange is a literal
+        # Every by-value decision off: by_value reads nothing, and ranks
+        # lists no set, so no run starts either.
+        monkeypatch.setattr(merge_module._Engine, "by_value", lambda *args: None)
+        monkeypatch.setattr(merge_module._Engine, "ranks", lambda engine, ctx: None)
         entails_only = [self.fold(instance) for instance in instances]
-        assert with_membership == entails_only
-        rows = [row for folds in with_membership for step in folds if isinstance(step, list)
+        assert asked
+        assert with_values == entails_only
+        rows = [row for folds in with_values for step in folds if isinstance(step, list)
                 for row in step]
         assert {"endpoints-equal", "left-avoids-k", "right-avoids-merged"} <= {r[1] for r in rows}
-        assert any(isinstance(step, protomerge.Diagnostic) for f in with_membership for step in f)
+        assert any(isinstance(step, protomerge.Diagnostic) for f in with_values for step in f)
